@@ -5,12 +5,14 @@
 //! which kinds fire first at the same cycle (e.g. completions before
 //! arrivals), and `seq` — a monotonically assigned insertion number —
 //! breaks every remaining tie, so the pop order is a pure function of
-//! the schedule calls. Cancellation is lazy: `cancel` drops the
-//! [`EventId`] from the live set and `pop` skips dead heap entries,
-//! keeping both operations `O(log n)` without re-heapifying.
+//! the schedule calls. Cancellation is lazy: `cancel` clears the
+//! [`EventId`]'s bit in a seq-indexed live bitset and `pop` skips dead
+//! heap entries, so cancelling is `O(1)` and popping `O(log n)`, without
+//! re-heapifying. Seqs are dense from 0, so the bitset costs one bit per
+//! event ever scheduled and never allocates per event.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// A schedulable event payload.
 ///
@@ -84,10 +86,12 @@ impl<E> PartialOrd for Entry<E> {
 #[derive(Debug)]
 pub struct EventQueue<E: Event> {
     heap: BinaryHeap<Entry<E>>,
-    /// Sequence numbers scheduled and neither popped nor cancelled. A
-    /// heap entry whose seq is no longer here is a dead tombstone that
-    /// `pop` discards.
-    live: BTreeSet<u64>,
+    /// Bit `seq` (word `seq / 64`) is set while that event is scheduled
+    /// and neither popped nor cancelled. A heap entry whose bit is clear
+    /// is a dead tombstone that `pop` discards.
+    live: Vec<u64>,
+    /// Number of set bits in `live`.
+    pending: usize,
     next_seq: u64,
 }
 
@@ -103,9 +107,32 @@ impl<E: Event> EventQueue<E> {
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
-            live: BTreeSet::new(),
+            live: Vec::new(),
+            pending: 0,
             next_seq: 0,
         }
+    }
+
+    /// The word index and bit mask of `seq` in the live bitset.
+    fn slot(seq: u64) -> (usize, u64) {
+        ((seq / 64) as usize, 1 << (seq % 64))
+    }
+
+    fn is_live(&self, seq: u64) -> bool {
+        let (word, bit) = Self::slot(seq);
+        self.live.get(word).is_some_and(|w| w & bit != 0)
+    }
+
+    /// Clears `seq`'s live bit; returns whether it was set.
+    fn retire(&mut self, seq: u64) -> bool {
+        let (word, bit) = Self::slot(seq);
+        let Some(w) = self.live.get_mut(word) else {
+            return false;
+        };
+        let hit = *w & bit != 0;
+        *w &= !bit;
+        self.pending -= usize::from(hit);
+        hit
     }
 
     /// Schedules `event` to fire at cycle `at`; returns a token for
@@ -119,7 +146,12 @@ impl<E: Event> EventQueue<E> {
             seq,
             event,
         });
-        self.live.insert(seq);
+        let (word, bit) = Self::slot(seq);
+        if word == self.live.len() {
+            self.live.push(0);
+        }
+        self.live[word] |= bit;
+        self.pending += 1;
         usystolic_obs::with(|o| o.metrics.count("des.events.scheduled", 1));
         EventId(seq)
     }
@@ -128,7 +160,7 @@ impl<E: Event> EventQueue<E> {
     /// still-pending event, `false` when it already fired or was already
     /// cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let hit = self.live.remove(&id.0);
+        let hit = self.retire(id.0);
         if hit {
             usystolic_obs::with(|o| o.metrics.count("des.events.cancelled", 1));
         }
@@ -146,7 +178,7 @@ impl<E: Event> EventQueue<E> {
     /// order, skipping cancelled entries.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         while let Some(entry) = self.heap.pop() {
-            if !self.live.remove(&entry.seq) {
+            if !self.retire(entry.seq) {
                 continue; // cancelled tombstone
             }
             usystolic_obs::with(|o| o.metrics.count("des.events.dispatched", 1));
@@ -164,7 +196,7 @@ impl<E: Event> EventQueue<E> {
     pub fn peek_at(&self) -> Option<u64> {
         self.heap
             .iter()
-            .filter(|e| self.live.contains(&e.seq))
+            .filter(|e| self.is_live(e.seq))
             .map(|e| e.key())
             .min()
             .map(|(at, _, _)| at)
@@ -173,13 +205,13 @@ impl<E: Event> EventQueue<E> {
     /// Number of pending (non-cancelled) events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.pending
     }
 
     /// Whether no live events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.pending == 0
     }
 }
 

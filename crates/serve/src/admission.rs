@@ -9,9 +9,20 @@
 //! queueing delay grows without bound and every deadline is eventually
 //! missed.
 //!
+//! The queue is indexed for the [`Scheduler`]: one `VecDeque` per
+//! workload class, each held sorted by [`Request::dispatch_key`]. A
+//! request whose key is not below its class's tail — every open-loop
+//! arrival within one priority tier — is appended in `O(1)`; any other
+//! (a requeued retry, a high-priority arrival) binary-searches its slot
+//! and shifts the shorter side. Dispatch reads one head per class and
+//! drains a prefix of one class, so it costs `O(classes + max_batch)`
+//! however deep the backlog.
+//!
 //! [`RequestRecord`]: crate::request::RequestRecord
+//! [`Scheduler`]: crate::scheduler::Scheduler
 
 use crate::request::Request;
+use std::collections::VecDeque;
 
 /// Outcome of offering a request to the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,7 +36,11 @@ pub enum Admission {
 /// A bounded admission queue.
 #[derive(Debug)]
 pub struct AdmissionController {
-    queue: Vec<Request>,
+    /// The queued requests of class `c` at index `c`, each sorted
+    /// ascending by dispatch key (keys are unique: the id is their last
+    /// component).
+    classes: Vec<VecDeque<Request>>,
+    depth: usize,
     capacity: usize,
     admitted: u64,
     rejected: u64,
@@ -42,7 +57,8 @@ impl AdmissionController {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "admission queue needs capacity");
         Self {
-            queue: Vec::with_capacity(capacity.min(1 << 16)),
+            classes: Vec::new(),
+            depth: 0,
             capacity,
             admitted: 0,
             rejected: 0,
@@ -52,82 +68,116 @@ impl AdmissionController {
 
     /// Offers a request; queues it or rejects it.
     pub fn offer(&mut self, request: Request) -> Admission {
-        if self.queue.len() >= self.capacity {
+        if self.depth >= self.capacity {
             self.rejected += 1;
             return Admission::Rejected;
         }
-        self.queue.push(request);
+        self.enqueue(request);
         self.admitted += 1;
-        self.max_depth = self.max_depth.max(self.queue.len());
         Admission::Admitted
     }
 
     /// Admits past the bound (brown-out overflow). Counts as admitted;
     /// the caller enforces its own overflow ceiling.
     pub fn force_admit(&mut self, request: Request) {
-        self.queue.push(request);
+        self.enqueue(request);
         self.admitted += 1;
-        self.max_depth = self.max_depth.max(self.queue.len());
     }
 
     /// Re-enqueues an already-admitted request (retry after a shard
     /// crash) without recounting it — the admission ledger sees each
     /// request once, however many times it is retried.
     pub fn requeue(&mut self, request: Request) {
-        self.queue.push(request);
-        self.max_depth = self.max_depth.max(self.queue.len());
+        self.enqueue(request);
+    }
+
+    /// Inserts `request` at its dispatch-key slot in its class queue.
+    fn enqueue(&mut self, request: Request) {
+        if request.class >= self.classes.len() {
+            self.classes.resize_with(request.class + 1, VecDeque::new);
+        }
+        let queue = &mut self.classes[request.class];
+        let key = request.dispatch_key();
+        if queue.back().is_none_or(|tail| tail.dispatch_key() <= key) {
+            queue.push_back(request);
+        } else {
+            let slot = queue.partition_point(|r| r.dispatch_key() < key);
+            queue.insert(slot, request);
+        }
+        self.depth += 1;
+        self.max_depth = self.max_depth.max(self.depth);
     }
 
     /// Removes and returns the queued request with the given id, if it
     /// is still waiting (a dispatched or completed request is not).
     pub fn remove_by_id(&mut self, id: u64) -> Option<Request> {
-        let pos = self.queue.iter().position(|r| r.id == id)?;
-        Some(self.queue.remove(pos))
+        for queue in &mut self.classes {
+            if let Some(pos) = queue.iter().position(|r| r.id == id) {
+                self.depth -= 1;
+                return queue.remove(pos);
+            }
+        }
+        None
     }
 
-    /// Removes and returns, in queue order, every queued request whose
-    /// absolute deadline is before `now` (deadline shedding).
+    /// Removes and returns every queued request whose absolute deadline
+    /// is before `now` (deadline shedding), class by class, each class
+    /// in dispatch-key order.
     pub fn expire_before(&mut self, now: u64) -> Vec<Request> {
         let mut expired = Vec::new();
-        self.queue.retain(|r| match r.deadline {
-            Some(d) if d < now => {
-                expired.push(*r);
-                false
-            }
-            _ => true,
-        });
+        for queue in &mut self.classes {
+            queue.retain(|r| match r.deadline {
+                Some(d) if d < now => {
+                    expired.push(*r);
+                    false
+                }
+                _ => true,
+            });
+        }
+        self.depth -= expired.len();
         expired
     }
 
-    /// Drains whatever is still queued, in queue order (end of run with
-    /// the whole fleet down — nothing left to serve them).
+    /// Drains whatever is still queued, class by class, each class in
+    /// dispatch-key order (end of run with the whole fleet down —
+    /// nothing left to serve them).
     pub fn drain_remaining(&mut self) -> Vec<Request> {
-        std::mem::take(&mut self.queue)
+        self.depth = 0;
+        self.classes.iter_mut().flat_map(|q| q.drain(..)).collect()
     }
 
-    /// The queued requests, in arrival order (the scheduler picks by
-    /// dispatch key, not position).
+    /// A snapshot of the queued requests, class by class, each class in
+    /// dispatch-key order.
     #[must_use]
-    pub fn queued(&self) -> &[Request] {
-        &self.queue
+    pub fn queued(&self) -> Vec<Request> {
+        self.classes.iter().flatten().copied().collect()
     }
 
-    /// Removes and returns the requests at the given queue positions.
-    /// Positions must be sorted ascending and in range.
-    pub fn take(&mut self, positions: &[usize]) -> Vec<Request> {
-        debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
-        let mut out = Vec::with_capacity(positions.len());
-        for &p in positions.iter().rev() {
-            out.push(self.queue.remove(p));
-        }
-        out.reverse();
-        out
+    /// The class whose head has the smallest dispatch key — the class of
+    /// the next batch's leader — or `None` when the queue is empty.
+    pub(crate) fn leading_class(&self) -> Option<usize> {
+        self.classes
+            .iter()
+            .enumerate()
+            .filter_map(|(class, q)| q.front().map(|r| (r.dispatch_key(), class)))
+            .min()
+            .map(|(_, class)| class)
+    }
+
+    /// Removes and returns the first `n` requests of `class` (fewer if
+    /// it holds fewer), in dispatch-key order. `class` must be one
+    /// [`Self::leading_class`] returned.
+    pub(crate) fn take_front(&mut self, class: usize, n: usize) -> Vec<Request> {
+        let queue = &mut self.classes[class];
+        let n = n.min(queue.len());
+        self.depth -= n;
+        queue.drain(..n).collect()
     }
 
     /// Current queue depth.
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.queue.len()
+        self.depth
     }
 
     /// Configured bound.
@@ -160,6 +210,11 @@ impl AdmissionController {
 mod tests {
     use super::*;
     use crate::request::Priority;
+    use crate::scheduler::Scheduler;
+
+    fn ids(requests: &[Request]) -> Vec<u64> {
+        requests.iter().map(|r| r.id).collect()
+    }
 
     fn req(id: u64) -> Request {
         Request {
@@ -185,31 +240,50 @@ mod tests {
     }
 
     #[test]
-    fn take_removes_by_position() {
+    fn next_batch_drains_a_prefix_of_the_leader_class() {
         let mut a = AdmissionController::new(8);
         for id in 1..=5 {
-            a.offer(req(id));
+            let mut r = req(id);
+            r.class = (id % 2) as usize;
+            a.offer(r);
         }
-        let taken = a.take(&[0, 2, 4]);
-        let ids: Vec<u64> = taken.iter().map(|r| r.id).collect();
-        assert_eq!(ids, [1, 3, 5]);
-        let left: Vec<u64> = a.queued().iter().map(|r| r.id).collect();
-        assert_eq!(left, [2, 4]);
-        assert_eq!(a.depth(), 2);
+        // The leader (id 1) is in class 1; its next class-mate rides along.
+        let batch = Scheduler::new(2).next_batch(&mut a).expect("non-empty");
+        assert_eq!(ids(&batch), [1, 3]);
+        // The snapshot lists class 0, then class 1, each in key order.
+        assert_eq!(ids(&a.queued()), [2, 4, 5]);
+        assert_eq!(a.depth(), 3);
     }
 
     #[test]
     fn depth_bound_holds_under_churn() {
         let mut a = AdmissionController::new(3);
+        let scheduler = Scheduler::new(1);
         for id in 0..100 {
             a.offer(req(id));
             if a.depth() == 3 {
-                a.take(&[0]);
+                let batch = scheduler.next_batch(&mut a).expect("non-empty");
+                assert_eq!(ids(&batch), [id - 2], "oldest dispatches first");
             }
             assert!(a.depth() <= a.capacity());
         }
         assert!(a.max_depth() <= 3);
         assert!(a.rejected() == 0);
+    }
+
+    #[test]
+    fn out_of_order_keys_take_their_slot() {
+        let mut a = AdmissionController::new(8);
+        for id in [3, 5] {
+            a.offer(req(id));
+        }
+        // A retry of an older request, then a high-priority arrival.
+        a.requeue(req(1));
+        let mut urgent = req(9);
+        urgent.priority = Priority::High;
+        a.offer(urgent);
+        a.offer(req(7));
+        assert_eq!(ids(&a.queued()), [9, 1, 3, 5, 7]);
     }
 
     #[test]
@@ -252,10 +326,11 @@ mod tests {
         }
         // Deadlines: req2 at 20, req4 at 40. At now=30 only req2 expires.
         let expired = a.expire_before(30);
-        assert_eq!(expired.iter().map(|r| r.id).collect::<Vec<_>>(), [2]);
+        assert_eq!(ids(&expired), [2]);
         assert_eq!(a.depth(), 3);
+        // Key order: a deadline sorts before none, then arrival.
         let rest = a.drain_remaining();
-        assert_eq!(rest.iter().map(|r| r.id).collect::<Vec<_>>(), [1, 3, 4]);
+        assert_eq!(ids(&rest), [4, 1, 3]);
         assert_eq!(a.depth(), 0);
     }
 }

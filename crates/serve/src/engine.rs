@@ -70,10 +70,13 @@ pub enum EventKind {
         factor_percent: u32,
     },
     /// A queued request's wait budget expires (no-op if it already
-    /// dispatched).
+    /// dispatched, or if a shard crash has since resubmitted it with a
+    /// fresh budget).
     Timeout {
         /// Request id.
         id: u64,
+        /// Retry attempt the budget was armed for (0 = first submission).
+        attempt: u32,
     },
     /// A request lost to a shard crash re-enters the queue after
     /// backoff.
@@ -360,7 +363,13 @@ impl Component<EventKind> for Fleet<'_> {
                 match decision {
                     Admission::Admitted => {
                         if let Some(t) = self.config.faults.timeout_cycles {
-                            ctx.schedule_in(t, EventKind::Timeout { id: request.id });
+                            ctx.schedule_in(
+                                t,
+                                EventKind::Timeout {
+                                    id: request.id,
+                                    attempt: 0,
+                                },
+                            );
                         }
                         let admission = &self.admission;
                         usystolic_obs::with(|o| {
@@ -541,7 +550,11 @@ impl Component<EventKind> for Fleet<'_> {
                     });
                 }
             }
-            EventKind::Timeout { id } => {
+            // A timer armed for an earlier attempt is stale: a crash has
+            // resubmitted the request since, restarting its budget.
+            EventKind::Timeout { id, attempt }
+                if attempt != self.retry_counts.get(&id).copied().unwrap_or(0) => {}
+            EventKind::Timeout { id, .. } => {
                 // Only bites while the request still waits in the queue;
                 // dispatched or completed requests ignore stale timers.
                 if let Some(request) = self.admission.remove_by_id(id) {
@@ -571,7 +584,14 @@ impl Component<EventKind> for Fleet<'_> {
                 self.tally.failovers += 1;
                 self.admission.requeue(request);
                 if let Some(t) = self.config.faults.timeout_cycles {
-                    ctx.schedule_in(t, EventKind::Timeout { id: request.id });
+                    let attempt = self.retry_counts.get(&request.id).copied().unwrap_or(0);
+                    ctx.schedule_in(
+                        t,
+                        EventKind::Timeout {
+                            id: request.id,
+                            attempt,
+                        },
+                    );
                 }
                 usystolic_obs::with(|o| o.metrics.count("serve.failovers", 1));
             }

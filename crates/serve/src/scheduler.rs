@@ -14,6 +14,8 @@
 //! The scheduler never pre-empts an in-flight batch and never migrates a
 //! dispatched request; all decisions happen at event boundaries, so the
 //! dispatch sequence is a deterministic function of the queue contents.
+//! The [`AdmissionController`] keeps each class sorted by dispatch key,
+//! so a decision costs `O(classes + max_batch)`, not a scan of the queue.
 //!
 //! [`WorkloadProfile::service_cycles`]: crate::workload::WorkloadProfile::service_cycles
 
@@ -43,32 +45,10 @@ impl Scheduler {
     /// queue is empty. All returned requests share one workload class;
     /// the first element is the leader.
     pub fn next_batch(&self, queue: &mut AdmissionController) -> Option<Vec<Request>> {
-        let queued = queue.queued();
-        if queued.is_empty() {
-            return None;
-        }
-        // Leader: smallest dispatch key across the whole queue.
-        let leader_pos = queued
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, r)| r.dispatch_key())
-            .map(|(i, _)| i)?;
-        let class = queued[leader_pos].class;
-        // Followers: same class, in key order, up to the batch bound.
-        let mut members: Vec<usize> = queued
-            .iter()
-            .enumerate()
-            .filter(|(i, r)| *i != leader_pos && r.class == class)
-            .map(|(i, _)| i)
-            .collect();
-        members.sort_by_key(|&i| queued[i].dispatch_key());
-        members.truncate(self.max_batch - 1);
-        members.push(leader_pos);
-        members.sort_unstable();
-        let mut batch = queue.take(&members);
-        // Leader first, followers in key order behind it.
-        batch.sort_by_key(Request::dispatch_key);
-        Some(batch)
+        // Each class queue is sorted by dispatch key, so the leader heads
+        // its class and its followers are the requests right behind it.
+        let class = queue.leading_class()?;
+        Some(queue.take_front(class, self.max_batch))
     }
 }
 

@@ -19,8 +19,8 @@ use usystolic::faults::{
 use usystolic::gemm::GemmConfig;
 use usystolic::serve::loadgen::{ArrivalProcess, LoadGenConfig};
 use usystolic::serve::{
-    serve, BrownoutPolicy, FleetFaultPlan, RetryPolicy, ServeConfig, ServeReport, ShardFailure,
-    ShardSlowdown, Workload,
+    serve, BrownoutPolicy, Disposition, FleetFaultPlan, RetryPolicy, ServeConfig, ServeReport,
+    ShardFailure, ShardSlowdown, Workload,
 };
 use usystolic::sim::MemoryHierarchy;
 use usystolic::unary::bsg::ConditionalBsg;
@@ -336,5 +336,48 @@ fn timeouts_expire_queued_requests_explicitly() {
     let report = serve(&config, &[m64()]).expect("valid config");
     assert!(report.timed_out > 0, "pressure must exceed the wait budget");
     assert_eq!(report.lost(), 0);
+    assert!(report.conserved());
+}
+
+/// A crash resubmits a request with a fresh wait budget, so the timer
+/// armed at its first admission must not expire the retry. Request 0 is
+/// in service on shard 1 when that shard dies; its retry then waits for
+/// the survivor past the first budget, and must still complete.
+#[test]
+fn retry_restarts_the_timeout_budget() {
+    let budget = 250_000;
+    let plan = FleetFaultPlan {
+        failures: vec![ShardFailure {
+            at: 120_000,
+            instance: 1,
+        }],
+        timeout_cycles: Some(budget),
+        retry: RetryPolicy {
+            max_retries: 3,
+            backoff_base_cycles: 1_000,
+            jitter_permille: 0,
+        },
+        ..FleetFaultPlan::default()
+    };
+    let mut config = fault_config(plan, 1);
+    config.array = SystolicConfig::edge(ComputingScheme::UnaryRate, 8);
+    config.load.process = ArrivalProcess::OpenUniform {
+        interval_cycles: 50_000,
+    };
+    config.load.high_priority_fraction = 0.0;
+    config.load.deadline_cycles = None;
+    let report = serve(&config, &[m64()]).expect("valid config");
+    let retried: Vec<_> = report.records.iter().filter(|r| r.retries > 0).collect();
+    assert_eq!(retried.len(), 1, "only the crashed batch retries");
+    let record = retried[0];
+    assert_eq!(
+        record.disposition,
+        Disposition::Completed,
+        "the first timer expired the retry: {record:?}"
+    );
+    assert!(
+        record.dispatch > record.request.arrival + budget,
+        "the retry must wait past its first budget: {record:?}"
+    );
     assert!(report.conserved());
 }
