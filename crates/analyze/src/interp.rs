@@ -28,10 +28,9 @@
 //! and the network-level bound is the first-order Lipschitz composition
 //! `Π(1+ε_l) − 1`, checked against a user budget (`USY062`/`USY063`).
 //!
-//! Finally, [`derive_kernel_paths`] re-derives the packed-vs-serial
-//! dispatch table of [`usystolic_core::kernel_paths`] from the schemes'
-//! window semantics alone, so the table and the semantics cannot drift
-//! apart silently.
+//! Finally, [`derive_kernel_paths`] re-derives the kernel dispatch table
+//! of [`usystolic_core::kernel_paths`] from the schemes' window semantics
+//! alone, so the table and the semantics cannot drift apart silently.
 
 use crate::checks::required_acc_width;
 use crate::diag::Report;
@@ -98,11 +97,13 @@ pub fn et_window_error(bitwidth: u32, effective_bitwidth: u32) -> u64 {
 /// Statically derives the legal kernel paths for `scheme` from its window
 /// semantics, fastest first.
 ///
-/// * **Closed form** is legal exactly when both window comparators are
-///   analytic: a *temporal* enable stream (counter comparator — prefix
-///   counts collapse to `min`) on constant-sign sign-magnitude operands,
-///   whose weight RNG prefix count is a digit DP over the base-2 Sobol
-///   sequence. No drained sequence exists at all.
+/// * **Closed form** is legal exactly when the whole window is analytic.
+///   A binary window is the exact product, which the array adds into the
+///   OREG in one step. A unary window qualifies when both comparators
+///   are analytic: a *temporal* enable stream (counter comparator —
+///   prefix counts collapse to `min`) on constant-sign sign-magnitude
+///   operands, whose weight RNG prefix count is a digit DP over the
+///   base-2 Sobol sequence. No drained sequence exists at all.
 /// * **Packed** is legal when every window reduces to prefix popcounts
 ///   over restarting comparator streams: constant increment sign with a
 ///   unary coding ([`ComputingScheme::sign_magnitude_operands`]), or
@@ -116,7 +117,8 @@ pub fn et_window_error(bitwidth: u32, effective_bitwidth: u32) -> u64 {
 #[must_use]
 pub fn derive_kernel_paths(scheme: ComputingScheme) -> Vec<KernelPath> {
     let mut paths = Vec::new();
-    if scheme.sign_magnitude_operands() && scheme.coding() == Some(Coding::Temporal) {
+    let temporal = scheme.sign_magnitude_operands() && scheme.coding() == Some(Coding::Temporal);
+    if !scheme.is_unary() || temporal {
         paths.push(KernelPath::ClosedForm);
     }
     if (scheme.sign_magnitude_operands() && scheme.coding().is_some())

@@ -150,16 +150,14 @@ fn timed_pair(
         checksum(&out, &stats)
     });
     let (fast_us, checksum_fast) = time_best(iters, || {
-        let (out, stats) =
-            cycle_accurate_gemm_with(cfg, gemm, input, weights, KernelMode::Packed, 1)
-                .expect("fast run");
+        let (out, stats) = cycle_accurate_gemm_with(cfg, gemm, input, weights, KernelMode::Auto, 1)
+            .expect("fast run");
         checksum(&out, &stats)
     });
     let mut exact = checksum_serial == checksum_fast;
     for &w in workers {
-        let (out, stats) =
-            cycle_accurate_gemm_with(cfg, gemm, input, weights, KernelMode::Packed, w)
-                .expect("worker run");
+        let (out, stats) = cycle_accurate_gemm_with(cfg, gemm, input, weights, KernelMode::Auto, w)
+            .expect("worker run");
         exact &= checksum(&out, &stats) == checksum_fast;
     }
     PairTiming {
@@ -196,7 +194,7 @@ pub fn run(short: bool, workers: &[usize]) -> KernelBench {
     });
     let (packed_us, checksum_packed) = time_best(iters, || {
         let (out, stats) =
-            cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, KernelMode::Packed, 1)
+            cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, KernelMode::Auto, 1)
                 .expect("packed run");
         checksum(&out, &stats)
     });
@@ -232,7 +230,7 @@ pub fn run(short: bool, workers: &[usize]) -> KernelBench {
                 &sweep_gemm,
                 &sweep_in,
                 &sweep_w,
-                KernelMode::Packed,
+                KernelMode::Auto,
                 1,
             )
             .expect("packed sweep run");
@@ -243,7 +241,7 @@ pub fn run(short: bool, workers: &[usize]) -> KernelBench {
     // Worker determinism: the packed checksum must never move.
     let workers_consistent = workers.iter().all(|&w| {
         let (out, stats) =
-            cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, KernelMode::Packed, w)
+            cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, KernelMode::Auto, w)
                 .expect("worker run");
         checksum(&out, &stats) == checksum_packed
     });

@@ -1,8 +1,12 @@
-//! A fully cycle-accurate `R × C` array machine.
+//! The tile sweep behind every GEMM of the crate: a fully cycle-accurate
+//! `R × C` array machine and the fast tile paths that reproduce it.
 //!
-//! Where [`crate::array`] exploits the Eq. 3 equivalence to evaluate each
-//! row's MAC window in one shot, this module steps the whole array cycle
-//! by cycle exactly as Fig. 7 describes it:
+//! [`cycle_accurate_gemm_with`] is the only GEMM engine;
+//! [`crate::exec::GemmExecutor::execute_lowered`] runs it under
+//! [`KernelMode::Auto`]. Each weight tile takes one of two routes.
+//!
+//! The stepped reference machine ([`KernelMode::Serial`]) advances the
+//! whole array cycle by cycle exactly as Fig. 7 describes it:
 //!
 //! * `R'` weight-preload cycles per tile;
 //! * input vectors injected bottom-row-first through the staircase skew
@@ -14,8 +18,23 @@
 //!   neighbour published on the previous cycle, and the top row streams
 //!   the finished OFM through the early-termination shifters.
 //!
-//! `tests::matches_fast_executor_*` prove bit-exact equivalence with the
-//! analytic executors for every computing scheme, and
+//! The fast paths ([`KernelMode::resolve`]) evaluate each MAC window in
+//! one shot — the exact product for the binary schemes, a kernel of
+//! [`crate::kernel`] for the unary ones — and then replay the M-end
+//! cascade with the same registers.
+//!
+//! All five schemes share one OREG semantics, the stepped machine's
+//! (the reduced-resolution OREG of Section III-A):
+//!
+//! * each PE owns a saturating `acc_width`-bit OREG, drained at every
+//!   M-end, so one register sees at most `min(R, K)` windows;
+//! * partial sums of different row folds meet unclamped in the output
+//!   buffer.
+//!
+//! At the default widths (binary: `2N + ⌈log2 R⌉ + 2` bits) nothing
+//! clamps. `tests::matches_fast_executor_*` pin the fast paths and
+//! `execute_lowered` against the stepped machine for every scheme,
+//! `acc_width` 4..=32, `K > R` and 1/2/4/8 workers, and
 //! `tests::cycle_count_matches_timing_model` cross-validates the measured
 //! cycle count against the `usystolic-sim` ideal-cycle formula.
 
@@ -102,11 +121,8 @@ impl RowGen {
 }
 
 /// Runs a lowered GEMM (`input: M × K`, `weights: K × N`) through the
-/// cycle-accurate machine.
-///
-/// Functionally identical to [`crate::exec::GemmExecutor::execute_lowered`]
-/// for every scheme (verified by test), but also yields the measured
-/// cycle counts.
+/// cycle-accurate machine: [`cycle_accurate_gemm_with`] under
+/// [`KernelMode::Auto`] on one worker.
 ///
 /// # Errors
 ///
@@ -120,24 +136,57 @@ pub fn cycle_accurate_gemm(
     cycle_accurate_gemm_with(config, gemm, input, weights, KernelMode::Auto, 1)
 }
 
+/// Records one tile's wall-clock span on the [`usystolic_obs::PID_WALL`]
+/// lane (no-op when no session is installed — in particular on worker
+/// threads of the parallel tile sweep, which carry no session).
+fn record_tile(kernel: &'static str, cf: usize, rf: usize, rows: usize, cols: usize, t0: f64) {
+    usystolic_obs::with(|o| {
+        use usystolic_obs::ToJson;
+        let t1 = o.tracer.now_us();
+        o.metrics.observe("core.tile_us", t1 - t0);
+        o.metrics
+            .observe_labeled("core.tile_us", &[("kernel", kernel)], t1 - t0);
+        o.metrics
+            .count_labeled("core.tiles", &[("kernel", kernel)], 1);
+        // `correlated_args` stamps the active request/shard ids (set by
+        // the serve engine) onto the tile span, closing the admission →
+        // batch → layer → tile chain in the trace.
+        let args = o.correlated_args(vec![
+            ("col_fold".to_owned(), (cf as u64).to_json()),
+            ("row_fold".to_owned(), (rf as u64).to_json()),
+            ("rows".to_owned(), (rows as u64).to_json()),
+            ("cols".to_owned(), (cols as u64).to_json()),
+        ]);
+        o.tracer.complete(
+            format!("{kernel} tile c{cf}r{rf}"),
+            "core",
+            usystolic_obs::PID_WALL,
+            1,
+            t0,
+            t1 - t0,
+            args,
+        );
+    });
+}
+
 /// [`cycle_accurate_gemm`] with an explicit kernel mode and worker count.
 ///
 /// The weight-tile sweep is embarrassingly parallel (tiles share no
 /// machine state, only the output accumulation), so tiles are dispatched
 /// across `workers` threads of the shared work-stealing pool
-/// ([`usystolic_pool`]) and the per-tile partial results are folded
-/// sequentially in the canonical `(col_fold, row_fold)` order — the
-/// result is **bit-for-bit identical for every worker count and for every
-/// [`KernelMode`]** (`tests::packed_kernel_and_workers_are_bit_exact`).
+/// ([`usystolic_pool`]). Each tile returns only its own `M × C'` output
+/// block, and the blocks are folded sequentially in the canonical
+/// `(col_fold, row_fold)` order — the result is **bit-for-bit identical
+/// for every worker count and for every [`KernelMode`]**
+/// (`tests::packed_kernel_and_workers_are_bit_exact`).
 ///
-/// Under [`KernelMode::Auto`] / [`KernelMode::Packed`], each tile is
-/// evaluated by the fastest path [`KernelMode::resolve`] grants the
-/// configuration: closed-form window arithmetic for temporal coding,
-/// the word-packed popcount kernel (64 multiply cycles per `u64` word,
-/// see [`crate::kernel`]) for rate coding and uGEMM-H, and the
-/// bit-serial reference for the binary baselines (and for uGEMM-H OREGs
-/// narrower than `bitwidth + 2`, where mid-window clamping is real
-/// behaviour the lump add cannot reproduce).
+/// Under [`KernelMode::Auto`], each tile is evaluated by the fastest path
+/// [`KernelMode::resolve`] grants the configuration: the closed form for
+/// temporal coding and the binary schemes, and the word-packed popcount
+/// kernel (64 multiply cycles per `u64` word, see [`crate::kernel`]) for
+/// rate coding and uGEMM-H. uGEMM-H OREGs narrower than `bitwidth + 2`
+/// fall back to the stepped machine, where mid-window clamping is real
+/// behaviour the lump add cannot reproduce.
 ///
 /// # Errors
 ///
@@ -164,6 +213,7 @@ pub fn cycle_accurate_gemm_with(
     }
 
     let map = TileMapping::new(gemm, config.rows(), config.cols());
+    let scheme = config.scheme();
     // Resolve the dispatch table once per GEMM (not per tile), so a
     // demoted request records exactly one fallback event.
     let path = mode.resolve(config);
@@ -179,30 +229,30 @@ pub fn cycle_accurate_gemm_with(
     let mut sweep_t0 = 0.0;
     usystolic_obs::with(|o| sweep_t0 = o.tracer.now_us());
 
-    // Per-tile partials in parallel. The per-tile spans inside the closure
+    // Per-tile blocks in parallel. The per-tile spans inside the closure
     // are recorded only on the inline (single-worker) path: worker threads
     // carry no thread-local observability session, so the calls no-op
     // there and the sweep-level span below covers the parallel case.
     let partials = usystolic_pool::run_indexed(workers, tiles.len(), |i| {
         let (cf, rf) = tiles[i];
-        let mut tile_out = Matrix::<i64>::zeros(m, n);
         let mut tile_stats = CycleStats::default();
         let mut t0 = 0.0;
         usystolic_obs::with(|o| t0 = o.tracer.now_us());
         let tile = TileMachine::new(config, input, weights, &map, rf, cf);
         let (rows, cols) = (tile.rows, tile.cols);
+        let mut block = Matrix::<i64>::zeros(m, cols);
         match path {
-            KernelPath::Serial => tile.run(&mut tile_out, &mut tile_stats),
-            KernelPath::ClosedForm => tile.run_closed(&mut tile_out, &mut tile_stats),
-            KernelPath::Packed => {
-                if config.scheme() == ComputingScheme::UGemmHybrid {
-                    tile.run_packed_hybrid(&mut tile_out, &mut tile_stats);
-                } else {
-                    tile.run_packed(&mut tile_out, &mut tile_stats);
-                }
+            KernelPath::Serial => tile.run(&mut block, &mut tile_stats),
+            KernelPath::ClosedForm if scheme.is_unary() => {
+                tile.run_closed(&mut block, &mut tile_stats)
             }
+            KernelPath::ClosedForm => tile.run_binary(&mut block, &mut tile_stats),
+            KernelPath::Packed if scheme == ComputingScheme::UGemmHybrid => {
+                tile.run_packed_hybrid(&mut block, &mut tile_stats)
+            }
+            KernelPath::Packed => tile.run_packed(&mut block, &mut tile_stats),
         }
-        crate::array::record_tile(
+        record_tile(
             match path {
                 KernelPath::ClosedForm => "cycle_gemm.closed_form",
                 KernelPath::Packed => "cycle_gemm.packed",
@@ -214,7 +264,7 @@ pub fn cycle_accurate_gemm_with(
             cols,
             t0,
         );
-        (tile_out, tile_stats)
+        (block, tile_stats)
     })
     .map_err(|e| CoreError::Config(format!("tile sweep worker pool failed: {e}")))?;
 
@@ -222,9 +272,12 @@ pub fn cycle_accurate_gemm_with(
     // wall-clock time, never one output bit.
     let mut out = Matrix::<i64>::zeros(m, n);
     let mut stats = CycleStats::default();
-    for (tile_out, tile_stats) in partials {
-        for (dst, src) in out.as_mut_slice().iter_mut().zip(tile_out.as_slice()) {
-            *dst += *src;
+    for ((block, tile_stats), &(cf, _)) in partials.iter().zip(&tiles) {
+        let n0 = cf * config.cols();
+        for p in 0..m {
+            for c in 0..block.cols() {
+                out[(p, n0 + c)] += block[(p, c)];
+            }
         }
         stats.cycles += tile_stats.cycles;
         stats.busy_pe_cycles += tile_stats.busy_pe_cycles;
@@ -235,7 +288,7 @@ pub fn cycle_accurate_gemm_with(
     // Top-row shifters: rescale the early-terminated partial sums once,
     // after all folds have been accumulated (linear, so order-free).
     let shift = config.early_termination().shift();
-    if shift > 0 && config.scheme() == ComputingScheme::UnaryRate {
+    if shift > 0 && scheme == ComputingScheme::UnaryRate {
         for v in out.as_mut_slice() {
             *v <<= shift;
         }
@@ -281,7 +334,9 @@ pub fn cycle_accurate_gemm_with(
     Ok((out, stats))
 }
 
-/// One weight tile stepping cycle by cycle.
+/// One weight tile. Every run method adds the tile's finished partial
+/// sums into `out`, the tile's own `M × C'` output block (column `c` of
+/// the block is output column `n0 + c`).
 struct TileMachine<'a> {
     config: &'a SystolicConfig,
     input: &'a Matrix<i64>,
@@ -499,7 +554,7 @@ impl<'a> TileMachine<'a> {
                         }
                         let total = accs[idx].drain();
                         if r == 0 {
-                            out[(p, self.n0 + c)] += total;
+                            out[(p, c)] += total;
                         } else {
                             psum_next[idx] = total;
                         }
@@ -567,6 +622,20 @@ impl<'a> TileMachine<'a> {
                 let ifm = SignMagnitude::from_signed(self.input[(p, self.k0 + r)], bitwidth);
                 kernel.window_count(r, c, ifm)
             },
+            out,
+            stats,
+        );
+    }
+
+    /// Closed-form evaluation of a binary tile: every window is the exact
+    /// product `I·W`, added into the OREG in one step. The stepped
+    /// machine also lands the product in a single cycle (the last
+    /// multiply cycle) and folds in the lower partial sum at the M-end,
+    /// so the cascade replay is bit-exact against [`run`](Self::run),
+    /// clamping and saturation count included.
+    fn run_binary(self, out: &mut Matrix<i64>, stats: &mut CycleStats) {
+        self.cascade_replay(
+            |p, r, c| self.input[(p, self.k0 + r)] * self.weights[(self.k0 + r, self.n0 + c)],
             out,
             stats,
         );
@@ -648,7 +717,7 @@ impl<'a> TileMachine<'a> {
                     }
                     below = acc.drain();
                 }
-                out[(p, self.n0 + c)] += below;
+                out[(p, c)] += below;
             }
         }
 
@@ -665,6 +734,7 @@ mod tests {
     use crate::exec::GemmExecutor;
     use usystolic_gemm::im2col;
     use usystolic_gemm::{FeatureMap, WeightSet};
+    use usystolic_unary::rng::SplitMix64;
 
     fn lowered_case(seed: i64) -> (GemmConfig, Matrix<i64>, Matrix<i64>) {
         let gemm = GemmConfig::conv(4, 4, 2, 2, 2, 1, 3).expect("valid test shape");
@@ -679,81 +749,134 @@ mod tests {
         (gemm, li, lw)
     }
 
-    fn assert_matches_fast(scheme: ComputingScheme, rows: usize, cols: usize, seed: i64) {
-        let (gemm, li, lw) = lowered_case(seed);
-        let cfg = SystolicConfig::new(rows, cols, scheme, 8)
-            .expect("valid test configuration")
-            .with_acc_width(32);
-        let (fast, _) = GemmExecutor::new(cfg)
-            .execute_lowered(&gemm, &li, &lw)
-            .expect("fast path executes");
-        let (cycle, stats) =
-            cycle_accurate_gemm(&cfg, &gemm, &li, &lw).expect("cycle path executes");
-        assert_eq!(fast, cycle, "{scheme} {rows}x{cols}");
-        assert!(stats.cycles > 0);
-        assert_eq!(stats.saturation_events, 0);
+    /// Differential check of `execute_lowered` and the `Auto` tile paths
+    /// against the stepped machine for one scheme at effective bitwidth
+    /// `ebt`: every `acc_width` in 4..=32, three SplitMix64 GEMMs with
+    /// `K > R` (`K mod R ≠ 0`) and `N > C` (`N mod C ≠ 0`), and 1/2/4/8
+    /// workers.
+    fn assert_differential(scheme: ComputingScheme, ebt: u32) {
+        let mut rng = SplitMix64::new(0xD1FF);
+        let mut saturating = 0;
+        for (m, k, n) in [(2usize, 10usize, 4usize), (3, 7, 5), (1, 13, 7)] {
+            let gemm = GemmConfig::matmul(m, k, n).expect("valid test shape");
+            let mut level = || rng.below(257) as i64 - 128;
+            let input = Matrix::from_fn(m, k, |_, _| level());
+            let weights = Matrix::from_fn(k, n, |_, _| level());
+            for acc_width in 4..=32 {
+                let cfg = SystolicConfig::new(4, 3, scheme, 8)
+                    .expect("valid test configuration")
+                    .with_effective_bitwidth(ebt)
+                    .expect("valid EBT")
+                    .with_acc_width(acc_width);
+                let case = format!("{scheme} EBT {ebt} acc {acc_width} {m}x{k}x{n}");
+                let (serial, serial_stats) =
+                    cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, KernelMode::Serial, 1)
+                        .expect("serial path executes");
+                saturating += u32::from(serial_stats.saturation_events > 0);
+                for workers in [1usize, 2, 4, 8] {
+                    let (auto, auto_stats) = cycle_accurate_gemm_with(
+                        &cfg,
+                        &gemm,
+                        &input,
+                        &weights,
+                        KernelMode::Auto,
+                        workers,
+                    )
+                    .expect("auto path executes");
+                    assert_eq!(auto, serial, "{case} workers {workers}");
+                    assert_eq!(auto_stats, serial_stats, "{case} workers {workers}");
+                    let (exec, exec_stats) = GemmExecutor::new(cfg)
+                        .with_workers(workers)
+                        .execute_lowered(&gemm, &input, &weights)
+                        .expect("executor runs");
+                    assert_eq!(exec, serial, "{case} workers {workers}");
+                    assert_eq!(
+                        exec_stats.saturation_events, serial_stats.saturation_events,
+                        "{case} workers {workers}"
+                    );
+                    assert_eq!(exec_stats.mac_windows, gemm.macs(), "{case}");
+                    assert_eq!(
+                        exec_stats.compute_cycles,
+                        exec_stats.mac_windows * cfg.mac_cycles(),
+                        "{case}"
+                    );
+                }
+            }
+        }
+        assert!(
+            saturating > 0,
+            "{scheme} EBT {ebt}: no narrow OREG saturated"
+        );
     }
 
     #[test]
     fn matches_fast_executor_unary_rate() {
-        assert_matches_fast(ComputingScheme::UnaryRate, 4, 3, 1);
-        assert_matches_fast(ComputingScheme::UnaryRate, 3, 2, 2); // folded
-        assert_matches_fast(ComputingScheme::UnaryRate, 12, 14, 3); // padded
-    }
-
-    #[test]
-    fn matches_fast_executor_under_narrow_accumulator_folding() {
-        // K > rows with a deliberately narrow OREG: each fold's partials
-        // clamp in the per-row registers, but the cross-fold partials
-        // must meet unclamped in the output buffer on both paths (a flat
-        // fold over the whole K reduction would clamp where the M-end
-        // cascade of the stepped machine cannot).
-        let (gemm, li, lw) = lowered_case(12);
-        let cfg = SystolicConfig::new(3, 2, ComputingScheme::UnaryRate, 8)
-            .expect("valid")
-            .with_acc_width(4);
-        let (fast, fast_stats) = GemmExecutor::new(cfg)
-            .execute_lowered(&gemm, &li, &lw)
-            .expect("fast path executes");
-        let (cycle, cycle_stats) =
-            cycle_accurate_gemm(&cfg, &gemm, &li, &lw).expect("cycle path executes");
-        assert!(cycle_stats.saturation_events > 0, "case must saturate");
-        assert_eq!(fast, cycle);
-        assert_eq!(fast_stats.saturation_events, cycle_stats.saturation_events);
+        assert_differential(ComputingScheme::UnaryRate, 8);
     }
 
     #[test]
     fn matches_fast_executor_unary_rate_early_terminated() {
-        let (gemm, li, lw) = lowered_case(4);
-        let cfg = SystolicConfig::new(4, 3, ComputingScheme::UnaryRate, 8)
-            .expect("valid")
-            .with_effective_bitwidth(6)
-            .expect("valid EBT")
-            .with_acc_width(32);
-        let (fast, _) = GemmExecutor::new(cfg)
-            .execute_lowered(&gemm, &li, &lw)
-            .expect("fast path executes");
-        let (cycle, _) = cycle_accurate_gemm(&cfg, &gemm, &li, &lw).expect("cycle path executes");
-        assert_eq!(fast, cycle);
+        assert_differential(ComputingScheme::UnaryRate, 6);
     }
 
     #[test]
     fn matches_fast_executor_unary_temporal() {
-        assert_matches_fast(ComputingScheme::UnaryTemporal, 4, 3, 5);
-        assert_matches_fast(ComputingScheme::UnaryTemporal, 2, 2, 6);
+        assert_differential(ComputingScheme::UnaryTemporal, 8);
     }
 
     #[test]
     fn matches_fast_executor_binary() {
-        assert_matches_fast(ComputingScheme::BinaryParallel, 4, 3, 7);
-        assert_matches_fast(ComputingScheme::BinaryParallel, 3, 5, 8);
-        assert_matches_fast(ComputingScheme::BinarySerial, 4, 3, 9);
+        assert_differential(ComputingScheme::BinaryParallel, 8);
+        assert_differential(ComputingScheme::BinarySerial, 8);
     }
 
     #[test]
     fn matches_fast_executor_ugemm_h() {
-        assert_matches_fast(ComputingScheme::UGemmHybrid, 4, 3, 10);
-        assert_matches_fast(ComputingScheme::UGemmHybrid, 3, 2, 11);
+        assert_differential(ComputingScheme::UGemmHybrid, 8);
+    }
+
+    #[test]
+    fn matches_fast_executor_under_narrow_accumulator_folding() {
+        // The documented OREG semantics, for every scheme: a register
+        // holds one fold's partial sum (drained at its M-end), and the
+        // folds meet unclamped in the output buffer. Full-scale operands
+        // give every window the same count `w`, so with 2 rows and K = 6
+        // a fold sums to 2w and the output to 6w. The narrowest width
+        // that holds 2w must not saturate although 6w exceeds it; one bit
+        // less must saturate.
+        let gemm = GemmConfig::matmul(2, 6, 3).expect("valid test shape");
+        let input = Matrix::from_fn(2, 6, |_, _| 128);
+        let weights = Matrix::from_fn(6, 3, |_, _| 128);
+        for (scheme, window) in [
+            (ComputingScheme::BinaryParallel, 128 * 128),
+            (ComputingScheme::BinarySerial, 128 * 128),
+            (ComputingScheme::UGemmHybrid, 256),
+            (ComputingScheme::UnaryRate, 128),
+            (ComputingScheme::UnaryTemporal, 128),
+        ] {
+            let capacity = |w: u32| (1i64 << (w - 1)) - 1;
+            let fits = (4..=32)
+                .find(|&w| capacity(w) >= 2 * window)
+                .expect("some width holds one fold");
+            for (acc_width, saturates) in [(fits, false), (fits - 1, true)] {
+                let cfg = SystolicConfig::new(2, 2, scheme, 8)
+                    .expect("valid")
+                    .with_acc_width(acc_width);
+                let (exec, exec_stats) = GemmExecutor::new(cfg)
+                    .execute_lowered(&gemm, &input, &weights)
+                    .expect("executor runs");
+                let (serial, serial_stats) =
+                    cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, KernelMode::Serial, 1)
+                        .expect("serial path executes");
+                assert_eq!(exec, serial, "{scheme} acc {acc_width}");
+                assert_eq!(exec_stats.saturation_events, serial_stats.saturation_events);
+                assert_eq!(serial_stats.saturation_events > 0, saturates, "{scheme}");
+                if !saturates {
+                    assert!(exec.as_slice().iter().all(|&v| v == 6 * window));
+                    assert!(6 * window > capacity(acc_width), "{scheme}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -799,9 +922,9 @@ mod tests {
 
     #[test]
     fn packed_kernel_and_workers_are_bit_exact() {
-        // The packed kernel and the parallel tile sweep must reproduce the
-        // bit-serial single-thread machine exactly, over both uSystolic
-        // schemes and the full EBT sweep.
+        // The fast kernels and the parallel tile sweep must reproduce the
+        // bit-serial single-thread machine exactly, over the unary schemes
+        // and the full EBT sweep.
         let (gemm, li, lw) = lowered_case(21);
         for (scheme, ebts) in [
             (ComputingScheme::UnaryRate, &[8u32, 7, 6, 5, 4][..]),
@@ -818,15 +941,9 @@ mod tests {
                     cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Serial, 1)
                         .expect("serial path executes");
                 for workers in [1usize, 2, 4, 8] {
-                    let (packed, packed_stats) = cycle_accurate_gemm_with(
-                        &cfg,
-                        &gemm,
-                        &li,
-                        &lw,
-                        KernelMode::Packed,
-                        workers,
-                    )
-                    .expect("packed path executes");
+                    let (packed, packed_stats) =
+                        cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Auto, workers)
+                            .expect("packed path executes");
                     assert_eq!(serial, packed, "{scheme} EBT {ebt} workers {workers}");
                     assert_eq!(
                         serial_stats, packed_stats,
@@ -850,7 +967,7 @@ mod tests {
             cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Serial, 1)
                 .expect("serial path executes");
         let (packed, packed_stats) =
-            cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Packed, 1)
+            cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Auto, 1)
                 .expect("packed path executes");
         assert!(serial_stats.saturation_events > 0, "case must saturate");
         assert_eq!(serial, packed);
@@ -859,30 +976,24 @@ mod tests {
 
     #[test]
     fn unpackable_schemes_fall_back_to_serial() {
-        // KernelMode::Packed on the binary baselines — and on a uGEMM-H
-        // configuration whose OREG is too narrow for the lump add — uses
-        // the bit-serial reference: identical results, identical stats.
-        // (The fallback is counted and warned about, not silent; see
+        // A uGEMM-H OREG too narrow for the lump add is the one
+        // configuration no fast path covers: Auto runs the bit-serial
+        // reference there, with identical results and stats. (The
+        // fallback is counted and warned about, not silent; see
         // `crate::kernel::tests::fallbacks_are_counted_not_silent`.)
         let (gemm, li, lw) = lowered_case(23);
-        for (scheme, acc_width) in [
-            (ComputingScheme::BinaryParallel, 32),
-            (ComputingScheme::BinarySerial, 32),
-            (ComputingScheme::UGemmHybrid, 9), // < bitwidth + 2
-        ] {
-            let cfg = SystolicConfig::new(4, 3, scheme, 8)
-                .expect("valid")
-                .with_acc_width(acc_width);
-            assert_eq!(KernelMode::Packed.resolve(&cfg), KernelPath::Serial);
-            let (serial, serial_stats) =
-                cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Serial, 1)
-                    .expect("serial path executes");
-            let (forced, forced_stats) =
-                cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Packed, 4)
-                    .expect("fallback path executes");
-            assert_eq!(serial, forced, "{scheme}");
-            assert_eq!(serial_stats, forced_stats, "{scheme}");
-        }
+        let cfg = SystolicConfig::new(4, 3, ComputingScheme::UGemmHybrid, 8)
+            .expect("valid")
+            .with_acc_width(9); // < bitwidth + 2
+        assert_eq!(KernelMode::Auto.resolve(&cfg), KernelPath::Serial);
+        let (serial, serial_stats) =
+            cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Serial, 1)
+                .expect("serial path executes");
+        let (auto, auto_stats) =
+            cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Auto, 4)
+                .expect("fallback path executes");
+        assert_eq!(serial, auto);
+        assert_eq!(serial_stats, auto_stats);
     }
 
     #[test]
@@ -941,7 +1052,7 @@ mod tests {
         );
         for workers in [1usize, 2, 4, 8] {
             let (packed, packed_stats) =
-                cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Packed, workers)
+                cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Auto, workers)
                     .expect("packed path executes");
             assert_eq!(serial, packed, "workers {workers}");
             assert_eq!(serial_stats, packed_stats, "workers {workers}");

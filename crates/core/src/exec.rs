@@ -1,20 +1,53 @@
 //! Unified high-level GEMM execution across computing schemes.
 //!
 //! [`GemmExecutor`] is the crate's main entry point: it quantises `f64`
-//! tensors to the array's data bitwidth, lowers them (im2col), dispatches
-//! to the scheme's functional model, and dequantises the result — giving
-//! each scheme the treatment the paper gives it in the accuracy study
-//! (Section V-A).
+//! tensors to the array's data bitwidth, lowers them (im2col), runs them
+//! through the tile sweep of [`crate::array2d`], and dequantises the
+//! result — giving each scheme the treatment the paper gives it in the
+//! accuracy study (Section V-A).
 
-use crate::array::{ugemm_h_gemm, unary_gemm_workers, ExecStats};
-use crate::baselines::binary_gemm;
+use crate::array2d::cycle_accurate_gemm_with;
 use crate::config::SystolicConfig;
+use crate::kernel::KernelMode;
 use crate::scheme::ComputingScheme;
 use crate::CoreError;
 use usystolic_gemm::im2col;
 use usystolic_gemm::quant::Quantizer;
 use usystolic_gemm::{FeatureMap, GemmConfig, Matrix, WeightSet};
 use usystolic_unary::et::EarlyTermination;
+
+/// Execution statistics of one GEMM run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// MAC windows executed (one per weight/input element pair).
+    pub mac_windows: u64,
+    /// Accumulator saturation events (OREG overflow under the configured
+    /// reduced-resolution width).
+    pub saturation_events: u64,
+    /// PE compute cycles summed over all MAC windows: `mac_windows ×
+    /// mac_cycles` (the timing simulator models overlap and stalls).
+    pub compute_cycles: u64,
+}
+
+impl ExecStats {
+    /// Merges another run's statistics into this one (e.g. when summing
+    /// over the layers of a network).
+    pub fn absorb(&mut self, other: ExecStats) {
+        self.mac_windows += other.mac_windows;
+        self.saturation_events += other.saturation_events;
+        self.compute_cycles += other.compute_cycles;
+    }
+}
+
+impl usystolic_obs::ToJson for ExecStats {
+    fn to_json(&self) -> usystolic_obs::JsonValue {
+        usystolic_obs::JsonValue::object(vec![
+            ("mac_windows", self.mac_windows.to_json()),
+            ("saturation_events", self.saturation_events.to_json()),
+            ("compute_cycles", self.compute_cycles.to_json()),
+        ])
+    }
+}
 
 /// The result of a scheme-accurate GEMM execution.
 #[derive(Debug, Clone)]
@@ -58,10 +91,10 @@ impl GemmExecutor {
         Self { config, workers: 1 }
     }
 
-    /// Spreads the independent weight-tile sweep of the unary executors
-    /// across `workers` threads of the shared work-stealing pool. Results
-    /// are bit-for-bit identical for every worker count — the per-tile
-    /// partials are folded sequentially in the serial sweep's order.
+    /// Spreads the independent weight-tile sweep across `workers` threads
+    /// of the shared work-stealing pool. Results are bit-for-bit identical
+    /// for every worker count — the per-tile partials are folded
+    /// sequentially in the serial sweep's order.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
@@ -81,7 +114,7 @@ impl GemmExecutor {
     }
 
     /// Executes a GEMM on real-valued tensors: quantise → lower → run the
-    /// scheme's functional model → dequantise → fold.
+    /// tile sweep → dequantise → fold.
     ///
     /// # Errors
     ///
@@ -178,25 +211,42 @@ impl GemmExecutor {
     /// [`ComputingScheme::product_divisor`] to recover the level-domain
     /// product).
     ///
+    /// This is [`cycle_accurate_gemm_with`] under [`KernelMode::Auto`]
+    /// on the executor's workers, so every scheme shares the stepped
+    /// machine's OREG semantics; the statistics are derived from its
+    /// [`crate::CycleStats`] (every window keeps one PE busy for
+    /// `mac_cycles`).
+    ///
     /// # Errors
     ///
-    /// Propagates shape and configuration errors from the scheme
-    /// executors.
+    /// Returns [`CoreError::Shape`] for mismatched matrices and
+    /// [`CoreError::Config`] if the worker pool fails.
     pub fn execute_lowered(
         &self,
         gemm: &GemmConfig,
         input: &Matrix<i64>,
         weights: &Matrix<i64>,
     ) -> Result<(Matrix<i64>, ExecStats), CoreError> {
-        match self.config.scheme() {
-            ComputingScheme::BinaryParallel | ComputingScheme::BinarySerial => {
-                binary_gemm(&self.config, gemm, input, weights)
-            }
-            ComputingScheme::UnaryRate | ComputingScheme::UnaryTemporal => {
-                unary_gemm_workers(&self.config, gemm, input, weights, self.workers)
-            }
-            ComputingScheme::UGemmHybrid => ugemm_h_gemm(&self.config, gemm, input, weights),
-        }
+        let (out, cycle) = cycle_accurate_gemm_with(
+            &self.config,
+            gemm,
+            input,
+            weights,
+            KernelMode::Auto,
+            self.workers,
+        )?;
+        let stats = ExecStats {
+            mac_windows: cycle.busy_pe_cycles / self.config.mac_cycles(),
+            saturation_events: cycle.saturation_events,
+            compute_cycles: cycle.busy_pe_cycles,
+        };
+        usystolic_obs::with(|o| {
+            o.metrics.count("core.mac_windows", stats.mac_windows);
+            o.metrics.count("core.compute_cycles", stats.compute_cycles);
+            o.metrics
+                .count("core.saturation_events", stats.saturation_events);
+        });
+        Ok((out, stats))
     }
 }
 
@@ -205,6 +255,180 @@ mod tests {
     use super::*;
     use usystolic_gemm::loopnest::gemm_reference;
     use usystolic_gemm::stats::ErrorStats;
+
+    /// A lowered 2×2 convolution (`M = 9`, `K = 8`, `N = 3`) with its
+    /// exact integer product.
+    fn lowered_case(seedi: i64, seedw: i64) -> (GemmConfig, Matrix<i64>, Matrix<i64>, Matrix<i64>) {
+        let gemm = GemmConfig::conv(4, 4, 2, 2, 2, 1, 3).unwrap();
+        let input = FeatureMap::from_fn(4, 4, 2, |h, w, c| {
+            ((h as i64 * 37 + w as i64 * 11 + c as i64 * 5 + seedi) % 257) - 128
+        });
+        let weights = WeightSet::from_fn(3, 2, 2, 2, |oc, wh, ww, ic| {
+            ((oc as i64 * 53 + wh as i64 * 17 + ww as i64 * 7 + ic as i64 * 3 + seedw) % 257) - 128
+        });
+        let li = im2col::lower_input(&gemm, &input).unwrap();
+        let lw = im2col::lower_weights(&gemm, &weights).unwrap();
+        let exact = Matrix::from_fn(li.rows(), lw.cols(), |p, c| {
+            (0..li.cols()).map(|k| li[(p, k)] * lw[(k, c)]).sum()
+        });
+        (gemm, li, lw, exact)
+    }
+
+    fn run_lowered(
+        cfg: SystolicConfig,
+        gemm: &GemmConfig,
+        li: &Matrix<i64>,
+        lw: &Matrix<i64>,
+    ) -> (Matrix<i64>, ExecStats) {
+        GemmExecutor::new(cfg)
+            .execute_lowered(gemm, li, lw)
+            .unwrap()
+    }
+
+    /// Asserts every output element lies within `bound` of the exact
+    /// product divided by `divisor` (the scheme's output domain).
+    fn assert_tracks(out: &Matrix<i64>, exact: &Matrix<i64>, divisor: f64, bound: f64) {
+        for p in 0..out.rows() {
+            for c in 0..out.cols() {
+                let expect = exact[(p, c)] as f64 / divisor;
+                assert!(
+                    (out[(p, c)] as f64 - expect).abs() <= bound,
+                    "({p},{c}): {} vs {expect}",
+                    out[(p, c)]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unary_rate_tracks_exact_product() {
+        let (gemm, li, lw, exact) = lowered_case(1, 2);
+        let cfg = SystolicConfig::new(4, 3, ComputingScheme::UnaryRate, 8).unwrap();
+        let (out, stats) = run_lowered(cfg, &gemm, &li, &lw);
+        assert_eq!(stats.saturation_events, 0);
+        assert!(stats.mac_windows > 0);
+        // Output is in the 2^(N-1)-divided domain; K = 8 terms, each
+        // within ±1 count.
+        assert_tracks(&out, &exact, 128.0, 8.0);
+    }
+
+    #[test]
+    fn unary_temporal_tracks_exact_product() {
+        let (gemm, li, lw, exact) = lowered_case(3, 4);
+        let cfg = SystolicConfig::new(4, 3, ComputingScheme::UnaryTemporal, 8).unwrap();
+        let (out, _) = run_lowered(cfg, &gemm, &li, &lw);
+        assert_tracks(&out, &exact, 128.0, 10.0);
+    }
+
+    #[test]
+    fn early_termination_preserves_scale() {
+        let (gemm, li, lw, exact) = lowered_case(5, 6);
+        let cfg = SystolicConfig::new(4, 3, ComputingScheme::UnaryRate, 8)
+            .unwrap()
+            .with_effective_bitwidth(6)
+            .unwrap();
+        let (out, _) = run_lowered(cfg, &gemm, &li, &lw);
+        // Coarser: counts quantised to 4-count steps by the shift, and
+        // per-term variance grows with the shorter window.
+        assert_tracks(&out, &exact, 128.0, 48.0);
+    }
+
+    #[test]
+    fn ugemm_h_tracks_exact_product() {
+        let (gemm, li, lw, exact) = lowered_case(11, 12);
+        let cfg = SystolicConfig::new(4, 3, ComputingScheme::UGemmHybrid, 8).unwrap();
+        let (out, stats) = run_lowered(cfg, &gemm, &li, &lw);
+        assert!(stats.mac_windows > 0);
+        // uGEMM-H output is in the 2^(N-2)-divided domain.
+        assert_tracks(&out, &exact, 64.0, 24.0);
+    }
+
+    #[test]
+    fn binary_parallel_equals_exact_product() {
+        let (gemm, li, lw, exact) = lowered_case(13, 14);
+        let cfg = SystolicConfig::new(4, 3, ComputingScheme::BinaryParallel, 8).unwrap();
+        let (out, stats) = run_lowered(cfg, &gemm, &li, &lw);
+        assert_eq!(out, exact);
+        assert_eq!(stats.mac_windows, gemm.macs());
+        assert_eq!(stats.saturation_events, 0);
+    }
+
+    #[test]
+    fn serial_matches_parallel_functionally() {
+        let (gemm, li, lw, _) = lowered_case(17, 18);
+        let bp = SystolicConfig::new(4, 3, ComputingScheme::BinaryParallel, 8).unwrap();
+        let bs = SystolicConfig::new(4, 3, ComputingScheme::BinarySerial, 8).unwrap();
+        let (a, sa) = run_lowered(bp, &gemm, &li, &lw);
+        let (b, sb) = run_lowered(bs, &gemm, &li, &lw);
+        assert_eq!(a, b);
+        // But the serial scheme burns more cycles.
+        assert!(sb.compute_cycles > sa.compute_cycles);
+    }
+
+    #[test]
+    fn fold_boundaries_do_not_change_results() {
+        let (gemm, li, lw, _) = lowered_case(7, 8);
+        let big = SystolicConfig::new(8, 3, ComputingScheme::UnaryRate, 8).unwrap();
+        let small = SystolicConfig::new(3, 2, ComputingScheme::UnaryRate, 8).unwrap();
+        let (a, _) = run_lowered(big, &gemm, &li, &lw);
+        let (b, _) = run_lowered(small, &gemm, &li, &lw);
+        assert_eq!(a, b, "tiling must be value-preserving");
+    }
+
+    #[test]
+    fn worker_count_does_not_change_results() {
+        // The parallel tile sweep folds the tiles in the serial order, so
+        // the output and the (order-sensitive) saturation stats are
+        // identical for every worker count — including with a clamping
+        // accumulator.
+        let (gemm, li, lw, _) = lowered_case(15, 16);
+        for acc_width in [32u32, 4] {
+            for scheme in ComputingScheme::ALL {
+                let cfg = SystolicConfig::new(3, 2, scheme, 8)
+                    .unwrap()
+                    .with_acc_width(acc_width);
+                let one = run_lowered(cfg, &gemm, &li, &lw);
+                for workers in [2usize, 3, 8] {
+                    let many = GemmExecutor::new(cfg)
+                        .with_workers(workers)
+                        .execute_lowered(&gemm, &li, &lw)
+                        .unwrap();
+                    assert_eq!(one, many, "{scheme} acc {acc_width} workers {workers}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_accumulator_saturates_and_reports() {
+        let (gemm, li, lw, _) = lowered_case(9, 10);
+        let cfg = SystolicConfig::new(4, 3, ComputingScheme::UnaryRate, 8)
+            .unwrap()
+            .with_acc_width(4);
+        let (_, stats) = run_lowered(cfg, &gemm, &li, &lw);
+        assert!(stats.saturation_events > 0);
+    }
+
+    #[test]
+    fn shape_mismatch_is_rejected() {
+        let (gemm, li, lw, _) = lowered_case(1, 1);
+        let cfg = SystolicConfig::new(4, 3, ComputingScheme::UnaryRate, 8).unwrap();
+        let exec = GemmExecutor::new(cfg);
+        let bad_w = Matrix::<i64>::zeros(3, 3);
+        assert!(exec.execute_lowered(&gemm, &li, &bad_w).is_err());
+        let bad_i = Matrix::<i64>::zeros(2, 2);
+        assert!(exec.execute_lowered(&gemm, &bad_i, &lw).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_bad_shapes() {
+        let (gemm, li, _, _) = lowered_case(1, 1);
+        let cfg = SystolicConfig::new(4, 2, ComputingScheme::BinaryParallel, 8).unwrap();
+        let bad_w = Matrix::<i64>::zeros(5, 2);
+        assert!(GemmExecutor::new(cfg)
+            .execute_lowered(&gemm, &li, &bad_w)
+            .is_err());
+    }
 
     fn case() -> (GemmConfig, FeatureMap<f64>, WeightSet<f64>) {
         let gemm = GemmConfig::conv(5, 5, 2, 2, 2, 1, 3).unwrap();

@@ -1,5 +1,12 @@
-//! Word-packed MAC-window kernel shared by the functional and
-//! cycle-accurate executors.
+//! MAC-window kernels of the tile sweep, and the per-scheme dispatch
+//! table that picks one.
+//!
+//! [`crate::array2d`] runs every GEMM tile by tile. Per tile it either
+//! steps the bit-serial reference machine or evaluates each MAC window in
+//! one shot with a kernel from this module, then replays the M-end
+//! partial-sum cascade through the reduced-resolution OREGs. Which path a
+//! tile takes is [`KernelMode::resolve`]'s decision over the table of
+//! [`kernel_paths`].
 //!
 //! A uSystolic MAC window is fully determined by three comparator
 //! sequences that restart from the same seed every window (Fig. 4/7): the
@@ -21,7 +28,7 @@
 //! accumulation because every increment of one window carries the same
 //! sign (`ISIGN ⊕ WSIGN` is constant over a window) and the downstream
 //! [`usystolic_unary::add::BinaryAccumulator`] clamps monotonically.
-//! `crate::pe::tests::packed_path_matches_pipeline_and_fast` and
+//! `crate::pe::tests::packed_path_matches_pipeline_across_shapes` and
 //! `crate::array2d::tests` pin the equivalence.
 
 use crate::config::SystolicConfig;
@@ -35,21 +42,16 @@ use usystolic_unary::sign::SignMagnitude;
 
 use crate::pe::IfmSource;
 
-/// Selects how the executors evaluate MAC windows.
+/// Selects how the tile sweep evaluates MAC windows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum KernelMode {
     /// Use the fastest legal path from the dispatch table for each
-    /// scheme (closed-form for temporal coding, word-packed for the
-    /// other unary schemes), the bit-serial reference everywhere else.
+    /// scheme: the closed form for temporal coding and the binary
+    /// schemes, the word-packed kernel for rate coding and uGEMM-H.
     #[default]
     Auto,
     /// Always step the bit-serial reference machine.
     Serial,
-    /// Request the fast kernel; schemes whose table is serial-only (the
-    /// binary baselines) still fall back to the bit-serial reference —
-    /// visibly: the fallback records a `core.kernel.fallback` counter
-    /// and warns once on stderr.
-    Packed,
 }
 
 /// A concrete strategy for evaluating one scheme's MAC windows.
@@ -62,11 +64,13 @@ pub enum KernelMode {
 /// so a new scheme cannot silently claim a packing it cannot express.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelPath {
-    /// Closed-form window arithmetic: temporal streams are `magnitude`
-    /// ones then zeros, so the enable popcount is a `min` and the weight
+    /// Closed-form window arithmetic, no drained sequence and no
+    /// comparator words. A binary window is the exact product, added in
+    /// one step. A temporal window's enable stream is `magnitude` ones
+    /// then zeros, so its enable popcount is a `min` and its weight
     /// prefix popcount a digit DP
-    /// ([`usystolic_unary::packed::vdc_prefix_count`]) — no drained
-    /// sequence, no comparator words, `O(bitwidth)` per window.
+    /// ([`usystolic_unary::packed::vdc_prefix_count`]), `O(bitwidth)`
+    /// per window.
     ClosedForm,
     /// Word-packed popcount kernel: 64 window cycles per `u64` word.
     Packed,
@@ -86,37 +90,39 @@ impl core::fmt::Display for KernelPath {
 
 /// Legal kernel paths for `scheme`, fastest first.
 ///
-/// The closed form additionally requires a *temporal* enable stream (a
-/// counter comparator — prefix counts collapse to `min`). Packing
-/// requires every window to reduce to prefix popcounts over restarting
-/// comparator streams: the sign-magnitude rate/temporal codings qualify
-/// directly (constant window sign `ISIGN ⊕ WSIGN`), and uGEMM-H's
-/// bipolar windows split into the two constant-advance RNG phases
-/// selected by the input bit ([`PackedHybridTileKernel`]). Binary
-/// arithmetic has multi-bit products, not ±1 increments — serial only.
-/// The serial reference machine is legal everywhere.
+/// The closed form requires an analytic window: the binary schemes add
+/// the exact product once per window (the stepped machine does the same
+/// in a single cycle), and a *temporal* enable stream is a counter
+/// comparator whose prefix counts collapse to `min`. Packing requires
+/// every window to reduce to prefix popcounts over restarting comparator
+/// streams: the sign-magnitude rate/temporal codings qualify directly
+/// (constant window sign `ISIGN ⊕ WSIGN`), and uGEMM-H's bipolar windows
+/// split into the two constant-advance RNG phases selected by the input
+/// bit ([`PackedHybridTileKernel`]). Binary products are multi-bit, not
+/// ±1 increments, so they have no packed form. The serial reference
+/// machine is legal everywhere.
 #[must_use]
 pub fn kernel_paths(scheme: ComputingScheme) -> &'static [KernelPath] {
-    const CLOSED_FIRST: &[KernelPath] = &[
+    const TEMPORAL: &[KernelPath] = &[
         KernelPath::ClosedForm,
         KernelPath::Packed,
         KernelPath::Serial,
     ];
     const PACKED_FIRST: &[KernelPath] = &[KernelPath::Packed, KernelPath::Serial];
-    const SERIAL_ONLY: &[KernelPath] = &[KernelPath::Serial];
+    const BINARY: &[KernelPath] = &[KernelPath::ClosedForm, KernelPath::Serial];
     match scheme {
-        ComputingScheme::UnaryTemporal => CLOSED_FIRST,
+        ComputingScheme::UnaryTemporal => TEMPORAL,
         ComputingScheme::UnaryRate | ComputingScheme::UGemmHybrid => PACKED_FIRST,
-        ComputingScheme::BinaryParallel | ComputingScheme::BinarySerial => SERIAL_ONLY,
+        ComputingScheme::BinaryParallel | ComputingScheme::BinarySerial => BINARY,
     }
 }
 
-/// Set once the first requested-but-denied fast path has been reported;
+/// Set once the first denied fast path has been reported;
 /// later fallbacks only count the metric (a long sweep would otherwise
 /// spam stderr with one line per tile).
 static FALLBACK_WARNED: AtomicBool = AtomicBool::new(false);
 
-/// Records a requested-but-denied fast path: bumps the
+/// Records a denied fast path: bumps the
 /// `core.kernel.fallback` counter (labelled with the scheme and reason)
 /// and warns on stderr the first time in the process.
 fn record_fallback(scheme: ComputingScheme, reason: &'static str) {
@@ -142,54 +148,38 @@ impl KernelMode {
     ///
     /// This is the *static* table lookup; [`resolve`](Self::resolve)
     /// additionally applies per-configuration legality guards and is
-    /// what the executors consult.
+    /// what the tile sweep consults.
     #[must_use]
     pub fn path(self, scheme: ComputingScheme) -> KernelPath {
-        let legal = kernel_paths(scheme);
         match self {
             KernelMode::Serial => KernelPath::Serial,
-            // `Packed` is a request, not an override: schemes whose table
-            // entry lacks the packed path still run the reference machine.
-            KernelMode::Auto | KernelMode::Packed => legal[0],
+            KernelMode::Auto => kernel_paths(scheme)[0],
         }
     }
 
     /// The path this mode selects for `config`, after per-configuration
-    /// guards — the resolver the executors actually dispatch on.
+    /// guards — the resolver the tile sweep actually dispatches on.
     ///
-    /// Two demotions apply, and both are *visible* (metric + one-shot
-    /// stderr warning) rather than silent:
-    ///
-    /// * [`KernelMode::Packed`] on a serial-only scheme (the binary
-    ///   baselines) runs the reference machine;
-    /// * uGEMM-H packing lumps each window's ±1 walk into one
-    ///   accumulator add, which is bit-exact (sticky saturation flag
-    ///   included) only when the OREG cannot clamp mid-window — capacity
-    ///   `2^(acc_width−1)−1 ≥ 2^bitwidth` window cycles, i.e.
-    ///   `acc_width ≥ bitwidth + 2`. Narrower OREGs step the reference
-    ///   machine so transient mid-window clamping is reproduced exactly.
+    /// One demotion applies, and it is *visible* (metric + one-shot
+    /// stderr warning) rather than silent: uGEMM-H packing lumps each
+    /// window's ±1 walk into one accumulator add, which is bit-exact
+    /// (sticky saturation flag included) only when the OREG cannot clamp
+    /// mid-window — capacity `2^(acc_width−1)−1 ≥ 2^bitwidth` window
+    /// cycles, i.e. `acc_width ≥ bitwidth + 2`. Narrower OREGs step the
+    /// reference machine so transient mid-window clamping is reproduced
+    /// exactly.
     #[must_use]
     pub fn resolve(self, config: &SystolicConfig) -> KernelPath {
         let scheme = config.scheme();
         let requested = self.path(scheme);
-        if requested == KernelPath::Serial {
-            if self == KernelMode::Packed && kernel_paths(scheme)[0] == KernelPath::Serial {
-                record_fallback(scheme, "serial-only scheme");
-            }
-            return KernelPath::Serial;
-        }
-        if scheme == ComputingScheme::UGemmHybrid && config.acc_width() < config.bitwidth() + 2 {
+        if requested == KernelPath::Packed
+            && scheme == ComputingScheme::UGemmHybrid
+            && config.acc_width() < config.bitwidth() + 2
+        {
             record_fallback(scheme, "narrow accumulator");
             return KernelPath::Serial;
         }
         requested
-    }
-
-    /// Whether this mode evaluates `scheme` off the bit-serial reference
-    /// machine (packed or closed-form kernel).
-    #[must_use]
-    pub fn packs(self, scheme: ComputingScheme) -> bool {
-        self.path(scheme) != KernelPath::Serial
     }
 }
 
@@ -198,7 +188,6 @@ impl core::fmt::Display for KernelMode {
         match self {
             KernelMode::Auto => write!(f, "auto"),
             KernelMode::Serial => write!(f, "serial"),
-            KernelMode::Packed => write!(f, "packed"),
         }
     }
 }
@@ -261,7 +250,7 @@ impl PackedTileKernel {
     }
 
     /// The signed count PE `(r, c)` contributes for one MAC window on
-    /// `ifm` — identical to what [`crate::pe::UnaryRow::run_fast`] would
+    /// `ifm` — identical to what [`crate::pe::UnaryRow::run`] would
     /// accumulate for that column.
     pub(crate) fn window_count(&mut self, r: usize, c: usize, ifm: SignMagnitude) -> i64 {
         let n_en = self.enabled(ifm.magnitude);
@@ -349,41 +338,6 @@ impl ClosedFormTileKernel {
         let w = self.w_sm[idx];
         let ones = packed::vdc_prefix_count(self.width, n_en, w.magnitude);
         ifm.product_increment(w) * ones as i64
-    }
-}
-
-/// The fastest exact window kernel for sign-magnitude (rate/temporal)
-/// tiles: temporal windows take the closed form, rate windows the packed
-/// comparator words. One dispatch per tile, not per window.
-pub(crate) enum UnaryTileKernel {
-    Closed(ClosedFormTileKernel),
-    Packed(PackedTileKernel),
-}
-
-impl UnaryTileKernel {
-    /// Prepares one tile's stationary weights under `coding` (see
-    /// [`ClosedFormTileKernel::new`] / [`PackedTileKernel::new`], whose
-    /// panics on ragged tiles this shares).
-    pub(crate) fn new(
-        bitwidth: u32,
-        coding: Coding,
-        mul_cycles: u64,
-        w_sm: &[Vec<SignMagnitude>],
-    ) -> Self {
-        match coding {
-            Coding::Temporal => Self::Closed(ClosedFormTileKernel::new(bitwidth, mul_cycles, w_sm)),
-            Coding::Rate => Self::Packed(PackedTileKernel::new(bitwidth, coding, mul_cycles, w_sm)),
-        }
-    }
-
-    /// The signed count PE `(r, c)` contributes for one MAC window on
-    /// `ifm` (both variants are pinned bit-exact against the bit-serial
-    /// machine).
-    pub(crate) fn window_count(&mut self, r: usize, c: usize, ifm: SignMagnitude) -> i64 {
-        match self {
-            Self::Closed(k) => k.window_count(r, c, ifm),
-            Self::Packed(k) => k.window_count(r, c, ifm),
-        }
     }
 }
 
@@ -487,15 +441,19 @@ mod tests {
 
     #[test]
     fn mode_packs_all_unary_schemes() {
-        // Every unary scheme — rate, temporal AND uGEMM-H — now declares a
-        // non-serial fastest path; the binary baselines stay serial-only.
+        // Every unary scheme — rate, temporal AND uGEMM-H — declares a
+        // non-serial fastest path, and so do the binary baselines through
+        // their closed form: no scheme is serial-only.
         for scheme in ComputingScheme::ALL {
-            assert!(!KernelMode::Serial.packs(scheme));
-            assert_eq!(KernelMode::Auto.packs(scheme), scheme.is_unary());
-            assert_eq!(KernelMode::Packed.packs(scheme), scheme.is_unary());
+            assert_ne!(
+                KernelMode::Auto.path(scheme),
+                KernelPath::Serial,
+                "{scheme}"
+            );
         }
         assert_eq!(KernelMode::default(), KernelMode::Auto);
-        assert_eq!(KernelMode::Packed.to_string(), "packed");
+        assert_eq!(KernelMode::Auto.to_string(), "auto");
+        assert_eq!(KernelMode::Serial.to_string(), "serial");
     }
 
     #[test]
@@ -513,12 +471,15 @@ mod tests {
             );
             assert_eq!(KernelMode::Serial.path(scheme), KernelPath::Serial);
         }
-        // The acceptance pins of ISSUE 10: temporal leads with the closed
-        // form, uGEMM-H with the packed kernel.
-        assert_eq!(
-            kernel_paths(ComputingScheme::UnaryTemporal)[0],
-            KernelPath::ClosedForm
-        );
+        // Temporal and the binary baselines lead with the closed form,
+        // uGEMM-H with the packed kernel.
+        for scheme in [
+            ComputingScheme::UnaryTemporal,
+            ComputingScheme::BinaryParallel,
+            ComputingScheme::BinarySerial,
+        ] {
+            assert_eq!(kernel_paths(scheme)[0], KernelPath::ClosedForm);
+        }
         assert_eq!(
             kernel_paths(ComputingScheme::UGemmHybrid)[0],
             KernelPath::Packed
@@ -541,7 +502,6 @@ mod tests {
         assert_eq!(KernelMode::Auto.resolve(&cfg(ug, 10)), KernelPath::Packed);
         assert_eq!(KernelMode::Auto.resolve(&cfg(ug, 32)), KernelPath::Packed);
         assert_eq!(KernelMode::Auto.resolve(&cfg(ug, 9)), KernelPath::Serial);
-        assert_eq!(KernelMode::Packed.resolve(&cfg(ug, 9)), KernelPath::Serial);
         // Temporal resolves to the closed form regardless of OREG width
         // (constant-sign windows clamp monotonically).
         let ut = ComputingScheme::UnaryTemporal;
@@ -549,30 +509,26 @@ mod tests {
             KernelMode::Auto.resolve(&cfg(ut, 9)),
             KernelPath::ClosedForm
         );
-        // A Packed request on a serial-only scheme is denied, not honoured.
+        // So do the binary baselines: one exact add per window clamps
+        // exactly like the stepped machine's single-cycle add.
         let bp = ComputingScheme::BinaryParallel;
-        assert_eq!(KernelMode::Packed.resolve(&cfg(bp, 32)), KernelPath::Serial);
+        assert_eq!(
+            KernelMode::Auto.resolve(&cfg(bp, 4)),
+            KernelPath::ClosedForm
+        );
         assert_eq!(KernelMode::Serial.resolve(&cfg(ug, 32)), KernelPath::Serial);
     }
 
     #[test]
     fn fallbacks_are_counted_not_silent() {
         let previous = usystolic_obs::install(usystolic_obs::Session::new());
-        let cfg = SystolicConfig::new(2, 2, ComputingScheme::BinarySerial, 8)
-            .expect("valid test configuration");
-        assert_eq!(KernelMode::Packed.resolve(&cfg), KernelPath::Serial);
         let narrow = SystolicConfig::new(2, 2, ComputingScheme::UGemmHybrid, 8)
             .expect("valid test configuration")
             .with_acc_width(8);
         assert_eq!(KernelMode::Auto.resolve(&narrow), KernelPath::Serial);
+        // A Serial request is not a denied fast path.
+        assert_eq!(KernelMode::Serial.resolve(&narrow), KernelPath::Serial);
         let session = usystolic_obs::take().expect("session installed above");
-        assert_eq!(
-            session.metrics.counter_labeled(
-                "core.kernel.fallback",
-                &[("scheme", "BS"), ("reason", "serial-only scheme")],
-            ),
-            1
-        );
         assert_eq!(
             session.metrics.counter_labeled(
                 "core.kernel.fallback",
@@ -680,7 +636,7 @@ mod tests {
                 for ifm_level in [0i64, 1, -77, 111, 128, -128] {
                     for (r, row_w) in w_sm.iter().enumerate() {
                         let mut row = UnaryRow::new(8, sm(ifm_level), row_w.clone(), coding);
-                        let reference = row.run_fast(mul).to_vec();
+                        let reference = row.run_packed(mul).to_vec();
                         for (c, &expect) in reference.iter().enumerate() {
                             assert_eq!(
                                 kernel.window_count(r, c, sm(ifm_level)),

@@ -9,29 +9,26 @@
 //! * [`pe`] — cycle-level PEs of Fig. 7: C-BSG at the leftmost column,
 //!   IDFF/RREG reuse pipelines, sign-steered binary accumulation.
 //! * [`mapping`] — weight-stationary tile mapping (folds, utilisation).
-//! * [`mod@array`] — array-level functional executors for the unary schemes,
-//!   with reduced-resolution OREGs and top-row shifters.
-//! * [`array2d`] — the fully cycle-accurate machine stepping every PE,
-//!   pipeline register and partial-sum cascade; bit-exact against the
-//!   fast executors.
-//! * [`kernel`] — the word-packed MAC-window kernel ([`KernelMode`]):
-//!   64 multiply cycles per `u64` word, shared by the functional and
-//!   cycle-accurate executors, bit-exact against the bit-serial paths.
+//! * [`array2d`] — the one GEMM engine: a tile sweep over the fully
+//!   cycle-accurate machine (every PE, pipeline register and partial-sum
+//!   cascade), with reduced-resolution OREGs and top-row shifters for
+//!   all five schemes.
+//! * [`kernel`] — the MAC-window kernels and the per-scheme dispatch
+//!   table ([`KernelMode`]) that let the sweep skip the stepping: closed
+//!   forms, and word-packed popcounts at 64 multiply cycles per `u64`
+//!   word, all bit-exact against the stepped machine.
 //! * [`fifo`] — the synchronising skew FIFOs surrounding the array.
 //! * [`fsu`] — the fully-streaming unary (uGEMM-style) reference
 //!   architecture used to quantify Table I.
 //! * [`isa`] — the TPU-like instruction set augmented with the MAC-cycle
 //!   indicator field (Section III-D), with a compiler and interpreter.
-//! * [`baselines`] — exact binary parallel/serial executors.
-//! * [`exec`] — [`GemmExecutor`]: quantise → lower → run → dequantise, the
-//!   one-call API used by the accuracy experiments.
+//! * [`exec`] — [`GemmExecutor`]: quantise → lower → run the tile sweep →
+//!   dequantise, the one-call API used by the accuracy experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod array;
 pub mod array2d;
-pub mod baselines;
 pub mod check;
 pub mod config;
 pub mod exec;
@@ -43,12 +40,10 @@ pub mod mapping;
 pub mod pe;
 pub mod scheme;
 
-pub use array::{ugemm_h_gemm, unary_gemm, unary_gemm_workers, ExecStats};
 pub use array2d::{cycle_accurate_gemm, cycle_accurate_gemm_with, CycleStats};
-pub use baselines::binary_gemm;
 pub use check::{differential_check, SchemeCheck};
 pub use config::{ConfigError, SystolicConfig, CLOUD_COLS, CLOUD_ROWS, EDGE_COLS, EDGE_ROWS};
-pub use exec::{GemmExecutor, GemmOutcome};
+pub use exec::{ExecStats, GemmExecutor, GemmOutcome};
 pub use fifo::{DelayLine, SkewBank, SkewOrder};
 pub use fsu::FsuGemm;
 pub use isa::{Instruction, IsaError, Processor, Program, ProgramBuilder};
@@ -61,8 +56,7 @@ pub use scheme::ComputingScheme;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CoreError {
-    /// A configuration/scheme mismatch (e.g. running a binary scheme
-    /// through the unary executor).
+    /// An invalid configuration, or a tile-sweep worker pool failure.
     Config(String),
     /// A tensor/matrix shape mismatch.
     Shape(String),

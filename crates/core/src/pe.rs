@@ -96,7 +96,7 @@ impl NumberSource for IfmSource {
 ///     ],
 ///     Coding::Rate,
 /// );
-/// let counts = row.run_fast(128);
+/// let counts = row.run(128);
 /// // Signs follow WSIGN xor ISIGN; magnitudes track |I||W|/128.
 /// assert!(counts[0] < 0 && counts[1] > 0 && counts[2] < 0);
 /// ```
@@ -222,30 +222,10 @@ impl UnaryRow {
     }
 
     /// Computes the same per-column counts as [`run`](Self::run) without
-    /// simulating the delay pipeline — exploiting the equivalence of Eq. 3
-    /// (the delayed sequence is the original sequence). Used by the
-    /// array-level executor for speed; `tests::fast_path_matches_pipeline`
-    /// proves the equivalence.
-    pub fn run_fast(&mut self, mul_cycles: u64) -> &[i64] {
-        for _ in 0..mul_cycles {
-            let e = self.ifm_src.next() < self.ifm.magnitude;
-            if !e {
-                continue;
-            }
-            let r = self.weight_rng.next();
-            for (c, w) in self.weights.iter().enumerate() {
-                if r < w.magnitude {
-                    self.counts[c] += self.ifm.product_increment(*w);
-                }
-            }
-        }
-        &self.counts
-    }
-
-    /// Computes the same per-column counts as [`run`](Self::run) and
-    /// [`run_fast`](Self::run_fast) word-at-a-time: the IFM comparator and
-    /// the per-column weight comparators are evaluated over precomputed
-    /// source sequences packed 64 bits per word
+    /// simulating the delay pipeline (by the equivalence of Eq. 3, the
+    /// delayed sequence is the original sequence), word-at-a-time: the IFM
+    /// comparator and the per-column weight comparators are evaluated over
+    /// precomputed source sequences packed 64 bits per word
     /// ([`usystolic_unary::packed`]), so each column's window collapses to
     /// one popcount instead of `mul_cycles` scalar iterations.
     ///
@@ -255,8 +235,8 @@ impl UnaryRow {
     /// count is the prefix popcount of its weight comparator stream.
     /// Within one window every increment of a column carries the same sign
     /// (`ISIGN ⊕ WSIGN` is per-window constant), so the lump add is
-    /// bit-exact. `tests::packed_path_matches_pipeline_and_fast` proves
-    /// equivalence against both reference paths.
+    /// bit-exact. `tests::packed_path_matches_pipeline_across_shapes`
+    /// proves the equivalence.
     pub fn run_packed(&mut self, mul_cycles: u64) -> &[i64] {
         let seq_i = packed::sequence(&mut self.ifm_src, mul_cycles);
         let enable = packed::comparator_stream(&seq_i, self.ifm.magnitude);
@@ -335,10 +315,8 @@ mod tests {
             let weights: Vec<SignMagnitude> =
                 [100, -3, 77, 0, -128, 55].iter().map(|&w| sm(w)).collect();
             let mut slow = UnaryRow::new(8, sm(ifm), weights.clone(), Coding::Rate);
-            let mut fast = UnaryRow::new(8, sm(ifm), weights.clone(), Coding::Rate);
             let mut packed = UnaryRow::new(8, sm(ifm), weights, Coding::Rate);
             let reference = slow.run(128).to_vec();
-            assert_eq!(reference, fast.run_fast(128).to_vec(), "ifm {ifm}");
             assert_eq!(reference, packed.run_packed(128).to_vec(), "ifm {ifm}");
         }
     }
@@ -347,10 +325,8 @@ mod tests {
     fn fast_path_matches_pipeline_temporal() {
         let weights: Vec<SignMagnitude> = [64, -100, 17].iter().map(|&w| sm(w)).collect();
         let mut slow = UnaryRow::new(8, sm(-90), weights.clone(), Coding::Temporal);
-        let mut fast = UnaryRow::new(8, sm(-90), weights.clone(), Coding::Temporal);
         let mut packed = UnaryRow::new(8, sm(-90), weights, Coding::Temporal);
         let reference = slow.run(128).to_vec();
-        assert_eq!(reference, fast.run_fast(128).to_vec());
         assert_eq!(reference, packed.run_packed(128).to_vec());
     }
 
@@ -358,18 +334,16 @@ mod tests {
     fn fast_path_matches_pipeline_early_terminated() {
         let weights: Vec<SignMagnitude> = [100, 50, -25, 127].iter().map(|&w| sm(w)).collect();
         let mut slow = UnaryRow::new(8, sm(99), weights.clone(), Coding::Rate);
-        let mut fast = UnaryRow::new(8, sm(99), weights.clone(), Coding::Rate);
         let mut packed = UnaryRow::new(8, sm(99), weights, Coding::Rate);
         let reference = slow.run(32).to_vec();
-        assert_eq!(reference, fast.run_fast(32).to_vec());
         assert_eq!(reference, packed.run_packed(32).to_vec());
     }
 
     #[test]
-    fn packed_path_matches_pipeline_and_fast() {
-        // All three contenders over non-square rows (cols ≠ typical tile
-        // widths, including a single-column row) and the full EBT sweep of
-        // multiply-cycle counts 2^0 .. 2^(N-1).
+    fn packed_path_matches_pipeline_across_shapes() {
+        // Packed against the stepped pipeline over non-square rows (cols ≠
+        // typical tile widths, including a single-column row) and the full
+        // EBT sweep of multiply-cycle counts 2^0 .. 2^(N-1).
         for coding in [Coding::Rate, Coding::Temporal] {
             for cols in [1usize, 3, 6] {
                 let weights: Vec<SignMagnitude> = [100, -3, 77, 0, -128, 55][..cols]
@@ -378,14 +352,8 @@ mod tests {
                     .collect();
                 for mul in [1u64, 2, 4, 8, 16, 32, 64, 128] {
                     let mut slow = UnaryRow::new(8, sm(-111), weights.clone(), coding);
-                    let mut fast = UnaryRow::new(8, sm(-111), weights.clone(), coding);
                     let mut packed = UnaryRow::new(8, sm(-111), weights.clone(), coding);
                     let reference = slow.run(mul).to_vec();
-                    assert_eq!(
-                        reference,
-                        fast.run_fast(mul).to_vec(),
-                        "{coding:?} cols {cols} mul {mul}"
-                    );
                     assert_eq!(
                         reference,
                         packed.run_packed(mul).to_vec(),
@@ -399,15 +367,28 @@ mod tests {
     #[test]
     fn packed_path_accumulates_across_windows() {
         // Consecutive windows on one row: the RNG state carried between
-        // windows must match the bit-serial path.
+        // windows must match a scalar C-BSG loop. (`run` cannot serve as
+        // the reference: its `cols − 1` drain cycles advance the RNGs.)
         let weights: Vec<SignMagnitude> = [90, -70].iter().map(|&w| sm(w)).collect();
-        let mut fast = UnaryRow::new(8, sm(101), weights.clone(), Coding::Rate);
-        let mut packed = UnaryRow::new(8, sm(101), weights, Coding::Rate);
+        let ifm = sm(101);
+        let mut packed = UnaryRow::new(8, ifm, weights.clone(), Coding::Rate);
+        let mut ifm_src = IfmSource::for_coding(Coding::Rate, 8);
+        let mut weight_rng = SobolSource::dimension(0, 7);
+        let mut expect = vec![0i64; weights.len()];
         for _ in 0..3 {
-            fast.run_fast(32);
             packed.run_packed(32);
+            for _ in 0..32 {
+                if ifm_src.next() < ifm.magnitude {
+                    let r = weight_rng.next();
+                    for (count, w) in expect.iter_mut().zip(&weights) {
+                        if r < w.magnitude {
+                            *count += ifm.product_increment(*w);
+                        }
+                    }
+                }
+            }
         }
-        assert_eq!(fast.counts().to_vec(), packed.counts().to_vec());
+        assert_eq!(packed.counts().to_vec(), expect);
     }
 
     #[test]

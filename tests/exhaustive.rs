@@ -30,7 +30,7 @@ fn umul_exhaustive_6bit() {
                     }],
                     coding,
                 );
-                let count = row.run_fast(len)[0] as f64;
+                let count = row.run(len)[0] as f64;
                 let exact = (i * w) as f64 / len as f64;
                 worst = worst.max((count - exact).abs());
             }
@@ -56,7 +56,7 @@ fn sign_steering_exhaustive_5bit() {
                 vec![SignMagnitude::from_signed(w, bitwidth)],
                 Coding::Rate,
             );
-            let count = row.run_fast(len as u64)[0];
+            let count = row.run(len as u64)[0];
             let product = i * w;
             if product > 2 * len {
                 assert!(count > 0, "i={i} w={w}: count {count} lost the sign");

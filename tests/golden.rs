@@ -43,7 +43,7 @@ fn golden_unary_row_counts() {
         ],
         Coding::Rate,
     );
-    let counts = row.run_fast(128).to_vec();
+    let counts = row.run(128).to_vec();
     assert_eq!(counts, [61, -61, 23]);
 }
 
@@ -58,7 +58,7 @@ fn golden_unary_row_counts_temporal() {
         ],
         Coding::Temporal,
     );
-    let counts = row.run_fast(128).to_vec();
+    let counts = row.run(128).to_vec();
     assert_eq!(counts, [-45, -12]);
 }
 

@@ -102,7 +102,7 @@ proptest! {
             vec![SignMagnitude::from_signed(w, 8)],
             Coding::Rate,
         );
-        let count = row.run_fast(128)[0];
+        let count = row.run(128)[0];
         let exact = (i * w) as f64 / 128.0;
         prop_assert!(
             (count as f64 - exact).abs() <= 2.5,
@@ -207,7 +207,7 @@ proptest! {
         let cycles = if temporal { 128 } else { 1u64 << (ebt - 1) };
         let mut slow = UnaryRow::new(8, SignMagnitude::from_signed(i, 8), weights.clone(), coding);
         let mut fast = UnaryRow::new(8, SignMagnitude::from_signed(i, 8), weights, coding);
-        prop_assert_eq!(slow.run(cycles).to_vec(), fast.run_fast(cycles).to_vec());
+        prop_assert_eq!(slow.run(cycles).to_vec(), fast.run_packed(cycles).to_vec());
     }
 
     /// Quantised GEMM execution through the unary array respects the
