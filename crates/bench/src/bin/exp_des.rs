@@ -14,43 +14,21 @@
 
 use std::process::ExitCode;
 
+use usystolic_bench::cli;
 use usystolic_bench::des_fleet;
 use usystolic_obs::ToJson;
 
-/// Exits with code 2 and the usage line on a malformed flag.
-fn fail(message: impl std::fmt::Display) -> ! {
-    eprintln!("exp_des: error: {message}");
-    eprintln!("usage: exp_des [--short] [--out PATH]");
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: exp_des [--short] [--out PATH]";
 
 fn main() -> ExitCode {
-    let mut short = false;
-    let mut out = String::from("BENCH_des.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--short" => short = true,
-            "--out" => match args.next() {
-                Some(path) => out = path,
-                None => fail("--out requires a path"),
-            },
-            other => fail(format!("unknown argument: {other}")),
-        }
-    }
-
+    let (short, out) =
+        match cli::bench_args(std::env::args().skip(1), "BENCH_des.json", |_, _| Ok(false)) {
+            Ok(args) => args,
+            Err(e) => return cli::fail("exp_des", USAGE, &e),
+        };
     let bench = des_fleet::run(short);
-    usystolic_bench::table::emit(&bench.table());
-    let json = bench.to_json().render();
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("failed to write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out}");
-    if bench.speedup_target_met && bench.packed_bit_identical && bench.estimates_within_tolerance {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("fidelity bench missed a target; see {out}");
-        ExitCode::FAILURE
-    }
+    let healthy =
+        bench.speedup_target_met && bench.packed_bit_identical && bench.estimates_within_tolerance;
+    let complaint = "fidelity bench missed a target";
+    cli::finish_bench(&bench.table(), &bench.to_json(), &out, healthy, complaint)
 }

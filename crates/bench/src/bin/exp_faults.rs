@@ -10,48 +10,35 @@
 
 use std::process::ExitCode;
 
+use usystolic_bench::cli;
 use usystolic_bench::faults;
 use usystolic_obs::ToJson;
 
-/// Exits with code 2 and the usage line on a malformed flag.
-fn fail(message: impl std::fmt::Display) -> ! {
-    eprintln!("exp_faults: error: {message}");
-    eprintln!("usage: exp_faults [--short] [--out PATH] [--seed N]");
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: exp_faults [--short] [--out PATH] [--seed N]";
 
 fn main() -> ExitCode {
-    let mut short = false;
-    let mut out = String::from("BENCH_faults.json");
-    let mut seed = 0x5eed_fa11u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--short" => short = true,
-            "--out" => match args.next() {
-                Some(path) => out = path,
-                None => fail("--out requires a path"),
-            },
-            "--seed" => match args.next().map(|s| s.parse::<u64>()) {
-                Some(Ok(s)) => seed = s,
-                _ => fail("--seed requires an unsigned integer"),
-            },
-            other => fail(format!("unknown argument: {other}")),
-        }
-    }
-
+    let mut seed = 0x5eed_fa11;
+    let args = cli::bench_args(
+        std::env::args().skip(1),
+        "BENCH_faults.json",
+        |flag, argv| {
+            if flag == "--seed" {
+                seed = argv.int()?;
+            }
+            Ok(flag == "--seed")
+        },
+    );
+    let (short, out) = match args {
+        Ok(args) => args,
+        Err(e) => return cli::fail("exp_faults", USAGE, &e),
+    };
     let report = faults::run(short, seed);
-    usystolic_bench::table::emit(&report.table());
-    let json = report.to_json().render();
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("failed to write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out}");
-    if report.healthy() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("faults bench found a broken claim; see {out}");
-        ExitCode::FAILURE
-    }
+    let complaint = "faults bench found a broken claim";
+    cli::finish_bench(
+        &report.table(),
+        &report.to_json(),
+        &out,
+        report.healthy(),
+        complaint,
+    )
 }

@@ -12,7 +12,9 @@
 //! without early termination"); it appears in the area (Fig. 11) and
 //! accuracy (Fig. 9) studies.
 
-use usystolic_core::{ComputingScheme, SystolicConfig};
+use usystolic_core::{
+    ComputingScheme, SystolicConfig, CLOUD_COLS, CLOUD_ROWS, EDGE_COLS, EDGE_ROWS,
+};
 use usystolic_models::zoo::{alexnet, NamedLayer};
 use usystolic_sim::MemoryHierarchy;
 
@@ -35,6 +37,15 @@ impl ArrayShape {
         match self {
             ArrayShape::Edge => "edge",
             ArrayShape::Cloud => "cloud",
+        }
+    }
+
+    /// The array's `(rows, cols)`.
+    #[must_use]
+    pub fn grid(&self) -> (usize, usize) {
+        match self {
+            ArrayShape::Edge => (EDGE_ROWS, EDGE_COLS),
+            ArrayShape::Cloud => (CLOUD_ROWS, CLOUD_COLS),
         }
     }
 

@@ -83,8 +83,10 @@ pub struct FaultsBench {
     pub unary_graceful: bool,
 }
 
-/// NRMSE of `faulty` against `clean`, normalized by the clean RMS.
-fn nrmse(faulty: &FaultReport, clean: &FaultReport) -> f64 {
+/// NRMSE of `faulty` against `clean`, normalized by the clean RMS
+/// (absolute RMSE when the clean output is all zero).
+#[must_use]
+pub fn nrmse(faulty: &FaultReport, clean: &FaultReport) -> f64 {
     let n = clean.output.len() as f64;
     let mse: f64 = faulty
         .output

@@ -19,6 +19,9 @@
 //! | Kernel perf (serial vs packed MAC, `BENCH_kernel.json`) | [`kernel`] | `exp_kernel` |
 //! | Resilience (accuracy vs BER, `BENCH_faults.json`) | [`faults`] | `exp_faults` |
 //!
+//! The command-line tools `sim_cli` and `serve_cli` share one argument,
+//! configuration and export layer, [`cli`].
+//!
 //! The [`design`] module enumerates the paper's design points (computing
 //! scheme × early termination × SRAM presence) and [`table`] renders
 //! aligned text tables.
@@ -30,6 +33,7 @@ pub mod ablation;
 pub mod accuracy;
 pub mod area;
 pub mod bandwidth;
+pub mod cli;
 pub mod des_fleet;
 pub mod design;
 pub mod design_space;

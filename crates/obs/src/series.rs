@@ -92,14 +92,17 @@ impl TimeSeries {
             self.late += count;
             return;
         }
-        // Grow the window forward to cover `idx`, evicting from the back
-        // of history when it exceeds capacity.
-        while idx >= self.start + self.buckets.len() as u64 {
-            if self.buckets.len() == self.capacity {
-                self.buckets.pop_front();
-                self.start += 1;
-            }
-            self.buckets.push_back(SeriesBucket::default());
+        // Grow the window forward to end at `idx`, evicting the oldest
+        // buckets beyond capacity. The window moves in one step, not
+        // bucket by bucket, so a sample at a saturated far-future cycle
+        // costs O(capacity).
+        if idx - self.start >= self.buckets.len() as u64 {
+            let new_start = idx.saturating_sub(self.capacity as u64 - 1).max(self.start);
+            let evicted = (new_start - self.start).min(self.buckets.len() as u64);
+            self.buckets.drain(..evicted as usize);
+            self.start = new_start;
+            self.buckets
+                .resize((idx - new_start + 1) as usize, SeriesBucket::default());
         }
         let slot = (idx - self.start) as usize;
         let b = &mut self.buckets[slot];
@@ -246,6 +249,88 @@ mod tests {
         assert_eq!(s.len(), 5);
         let counts: Vec<u64> = s.iter().map(|(_, b)| b.count).collect();
         assert_eq!(counts, [1, 0, 0, 0, 1]);
+    }
+
+    /// Window growth one bucket at a time: the reference `add_bucket`'s
+    /// one-step move must reproduce.
+    fn record_stepwise(s: &mut TimeSeries, cycle: u64, value: f64) {
+        let idx = cycle / s.bucket_width;
+        if s.buckets.is_empty() {
+            s.start = idx;
+            s.buckets.push_back(SeriesBucket::default());
+        }
+        if idx < s.start {
+            s.late += 1;
+            return;
+        }
+        while idx - s.start >= s.buckets.len() as u64 {
+            if s.buckets.len() == s.capacity {
+                s.buckets.pop_front();
+                s.start += 1;
+            }
+            s.buckets.push_back(SeriesBucket::default());
+        }
+        let slot = (idx - s.start) as usize;
+        s.buckets[slot].count += 1;
+        s.buckets[slot].sum += value;
+    }
+
+    #[test]
+    fn far_future_gaps_jump_to_the_stepwise_window() {
+        // SplitMix64, so the sample streams are fixed.
+        let mut state = 0x5e71_e5e5_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..400 {
+            // Wide buckets keep the stepwise reference to at most 2^10
+            // steps even for gaps reaching `u64::MAX`; narrow ones only
+            // see short gaps.
+            let wide = next() % 2 == 0;
+            let width = if wide {
+                u64::MAX >> (next() % 11)
+            } else {
+                1 + next() % 16
+            };
+            let capacity = 1 + (next() % 8) as usize;
+            let (mut jump, mut step) = (
+                TimeSeries::new(width, capacity),
+                TimeSeries::new(width, capacity),
+            );
+            let mut cycle = next() % 64;
+            for i in 0..24 {
+                let buckets = next() % (4 * capacity as u64);
+                cycle = match next() % 6 {
+                    _ if !wide => cycle + buckets * width + next() % width,
+                    0 => u64::MAX,
+                    1 => cycle.saturating_add(next()),
+                    2 => cycle.saturating_sub(buckets.saturating_mul(width)),
+                    _ => cycle.saturating_add(buckets.saturating_mul(width)),
+                };
+                jump.record(cycle, i as f64);
+                record_stepwise(&mut step, cycle, i as f64);
+                assert_eq!(
+                    jump, step,
+                    "width {width} capacity {capacity} cycle {cycle}"
+                );
+            }
+        }
+        // At the default width the stepwise loop would walk ~4.5e15
+        // buckets; the jump lands on the final window directly.
+        let mut s = TimeSeries::default();
+        s.record(0, 1.0);
+        s.record(u64::MAX, 2.0);
+        let last = u64::MAX / DEFAULT_BUCKET_WIDTH;
+        assert_eq!(s.len(), DEFAULT_CAPACITY);
+        assert_eq!(
+            s.start_cycle(),
+            (last + 1 - DEFAULT_CAPACITY as u64) * DEFAULT_BUCKET_WIDTH
+        );
+        assert_eq!(s.window_count(), 1);
     }
 
     #[test]

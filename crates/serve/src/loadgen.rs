@@ -128,7 +128,10 @@ impl LoadGen {
             class,
             arrival,
             priority,
-            deadline: self.config.deadline_cycles.map(|d| arrival + d),
+            deadline: self
+                .config
+                .deadline_cycles
+                .map(|d| arrival.saturating_add(d)),
             client,
         }
     }
@@ -279,6 +282,15 @@ mod tests {
         assert!(high > arr.len() / 3 && high < 2 * arr.len() / 3);
         assert!(arr.iter().any(|r| r.class == 0));
         assert!(arr.iter().any(|r| r.class == 2));
+    }
+
+    #[test]
+    fn far_future_deadline_saturates_instead_of_wrapping() {
+        let mut config = cfg(ArrivalProcess::OpenUniform { interval_cycles: 5 });
+        config.deadline_cycles = Some(u64::MAX);
+        let arr = LoadGen::new(config).initial_arrivals(100);
+        assert!(arr.iter().any(|r| r.arrival > 0));
+        assert!(arr.iter().all(|r| r.deadline == Some(u64::MAX)));
     }
 
     #[test]

@@ -267,17 +267,41 @@ echo "==> sim_cli device-fault smoke test"
 ./target/release/sim_cli --scheme UR --matmul 64,64,64 \
     --fault-ber 1e-3 --fault-stuck 2,3,1 --fault-seed 9 --json \
     | grep -q '"kernels_agree":true'
-# ...and malformed fault flags must exit 2 with a diagnostic.
-rc=0; ./target/release/sim_cli --matmul 4,4,4 --fault-ber 1.5 \
-    > /dev/null 2>&1 || rc=$?
-test "$rc" -eq 2 || {
-    echo "FAIL: --fault-ber 1.5 should exit 2 (got $rc)" >&2
-    exit 1
-}
-rc=0; ./target/release/sim_cli --matmul 4,4,4 --fault-stuck 2,3,7 \
-    > /dev/null 2>&1 || rc=$?
-test "$rc" -eq 2 || {
-    echo "FAIL: --fault-stuck 2,3,7 should exit 2 (got $rc)" >&2
+
+echo "==> bad-input and far-future exit codes"
+# Malformed flags exit 2 with a diagnostic (never a 101 panic), an
+# unsupported width under --check is an analyzer error (exit 1), and
+# times that saturate the cycle counter finish instead of hanging.
+while read -r want bin args; do
+    rc=0
+    # shellcheck disable=SC2086 # $args is a word list on purpose
+    timeout 30 "./target/release/$bin" $args > /dev/null 2>&1 || rc=$?
+    test "$rc" -eq "$want" || {
+        echo "FAIL: $bin $args exited $rc, want $want" >&2
+        exit 1
+    }
+done <<'CASES'
+2 sim_cli --matmul 4,4,4 --fault-ber 1.5
+2 sim_cli --matmul 4,4,4 --fault-stuck 2,3,7
+2 sim_cli --matmul 4,4,4 --bits 0
+2 sim_cli --matmul 4,4,4 --bits 1
+2 sim_cli --matmul 4,4,4 --bits 40
+1 sim_cli --check --bits 0
+2 serve_cli --bits 0
+2 serve_cli --bits 40
+2 serve_cli --check --bits 0
+2 serve_cli --closed-loop 0
+2 serve_cli --deadline -1
+2 serve_cli --deadline nan
+2 serve_cli --think -1
+2 serve_cli --think nan
+0 serve_cli --timeout 1e300
+0 serve_cli --shard-fail 1e300
+0 serve_cli --retry-backoff 1e300 --retry-max 1 --shard-fail 1
+CASES
+# A deadline past the end of the cycle range is never missed.
+timeout 30 "$serve" --deadline 1e300 --json | grep -q '"deadline_missed":0' || {
+    echo "FAIL: --deadline 1e300 should miss no deadline" >&2
     exit 1
 }
 

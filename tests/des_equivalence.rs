@@ -2,25 +2,22 @@
 //!
 //! The five files under `tests/golden/` were captured from `sim_cli` and
 //! `serve_cli` *before* both loops were ported onto the shared event
-//! calendar. These tests rebuild each CLI's JSON record in-process and
-//! assert the ported engines reproduce the pinned bytes bit for bit —
-//! report fields *and* obs metric snapshots — at every worker count.
+//! calendar. These tests parse each capture's argv through the CLIs'
+//! own argument layer (`usystolic_bench::cli`), rebuild the JSON record
+//! in-process and assert the ported engines reproduce the pinned bytes
+//! bit for bit — report fields *and* obs metric snapshots — at every
+//! worker count.
 //! The calendar's own `des.*` instrumentation is new by construction, so
 //! it is stripped before the golden comparison and asserted present
 //! separately; everything else must not have moved by a single bit.
 
-use usystolic::arch::{kernel_paths, ComputingScheme, SystolicConfig};
+use usystolic::arch::{kernel_paths, ComputingScheme};
 use usystolic::des::Fidelity;
-use usystolic::gemm::GemmConfig;
-use usystolic::hw::evaluate_layer;
+use usystolic::hw::evaluate_layer_with;
 use usystolic::hw::summary::NetworkEvaluation;
-use usystolic::models::zoo;
 use usystolic::obs::{JsonValue, ToJson};
-use usystolic::serve::loadgen::{ArrivalProcess, LoadGenConfig};
-use usystolic::serve::{
-    serve, BrownoutPolicy, FleetFaultPlan, RetryPolicy, ServeConfig, ShardFailure, Workload,
-};
-use usystolic::sim::{MemoryHierarchy, CLOCK_HZ};
+use usystolic::serve::{serve, ServeConfig, Workload};
+use usystolic_bench::cli::{self, ServeArgs, SimArgs};
 
 fn golden(name: &str) -> String {
     let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -43,102 +40,42 @@ fn strip_des_metrics(mut metrics: JsonValue) -> JsonValue {
     metrics
 }
 
+/// Splits a space-separated argv the way a shell would for these
+/// quote-free command lines.
+fn argv(line: &str) -> Vec<String> {
+    line.split_whitespace().map(str::to_owned).collect()
+}
+
 /// `serve_cli --seed 7 --workers W --instances 4 --arrival-rate 2000000
 /// --duration 0.002 --queue-depth 16 --deadline 1.0 --json`.
-fn overload_config(workers: usize) -> (ServeConfig, Vec<Workload>, u64) {
-    let seed = 7;
-    let config = ServeConfig {
-        array: SystolicConfig::edge(ComputingScheme::UnaryRate, 8),
-        memory: MemoryHierarchy::no_sram(),
-        instances: 4,
-        queue_capacity: 16,
-        max_batch: 8,
-        workers,
-        duration_cycles: (0.002 * CLOCK_HZ).ceil() as u64,
-        load: LoadGenConfig {
-            process: ArrivalProcess::OpenPoisson {
-                mean_interarrival_cycles: CLOCK_HZ / 2_000_000.0,
-            },
-            seed,
-            classes: 1,
-            high_priority_fraction: 0.0,
-            deadline_cycles: Some((1.0 * 1.0e-3 * CLOCK_HZ).round() as u64),
-        },
-        faults: FleetFaultPlan {
-            seed,
-            retry: RetryPolicy {
-                max_retries: 0,
-                backoff_base_cycles: (0.01 * 1.0e-3 * CLOCK_HZ).round() as u64,
-                jitter_permille: 0,
-            },
-            ..FleetFaultPlan::default()
-        },
-        fidelity: Fidelity::CycleAccurate,
-    };
-    let gemm = GemmConfig::matmul(64, 64, 64).expect("valid");
-    (
-        config,
-        vec![Workload::from_gemm("matmul64,64,64", gemm)],
-        seed,
-    )
+fn overload_config(workers: usize) -> (ServeConfig, Vec<Workload>) {
+    let args = ServeArgs::parse(argv(&format!(
+        "--seed 7 --workers {workers} --instances 4 --arrival-rate 2000000 \
+         --duration 0.002 --queue-depth 16 --deadline 1.0 --json"
+    )))
+    .expect("valid argv");
+    (args.config, args.workloads)
 }
 
 /// `serve_cli --matmul 64,64,64 --instances 2 --duration 0.01
 /// --arrival-rate 2000 --shard-fail 4,1 --retry-max 3 --retry-backoff
 /// 0.05 --retry-jitter 250 --timeout 2 --brownout 500,600 --shed-expired
 /// --fault-seed 11 --workers W --json`.
-fn shardkill_config(workers: usize) -> (ServeConfig, Vec<Workload>, u64) {
-    let seed = 1; // serve_cli default
-    let config = ServeConfig {
-        array: SystolicConfig::edge(ComputingScheme::UnaryRate, 8),
-        memory: MemoryHierarchy::no_sram(),
-        instances: 2,
-        queue_capacity: 64,
-        max_batch: 8,
-        workers,
-        duration_cycles: (0.01 * CLOCK_HZ).ceil() as u64,
-        load: LoadGenConfig {
-            process: ArrivalProcess::OpenPoisson {
-                mean_interarrival_cycles: CLOCK_HZ / 2000.0,
-            },
-            seed,
-            classes: 1,
-            high_priority_fraction: 0.0,
-            deadline_cycles: None,
-        },
-        faults: FleetFaultPlan {
-            seed: 11,
-            failures: vec![ShardFailure {
-                at: (4.0 * 1.0e-3 * CLOCK_HZ).round() as u64,
-                instance: 1,
-            }],
-            slowdowns: Vec::new(),
-            timeout_cycles: Some((2.0 * 1.0e-3 * CLOCK_HZ).round() as u64),
-            shed_expired: true,
-            retry: RetryPolicy {
-                max_retries: 3,
-                backoff_base_cycles: (0.05 * 1.0e-3 * CLOCK_HZ).round() as u64,
-                jitter_permille: 250,
-            },
-            brownout: Some(BrownoutPolicy {
-                depth_permille: 500,
-                service_permille: 600,
-            }),
-        },
-        fidelity: Fidelity::CycleAccurate,
-    };
-    let gemm = GemmConfig::matmul(64, 64, 64).expect("valid");
-    (
-        config,
-        vec![Workload::from_gemm("matmul64,64,64", gemm)],
-        seed,
-    )
+fn shardkill_config(workers: usize) -> (ServeConfig, Vec<Workload>) {
+    let args = ServeArgs::parse(argv(&format!(
+        "--matmul 64,64,64 --instances 2 --duration 0.01 --arrival-rate 2000 \
+         --shard-fail 4,1 --retry-max 3 --retry-backoff 0.05 --retry-jitter 250 \
+         --timeout 2 --brownout 500,600 --shed-expired --fault-seed 11 \
+         --workers {workers} --json"
+    )))
+    .expect("valid argv");
+    (args.config, args.workloads)
 }
 
 /// Runs the engine under a fresh obs session and rebuilds `serve_cli`'s
 /// `--json` record. Returns `(record, metrics)` so callers can compare
 /// both the des-stripped and untouched renders.
-fn serve_record(config: &ServeConfig, workloads: &[Workload], seed: u64) -> (JsonValue, JsonValue) {
+fn serve_record(config: &ServeConfig, workloads: &[Workload]) -> (JsonValue, JsonValue) {
     let prior = usystolic::obs::take();
     usystolic::obs::install(usystolic::obs::Session::new());
     let report = serve(config, workloads).expect("valid config");
@@ -147,17 +84,7 @@ fn serve_record(config: &ServeConfig, workloads: &[Workload], seed: u64) -> (Jso
         usystolic::obs::install(p);
     }
     let metrics = session.metrics.to_json();
-    let record = |m: JsonValue| {
-        JsonValue::object(vec![
-            ("config", config.array.to_json()),
-            ("memory", config.memory.to_json()),
-            ("seed", seed.to_json()),
-            ("faults", config.faults.to_json()),
-            ("report", report.to_json()),
-            ("metrics", m),
-        ])
-    };
-    (record(metrics.clone()), metrics)
+    (cli::serve_record(config, &report, metrics.clone()), metrics)
 }
 
 /// The report renders `"workers":N` exactly once; pin it to 1 so runs at
@@ -166,12 +93,12 @@ fn normalize_workers(render: &str, workers: usize) -> String {
     render.replacen(&format!("\"workers\":{workers}"), "\"workers\":1", 1)
 }
 
-fn assert_serve_golden(name: &str, build: fn(usize) -> (ServeConfig, Vec<Workload>, u64)) {
+fn assert_serve_golden(name: &str, build: fn(usize) -> (ServeConfig, Vec<Workload>)) {
     let pinned = golden(name);
     let mut unfiltered = Vec::new();
     for workers in [1usize, 2, 4, 8] {
-        let (config, workloads, seed) = build(workers);
-        let (record, metrics) = serve_record(&config, &workloads, seed);
+        let (config, workloads) = build(workers);
+        let (record, metrics) = serve_record(&config, &workloads);
         // Bit-for-bit against the pre-port capture, modulo the new des.*
         // keys and the worker count baked into the report.
         let (mut stripped, report_rest) = match record.clone() {
@@ -237,11 +164,11 @@ fn serve_shardkill_golden_is_bit_identical_at_every_worker_count() {
 #[test]
 fn serve_packed_tier_matches_cycle_accurate_bit_for_bit() {
     for build in [overload_config, shardkill_config] {
-        let (config, workloads, seed) = build(1);
-        let (cycle, _) = serve_record(&config, &workloads, seed);
+        let (config, workloads) = build(1);
+        let (cycle, _) = serve_record(&config, &workloads);
         let mut packed_cfg = config.clone();
         packed_cfg.fidelity = Fidelity::Packed;
-        let (packed, _) = serve_record(&packed_cfg, &workloads, seed);
+        let (packed, _) = serve_record(&packed_cfg, &workloads);
         // Reports must be identical; only the fidelity label on
         // des.dispatch may differ, so compare des-stripped renders.
         let strip = |v: JsonValue| match v {
@@ -259,58 +186,50 @@ fn serve_packed_tier_matches_cycle_accurate_bit_for_bit() {
     }
 }
 
+/// `sim_cli ARGV --json`, rebuilt in-process: the layer or network
+/// record without the optional scaling and faults sections.
+fn sim_json(line: &str) -> String {
+    let args = SimArgs::parse(argv(line)).expect("valid argv");
+    let sim = args.simulator().expect("valid array");
+    let pairs = match (&args.gemm, &args.network) {
+        (Some(gemm), _) => {
+            let ev = evaluate_layer_with(&sim, gemm);
+            cli::sim_record(&sim, ("gemm", gemm.to_json()), ev.to_json())
+        }
+        (None, Some(net)) => {
+            let ev = NetworkEvaluation::evaluate_with(&sim, &net.gemms());
+            cli::sim_record(&sim, ("network", net.to_json()), ev.to_json())
+        }
+        (None, None) => panic!("{line}: nothing to simulate"),
+    };
+    JsonValue::object(pairs).render()
+}
+
 #[test]
 fn sim_layer_goldens_are_bit_identical() {
-    // sim_cli --scheme UR --cycles 128 --no-sram --conv 31,31,96,5,5,1,256
-    let ur = SystolicConfig::edge(ComputingScheme::UnaryRate, 8)
-        .with_mul_cycles(128)
-        .expect("valid EBT");
-    let no_sram = MemoryHierarchy::no_sram();
-    let conv2 = GemmConfig::conv(31, 31, 96, 5, 5, 1, 256).expect("valid");
-    let record = JsonValue::object(vec![
-        ("config", ur.to_json()),
-        ("memory", no_sram.to_json()),
-        ("gemm", conv2.to_json()),
-        (
-            "evaluation",
-            evaluate_layer(&ur, &no_sram, &conv2).to_json(),
-        ),
-    ]);
-    assert_eq!(record.render(), golden("sim_ur128_conv2.json"));
-
-    // sim_cli --scheme BP --matmul 64,64,64
-    let bp = SystolicConfig::edge(ComputingScheme::BinaryParallel, 8);
-    let sram = MemoryHierarchy::edge_with_sram();
-    let m64 = GemmConfig::matmul(64, 64, 64).expect("valid");
-    let record = JsonValue::object(vec![
-        ("config", bp.to_json()),
-        ("memory", sram.to_json()),
-        ("gemm", m64.to_json()),
-        ("evaluation", evaluate_layer(&bp, &sram, &m64).to_json()),
-    ]);
-    assert_eq!(record.render(), golden("sim_bp_matmul64.json"));
+    assert_eq!(
+        sim_json("--scheme UR --cycles 128 --no-sram --conv 31,31,96,5,5,1,256 --json"),
+        golden("sim_ur128_conv2.json")
+    );
+    assert_eq!(
+        sim_json("--scheme BP --matmul 64,64,64 --json"),
+        golden("sim_bp_matmul64.json")
+    );
 }
 
 #[test]
 fn sim_network_golden_survives_the_des_port() {
-    // sim_cli --scheme UR --network mnist: the network path now runs
-    // through the event calendar, and must not have moved a single bit.
-    let ur = SystolicConfig::edge(ComputingScheme::UnaryRate, 8);
-    let no_sram = MemoryHierarchy::no_sram();
-    let network = zoo::mnist_cnn4();
-    let ev = NetworkEvaluation::evaluate(&ur, &no_sram, &network.gemms());
-    let record = JsonValue::object(vec![
-        ("config", ur.to_json()),
-        ("memory", no_sram.to_json()),
-        ("network", network.to_json()),
-        ("evaluation", ev.to_json()),
-    ]);
-    assert_eq!(record.render(), golden("sim_ur_mnist.json"));
+    // The network path now runs through the event calendar, and must not
+    // have moved a single bit.
+    assert_eq!(
+        sim_json("--scheme UR --network mnist --json"),
+        golden("sim_ur_mnist.json")
+    );
 }
 
 #[test]
 fn analytic_tier_tracks_exact_latency_within_tolerance() {
-    let (config, workloads, _) = overload_config(1);
+    let (config, workloads) = overload_config(1);
     let exact = serve(&config, &workloads).expect("valid");
     let mut analytic_cfg = config.clone();
     analytic_cfg.fidelity = Fidelity::Analytic;
