@@ -1,28 +1,32 @@
 //! The serving engine: a deterministic discrete-event simulation on the
 //! shared `usystolic_des` core.
 //!
-//! [`serve`] is the one-call entry point. It runs three phases:
+//! [`serve`] is the one-call entry point ([`serve_with`] also hands every
+//! per-request record to a caller's sink). It runs two phases:
 //!
 //! 1. **Profile** (parallel) — every `(workload, layer)` pair is profiled
 //!    into the batched service-time model of
 //!    [`WorkloadProfile`](crate::workload::WorkloadProfile) on the
-//!    work-stealing pool. Profiling is pure, so the phase is
-//!    result-identical for any worker count.
+//!    work-stealing pool, the only work the pool does. Profiling is pure,
+//!    so the phase is result-identical for any worker count.
 //! 2. **Event loop** (sequential, deterministic) — the whole fleet is one
 //!    [`Component`] on the `usystolic_des` calendar: arrivals flow
 //!    through the bounded [`AdmissionController`], the EDF/priority
 //!    [`Scheduler`] packs same-class batches onto free instances, and
-//!    completions free instances, record per-request timelines and (in
-//!    closed-loop mode) trigger the next client request. Service times
+//!    completions free instances and (in closed-loop mode) trigger the
+//!    next client request. An open loop's arrivals are drawn one ahead:
+//!    each arrival schedules the next, so the calendar holds one arrival
+//!    plus in-flight completions, fault events and armed timers, never
+//!    the whole stream. Every request that leaves the system — completed,
+//!    rejected, timed out or failed — is folded into the exact
+//!    latency/wait/service histograms right there; no per-request record
+//!    is kept. Service times
 //!    resolve at the configured [`Fidelity`]: cycle-accurate re-derives
 //!    each class's layer profiles from first principles at every
 //!    dispatch, packed uses the hoisted totals (same bits, faster), and
 //!    analytic interpolates the `analyze` closed-form
 //!    [`ServiceEstimate`] in `O(1)` per dispatch. Shared-DRAM contention
 //!    scales with the number of busy instances at dispatch.
-//! 3. **Reduce** (parallel) — per-request records fold into exact
-//!    latency/wait/service histograms in fixed-size chunks; the merge is
-//!    commutative, so again any worker count produces identical numbers.
 //!
 //! The caller's `usystolic_obs` session (if installed) receives queue
 //! depth gauges, admission/rejection/deadline counters, batch-size and
@@ -127,6 +131,40 @@ struct Instance {
     slow_percent: u32,
 }
 
+/// Statistics folded from every request as it leaves the system, plus
+/// the caller's sink that sees each request's record.
+struct Ledger<S> {
+    latency: CycleHistogram,
+    queue_wait: CycleHistogram,
+    service: CycleHistogram,
+    completed: u64,
+    deadline_missed: u64,
+    per_class_completed: Vec<u64>,
+    sink: S,
+}
+
+impl<S: FnMut(&RequestRecord)> Ledger<S> {
+    /// Folds one terminal request into the statistics, then hands its
+    /// record to the sink.
+    fn settle(&mut self, record: RequestRecord) {
+        if record.deadline_missed() {
+            self.deadline_missed += 1;
+        }
+        if let (Some(lat), Some(wait), Some(svc)) = (
+            record.latency_cycles(),
+            record.queue_wait_cycles(),
+            record.service_cycles(),
+        ) {
+            self.latency.observe(lat);
+            self.queue_wait.observe(wait);
+            self.service.observe(svc);
+            self.completed += 1;
+            self.per_class_completed[record.request.class] += 1;
+        }
+        (self.sink)(&record);
+    }
+}
+
 /// Terminal counters the fault paths accumulate during the event loop.
 #[derive(Debug, Default)]
 struct FaultTally {
@@ -140,7 +178,7 @@ struct FaultTally {
 
 /// The whole serving fleet as one des component: admission, scheduling,
 /// instances, fault handling and the request ledger.
-struct Fleet<'a> {
+struct Fleet<'a, S> {
     config: &'a ServeConfig,
     workloads: &'a [Workload],
     profiles: &'a [WorkloadProfile],
@@ -152,14 +190,19 @@ struct Fleet<'a> {
     scheduler: Scheduler,
     instances: Vec<Instance>,
     busy: usize,
-    records: Vec<RequestRecord>,
+    ledger: Ledger<S>,
     offered: u64,
     tally: FaultTally,
     /// Retry attempts consumed per request id, keyed deterministically.
     retry_counts: BTreeMap<u64, u32>,
 }
 
-impl Fleet<'_> {
+impl<S> Fleet<'_, S> {
+    /// Retry attempts request `id` has consumed so far.
+    fn retries(&self, id: u64) -> u32 {
+        self.retry_counts.get(&id).copied().unwrap_or(0)
+    }
+
     /// Service cycles of a batch at the configured fidelity.
     /// `compute_permille == 1000` is nominal; lower is brown-out.
     fn service_cycles_at(
@@ -335,7 +378,7 @@ impl Fleet<'_> {
     }
 }
 
-impl Component<EventKind> for Fleet<'_> {
+impl<S: FnMut(&RequestRecord)> Component<EventKind> for Fleet<'_, S> {
     fn name(&self) -> &'static str {
         "fleet"
     }
@@ -345,6 +388,11 @@ impl Component<EventKind> for Fleet<'_> {
         match event.event {
             EventKind::Arrival(request) => {
                 self.offered += 1;
+                // An open loop keeps one arrival on the calendar: this
+                // one draws the next (closed loops draw none here).
+                if let Some(next) = self.load.next_arrival(self.config.duration_cycles) {
+                    ctx.schedule_at(next.arrival, EventKind::Arrival(next));
+                }
                 usystolic_obs::with(|o| {
                     o.metrics.series_record("serve.arrivals", now, 1.0);
                 });
@@ -411,16 +459,11 @@ impl Component<EventKind> for Fleet<'_> {
                             );
                             o.request_id = None;
                         });
-                        self.records.push(RequestRecord {
+                        self.ledger.settle(RequestRecord::dropped(
                             request,
-                            disposition: Disposition::Rejected,
-                            dispatch: 0,
-                            completion: 0,
-                            instance: 0,
-                            batch_size: 0,
-                            retries: 0,
-                            degraded: false,
-                        });
+                            Disposition::Rejected,
+                            0,
+                        ));
                     }
                 }
             }
@@ -437,14 +480,15 @@ impl Component<EventKind> for Fleet<'_> {
                     let size = fl.batch.len();
                     let dispatch = fl.dispatch;
                     for request in fl.batch {
-                        self.records.push(RequestRecord {
+                        let retries = self.retries(request.id);
+                        self.ledger.settle(RequestRecord {
                             request,
                             disposition: Disposition::Completed,
                             dispatch,
                             completion: now,
                             instance,
                             batch_size: size,
-                            retries: self.retry_counts.get(&request.id).copied().unwrap_or(0),
+                            retries,
                             degraded: fl.degraded,
                         });
                         let workloads = self.workloads;
@@ -461,7 +505,7 @@ impl Component<EventKind> for Fleet<'_> {
                             o.metrics.observe("serve.latency_ms", cycles_ms(latency));
                             o.metrics.observe("serve.queue_wait_ms", cycles_ms(wait));
                             // Streaming quantiles of the same values the
-                            // exact reduce-phase histograms see.
+                            // exact ledger histograms see.
                             o.metrics
                                 .record_quantile("serve.latency_cycles", latency as f64);
                             o.metrics.record_quantile_labeled(
@@ -505,7 +549,7 @@ impl Component<EventKind> for Fleet<'_> {
                         self.busy -= 1;
                         slot.busy_cycles += now - fl.dispatch;
                         for request in fl.batch {
-                            let attempt = self.retry_counts.get(&request.id).copied().unwrap_or(0);
+                            let attempt = self.retries(request.id);
                             if attempt < self.config.faults.retry.max_retries {
                                 self.retry_counts.insert(request.id, attempt + 1);
                                 self.tally.retries += 1;
@@ -514,16 +558,11 @@ impl Component<EventKind> for Fleet<'_> {
                                 usystolic_obs::with(|o| o.metrics.count("serve.retries", 1));
                             } else {
                                 self.tally.failed += 1;
-                                self.records.push(RequestRecord {
+                                self.ledger.settle(RequestRecord::dropped(
                                     request,
-                                    disposition: Disposition::Failed,
-                                    dispatch: 0,
-                                    completion: 0,
-                                    instance: 0,
-                                    batch_size: 0,
-                                    retries: attempt,
-                                    degraded: false,
-                                });
+                                    Disposition::Failed,
+                                    attempt,
+                                ));
                                 usystolic_obs::with(|o| {
                                     o.metrics.count("serve.failed", 1);
                                     o.metrics.count_labeled(
@@ -552,23 +591,18 @@ impl Component<EventKind> for Fleet<'_> {
             }
             // A timer armed for an earlier attempt is stale: a crash has
             // resubmitted the request since, restarting its budget.
-            EventKind::Timeout { id, attempt }
-                if attempt != self.retry_counts.get(&id).copied().unwrap_or(0) => {}
+            EventKind::Timeout { id, attempt } if attempt != self.retries(id) => {}
             EventKind::Timeout { id, .. } => {
                 // Only bites while the request still waits in the queue;
                 // dispatched or completed requests ignore stale timers.
                 if let Some(request) = self.admission.remove_by_id(id) {
                     self.tally.timed_out += 1;
-                    self.records.push(RequestRecord {
+                    let retries = self.retries(id);
+                    self.ledger.settle(RequestRecord::dropped(
                         request,
-                        disposition: Disposition::TimedOut,
-                        dispatch: 0,
-                        completion: 0,
-                        instance: 0,
-                        batch_size: 0,
-                        retries: self.retry_counts.get(&id).copied().unwrap_or(0),
-                        degraded: false,
-                    });
+                        Disposition::TimedOut,
+                        retries,
+                    ));
                     usystolic_obs::with(|o| {
                         o.metrics.count("serve.timeouts", 1);
                         o.metrics
@@ -584,7 +618,7 @@ impl Component<EventKind> for Fleet<'_> {
                 self.tally.failovers += 1;
                 self.admission.requeue(request);
                 if let Some(t) = self.config.faults.timeout_cycles {
-                    let attempt = self.retry_counts.get(&request.id).copied().unwrap_or(0);
+                    let attempt = self.retries(request.id);
                     ctx.schedule_in(
                         t,
                         EventKind::Timeout {
@@ -599,16 +633,12 @@ impl Component<EventKind> for Fleet<'_> {
         if self.config.faults.shed_expired {
             for request in self.admission.expire_before(now) {
                 self.tally.timed_out += 1;
-                self.records.push(RequestRecord {
+                let retries = self.retries(request.id);
+                self.ledger.settle(RequestRecord::dropped(
                     request,
-                    disposition: Disposition::TimedOut,
-                    dispatch: 0,
-                    completion: 0,
-                    instance: 0,
-                    batch_size: 0,
-                    retries: self.retry_counts.get(&request.id).copied().unwrap_or(0),
-                    degraded: false,
-                });
+                    Disposition::TimedOut,
+                    retries,
+                ));
                 usystolic_obs::with(|o| {
                     o.metrics.count("serve.timeouts", 1);
                     o.metrics
@@ -628,6 +658,23 @@ impl Component<EventKind> for Fleet<'_> {
 /// workloads, an empty workload, zero instances/queue/batch/duration) or
 /// when a worker thread fails.
 pub fn serve(config: &ServeConfig, workloads: &[Workload]) -> Result<ServeReport, ServeError> {
+    serve_with(config, workloads, |_: &RequestRecord| {})
+}
+
+/// [`serve`], handing every offered request's [`RequestRecord`] to
+/// `sink` as the request leaves the system: one record per offered
+/// request, in the order requests complete, are rejected, time out or
+/// fail (requests the whole fleet could not serve come last). The
+/// report does not keep them; [`serve`] passes a sink that drops them.
+///
+/// # Errors
+///
+/// As [`serve`].
+pub fn serve_with(
+    config: &ServeConfig,
+    workloads: &[Workload],
+    sink: impl FnMut(&RequestRecord),
+) -> Result<ServeReport, ServeError> {
     if workloads.is_empty() {
         return Err(ServeError::NoWorkloads);
     }
@@ -676,7 +723,19 @@ pub fn serve(config: &ServeConfig, workloads: &[Workload]) -> Result<ServeReport
         LoadGen::new(lc)
     };
     let mut events: EventQueue<EventKind> = EventQueue::new();
-    for r in load.initial_arrivals(config.duration_cycles) {
+    // Closed loops seed one request per client. An open loop schedules
+    // only its first arrival; each arrival then schedules the next.
+    // Open-loop arrival cycles strictly increase and `Arrival` is the
+    // last same-cycle class, so this pops in the order the whole stream
+    // scheduled up front would.
+    let seeds = if load.is_closed_loop() {
+        load.initial_arrivals(config.duration_cycles)
+    } else {
+        load.next_arrival(config.duration_cycles)
+            .into_iter()
+            .collect()
+    };
+    for r in seeds {
         events.schedule(r.arrival, EventKind::Arrival(r));
     }
     for f in &config.faults.failures {
@@ -728,7 +787,15 @@ pub fn serve(config: &ServeConfig, workloads: &[Workload]) -> Result<ServeReport
             config.instances
         ],
         busy: 0,
-        records: Vec::new(),
+        ledger: Ledger {
+            latency: CycleHistogram::new(),
+            queue_wait: CycleHistogram::new(),
+            service: CycleHistogram::new(),
+            completed: 0,
+            deadline_missed: 0,
+            per_class_completed: vec![0; workloads.len()],
+            sink,
+        },
         offered: 0,
         tally: FaultTally::default(),
         retry_counts: BTreeMap::new(),
@@ -740,16 +807,12 @@ pub fn serve(config: &ServeConfig, workloads: &[Workload]) -> Result<ServeReport
     // to serve them: record each as failed so the ledger still closes.
     for request in fleet.admission.drain_remaining() {
         fleet.tally.failed += 1;
-        fleet.records.push(RequestRecord {
+        let retries = fleet.retries(request.id);
+        fleet.ledger.settle(RequestRecord::dropped(
             request,
-            disposition: Disposition::Failed,
-            dispatch: 0,
-            completion: 0,
-            instance: 0,
-            batch_size: 0,
-            retries: fleet.retry_counts.get(&request.id).copied().unwrap_or(0),
-            degraded: false,
-        });
+            Disposition::Failed,
+            retries,
+        ));
         usystolic_obs::with(|o| {
             o.metrics.count("serve.failed", 1);
             o.metrics
@@ -757,9 +820,7 @@ pub fn serve(config: &ServeConfig, workloads: &[Workload]) -> Result<ServeReport
         });
     }
 
-    // ---- Phase 3: fold records into stage statistics in parallel. -----
-    let stats = reduce_records(config.workers, &fleet.records, workloads.len())?;
-
+    let stats = fleet.ledger;
     let makespan = makespan.max(config.duration_cycles);
     let busy_cycles: Vec<u64> = fleet.instances.iter().map(|i| i.busy_cycles).collect();
     let batches: u64 = fleet.instances.iter().map(|i| i.batches).sum();
@@ -794,7 +855,6 @@ pub fn serve(config: &ServeConfig, workloads: &[Workload]) -> Result<ServeReport
         mean_utilization: total_busy as f64 / (config.instances as f64 * makespan as f64),
         workload_names: workloads.iter().map(|w| w.name.clone()).collect(),
         per_class_completed: stats.per_class_completed,
-        records: fleet.records,
     };
 
     // Request conservation is an invariant, not a statistic: every
@@ -861,77 +921,4 @@ fn profile_workloads(
             WorkloadProfile::from_layers(&wl.name, &layers, &config.memory)
         })
         .collect())
-}
-
-/// Per-chunk partial statistics (commutative merge).
-struct StageStats {
-    latency: CycleHistogram,
-    queue_wait: CycleHistogram,
-    service: CycleHistogram,
-    completed: u64,
-    deadline_missed: u64,
-    per_class_completed: Vec<u64>,
-}
-
-/// Phase 3: fold records into histograms across the pool.
-fn reduce_records(
-    workers: usize,
-    records: &[RequestRecord],
-    classes: usize,
-) -> Result<StageStats, ServeError> {
-    const CHUNK: usize = 2048;
-    let chunks = records.len().div_ceil(CHUNK);
-    let partials = run_indexed(workers.max(1), chunks, |c| {
-        let slice = &records[c * CHUNK..((c + 1) * CHUNK).min(records.len())];
-        let mut s = StageStats {
-            latency: CycleHistogram::new(),
-            queue_wait: CycleHistogram::new(),
-            service: CycleHistogram::new(),
-            completed: 0,
-            deadline_missed: 0,
-            per_class_completed: vec![0; classes],
-        };
-        for r in slice {
-            if r.deadline_missed() {
-                s.deadline_missed += 1;
-            }
-            if let (Some(lat), Some(wait), Some(svc)) = (
-                r.latency_cycles(),
-                r.queue_wait_cycles(),
-                r.service_cycles(),
-            ) {
-                s.latency.observe(lat);
-                s.queue_wait.observe(wait);
-                s.service.observe(svc);
-                s.completed += 1;
-                s.per_class_completed[r.request.class] += 1;
-            }
-        }
-        s
-    })
-    .map_err(ServeError::Pool)?;
-
-    let mut total = StageStats {
-        latency: CycleHistogram::new(),
-        queue_wait: CycleHistogram::new(),
-        service: CycleHistogram::new(),
-        completed: 0,
-        deadline_missed: 0,
-        per_class_completed: vec![0; classes],
-    };
-    for p in partials {
-        total.latency.merge(&p.latency);
-        total.queue_wait.merge(&p.queue_wait);
-        total.service.merge(&p.service);
-        total.completed += p.completed;
-        total.deadline_missed += p.deadline_missed;
-        for (t, c) in total
-            .per_class_completed
-            .iter_mut()
-            .zip(&p.per_class_completed)
-        {
-            *t += c;
-        }
-    }
-    Ok(total)
 }

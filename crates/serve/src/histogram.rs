@@ -4,9 +4,8 @@
 //! do not need sampling or fixed buckets: a [`CycleHistogram`] keeps one
 //! counter per distinct value in a `BTreeMap`. Observation is `O(log d)`
 //! in the number of distinct values `d` (typically far below the request
-//! count — many requests share identical service paths), merging is
-//! commutative and associative (so parallel per-chunk histograms fold to
-//! the same result in any order), and [`percentile`](CycleHistogram::percentile)
+//! count — many requests share identical service paths), and
+//! [`percentile`](CycleHistogram::percentile)
 //! implements the nearest-rank definition: the `p`-th percentile of `n`
 //! samples is the value at rank `⌈p/100 · n⌉` (1-based) in sorted order —
 //! exactly what a sorted-vector reference computes.
@@ -34,15 +33,6 @@ impl CycleHistogram {
         *self.counts.entry(v).or_insert(0) += 1;
         self.total += 1;
         self.sum += u128::from(v);
-    }
-
-    /// Folds another histogram into this one (commutative merge).
-    pub fn merge(&mut self, other: &CycleHistogram) {
-        for (&v, &c) in &other.counts {
-            *self.counts.entry(v).or_insert(0) += c;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
     }
 
     /// Number of samples.
@@ -205,32 +195,6 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
         let s = h.summary();
         assert_eq!(s.p99_cycles, 0);
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        let mut rng = usystolic_unary::rng::SplitMix64::new(3);
-        let chunks: Vec<Vec<u64>> = (0..4)
-            .map(|_| (0..100).map(|_| rng.below(50)).collect())
-            .collect();
-        let mut forward = CycleHistogram::new();
-        let mut backward = CycleHistogram::new();
-        for chunk in &chunks {
-            let mut part = CycleHistogram::new();
-            for &v in chunk {
-                part.observe(v);
-            }
-            forward.merge(&part);
-        }
-        for chunk in chunks.iter().rev() {
-            let mut part = CycleHistogram::new();
-            for &v in chunk {
-                part.observe(v);
-            }
-            backward.merge(&part);
-        }
-        assert_eq!(forward, backward);
-        assert_eq!(forward.count(), 400);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   that packs same-class batches onto free instances, amortising each
 //!   class's weight preload across the batch;
 //! * completion — per-request stage timelines folded into exact
-//!   streaming histograms ([`histogram`]) for p50/p95/p99.
+//!   streaming histograms ([`histogram`]) for p50/p95/p99 as each request
+//!   leaves the system; [`serve_with`] also hands every
+//!   [`RequestRecord`] to a caller's sink.
 //!
 //! Service times come from the workspace's own timing model
 //! ([`workload`] wraps `ideal_cycles` / `layer_traffic`), including the
@@ -21,12 +23,15 @@
 //! seeded through the workspace's shared SplitMix64.
 //!
 //! The engine ([`engine::serve`]) is **bit-for-bit deterministic for any
-//! worker count**: the shared host-side work-stealing pool
-//! ([`usystolic_pool`], re-exported as [`pool`]) only runs
-//! pure phases (profiling before the event loop, statistics folding after
-//! it); every admission, scheduling and timing decision happens in one
-//! sequential event loop driven by the shared `usystolic_des` calendar.
-//! `--workers` changes wall-clock time, never one number in the report.
+//! worker count**. It runs two phases. The shared host-side work-stealing
+//! pool ([`usystolic_pool`], re-exported as [`pool`]) only profiles the
+//! workloads, a pure phase, before the event loop. Every admission,
+//! scheduling and timing decision, and every statistic, then happens in
+//! one sequential event loop driven by the shared `usystolic_des`
+//! calendar. `--workers` changes wall-clock time, never one number in the
+//! report. Open-loop arrivals are drawn one ahead and each request is
+//! folded into the statistics as it leaves, so the calendar holds one
+//! arrival plus the in-flight work and no per-request record is kept.
 //! Service times resolve at a configurable [`Fidelity`]: cycle-accurate
 //! and packed are bit-identical, analytic swaps in the `analyze`
 //! closed-form estimate for `O(1)` dispatch at fleet scale.
@@ -84,7 +89,7 @@ pub mod scheduler;
 pub mod workload;
 
 pub use admission::{Admission, AdmissionController};
-pub use engine::{serve, EventKind};
+pub use engine::{serve, serve_with, EventKind};
 pub use faults::{BrownoutPolicy, FleetFaultPlan, RetryPolicy, ShardFailure, ShardSlowdown};
 pub use histogram::{CycleHistogram, LatencySummary};
 pub use loadgen::{ArrivalProcess, LoadGen, LoadGenConfig};

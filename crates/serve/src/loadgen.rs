@@ -15,7 +15,10 @@
 //!
 //! All randomness flows through one generator in a deterministic call
 //! order, so the same seed and configuration produce bit-identical
-//! request streams on every platform and with any worker count.
+//! request streams on every platform and with any worker count. Open-loop
+//! arrivals are drawn lazily, one at a time
+//! ([`LoadGen::next_arrival`]), so a consumer holds one arrival ahead
+//! instead of the whole stream.
 
 use crate::request::{Priority, Request};
 use usystolic_unary::rng::SplitMix64;
@@ -66,6 +69,10 @@ pub struct LoadGen {
     config: LoadGenConfig,
     rng: SplitMix64,
     next_id: u64,
+    /// Open-loop cursor: the cycle of the next uniform arrival, or the
+    /// last Poisson arrival the next gap starts from. `None` once the
+    /// stream has passed its horizon.
+    cursor: Option<u64>,
 }
 
 impl LoadGen {
@@ -97,6 +104,7 @@ impl LoadGen {
         }
         Self {
             rng: SplitMix64::new(config.seed),
+            cursor: Some(0),
             config,
             next_id: 0,
         }
@@ -136,50 +144,52 @@ impl LoadGen {
         }
     }
 
-    /// The arrivals known before the simulation starts: the full stream
-    /// for open-loop processes (every arrival strictly before
-    /// `horizon_cycles`), or one initial request per client (staggered by
-    /// one cycle) for closed loops.
-    pub fn initial_arrivals(&mut self, horizon_cycles: u64) -> Vec<Request> {
-        match self.config.process {
+    /// The next open-loop arrival strictly before `horizon_cycles`, or
+    /// `None` for a closed loop and once the stream has passed the
+    /// horizon (then on every later call too). Arrivals are drawn one at
+    /// a time in strictly increasing cycle order, from the same PRNG
+    /// draws in the same order as the whole stream drawn up front.
+    pub fn next_arrival(&mut self, horizon_cycles: u64) -> Option<Request> {
+        let t = self.cursor?;
+        let (arrival, cursor) = match self.config.process {
             ArrivalProcess::OpenPoisson {
                 mean_interarrival_cycles,
             } => {
-                let mut out = Vec::new();
-                let mut t = 0u64;
-                loop {
-                    let u = self.rng.next_f64();
-                    // Inverse-CDF exponential gap, quantised to ≥ 1 cycle.
-                    let gap = (-(1.0 - u).ln() * mean_interarrival_cycles).ceil();
-                    let gap = if gap < 1.0 { 1 } else { gap as u64 };
-                    t = t.saturating_add(gap);
-                    if t >= horizon_cycles {
-                        return out;
-                    }
-                    let r = self.mint(t, None);
-                    out.push(r);
-                }
+                let u = self.rng.next_f64();
+                // Inverse-CDF exponential gap, quantised to ≥ 1 cycle.
+                let gap = (-(1.0 - u).ln() * mean_interarrival_cycles).ceil();
+                let gap = if gap < 1.0 { 1 } else { gap as u64 };
+                let at = t.saturating_add(gap);
+                (at, at)
             }
             ArrivalProcess::OpenUniform { interval_cycles } => {
-                let mut out = Vec::new();
-                let mut t = 0u64;
-                while t < horizon_cycles {
-                    let r = self.mint(t, None);
-                    out.push(r);
-                    t = t.saturating_add(interval_cycles);
-                }
-                out
+                (t, t.saturating_add(interval_cycles))
             }
-            ArrivalProcess::ClosedLoop { clients, .. } => {
-                let mut out = Vec::new();
-                for c in 0..clients {
-                    if (c as u64) < horizon_cycles {
-                        let r = self.mint(c as u64, Some(c));
-                        out.push(r);
-                    }
-                }
-                out
-            }
+            ArrivalProcess::ClosedLoop { .. } => return None,
+        };
+        // Past the horizon the stream ends for good: a saturated cursor
+        // (`u64::MAX`) is never below a horizon, and clearing it stops
+        // further draws.
+        if arrival >= horizon_cycles {
+            self.cursor = None;
+            return None;
+        }
+        self.cursor = Some(cursor);
+        Some(self.mint(arrival, None))
+    }
+
+    /// The arrivals known before the simulation starts: the full stream
+    /// for open-loop processes (every arrival strictly before
+    /// `horizon_cycles`, as [`next_arrival`](Self::next_arrival) draws
+    /// it), or one initial request per client (staggered by one cycle)
+    /// for closed loops.
+    pub fn initial_arrivals(&mut self, horizon_cycles: u64) -> Vec<Request> {
+        match self.config.process {
+            ArrivalProcess::ClosedLoop { clients, .. } => (0..clients)
+                .filter(|&c| (c as u64) < horizon_cycles)
+                .map(|c| self.mint(c as u64, Some(c)))
+                .collect(),
+            _ => std::iter::from_fn(|| self.next_arrival(horizon_cycles)).collect(),
         }
     }
 
@@ -221,6 +231,100 @@ mod tests {
             high_priority_fraction: 0.0,
             deadline_cycles: None,
         }
+    }
+
+    /// The whole open-loop stream drawn up front in one batch loop: the
+    /// reference the lazy [`LoadGen::next_arrival`] must reproduce.
+    fn batch_stream(config: LoadGenConfig, horizon: u64) -> Vec<Request> {
+        let mut g = LoadGen::new(config);
+        let mut out = Vec::new();
+        let mut t = 0u64;
+        match config.process {
+            ArrivalProcess::OpenPoisson {
+                mean_interarrival_cycles,
+            } => loop {
+                let u = g.rng.next_f64();
+                let gap = (-(1.0 - u).ln() * mean_interarrival_cycles).ceil();
+                let gap = if gap < 1.0 { 1 } else { gap as u64 };
+                t = t.saturating_add(gap);
+                if t >= horizon {
+                    return out;
+                }
+                out.push(g.mint(t, None));
+            },
+            ArrivalProcess::OpenUniform { interval_cycles } => {
+                while t < horizon {
+                    out.push(g.mint(t, None));
+                    t = t.saturating_add(interval_cycles);
+                }
+                out
+            }
+            ArrivalProcess::ClosedLoop { .. } => unreachable!("open loops only"),
+        }
+    }
+
+    #[test]
+    fn lazy_stream_matches_the_batch_loop() {
+        let processes = [
+            ArrivalProcess::OpenPoisson {
+                mean_interarrival_cycles: 37.5,
+            },
+            ArrivalProcess::OpenPoisson {
+                mean_interarrival_cycles: 0.25,
+            },
+            ArrivalProcess::OpenUniform { interval_cycles: 7 },
+            ArrivalProcess::OpenUniform { interval_cycles: 1 },
+        ];
+        for process in processes {
+            for seed in [1, 42, 7919] {
+                for horizon in [0, 1, 100, 25_000] {
+                    let config = LoadGenConfig {
+                        process,
+                        seed,
+                        classes: 3,
+                        high_priority_fraction: 0.3,
+                        deadline_cycles: Some(500),
+                    };
+                    let mut lazy = LoadGen::new(config);
+                    let drawn: Vec<Request> =
+                        std::iter::from_fn(|| lazy.next_arrival(horizon)).collect();
+                    let reference = batch_stream(config, horizon);
+                    let fields = |r: &Request| (r.arrival, r.id, r.class, r.priority, r.deadline);
+                    assert_eq!(
+                        drawn.iter().map(fields).collect::<Vec<_>>(),
+                        reference.iter().map(fields).collect::<Vec<_>>(),
+                        "{process:?} seed {seed} horizon {horizon}"
+                    );
+                    assert_eq!(lazy.issued(), reference.len() as u64);
+                    assert_eq!(LoadGen::new(config).initial_arrivals(horizon), reference);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_uniform_cursor_ends_the_stream() {
+        let mut g = LoadGen::new(cfg(ArrivalProcess::OpenUniform {
+            interval_cycles: u64::MAX / 2,
+        }));
+        let times: Vec<u64> = std::iter::from_fn(|| g.next_arrival(u64::MAX))
+            .map(|r| r.arrival)
+            .collect();
+        assert_eq!(times, [0, u64::MAX / 2, u64::MAX - 1]);
+        for _ in 0..3 {
+            assert_eq!(g.next_arrival(u64::MAX), None);
+        }
+        assert_eq!(g.issued(), 3);
+    }
+
+    #[test]
+    fn closed_loop_draws_no_open_arrivals() {
+        let mut g = LoadGen::new(cfg(ArrivalProcess::ClosedLoop {
+            clients: 2,
+            think_cycles: 10,
+        }));
+        assert_eq!(g.next_arrival(1_000), None);
+        assert_eq!(g.issued(), 0);
     }
 
     #[test]

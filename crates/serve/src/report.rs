@@ -4,7 +4,6 @@ use crate::faults::FleetFaultPlan;
 use crate::histogram::LatencySummary;
 use crate::loadgen::LoadGenConfig;
 use crate::pool::PoolError;
-use crate::request::RequestRecord;
 use usystolic_core::SystolicConfig;
 use usystolic_des::Fidelity;
 use usystolic_obs::{JsonValue, ToJson};
@@ -23,7 +22,9 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Largest batch one dispatch may carry.
     pub max_batch: usize,
-    /// Host worker threads for the parallel phases (clamped to ≥ 1).
+    /// Host worker threads for profiling the workloads before the event
+    /// loop (clamped to ≥ 1). The event loop itself is sequential, so
+    /// this changes wall-clock time, never a result.
     pub workers: usize,
     /// Arrival horizon: no request arrives at or after this cycle
     /// (in-flight work still drains to completion).
@@ -83,7 +84,7 @@ impl std::error::Error for ServeError {
 pub struct ServeReport {
     /// Simulated array instances.
     pub instances: usize,
-    /// Host worker threads used for the parallel phases.
+    /// Host worker threads used for profiling.
     pub workers: usize,
     /// Admission queue bound.
     pub queue_capacity: usize,
@@ -136,8 +137,6 @@ pub struct ServeReport {
     pub workload_names: Vec<String>,
     /// Completions per workload class.
     pub per_class_completed: Vec<u64>,
-    /// Full per-request records (completion order, rejected included).
-    pub records: Vec<RequestRecord>,
 }
 
 impl ServeReport {

@@ -126,6 +126,29 @@ pub struct RequestRecord {
 }
 
 impl RequestRecord {
+    /// The record of a request that left without being served —
+    /// rejected, timed out or failed — after `retries` retry attempts.
+    /// Its timeline fields (dispatch, completion, instance, batch size)
+    /// are all zero.
+    #[must_use]
+    pub fn dropped(request: Request, disposition: Disposition, retries: u32) -> Self {
+        debug_assert_ne!(
+            disposition,
+            Disposition::Completed,
+            "completions carry a timeline"
+        );
+        Self {
+            request,
+            disposition,
+            dispatch: 0,
+            completion: 0,
+            instance: 0,
+            batch_size: 0,
+            retries,
+            degraded: false,
+        }
+    }
+
     /// End-to-end latency in cycles (admission to completion); `None`
     /// unless completed.
     #[must_use]
@@ -253,16 +276,12 @@ mod tests {
 
     #[test]
     fn terminal_fault_dispositions_carry_no_latency() {
-        let mut r = RequestRecord {
-            request: req(2),
-            disposition: Disposition::TimedOut,
-            dispatch: 0,
-            completion: 0,
-            instance: 0,
-            batch_size: 0,
-            retries: 1,
-            degraded: false,
-        };
+        let mut r = RequestRecord::dropped(req(2), Disposition::TimedOut, 1);
+        assert_eq!(
+            (r.dispatch, r.completion, r.instance, r.batch_size),
+            (0, 0, 0, 0)
+        );
+        assert_eq!((r.retries, r.degraded), (1, false));
         assert_eq!(r.latency_cycles(), None);
         assert_eq!(r.service_cycles(), None);
         assert!(!r.deadline_missed());

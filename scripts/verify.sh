@@ -180,6 +180,28 @@ cmp -s "$a.norm" "$b.norm" || {
 }
 rm -f "$a" "$b" "$a.norm" "$b.norm"
 
+echo "==> serve_cli flat-RSS smoke test (streaming fleet)"
+# Four times the requests must not grow the peak RSS by more than 16 MB:
+# the fleet keeps one arrival ahead and folds each request as it leaves.
+# Each run gets its own python3 parent, so RUSAGE_CHILDREN sees only it.
+peak_kb() {
+    python3 -c '
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL,
+               stderr=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+' "$serve" --instances 64 --arrival-rate 2000 --matmul 64,64,64 \
+        --network mnist --queue-depth 100000000 --fidelity analytic \
+        --duration "$1"
+}
+short_kb=$(peak_kb 125)
+long_kb=$(peak_kb 500)
+echo "    peak RSS: $short_kb KB (~2.5e5 requests), $long_kb KB (~1e6 requests)"
+test $((long_kb - short_kb)) -le 16384 || {
+    echo "FAIL: peak RSS grew by more than 16 MB with 4x the requests" >&2
+    exit 1
+}
+
 echo "==> exp_faults smoke test (accuracy vs BER, graceful degradation)"
 faults_json=$(mktemp /tmp/usystolic_faults.XXXXXX.json)
 ./target/release/exp_faults --short --out "$faults_json" > /dev/null

@@ -32,7 +32,7 @@
 //!   deterministic load generation and exact p50/p95/p99 latency
 //!   histograms.
 //! * [`pool`] — the shared host-side work-stealing thread pool behind the
-//!   parallel phases of [`serve`] and the tile sweeps of [`arch`]
+//!   workload profiling of [`serve`] and the tile sweeps of [`arch`]
 //!   (deterministic: worker count never changes results).
 //! * [`faults`] — deterministic fault injection: seeded transient bit
 //!   flips, stuck-at PEs and memory word corruption with bit-identical

@@ -19,8 +19,8 @@ use usystolic::faults::{
 use usystolic::gemm::GemmConfig;
 use usystolic::serve::loadgen::{ArrivalProcess, LoadGenConfig};
 use usystolic::serve::{
-    serve, BrownoutPolicy, Disposition, FleetFaultPlan, RetryPolicy, ServeConfig, ServeReport,
-    ShardFailure, ShardSlowdown, Workload,
+    serve, serve_with, BrownoutPolicy, Disposition, FleetFaultPlan, RequestRecord, RetryPolicy,
+    ServeConfig, ServeReport, ShardFailure, ShardSlowdown, Workload,
 };
 use usystolic::sim::MemoryHierarchy;
 use usystolic::unary::bsg::ConditionalBsg;
@@ -176,6 +176,18 @@ fn m64() -> Workload {
     Workload::from_gemm("m64", GemmConfig::matmul(64, 64, 64).unwrap())
 }
 
+/// Runs the engine and collects every per-request record through its
+/// record sink, in the order the engine hands them out.
+fn serve_recorded(
+    config: &ServeConfig,
+    workloads: &[Workload],
+) -> (ServeReport, Vec<RequestRecord>) {
+    let mut records = Vec::new();
+    let report =
+        serve_with(config, workloads, |r: &RequestRecord| records.push(*r)).expect("valid config");
+    (report, records)
+}
+
 /// Killing a shard mid-run loses nothing: every admitted request still
 /// completes, times out or fails, and failover re-routes the crashed
 /// shard's in-flight work to the survivor.
@@ -263,17 +275,17 @@ fn fleet_faults_are_deterministic_across_worker_counts() {
             service_permille: 600,
         }),
     };
-    let run = |workers: usize| -> ServeReport {
+    let run = |workers: usize| -> (ServeReport, Vec<RequestRecord>) {
         let mut config = fault_config(plan.clone(), 21);
         config.workers = workers;
-        serve(&config, &[m64()]).expect("valid config")
+        serve_recorded(&config, &[m64()])
     };
-    let one = run(1);
+    let (one, one_records) = run(1);
     assert!(one.conserved());
     assert!(one.completed > 0);
     for workers in [2, 4, 8] {
-        let other = run(workers);
-        assert_eq!(one.records, other.records, "workers={workers}");
+        let (other, other_records) = run(workers);
+        assert_eq!(one_records, other_records, "workers={workers}");
         assert_eq!(one.retries, other.retries, "workers={workers}");
         assert_eq!(one.timed_out, other.timed_out, "workers={workers}");
         assert_eq!(one.failovers, other.failovers, "workers={workers}");
@@ -282,7 +294,7 @@ fn fleet_faults_are_deterministic_across_worker_counts() {
         assert_eq!(one.latency, other.latency, "workers={workers}");
         assert_eq!(one.instance_busy_cycles, other.instance_busy_cycles);
     }
-    assert_eq!(run(4).records, one.records, "replay");
+    assert_eq!(run(4).1, one_records, "replay");
 }
 
 /// Brown-out turns overload into degraded service instead of rejection:
@@ -366,8 +378,8 @@ fn retry_restarts_the_timeout_budget() {
     };
     config.load.high_priority_fraction = 0.0;
     config.load.deadline_cycles = None;
-    let report = serve(&config, &[m64()]).expect("valid config");
-    let retried: Vec<_> = report.records.iter().filter(|r| r.retries > 0).collect();
+    let (report, records) = serve_recorded(&config, &[m64()]);
+    let retried: Vec<_> = records.iter().filter(|r| r.retries > 0).collect();
     assert_eq!(retried.len(), 1, "only the crashed batch retries");
     let record = retried[0];
     assert_eq!(

@@ -7,14 +7,17 @@
 //! * deadlines — the missed counter matches a closed-form oracle on a
 //!   constant-service `D/D/1` workload;
 //! * percentiles — the streaming histogram matches a sorted-vector
-//!   nearest-rank reference on real report data.
+//!   nearest-rank reference on real report data;
+//! * bounded calendar — an open loop keeps one arrival ahead on the event
+//!   calendar, not its whole arrival stream.
 
 use usystolic::arch::{ComputingScheme, SystolicConfig};
 use usystolic::gemm::GemmConfig;
+use usystolic::obs;
 use usystolic::serve::loadgen::{ArrivalProcess, LoadGenConfig};
 use usystolic::serve::{
-    serve, CycleHistogram, FleetFaultPlan, LayerProfile, ServeConfig, ServeReport, Workload,
-    WorkloadProfile,
+    serve, serve_with, CycleHistogram, FleetFaultPlan, LayerProfile, RequestRecord, ServeConfig,
+    ServeReport, Workload, WorkloadProfile,
 };
 use usystolic::sim::MemoryHierarchy;
 
@@ -49,6 +52,18 @@ fn poisson(mean: f64) -> ArrivalProcess {
     }
 }
 
+/// Runs the engine and collects every per-request record through its
+/// record sink, in the order the engine hands them out.
+fn serve_recorded(
+    config: &ServeConfig,
+    workloads: &[Workload],
+) -> (ServeReport, Vec<RequestRecord>) {
+    let mut records = Vec::new();
+    let report =
+        serve_with(config, workloads, |r: &RequestRecord| records.push(*r)).expect("valid config");
+    (report, records)
+}
+
 /// One seed ⇒ one result, bit for bit, whatever the worker count. The
 /// worker pool only parallelises pure phases, so `workers` must never
 /// change a single per-request timeline.
@@ -58,17 +73,17 @@ fn fixed_seed_is_deterministic_across_worker_counts() {
         m64(),
         Workload::from_gemm("m128", GemmConfig::matmul(128, 64, 64).unwrap()),
     ];
-    let run = |workers: usize| -> ServeReport {
+    let run = |workers: usize| -> (ServeReport, Vec<RequestRecord>) {
         let mut config = base_config(poisson(2_000.0), 7);
         config.workers = workers;
-        serve(&config, &workloads).expect("valid config")
+        serve_recorded(&config, &workloads)
     };
-    let one = run(1);
+    let (one, one_records) = run(1);
     assert!(one.completed > 0, "workload must actually serve requests");
     for workers in [2, 4, 8] {
-        let other = run(workers);
+        let (other, other_records) = run(workers);
         // Identical per-request timelines, in the same order...
-        assert_eq!(one.records, other.records, "workers={workers}");
+        assert_eq!(one_records, other_records, "workers={workers}");
         // ...and identical derived statistics.
         assert_eq!(one.latency, other.latency, "workers={workers}");
         assert_eq!(one.queue_wait, other.queue_wait, "workers={workers}");
@@ -77,11 +92,11 @@ fn fixed_seed_is_deterministic_across_worker_counts() {
         assert_eq!(one.instance_busy_cycles, other.instance_busy_cycles);
     }
     // Repeated runs reproduce too; a different seed does not.
-    assert_eq!(run(4).records, one.records);
+    assert_eq!(run(4).1, one_records);
     let mut reseeded = base_config(poisson(2_000.0), 8);
     reseeded.workers = 4;
-    let other_seed = serve(&reseeded, &workloads).expect("valid config");
-    assert_ne!(one.records, other_seed.records);
+    let (_, other_seed_records) = serve_recorded(&reseeded, &workloads);
+    assert_ne!(one_records, other_seed_records);
 }
 
 /// Overload: the admission queue never grows past its bound, rejections
@@ -91,7 +106,7 @@ fn admission_bounds_the_queue_under_overload() {
     let mut config = base_config(poisson(50.0), 3); // ~8000 arrivals/400k cycles
     config.queue_capacity = 16;
     config.instances = 1;
-    let report = serve(&config, &[m64()]).expect("valid config");
+    let (report, records) = serve_recorded(&config, &[m64()]);
     assert!(report.rejected > 0, "overload must reject");
     assert!(
         report.max_queue_depth <= config.queue_capacity,
@@ -102,7 +117,7 @@ fn admission_bounds_the_queue_under_overload() {
     assert_eq!(report.offered, report.admitted + report.rejected);
     assert_eq!(report.admitted, report.completed, "admitted work drains");
     assert_eq!(
-        u64::try_from(report.records.len()).unwrap(),
+        u64::try_from(records.len()).unwrap(),
         report.offered,
         "one record per offered request"
     );
@@ -170,14 +185,10 @@ fn deadline_misses_match_the_constant_service_oracle() {
 #[test]
 fn report_percentiles_match_sorted_vector_reference() {
     let config = base_config(poisson(600.0), 11);
-    let report = serve(&config, &[m64()]).expect("valid config");
+    let (report, records) = serve_recorded(&config, &[m64()]);
     assert!(report.completed > 100, "need a non-trivial sample");
 
-    let mut latencies: Vec<u64> = report
-        .records
-        .iter()
-        .filter_map(|r| r.latency_cycles())
-        .collect();
+    let mut latencies: Vec<u64> = records.iter().filter_map(|r| r.latency_cycles()).collect();
     latencies.sort_unstable();
     let reference = |p: f64| -> u64 {
         let rank = ((p / 100.0 * latencies.len() as f64).ceil() as usize).max(1);
@@ -215,4 +226,41 @@ fn closed_loop_never_rejects_with_enough_queue() {
     assert!(report.completed > 0);
     assert_eq!(report.rejected, 0, "at most one outstanding per client");
     assert!(report.max_queue_depth <= 8);
+}
+
+/// An open loop draws its arrivals one ahead, so the event calendar holds
+/// at most one pending arrival plus one completion per instance, never
+/// the whole arrival stream. Without faults or timeouts nothing else is
+/// ever scheduled, so every bucket of the engine's post-dispatch
+/// `des.queue_depth{component="fleet"}` series averages at most
+/// `instances + 1`.
+#[test]
+fn open_loop_calendar_stays_bounded_by_the_fleet() {
+    let mut config = base_config(poisson(500.0), 19);
+    // Inside the default series window (64 buckets of 4096 cycles), drain
+    // tail included, so every dispatch lands in a retained bucket.
+    config.duration_cycles = 200_000;
+    let prior = obs::install(obs::Session::new());
+    let report = serve(&config, &[m64()]).expect("valid config");
+    let session = obs::take().expect("session installed");
+    if let Some(p) = prior {
+        obs::install(p);
+    }
+    assert!(report.offered > 300, "need a real arrival stream");
+    let depth = session
+        .metrics
+        .series_labeled("des.queue_depth", &[("component", "fleet")])
+        .expect("the engine records calendar depth");
+    assert_eq!(depth.late_samples(), 0, "window must cover the whole run");
+    assert_eq!(depth.start_cycle(), 0);
+    let bound = (config.instances + 1) as f64;
+    for (cycle, bucket) in depth.iter() {
+        assert!(
+            bucket.mean() <= bound,
+            "calendar averaged {} pending events in the bucket at cycle {cycle}, \
+             more than {bound} ({} offered)",
+            bucket.mean(),
+            report.offered
+        );
+    }
 }
