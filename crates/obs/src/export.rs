@@ -8,7 +8,7 @@
 //! * [`prometheus_text`] follows the text exposition format version
 //!   0.0.4: `# TYPE` headers, `name{label="value"}` sample lines,
 //!   cumulative `_bucket{le=…}` histogram series, and `quantile=`-labeled
-//!   summary lines for the streaming sketches. Metric names are
+//!   summary lines for the quantile histograms. Metric names are
 //!   sanitized (`.` → `_`) to the Prometheus grammar.
 //! * [`html_report`] renders one standalone HTML page — no external
 //!   assets — with metric tables and inline SVG sparklines for every
@@ -109,7 +109,7 @@ impl<'a> TypeHeader<'a> {
 /// Exports the registry in the Prometheus text exposition format.
 ///
 /// Counters, gauges and histograms map to their native Prometheus
-/// types; quantile sketches are exposed as summaries with
+/// types; quantile histograms are exposed as summaries with
 /// `quantile="0.5" / "0.95" / "0.99"` series. Windowed time series have
 /// no Prometheus equivalent and are exposed through the JSON snapshot
 /// and [`html_report`] instead.
@@ -174,15 +174,15 @@ pub fn prometheus_text(registry: &Registry) -> String {
     }
 
     let mut header = TypeHeader::new("summary");
-    for (key, s) in registry.sketches() {
+    for (key, s) in registry.quantiles() {
         let name = sanitize_metric_name(key.name());
         header.emit(&mut out, &name);
-        for (q, label) in [(0.50, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-            if let Some(v) = s.quantile(q) {
+        for (p, label) in [(50.0, "0.5"), (95.0, "0.95"), (99.0, "0.99")] {
+            if let Some(v) = s.percentile(p) {
                 out.push_str(&name);
                 out.push_str(&label_clause(key.labels(), &[("quantile", label)]));
                 out.push(' ');
-                out.push_str(&fmt_value(v));
+                out.push_str(&v.to_string());
                 out.push('\n');
             }
         }
@@ -190,7 +190,7 @@ pub fn prometheus_text(registry: &Registry) -> String {
         out.push_str("_sum");
         out.push_str(&label_clause(key.labels(), &[]));
         out.push(' ');
-        out.push_str(&fmt_value(s.sum()));
+        out.push_str(&s.sum().to_string());
         out.push('\n');
         out.push_str(&name);
         out.push_str("_count");
@@ -335,24 +335,22 @@ pub fn html_report(title: &str, registry: &Registry) -> String {
         out.push_str("</table>\n");
     }
 
-    if registry.sketches().next().is_some() {
+    if registry.quantiles().next().is_some() {
         table_open(
             &mut out,
-            "Quantile sketches",
+            "Quantiles",
             &["metric", "count", "p50", "p95", "p99", "min", "max"],
         );
-        for (key, s) in registry.sketches() {
+        let cell = |v: Option<u64>| v.map_or_else(|| "-".into(), |v| v.to_string());
+        for (key, s) in registry.quantiles() {
             out.push_str("<tr>");
             td(&mut out, &key.canonical());
             td(&mut out, &s.count().to_string());
-            for q in [0.50, 0.95, 0.99] {
-                td(
-                    &mut out,
-                    &s.quantile(q).map_or_else(|| "-".into(), fmt_value),
-                );
+            for p in [50.0, 95.0, 99.0] {
+                td(&mut out, &cell(s.percentile(p)));
             }
-            td(&mut out, &s.min().map_or_else(|| "-".into(), fmt_value));
-            td(&mut out, &s.max().map_or_else(|| "-".into(), fmt_value));
+            td(&mut out, &cell(s.min()));
+            td(&mut out, &cell(s.max()));
             out.push_str("</tr>\n");
         }
         out.push_str("</table>\n");
@@ -412,7 +410,7 @@ mod tests {
         r.observe("serve.batch", 3.0);
         r.observe("serve.batch", 9.0);
         for v in 1..=100 {
-            r.record_quantile("serve.latency", f64::from(v));
+            r.record_quantile("serve.latency", v);
         }
         for c in 0..32 {
             r.series_record("serve.arrivals", c * 100, 1.0);
@@ -449,8 +447,9 @@ mod tests {
     fn prometheus_sketch_is_a_summary() {
         let text = prometheus_text(&sample_registry());
         assert!(text.contains("# TYPE serve_latency summary\n"));
-        assert!(text.contains("serve_latency{quantile=\"0.5\"}"));
-        assert!(text.contains("serve_latency{quantile=\"0.99\"}"));
+        assert!(text.contains("serve_latency{quantile=\"0.5\"} 50\n"));
+        assert!(text.contains("serve_latency{quantile=\"0.99\"} 99\n"));
+        assert!(text.contains("serve_latency_sum 5050\n"));
         assert!(text.contains("serve_latency_count 100\n"));
     }
 

@@ -8,10 +8,11 @@
 //!   (the workspace's stand-in for `serde::Serialize`);
 //! * [`label`] — `(name, sorted label set)` metric keys and the
 //!   [`labels!`] builder macro;
-//! * [`metrics`] — counters, gauges, fixed-bucket histograms, streaming
-//!   quantile sketches and windowed time series, all label-aware;
-//! * [`sketch`] — a deterministic mergeable t-digest for p50/p95/p99
-//!   without storing samples;
+//! * [`metrics`] — counters, gauges, fixed-bucket histograms, quantile
+//!   histograms and windowed time series, all label-aware;
+//! * [`histogram`] — the one quantile mechanism: exact nearest-rank
+//!   percentiles below [`histogram::CAP`] distinct values, rounded to
+//!   fewer significant bits above it;
 //! * [`series`] — rings of fixed-width cycle buckets for rolling rates;
 //! * [`trace`] — a bounded-ring-buffer span/event tracer exporting Chrome
 //!   `trace_event` JSON (loadable in `chrome://tracing` / Perfetto) and
@@ -46,7 +47,7 @@
 //! Sessions are deliberately thread-local: the simulator is
 //! single-threaded per design point, and sweep harnesses that fan out
 //! across threads install one session per worker and
-//! [`Registry::absorb`] the results (histograms, sketches and series all
+//! [`Registry::absorb`] the results (histograms, quantiles and series all
 //! merge rather than clobber).
 //!
 //! ## Request correlation
@@ -59,20 +60,20 @@
 
 pub mod diff;
 pub mod export;
+pub mod histogram;
 pub mod json;
 pub mod label;
 pub mod metrics;
 pub mod series;
-pub mod sketch;
 pub mod trace;
 
 pub use diff::{DiffOptions, DiffReport, DiffRow, Direction};
 pub use export::{html_report, prometheus_text};
+pub use histogram::QuantileHistogram;
 pub use json::{JsonError, JsonValue, ToJson};
 pub use label::{LabelSet, MetricKey};
 pub use metrics::{Histogram, Registry, ABSORB_CONFLICTS};
 pub use series::{SeriesBucket, TimeSeries};
-pub use sketch::QuantileSketch;
 pub use trace::{Phase, TraceEvent, Tracer, DEFAULT_CAPACITY, PID_SIM, PID_WALL};
 
 use std::cell::RefCell;
@@ -84,7 +85,7 @@ use std::cell::RefCell;
 pub struct Session {
     /// Span/event ring buffer.
     pub tracer: Tracer,
-    /// Counters, gauges, histograms, sketches, series.
+    /// Counters, gauges, histograms, quantiles, series.
     pub metrics: Registry,
     /// Virtual timeline cursor for simulated-cycle spans: each
     /// `Simulator::simulate` call places its layer span here and advances
@@ -199,15 +200,15 @@ pub fn observe_labeled(name: &str, labels: &[(&str, &str)], v: f64) {
     with(|o| o.metrics.observe_labeled(name, labels, v));
 }
 
-/// Convenience: records a streaming-quantile sample (no-op when
+/// Convenience: records a quantile-histogram sample (no-op when
 /// disabled).
-pub fn record_quantile(name: &str, v: f64) {
+pub fn record_quantile(name: &str, v: u64) {
     with(|o| o.metrics.record_quantile(name, v));
 }
 
-/// Convenience: records a labeled streaming-quantile sample (no-op when
-/// disabled).
-pub fn record_quantile_labeled(name: &str, labels: &[(&str, &str)], v: f64) {
+/// Convenience: records a labeled quantile-histogram sample (no-op
+/// when disabled).
+pub fn record_quantile_labeled(name: &str, labels: &[(&str, &str)], v: u64) {
     with(|o| o.metrics.record_quantile_labeled(name, labels, v));
 }
 
@@ -263,7 +264,7 @@ mod tests {
         gauge("never", 1.0);
         observe("never", 1.0);
         count_labeled("never", labels!("k" => "v"), 1);
-        record_quantile("never", 1.0);
+        record_quantile("never", 1);
         series_record("never", 0, 1.0);
         set_request_id(Some(1));
         with(|_| panic!("must not run without a session"));
@@ -286,7 +287,7 @@ mod tests {
         count_labeled("c", labels!("k" => "v"), 2);
         gauge_labeled("g", labels!("k" => "v"), 1.5);
         observe_labeled("h", labels!("k" => "v"), 3.0);
-        record_quantile_labeled("q", labels!("k" => "v"), 4.0);
+        record_quantile_labeled("q", labels!("k" => "v"), 4);
         series_record_labeled("s", labels!("k" => "v"), 100, 1.0);
         let s = take().expect("installed");
         assert_eq!(s.metrics.counter_labeled("c", labels!("k" => "v")), 2);
@@ -303,10 +304,10 @@ mod tests {
         );
         assert_eq!(
             s.metrics
-                .sketch_labeled("q", labels!("k" => "v"))
+                .quantile_labeled("q", labels!("k" => "v"))
                 .unwrap()
-                .count(),
-            1
+                .percentile(50.0),
+            Some(4)
         );
         assert_eq!(
             s.metrics

@@ -1,5 +1,5 @@
 //! A dimensional metrics registry: counters, gauges, fixed-bucket
-//! histograms, streaming-quantile sketches and windowed time series,
+//! histograms, quantile histograms and windowed time series,
 //! keyed by `(name, sorted label set)` and exported as a JSON snapshot.
 //!
 //! The registry is the accounting side of the observability layer: the
@@ -14,10 +14,11 @@
 //! All maps are `BTreeMap`s over [`MetricKey`], which orders by name then
 //! sorted labels: snapshots and exports are deterministic.
 
+use crate::histogram::QuantileHistogram;
 use crate::json::{JsonValue, ToJson};
 use crate::label::MetricKey;
 use crate::series::TimeSeries;
-use crate::sketch::QuantileSketch;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Counter incremented by [`Registry::absorb`] when two histograms or
@@ -164,13 +165,13 @@ impl ToJson for Histogram {
 }
 
 /// A named, labeled collection of counters, gauges, histograms, quantile
-/// sketches and windowed time series.
+/// histograms and windowed time series.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     counters: BTreeMap<MetricKey, u64>,
     gauges: BTreeMap<MetricKey, f64>,
     histograms: BTreeMap<MetricKey, Histogram>,
-    sketches: BTreeMap<MetricKey, QuantileSketch>,
+    quantiles: BTreeMap<MetricKey, QuantileHistogram>,
     series: BTreeMap<MetricKey, TimeSeries>,
 }
 
@@ -283,32 +284,48 @@ impl Registry {
         self.histograms.get(&MetricKey::new(name, labels))
     }
 
-    // ---- quantile sketches -------------------------------------------
+    // ---- quantile histograms ----------------------------------------
 
-    /// Records a sample into the named streaming-quantile sketch,
-    /// auto-registering at the default compression when the key is new.
-    pub fn record_quantile(&mut self, name: &str, v: f64) {
+    /// Records a sample into the named quantile histogram, creating it
+    /// when the key is new.
+    pub fn record_quantile(&mut self, name: &str, v: u64) {
         self.record_quantile_labeled(name, &[], v);
     }
 
-    /// Records a labeled quantile-sketch sample.
-    pub fn record_quantile_labeled(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.sketches
+    /// Records a labeled quantile-histogram sample.
+    pub fn record_quantile_labeled(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
+        self.quantiles
             .entry(MetricKey::new(name, labels))
             .or_default()
             .observe(v);
     }
 
-    /// Reads an unlabeled sketch.
-    #[must_use]
-    pub fn sketch(&self, name: &str) -> Option<&QuantileSketch> {
-        self.sketch_labeled(name, &[])
+    /// Folds a whole histogram into the named quantile histogram, as if
+    /// each of its samples had been recorded. A new key takes `h` as is,
+    /// without a copy.
+    pub fn merge_quantile(&mut self, name: &str, h: QuantileHistogram) {
+        match self.quantiles.entry(MetricKey::new(name, &[])) {
+            Entry::Vacant(slot) => {
+                slot.insert(h);
+            }
+            Entry::Occupied(mut slot) => slot.get_mut().merge(&h),
+        }
     }
 
-    /// Reads a labeled sketch.
+    /// Reads an unlabeled quantile histogram.
     #[must_use]
-    pub fn sketch_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Option<&QuantileSketch> {
-        self.sketches.get(&MetricKey::new(name, labels))
+    pub fn quantile(&self, name: &str) -> Option<&QuantileHistogram> {
+        self.quantile_labeled(name, &[])
+    }
+
+    /// Reads a labeled quantile histogram.
+    #[must_use]
+    pub fn quantile_labeled(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+    ) -> Option<&QuantileHistogram> {
+        self.quantiles.get(&MetricKey::new(name, labels))
     }
 
     // ---- windowed time series ----------------------------------------
@@ -378,9 +395,9 @@ impl Registry {
         self.histograms.iter()
     }
 
-    /// Iterates all quantile sketches in key order.
-    pub fn sketches(&self) -> impl Iterator<Item = (&MetricKey, &QuantileSketch)> {
-        self.sketches.iter()
+    /// Iterates all quantile histograms in key order.
+    pub fn quantiles(&self) -> impl Iterator<Item = (&MetricKey, &QuantileHistogram)> {
+        self.quantiles.iter()
     }
 
     /// Iterates all time series in key order.
@@ -394,14 +411,14 @@ impl Registry {
         self.counters.is_empty()
             && self.gauges.is_empty()
             && self.histograms.is_empty()
-            && self.sketches.is_empty()
+            && self.quantiles.is_empty()
             && self.series.is_empty()
     }
 
     // ---- folding -----------------------------------------------------
 
     /// Folds another registry into this one: counters add, gauges take
-    /// the other's value, histograms / sketches / series merge
+    /// the other's value, histograms / quantiles / series merge
     /// element-wise. When a histogram collides with different bucket
     /// bounds (or a series with a different bucket width) the existing
     /// entry is kept and the [`ABSORB_CONFLICTS`] counter is bumped —
@@ -416,32 +433,25 @@ impl Registry {
         }
         for (k, v) in &other.histograms {
             match self.histograms.entry(k.clone()) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
+                Entry::Vacant(slot) => {
                     slot.insert(v.clone());
                 }
-                std::collections::btree_map::Entry::Occupied(mut slot) => {
+                Entry::Occupied(mut slot) => {
                     if !slot.get_mut().merge(v) {
                         conflicts += 1;
                     }
                 }
             }
         }
-        for (k, v) in &other.sketches {
-            match self.sketches.entry(k.clone()) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(v.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut slot) => {
-                    slot.get_mut().merge(v);
-                }
-            }
+        for (k, v) in &other.quantiles {
+            self.quantiles.entry(k.clone()).or_default().merge(v);
         }
         for (k, v) in &other.series {
             match self.series.entry(k.clone()) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
+                Entry::Vacant(slot) => {
                     slot.insert(v.clone());
                 }
-                std::collections::btree_map::Entry::Occupied(mut slot) => {
+                Entry::Occupied(mut slot) => {
                     if !slot.get_mut().merge(v) {
                         conflicts += 1;
                     }
@@ -478,8 +488,8 @@ impl ToJson for Registry {
             ("gauges".to_owned(), section(&self.gauges)),
             ("histograms".to_owned(), section(&self.histograms)),
         ];
-        if !self.sketches.is_empty() {
-            pairs.push(("sketches".to_owned(), section(&self.sketches)));
+        if !self.quantiles.is_empty() {
+            pairs.push(("quantiles".to_owned(), section(&self.quantiles)));
         }
         if !self.series.is_empty() {
             pairs.push(("series".to_owned(), section(&self.series)));
@@ -632,13 +642,15 @@ mod tests {
     #[test]
     fn absorb_merges_sketches_and_series() {
         let mut a = Registry::new();
-        a.record_quantile("q", 1.0);
+        a.record_quantile("q", 1);
         a.series_record("s", 0, 1.0);
         let mut b = Registry::new();
-        b.record_quantile("q", 3.0);
+        b.record_quantile("q", 3);
         b.series_record("s", 0, 2.0);
         a.absorb(&b);
-        assert_eq!(a.sketch("q").unwrap().count(), 2);
+        let q = a.quantile("q").unwrap();
+        assert_eq!(q.count(), 2);
+        assert_eq!((q.min(), q.max()), (Some(1), Some(3)));
         assert_eq!(a.series("s").unwrap().window_count(), 2);
     }
 
@@ -660,8 +672,8 @@ mod tests {
         );
         let h = parsed.get("histograms").unwrap().get("h").unwrap();
         assert_eq!(h.get("counts").unwrap().as_array().unwrap().len(), 3);
-        // Sketch/series sections appear only when used.
-        assert!(parsed.get("sketches").is_none());
+        // Quantile/series sections appear only when used.
+        assert!(parsed.get("quantiles").is_none());
         assert!(parsed.get("series").is_none());
     }
 
@@ -673,7 +685,7 @@ mod tests {
             labels!("prio" => "high", "class" => "a"),
             4,
         );
-        r.record_quantile_labeled("lat", labels!("class" => "a"), 2.0);
+        r.record_quantile_labeled("lat", labels!("class" => "a"), 2);
         let parsed = crate::json::JsonValue::parse(&r.to_json_string()).unwrap();
         assert_eq!(
             parsed
@@ -686,7 +698,7 @@ mod tests {
         );
         assert_eq!(
             parsed
-                .get("sketches")
+                .get("quantiles")
                 .unwrap()
                 .get("lat{class=\"a\"}")
                 .unwrap()

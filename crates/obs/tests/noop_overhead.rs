@@ -95,7 +95,7 @@ fn disabled_instrumentation_does_not_allocate() {
 }
 
 /// The dimensional sites added for fleet telemetry — labeled counters/
-/// gauges/histograms, streaming sketches, windowed series and the
+/// gauges/histograms, quantile histograms, windowed series and the
 /// request-correlation setters — stay allocation-free when disabled:
 /// labels are borrowed `&[(&str, &str)]` slices, so no call below may
 /// build a `String` or box anything before the session check.
@@ -117,8 +117,8 @@ fn disabled_labeled_and_sketch_sites_do_not_allocate() {
             );
             usystolic_obs::gauge_labeled("sim.scaling_efficiency", &[("instances", "4")], 0.9);
             usystolic_obs::observe_labeled("core.tile_us", &[("kernel", "packed")], i as f64);
-            usystolic_obs::record_quantile("serve.latency_cycles", i as f64);
-            usystolic_obs::record_quantile_labeled("serve.latency_cycles", &[("class", "m")], 1.0);
+            usystolic_obs::record_quantile("serve.latency_cycles", i);
+            usystolic_obs::record_quantile_labeled("serve.latency_cycles", &[("class", "m")], 1);
             usystolic_obs::series_record("serve.arrivals", i, 1.0);
             usystolic_obs::series_record_labeled("serve.arrivals", &[("class", "m")], i, 1.0);
             usystolic_obs::set_request_id(Some(i));
@@ -127,7 +127,7 @@ fn disabled_labeled_and_sketch_sites_do_not_allocate() {
     });
     assert_eq!(
         allocs, 0,
-        "disabled labeled/sketch/series path allocated {allocs} times"
+        "disabled labeled/quantile/series path allocated {allocs} times"
     );
 }
 

@@ -18,9 +18,9 @@
 //!    each arrival schedules the next, so the calendar holds one arrival
 //!    plus in-flight completions, fault events and armed timers, never
 //!    the whole stream. Every request that leaves the system — completed,
-//!    rejected, timed out or failed — is folded into the exact
-//!    latency/wait/service histograms right there; no per-request record
-//!    is kept. Service times
+//!    rejected, timed out or failed — is folded into the
+//!    latency/wait/service [`QuantileHistogram`]s right there; no
+//!    per-request record is kept. Service times
 //!    resolve at the configured [`Fidelity`]: cycle-accurate re-derives
 //!    each class's layer profiles from first principles at every
 //!    dispatch, packed uses the hoisted totals (same bits, faster), and
@@ -30,13 +30,14 @@
 //!
 //! The caller's `usystolic_obs` session (if installed) receives queue
 //! depth gauges, admission/rejection/deadline counters, batch-size and
-//! latency histograms, and one Chrome-trace span per dispatched batch on
-//! the simulated-cycle lane (`tid` = instance); the des engine adds
+//! latency histograms, the ledger's latency and queue-wait quantile
+//! histograms (merged once, after the report is built), and one
+//! Chrome-trace span per dispatched batch on the simulated-cycle lane
+//! (`tid` = instance); the des engine adds
 //! `des.events.*`, `des.dispatch{fidelity}` and
 //! `des.queue_depth{component}` on the same sequential loop.
 
 use crate::admission::{Admission, AdmissionController};
-use crate::histogram::CycleHistogram;
 use crate::loadgen::LoadGen;
 use crate::pool::run_indexed;
 use crate::report::{ServeConfig, ServeError, ServeReport};
@@ -46,7 +47,7 @@ use crate::workload::{batched_service_cycles, LayerProfile, Workload, WorkloadPr
 use std::collections::BTreeMap;
 use usystolic_analyze::ServiceEstimate;
 use usystolic_des::{Component, Context, Engine, Event, EventQueue, Fidelity, Scheduled};
-use usystolic_obs::ToJson;
+use usystolic_obs::{QuantileHistogram, ToJson};
 use usystolic_sim::CLOCK_HZ;
 
 /// What happens when a fleet event fires.
@@ -134,9 +135,9 @@ struct Instance {
 /// Statistics folded from every request as it leaves the system, plus
 /// the caller's sink that sees each request's record.
 struct Ledger<S> {
-    latency: CycleHistogram,
-    queue_wait: CycleHistogram,
-    service: CycleHistogram,
+    latency: QuantileHistogram,
+    queue_wait: QuantileHistogram,
+    service: QuantileHistogram,
     completed: u64,
     deadline_missed: u64,
     per_class_completed: Vec<u64>,
@@ -502,19 +503,17 @@ impl<S: FnMut(&RequestRecord)> Component<EventKind> for Fleet<'_, S> {
                                 &[("class", class), ("priority", request.priority.label())],
                                 1,
                             );
-                            o.metrics.observe("serve.latency_ms", cycles_ms(latency));
-                            o.metrics.observe("serve.queue_wait_ms", cycles_ms(wait));
-                            // Streaming quantiles of the same values the
-                            // exact ledger histograms see.
                             o.metrics
-                                .record_quantile("serve.latency_cycles", latency as f64);
+                                .observe("serve.latency_ms", ServeReport::cycles_to_ms(latency));
+                            o.metrics
+                                .observe("serve.queue_wait_ms", ServeReport::cycles_to_ms(wait));
+                            // The unlabeled totals are the ledger's own
+                            // histograms, merged once after the run.
                             o.metrics.record_quantile_labeled(
                                 "serve.latency_cycles",
                                 &[("class", class)],
-                                latency as f64,
+                                latency,
                             );
-                            o.metrics
-                                .record_quantile("serve.queue_wait_cycles", wait as f64);
                         });
                         if let Some(client) = request.client {
                             if let Some(next) =
@@ -788,9 +787,9 @@ pub fn serve_with(
         ],
         busy: 0,
         ledger: Ledger {
-            latency: CycleHistogram::new(),
-            queue_wait: CycleHistogram::new(),
-            service: CycleHistogram::new(),
+            latency: QuantileHistogram::new(),
+            queue_wait: QuantileHistogram::new(),
+            service: QuantileHistogram::new(),
             completed: 0,
             deadline_missed: 0,
             per_class_completed: vec![0; workloads.len()],
@@ -847,9 +846,9 @@ pub fn serve_with(
         deadline_missed: stats.deadline_missed,
         batches,
         max_queue_depth: fleet.admission.max_depth(),
-        latency: stats.latency.summary(),
-        queue_wait: stats.queue_wait.summary(),
-        service: stats.service.summary(),
+        latency: (&stats.latency).into(),
+        queue_wait: (&stats.queue_wait).into(),
+        service: (&stats.service).into(),
         instance_busy_cycles: busy_cycles,
         throughput_per_s: stats.completed as f64 / elapsed_s,
         mean_utilization: total_busy as f64 / (config.instances as f64 * makespan as f64),
@@ -885,12 +884,14 @@ pub fn serve_with(
             .gauge("serve.mean_utilization", report.mean_utilization);
         o.metrics
             .gauge("serve.throughput_per_s", report.throughput_per_s);
+        if stats.latency.count() > 0 {
+            o.metrics
+                .merge_quantile("serve.latency_cycles", stats.latency);
+            o.metrics
+                .merge_quantile("serve.queue_wait_cycles", stats.queue_wait);
+        }
     });
     Ok(report)
-}
-
-fn cycles_ms(cycles: u64) -> f64 {
-    cycles as f64 / CLOCK_HZ * 1.0e3
 }
 
 /// Phase 1: per-layer profiles on the pool, folded per workload.

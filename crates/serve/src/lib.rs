@@ -10,10 +10,12 @@
 //! * [`scheduler`] — priority-tiered earliest-deadline-first dispatch
 //!   that packs same-class batches onto free instances, amortising each
 //!   class's weight preload across the batch;
-//! * completion — per-request stage timelines folded into exact
-//!   streaming histograms ([`histogram`]) for p50/p95/p99 as each request
-//!   leaves the system; [`serve_with`] also hands every
-//!   [`RequestRecord`] to a caller's sink.
+//! * completion — per-request stage timelines folded into the obs
+//!   crate's [`QuantileHistogram`](usystolic_obs::QuantileHistogram) for
+//!   p50/p95/p99 as each request leaves the system (exact below its
+//!   2^18-key cap, rounded to fewer significant bits above it);
+//!   [`serve_with`] also hands every [`RequestRecord`] to a caller's
+//!   sink.
 //!
 //! Service times come from the workspace's own timing model
 //! ([`workload`] wraps `ideal_cycles` / `layer_traffic`), including the
@@ -81,7 +83,6 @@
 pub mod admission;
 pub mod engine;
 pub mod faults;
-pub mod histogram;
 pub mod loadgen;
 pub mod report;
 pub mod request;
@@ -91,9 +92,8 @@ pub mod workload;
 pub use admission::{Admission, AdmissionController};
 pub use engine::{serve, serve_with, EventKind};
 pub use faults::{BrownoutPolicy, FleetFaultPlan, RetryPolicy, ShardFailure, ShardSlowdown};
-pub use histogram::{CycleHistogram, LatencySummary};
 pub use loadgen::{ArrivalProcess, LoadGen, LoadGenConfig};
-pub use report::{ServeConfig, ServeError, ServeReport};
+pub use report::{LatencySummary, ServeConfig, ServeError, ServeReport};
 pub use request::{Disposition, Priority, Request, RequestRecord};
 pub use scheduler::Scheduler;
 pub use usystolic_des::Fidelity;

@@ -1,12 +1,11 @@
 //! Serving configuration, errors and the end-of-run report.
 
 use crate::faults::FleetFaultPlan;
-use crate::histogram::LatencySummary;
 use crate::loadgen::LoadGenConfig;
 use crate::pool::PoolError;
 use usystolic_core::SystolicConfig;
 use usystolic_des::Fidelity;
-use usystolic_obs::{JsonValue, ToJson};
+use usystolic_obs::{JsonValue, QuantileHistogram, ToJson};
 use usystolic_sim::{MemoryHierarchy, CLOCK_HZ};
 
 /// Everything the serving engine needs besides the workloads themselves.
@@ -76,6 +75,51 @@ impl std::error::Error for ServeError {
             ServeError::Pool(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+/// The percentile summary of one latency distribution.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LatencySummary {
+    /// Number of samples.
+    pub count: u64,
+    /// Mean in cycles.
+    pub mean_cycles: f64,
+    /// Median (nearest-rank p50) in cycles.
+    pub p50_cycles: u64,
+    /// Nearest-rank p95 in cycles.
+    pub p95_cycles: u64,
+    /// Nearest-rank p99 in cycles.
+    pub p99_cycles: u64,
+    /// Largest sample in cycles.
+    pub max_cycles: u64,
+}
+
+impl From<&QuantileHistogram> for LatencySummary {
+    /// The p50/p95/p99 summary used throughout the serving reports (all
+    /// zero when the histogram is empty).
+    fn from(h: &QuantileHistogram) -> Self {
+        Self {
+            count: h.count(),
+            mean_cycles: h.mean(),
+            p50_cycles: h.percentile(50.0).unwrap_or(0),
+            p95_cycles: h.percentile(95.0).unwrap_or(0),
+            p99_cycles: h.percentile(99.0).unwrap_or(0),
+            max_cycles: h.max().unwrap_or(0),
+        }
+    }
+}
+
+impl ToJson for LatencySummary {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::object(vec![
+            ("count", self.count.to_json()),
+            ("mean_cycles", self.mean_cycles.to_json()),
+            ("p50_cycles", self.p50_cycles.to_json()),
+            ("p95_cycles", self.p95_cycles.to_json()),
+            ("p99_cycles", self.p99_cycles.to_json()),
+            ("max_cycles", self.max_cycles.to_json()),
+        ])
     }
 }
 

@@ -209,15 +209,15 @@ fn histogram_bucket_boundaries_via_facade() {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet-grade telemetry: dimensional metrics, sketches, series, correlation.
+// Fleet-grade telemetry: dimensional metrics, quantiles, series, correlation.
 // ---------------------------------------------------------------------------
 
 use usystolic::serve::loadgen::{ArrivalProcess, LoadGenConfig};
-use usystolic::serve::{serve, FleetFaultPlan, ServeConfig, Workload};
+use usystolic::serve::{serve, FleetFaultPlan, LatencySummary, ServeConfig, Workload};
 
-/// An overloaded two-instance pool: enough completions (>600) to push the
-/// latency sketch through its compression path, and enough pressure on
-/// the bounded queue to produce rejections for the labeled counters.
+/// An overloaded two-instance pool: enough completions (>600) for
+/// meaningful tail percentiles, and enough pressure on the bounded queue
+/// to produce rejections for the labeled counters.
 fn overloaded_pool(workers: usize) -> (ServeConfig, Vec<Workload>) {
     let gemm = GemmConfig::matmul(64, 64, 64).unwrap();
     let workloads = vec![Workload::from_gemm("matmul64", gemm)];
@@ -244,10 +244,8 @@ fn overloaded_pool(workers: usize) -> (ServeConfig, Vec<Workload>) {
     (config, workloads)
 }
 
-/// The streaming latency sketch agrees with the exact nearest-rank
-/// histogram the serve report computes from the same samples: identical
-/// counts, and p50/p95/p99 within the documented 2% relative bound (the
-/// t-digest's ≤1% rank error, doubled for rank→value conversion slack).
+/// The session's latency quantiles and the serve report read one
+/// histogram type over the same samples, so p50/p95/p99 agree exactly.
 #[test]
 fn serve_latency_sketch_agrees_with_exact_histogram() {
     obs::install(obs::Session::new());
@@ -255,43 +253,37 @@ fn serve_latency_sketch_agrees_with_exact_histogram() {
     let report = serve(&config, &workloads).unwrap();
     let session = obs::take().expect("session installed");
 
-    let sketch = session
+    let latency = session
         .metrics
-        .sketch("serve.latency_cycles")
-        .expect("latency sketch recorded");
-    assert_eq!(sketch.count(), report.latency.count);
+        .quantile("serve.latency_cycles")
+        .expect("latency quantiles recorded");
+    assert_eq!(latency.count(), report.latency.count);
     assert!(
-        sketch.count() > 600,
-        "need enough samples to exercise compression, got {}",
-        sketch.count()
+        latency.count() > 600,
+        "need a non-trivial sample, got {}",
+        latency.count()
     );
-
     for (p, exact) in [
         (50.0, report.latency.p50_cycles),
         (95.0, report.latency.p95_cycles),
         (99.0, report.latency.p99_cycles),
     ] {
-        let approx = sketch.percentile(p).expect("non-empty sketch");
-        let err = (approx - exact as f64).abs() / exact as f64;
-        assert!(
-            err <= 0.02,
-            "p{p}: sketch {approx} vs exact {exact} ({:.3}% off)",
-            100.0 * err
-        );
+        assert_eq!(latency.percentile(p), Some(exact), "p{p}");
     }
 
-    // The queue-wait sketch saw every completion too, and the per-class
-    // sketch partition adds back up to the unlabeled total.
+    // The queue-wait quantiles saw every completion too, and the
+    // per-class partition adds back up to the unlabeled total.
     let wait = session
         .metrics
-        .sketch("serve.queue_wait_cycles")
-        .expect("queue-wait sketch");
+        .quantile("serve.queue_wait_cycles")
+        .expect("queue-wait quantiles");
     assert_eq!(wait.count(), report.queue_wait.count);
+    assert_eq!(LatencySummary::from(wait), report.queue_wait);
     let by_class = session
         .metrics
-        .sketch_labeled("serve.latency_cycles", &[("class", "matmul64")])
-        .expect("per-class latency sketch");
-    assert_eq!(by_class.count(), sketch.count());
+        .quantile_labeled("serve.latency_cycles", &[("class", "matmul64")])
+        .expect("per-class latency quantiles");
+    assert_eq!(by_class.count(), latency.count());
 }
 
 /// Labeled counters partition their unlabeled totals: rejected and
@@ -327,7 +319,7 @@ fn serve_labeled_metrics_reconcile_with_report() {
     assert_eq!(rej as u64, report.rejected);
 }
 
-/// The metrics registry — labeled counters, sketches, windowed series and
+/// The metrics registry — labeled counters, quantiles, windowed series and
 /// all — renders bit-identically for every worker count: the host pool
 /// only parallelises pure phases, so telemetry is part of the
 /// determinism contract.

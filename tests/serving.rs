@@ -16,8 +16,8 @@ use usystolic::gemm::GemmConfig;
 use usystolic::obs;
 use usystolic::serve::loadgen::{ArrivalProcess, LoadGenConfig};
 use usystolic::serve::{
-    serve, serve_with, CycleHistogram, FleetFaultPlan, LayerProfile, RequestRecord, ServeConfig,
-    ServeReport, Workload, WorkloadProfile,
+    serve, serve_with, FleetFaultPlan, LayerProfile, RequestRecord, ServeConfig, ServeReport,
+    Workload, WorkloadProfile,
 };
 use usystolic::sim::MemoryHierarchy;
 
@@ -201,7 +201,7 @@ fn report_percentiles_match_sorted_vector_reference() {
     assert_eq!(report.latency.max_cycles, *latencies.last().unwrap());
 
     // And the standalone histogram agrees sample by sample.
-    let mut h = CycleHistogram::new();
+    let mut h = obs::QuantileHistogram::new();
     for &v in &latencies {
         h.observe(v);
     }

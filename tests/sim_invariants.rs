@@ -1,9 +1,14 @@
 //! Conservation and monotonicity invariants of the timing/memory
-//! simulator, checked across a grid of design points and layer shapes.
+//! simulator, checked across a grid of design points and layer shapes,
+//! plus fixed-seed SplitMix64 sweeps over dataflows and jitter slack.
 
 use usystolic::arch::{ComputingScheme, SystolicConfig};
 use usystolic::gemm::GemmConfig;
-use usystolic::sim::{ideal_cycles, MemoryHierarchy, Simulator};
+use usystolic::sim::{
+    ideal_cycles, ideal_cycles_with, layer_traffic_with, Dataflow, MemoryHierarchy, Simulator,
+    SlackBudget,
+};
+use usystolic::unary::rng::SplitMix64;
 
 fn layer_grid() -> Vec<GemmConfig> {
     vec![
@@ -153,5 +158,59 @@ fn sixteen_bit_layers_move_more_bytes() {
             t16.traffic.dram.total() >= 2 * t8.traffic.dram.total(),
             "{scheme}"
         );
+    }
+}
+
+/// On random matmuls, both dataflows schedule non-empty work, and each
+/// reads its stationary operand from DRAM exactly once and its streamed
+/// operand at least once.
+#[test]
+fn dataflows_read_their_stationary_operand_once() {
+    let mut rng = SplitMix64::new(0xDA7A);
+    for case in 0..128 {
+        let m = 1 + rng.below(29) as usize;
+        let k = 1 + rng.below(59) as usize;
+        let n = 1 + rng.below(59) as usize;
+        let gemm = GemmConfig::matmul(m, k, n).expect("valid shape");
+        assert_eq!(gemm.macs(), (m * k * n) as u64);
+        let bp = SystolicConfig::edge(ComputingScheme::BinaryParallel, 8);
+        let ur = SystolicConfig::edge(ComputingScheme::UnaryRate, 8);
+        for df in [Dataflow::WeightStationary, Dataflow::InputStationary] {
+            assert!(ideal_cycles_with(&gemm, &bp, df) > 0, "case {case} {df:?}");
+        }
+        let ws = layer_traffic_with(&gemm, &ur, Dataflow::WeightStationary);
+        let is = layer_traffic_with(&gemm, &ur, Dataflow::InputStationary);
+        let (ifm, weight) = ((m * k) as u64, (k * n) as u64);
+        assert_eq!((ws.dram.weight, is.dram.ifm), (weight, ifm), "case {case}");
+        assert!(
+            ws.dram.ifm >= ifm && is.dram.weight >= weight,
+            "case {case}"
+        );
+    }
+}
+
+/// Jitter slack: no stall up to the tolerated jitter, a linear stall past
+/// it, expected stall monotone in the jitter bound, and throughput
+/// retention in (0, 1], for 16- to 128-cycle multiply windows and every
+/// jitter below 300 cycles.
+#[test]
+fn jitter_slack_is_free_then_linear() {
+    for cycles_exp in 0..4u32 {
+        let cfg = SystolicConfig::edge(ComputingScheme::UnaryRate, 8)
+            .with_mul_cycles(16 << cycles_exp)
+            .expect("valid EBT");
+        let b = SlackBudget::for_config(&cfg);
+        for jitter in 0..300u64 {
+            let stall = jitter.saturating_sub(b.tolerated_jitter());
+            assert_eq!(
+                b.stall_for(jitter),
+                stall,
+                "mul {} jitter {jitter}",
+                16 << cycles_exp
+            );
+            assert!(b.expected_stall(jitter) <= b.expected_stall(jitter + 10));
+            let r = b.throughput_retention(jitter);
+            assert!(r > 0.0 && r <= 1.0, "retention {r}");
+        }
     }
 }
