@@ -1,4 +1,4 @@
-//! Fleet-scale fidelity benchmark for the discrete-event core
+//! Fleet-scale fidelity benchmark for the serve event loop
 //! (`BENCH_des.json`).
 //!
 //! Serves a VGG-16 workload on a ≥256-instance fleet twice on the same
@@ -7,7 +7,7 @@
 //! once at the analytic tier (O(1) interpolation of the `analyze`
 //! service estimate). The analytic tier must be ≥10× faster wall-clock
 //! while keeping its latency estimates within tolerance of the exact
-//! run — the quantitative case for per-tile fidelity switching. A packed
+//! run — the quantitative case for choosing a run's fidelity tier. A packed
 //! run rides along to re-assert the middle tier is bit-identical to the
 //! reference.
 

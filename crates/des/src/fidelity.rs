@@ -1,15 +1,15 @@
-//! The per-tile model-resolution switch.
+//! The model-resolution switch.
 //!
-//! Every component resolves its fidelity at dispatch time, so one fleet
-//! can mix tiers: a tile under study runs cycle-accurate while the other
-//! 255 instances run the analytic closed form.
+//! One tier per run: `usystolic_sim::Simulator` times every layer at its
+//! configured tier, and `usystolic_serve` applies `ServeConfig::fidelity`
+//! to every dispatch of a run.
 
 use std::fmt;
 use std::str::FromStr;
 
 use usystolic_obs::{JsonValue, ToJson};
 
-/// How faithfully a component models timing when it handles an event.
+/// How faithfully a run models timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Fidelity {
     /// Re-derive timing from first principles (fold walks, per-variable

@@ -1,24 +1,17 @@
-//! # usystolic-des — the unified discrete-event core
+//! # usystolic-des — the deterministic event calendar
 //!
-//! One deterministic event engine behind both simulation front ends:
-//! `usystolic_sim`'s layer pipeline and `usystolic_serve`'s fleet event
-//! loop schedule, cancel and dispatch through the same
+//! `usystolic_serve`'s fleet event loop schedules and pops through the
 //! [`EventQueue`]. The queue is a binary heap over the total order
 //! `(time, event class, insertion sequence)` — no hash containers, no
 //! wall clock — so the pop order, and therefore every simulation built
 //! on it, is a pure function of the inputs.
 //!
-//! The surface is three small pieces:
+//! The surface is two small pieces:
 //!
-//! * [`EventQueue`] / [`Event`] — the calendar. Every `schedule` returns
-//!   an [`EventId`] token; `cancel`/`reschedule` use lazy tombstones so
-//!   retraction is `O(log n)` amortised without disturbing heap order.
-//! * [`Component`] / [`Engine`] / [`Port`] — the typed wiring. A
-//!   component handles events with a [`Context`] that can schedule
-//!   follow-ups; ports are explicit FIFO channels between producer and
-//!   consumer components, so dataflow is visible in the types rather
-//!   than hidden in shared state.
-//! * [`Fidelity`] — the per-tile model resolution switch:
+//! * [`EventQueue`] / [`Event`] / [`Scheduled`] — the calendar:
+//!   `schedule`, `pop`, `len`, `is_empty`. A schedule before the last
+//!   popped cycle is clamped to it, so time never runs backwards.
+//! * [`Fidelity`] — the timing-model resolution, one tier per run:
 //!   [`Fidelity::CycleAccurate`] re-derives timing from first principles
 //!   at every dispatch, [`Fidelity::Packed`] uses the hoisted exact
 //!   closed forms (same bits, faster — the timing analogue of the
@@ -26,18 +19,14 @@
 //!   for `O(1)` closed-form estimates so thousand-instance fleets
 //!   simulate in seconds.
 //!
-//! When a `usystolic_obs` session is installed, the queue counts
-//! `des.events.{scheduled,dispatched,cancelled}` and the engine records
-//! a `des.queue_depth{component}` gauge/series — all on the sequential
-//! event loop, so snapshots stay worker-count invariant.
+//! The queue records no metrics; the loop that drives it does (serve's
+//! fleet writes the `des.*` family).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod component;
 pub mod fidelity;
 pub mod queue;
 
-pub use component::{Component, Context, Engine, Port};
 pub use fidelity::Fidelity;
-pub use queue::{Event, EventId, EventQueue, Scheduled};
+pub use queue::{Event, EventQueue, Scheduled};

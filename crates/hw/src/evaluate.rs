@@ -68,9 +68,7 @@ pub fn evaluate_layer(
 }
 
 /// Evaluates a whole network on a configured simulator, one record per
-/// layer. Layers run through the simulator's discrete-event calendar
-/// ([`Simulator::simulate_network`]), so the network path exercises the
-/// same event machinery at every fidelity tier.
+/// layer, in order ([`Simulator::simulate_network`]).
 #[must_use]
 pub fn evaluate_network_with(sim: &Simulator, layers: &[GemmConfig]) -> Vec<LayerEvaluation> {
     sim.simulate_network(layers)

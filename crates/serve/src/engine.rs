@@ -1,5 +1,5 @@
 //! The serving engine: a deterministic discrete-event simulation on the
-//! shared `usystolic_des` core.
+//! `usystolic_des` calendar.
 //!
 //! [`serve`] is the one-call entry point ([`serve_with`] also hands every
 //! per-request record to a caller's sink). It runs two phases:
@@ -9,8 +9,8 @@
 //!    [`WorkloadProfile`](crate::workload::WorkloadProfile) on the
 //!    work-stealing pool, the only work the pool does. Profiling is pure,
 //!    so the phase is result-identical for any worker count.
-//! 2. **Event loop** (sequential, deterministic) — the whole fleet is one
-//!    [`Component`] on the `usystolic_des` calendar: arrivals flow
+//! 2. **Event loop** (sequential, deterministic) — the fleet pops its
+//!    `usystolic_des` [`EventQueue`] and handles each event: arrivals flow
 //!    through the bounded [`AdmissionController`], the EDF/priority
 //!    [`Scheduler`] packs same-class batches onto free instances, and
 //!    completions free instances and (in closed-loop mode) trigger the
@@ -33,9 +33,9 @@
 //! latency histograms, the ledger's latency and queue-wait quantile
 //! histograms (merged once, after the report is built), and one
 //! Chrome-trace span per dispatched batch on the simulated-cycle lane
-//! (`tid` = instance); the des engine adds
-//! `des.events.*`, `des.dispatch{fidelity}` and
-//! `des.queue_depth{component}` on the same sequential loop.
+//! (`tid` = instance). The event loop itself adds
+//! `des.events.{scheduled,dispatched}`, `des.dispatch{fidelity}` and the
+//! `des.queue_depth{component="fleet"}` gauge and series.
 
 use crate::admission::{Admission, AdmissionController};
 use crate::loadgen::LoadGen;
@@ -46,7 +46,7 @@ use crate::scheduler::Scheduler;
 use crate::workload::{batched_service_cycles, LayerProfile, Workload, WorkloadProfile};
 use std::collections::BTreeMap;
 use usystolic_analyze::ServiceEstimate;
-use usystolic_des::{Component, Context, Engine, Event, EventQueue, Fidelity, Scheduled};
+use usystolic_des::{Event, EventQueue, Fidelity, Scheduled};
 use usystolic_obs::{QuantileHistogram, ToJson};
 use usystolic_sim::CLOCK_HZ;
 
@@ -177,9 +177,13 @@ struct FaultTally {
     shard_crashes: u64,
 }
 
-/// The whole serving fleet as one des component: admission, scheduling,
+/// Labels of the `des.queue_depth` gauge and series.
+const FLEET: [(&str, &str); 1] = [("component", "fleet")];
+
+/// The whole serving fleet: its event calendar, admission, scheduling,
 /// instances, fault handling and the request ledger.
 struct Fleet<'a, S> {
+    events: EventQueue<EventKind>,
     config: &'a ServeConfig,
     workloads: &'a [Workload],
     profiles: &'a [WorkloadProfile],
@@ -269,7 +273,7 @@ impl<S> Fleet<'_, S> {
     /// batches run degraded — scaled compute and traffic, the serving
     /// analogue of raised early termination. A slowed shard stretches
     /// its service time by its percent factor.
-    fn dispatch_free_instances(&mut self, now: u64, ctx: &mut Context<'_, EventKind>) {
+    fn dispatch_free_instances(&mut self, now: u64) {
         loop {
             if self.admission.depth() == 0 {
                 return;
@@ -368,7 +372,7 @@ impl<S> Fleet<'_, S> {
             });
             slot.batches += 1;
             self.busy += 1;
-            ctx.schedule_at(
+            self.events.schedule(
                 completion,
                 EventKind::Completion {
                     instance: free_idx + 1,
@@ -379,20 +383,42 @@ impl<S> Fleet<'_, S> {
     }
 }
 
-impl<S: FnMut(&RequestRecord)> Component<EventKind> for Fleet<'_, S> {
-    fn name(&self) -> &'static str {
-        "fleet"
+impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
+    /// Pops and handles events until the calendar drains; returns the
+    /// cycle of the last event (0 when none fired). Each event takes one
+    /// obs lookup for the loop's own metrics; every scheduled event is
+    /// dispatched, so `des.events.scheduled` is written once at the end.
+    fn run(&mut self) -> u64 {
+        let fidelity = [("fidelity", self.config.fidelity.label())];
+        let mut last = 0;
+        let mut dispatched = 0;
+        while let Some(Scheduled { at, event }) = self.events.pop() {
+            last = at;
+            dispatched += 1;
+            self.handle(at, event);
+            let depth = self.events.len() as f64;
+            usystolic_obs::with(|o| {
+                o.metrics.count("des.events.dispatched", 1);
+                o.metrics.count_labeled("des.dispatch", &fidelity, 1);
+                o.metrics.gauge_labeled("des.queue_depth", &FLEET, depth);
+                o.metrics
+                    .series_record_labeled("des.queue_depth", &FLEET, at, depth);
+            });
+        }
+        if dispatched > 0 {
+            usystolic_obs::with(|o| o.metrics.count("des.events.scheduled", dispatched));
+        }
+        last
     }
 
-    fn handle(&mut self, event: Scheduled<EventKind>, ctx: &mut Context<'_, EventKind>) {
-        let now = event.at;
-        match event.event {
+    fn handle(&mut self, now: u64, event: EventKind) {
+        match event {
             EventKind::Arrival(request) => {
                 self.offered += 1;
                 // An open loop keeps one arrival on the calendar: this
                 // one draws the next (closed loops draw none here).
                 if let Some(next) = self.load.next_arrival(self.config.duration_cycles) {
-                    ctx.schedule_at(next.arrival, EventKind::Arrival(next));
+                    self.events.schedule(next.arrival, EventKind::Arrival(next));
                 }
                 usystolic_obs::with(|o| {
                     o.metrics.series_record("serve.arrivals", now, 1.0);
@@ -412,8 +438,8 @@ impl<S: FnMut(&RequestRecord)> Component<EventKind> for Fleet<'_, S> {
                 match decision {
                     Admission::Admitted => {
                         if let Some(t) = self.config.faults.timeout_cycles {
-                            ctx.schedule_in(
-                                t,
+                            self.events.schedule(
+                                now.saturating_add(t),
                                 EventKind::Timeout {
                                     id: request.id,
                                     attempt: 0,
@@ -520,7 +546,7 @@ impl<S: FnMut(&RequestRecord)> Component<EventKind> for Fleet<'_, S> {
                                 self.load
                                     .after_completion(client, now, self.config.duration_cycles)
                             {
-                                ctx.schedule_at(next.arrival, EventKind::Arrival(next));
+                                self.events.schedule(next.arrival, EventKind::Arrival(next));
                             }
                         }
                     }
@@ -553,7 +579,8 @@ impl<S: FnMut(&RequestRecord)> Component<EventKind> for Fleet<'_, S> {
                                 self.retry_counts.insert(request.id, attempt + 1);
                                 self.tally.retries += 1;
                                 let delay = self.config.faults.backoff_cycles(request.id, attempt);
-                                ctx.schedule_in(delay, EventKind::Retry(request));
+                                self.events
+                                    .schedule(now.saturating_add(delay), EventKind::Retry(request));
                                 usystolic_obs::with(|o| o.metrics.count("serve.retries", 1));
                             } else {
                                 self.tally.failed += 1;
@@ -618,8 +645,8 @@ impl<S: FnMut(&RequestRecord)> Component<EventKind> for Fleet<'_, S> {
                 self.admission.requeue(request);
                 if let Some(t) = self.config.faults.timeout_cycles {
                     let attempt = self.retries(request.id);
-                    ctx.schedule_in(
-                        t,
+                    self.events.schedule(
+                        now.saturating_add(t),
                         EventKind::Timeout {
                             id: request.id,
                             attempt,
@@ -645,7 +672,7 @@ impl<S: FnMut(&RequestRecord)> Component<EventKind> for Fleet<'_, S> {
                 });
             }
         }
-        self.dispatch_free_instances(now, ctx);
+        self.dispatch_free_instances(now);
     }
 }
 
@@ -701,21 +728,7 @@ pub fn serve_with(
     // ---- Phase 1: profile every (workload, layer) in parallel. --------
     let profiles = profile_workloads(config, workloads)?;
 
-    // ---- Phase 2: the deterministic event loop on the des core. -------
-    // Windowed series share one bucket geometry derived from the run
-    // horizon, so rolling arrival/rejection/queue-depth rates line up
-    // bucket-for-bucket (the signal an autoscaler consumes).
-    usystolic_obs::with(|o| {
-        let width = (config.duration_cycles / 64).max(1);
-        for name in [
-            "serve.arrivals",
-            "serve.rejections",
-            "serve.dispatches",
-            "serve.queue_depth",
-        ] {
-            o.metrics.register_series(name, &[], width, 128);
-        }
-    });
+    // ---- Phase 2: the deterministic event loop on the des calendar. ---
     let mut load = {
         let mut lc = config.load;
         lc.classes = workloads.len();
@@ -754,6 +767,26 @@ pub fn serve_with(
             },
         );
     }
+    // Windowed series share one bucket geometry derived from the run
+    // horizon, so rolling arrival/rejection/queue-depth rates line up
+    // bucket-for-bucket (the signal an autoscaler consumes). The
+    // calendar-depth series joins them only when an event will fire, so
+    // an empty run records no `des.*` key.
+    usystolic_obs::with(|o| {
+        let width = (config.duration_cycles / 64).max(1);
+        for name in [
+            "serve.arrivals",
+            "serve.rejections",
+            "serve.dispatches",
+            "serve.queue_depth",
+        ] {
+            o.metrics.register_series(name, &[], width, 128);
+        }
+        if !events.is_empty() {
+            o.metrics
+                .register_series("des.queue_depth", &FLEET, width, 128);
+        }
+    });
 
     // Analytic operating-point endpoints; the exact tiers never look at
     // them, so skip the (cheap) derivation unless they will be used.
@@ -767,6 +800,7 @@ pub fn serve_with(
     };
 
     let mut fleet = Fleet {
+        events,
         config,
         workloads,
         profiles: &profiles,
@@ -800,7 +834,7 @@ pub fn serve_with(
         retry_counts: BTreeMap::new(),
     };
 
-    let makespan = Engine::new(config.fidelity).run(&mut events, &mut fleet);
+    let makespan = fleet.run();
 
     // With the whole fleet down, queued requests have no instance left
     // to serve them: record each as failed so the ledger still closes.

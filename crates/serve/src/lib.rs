@@ -29,7 +29,7 @@
 //! pool ([`usystolic_pool`], re-exported as [`pool`]) only profiles the
 //! workloads, a pure phase, before the event loop. Every admission,
 //! scheduling and timing decision, and every statistic, then happens in
-//! one sequential event loop driven by the shared `usystolic_des`
+//! the fleet's one sequential loop over a `usystolic_des` event
 //! calendar. `--workers` changes wall-clock time, never one number in the
 //! report. Open-loop arrivals are drawn one ahead and each request is
 //! folded into the statistics as it leaves, so the calendar holds one

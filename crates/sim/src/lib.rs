@@ -13,19 +13,17 @@
 //!   derived from the weight-stationary tile mapping.
 //! * [`runtime`] — ideal pipeline cycles plus memory-contention stalls.
 //! * [`report`] — [`Simulator`]: one call per layer returning bandwidth,
-//!   runtime, throughput and utilisation in the paper's units.
-//! * [`events`] — the network pipeline as `usystolic_des` components:
-//!   [`Simulator::simulate_network`] drives layers through the shared
-//!   discrete-event calendar at a configurable [`Fidelity`]
-//!   (cycle-accurate and packed are bit-identical; analytic drops the
-//!   SRAM service bound for speed).
+//!   runtime, throughput and utilisation in the paper's units, at a
+//!   configurable [`Fidelity`] (cycle-accurate and packed are
+//!   bit-identical; analytic drops the SRAM service bound for speed).
+//!   [`Simulator::simulate_network`] times a network as the in-order
+//!   sequence of its layers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dataflow;
 pub mod dram_model;
-pub mod events;
 pub mod jitter;
 pub mod memory;
 pub mod multi;
@@ -36,7 +34,6 @@ pub mod traffic;
 
 pub use dataflow::{ideal_cycles_with, layer_traffic_with, runtime_cycles_with, Dataflow};
 pub use dram_model::{analyze_trace, DramAnalysis};
-pub use events::{NetworkDriver, SimEvent};
 pub use jitter::SlackBudget;
 pub use memory::{DramSpec, MemoryHierarchy, SramSpec, Variable, WordCorruption};
 pub use multi::{battery_lifetime, LifetimeReport, MultiInstanceSystem, ScalingReport};

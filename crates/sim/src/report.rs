@@ -2,14 +2,13 @@
 //! timing together and converts them to the physical units the paper
 //! plots (GB/s bandwidth, layers/s throughput).
 
-use crate::events::{NetworkDriver, SimEvent};
 use crate::memory::MemoryHierarchy;
 use crate::runtime::{
     ideal_cycles_closed_form, layer_timing_from_parts, layer_timing_from_traffic, LayerTiming,
 };
 use crate::traffic::{layer_traffic, LayerTraffic};
 use usystolic_core::{SystolicConfig, TileMapping};
-use usystolic_des::{Engine, EventQueue, Fidelity};
+use usystolic_des::Fidelity;
 use usystolic_gemm::GemmConfig;
 use usystolic_obs::ToJson;
 
@@ -218,25 +217,11 @@ impl Simulator {
     }
 
     /// Simulates a sequence of layers (e.g. a network), returning one
-    /// report per layer.
-    ///
-    /// Layers are driven through the shared `usystolic_des` calendar: a
-    /// [`NetworkDriver`] component simulates each layer when its
-    /// [`SimEvent::LayerStart`] fires and chains the next start behind
-    /// the [`SimEvent::LayerDone`] at the layer's runtime horizon — the
-    /// event clock ends at the network makespan. The per-layer reports
-    /// (and their obs side effects) are identical to calling
-    /// [`Self::simulate`] in a loop; the calendar adds only `des.*`
-    /// instrumentation.
+    /// report per layer. Layers run in order, as the paper's simulator
+    /// times a network: the makespan is the sum of the layer runtimes.
     #[must_use]
     pub fn simulate_network(&self, layers: &[GemmConfig]) -> Vec<LayerReport> {
-        let mut events = EventQueue::new();
-        if !layers.is_empty() {
-            events.schedule(0, SimEvent::LayerStart { index: 0 });
-        }
-        let mut driver = NetworkDriver::new(self, layers);
-        let _makespan = Engine::new(self.fidelity).run(&mut events, &mut driver);
-        driver.into_reports()
+        layers.iter().map(|l| self.simulate(l)).collect()
     }
 }
 
@@ -262,6 +247,10 @@ mod tests {
 
     fn alexnet_conv2() -> GemmConfig {
         GemmConfig::conv(31, 31, 96, 5, 5, 1, 256).unwrap()
+    }
+
+    fn two_layers() -> Vec<GemmConfig> {
+        vec![alexnet_conv2(), GemmConfig::matmul(1, 9216, 4096).unwrap()]
     }
 
     #[test]
@@ -372,9 +361,40 @@ mod tests {
             SystolicConfig::edge(ComputingScheme::UnaryRate, 8),
             MemoryHierarchy::no_sram(),
         );
-        let layers = [alexnet_conv2(), GemmConfig::matmul(1, 9216, 4096).unwrap()];
-        let reports = sim.simulate_network(&layers);
+        let reports = sim.simulate_network(&two_layers());
         assert_eq!(reports.len(), 2);
+    }
+
+    #[test]
+    fn packed_fidelity_is_bit_identical_per_layer() {
+        let cycle = Simulator::new(
+            SystolicConfig::edge(ComputingScheme::UnaryRate, 8)
+                .with_mul_cycles(128)
+                .unwrap(),
+            MemoryHierarchy::edge_with_sram(),
+        );
+        let packed = cycle.with_fidelity(Fidelity::Packed);
+        assert_eq!(
+            cycle.simulate_network(&two_layers()),
+            packed.simulate_network(&two_layers())
+        );
+    }
+
+    #[test]
+    fn analytic_fidelity_never_slows_a_layer_down() {
+        // Dropping the SRAM service bound can only shorten runtimes.
+        let exact = Simulator::new(
+            SystolicConfig::edge(ComputingScheme::BinaryParallel, 8),
+            MemoryHierarchy::edge_with_sram(),
+        );
+        let analytic = exact.with_fidelity(Fidelity::Analytic);
+        for (e, a) in exact
+            .simulate_network(&two_layers())
+            .iter()
+            .zip(analytic.simulate_network(&two_layers()))
+        {
+            assert!(a.timing.runtime_cycles <= e.timing.runtime_cycles);
+        }
     }
 
     #[test]

@@ -293,6 +293,22 @@ grep -q '"estimates_within_tolerance":true' "$des_json"
 grep -q '"speedup_target_met":true' "$des_json"
 rm -f "$des_json"
 
+echo "==> perfbench smoke test (the benchmark builds against this API)"
+# perfbench is a cargo workspace of its own, so the builds and tests
+# above never compile it. One short traced run per workload must exit 0
+# and end on a JSON line that reports no failed operation.
+for w in gemm_layers fleet_steady fleet_saturated fleet_faults; do
+    out=$(CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
+        --workload "$w" --seed 1 --seconds 1 --trace 1 --short) || {
+        echo "FAIL: perfbench $w exited non-zero" >&2
+        exit 1
+    }
+    printf '%s\n' "$out" | tail -n 1 | grep -q '"failed":0' || {
+        echo "FAIL: perfbench $w reported failed operations" >&2
+        exit 1
+    }
+done
+
 echo "==> sim_cli device-fault smoke test"
 # A faulted layer run must report kernel agreement in its JSON block...
 ./target/release/sim_cli --scheme UR --matmul 64,64,64 \

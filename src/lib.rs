@@ -10,13 +10,12 @@
 //!   tensors and fixed-point quantisation.
 //! * [`arch`] — functional systolic arrays: the uSystolic PE array plus the
 //!   binary parallel, binary serial and uGEMM-H baselines.
-//! * [`des`] — the unified deterministic discrete-event core: the
-//!   stable-ordering event queue, typed `Event`/`Port`/`Component`
-//!   wiring and the `CycleAccurate | Packed | Analytic` fidelity switch
-//!   shared by [`sim`] and [`serve`].
+//! * [`des`] — the deterministic event calendar behind [`serve`]'s fleet
+//!   loop, and the `CycleAccurate | Packed | Analytic` fidelity tier that
+//!   [`sim`] and [`serve`] apply to a whole run.
 //! * [`sim`] — the uSystolic-Sim substitute: weight-stationary timing,
-//!   SRAM/DRAM memory hierarchy, per-layer bandwidth and runtime,
-//!   driven through [`des`] components.
+//!   SRAM/DRAM memory hierarchy, per-layer bandwidth and runtime; a
+//!   network is timed as the in-order sequence of its layers.
 //! * [`hw`] — hardware cost models (area, leakage/dynamic energy, power,
 //!   efficiency) standing in for Design Compiler + CACTI.
 //! * [`models`] — DNN workload zoo (AlexNet, ResNet18, MNIST CNN,

@@ -1,15 +1,14 @@
-//! Golden equivalence for the discrete-event core (`crates/des`).
+//! Golden equivalence for the event calendar (`crates/des`).
 //!
-//! The five files under `tests/golden/` were captured from `sim_cli` and
-//! `serve_cli` *before* both loops were ported onto the shared event
-//! calendar. These tests parse each capture's argv through the CLIs'
-//! own argument layer (`usystolic_bench::cli`), rebuild the JSON record
-//! in-process and assert the ported engines reproduce the pinned bytes
-//! bit for bit — report fields *and* obs metric snapshots — at every
-//! worker count.
-//! The calendar's own `des.*` instrumentation is new by construction, so
-//! it is stripped before the golden comparison and asserted present
-//! separately; everything else must not have moved by a single bit.
+//! The five files under `tests/golden/` pin `sim_cli` and `serve_cli`
+//! output. These tests parse each capture's argv through the CLIs' own
+//! argument layer (`usystolic_bench::cli`), rebuild the JSON record
+//! in-process and assert the engines reproduce the pinned bytes bit for
+//! bit — report fields *and* obs metric snapshots — at every worker
+//! count.
+//! The serve event loop's own `des.*` metrics are not in the captures,
+//! so they are stripped before the golden comparison and asserted
+//! present separately; everything else must not move by a single bit.
 
 use usystolic::arch::{kernel_paths, ComputingScheme};
 use usystolic::des::Fidelity;
@@ -27,8 +26,8 @@ fn golden(name: &str) -> String {
         .to_owned()
 }
 
-/// Drops the calendar's own `des.*` keys from every metrics section —
-/// the only keys the port is allowed to add.
+/// Drops the event loop's own `des.*` keys from every metrics section —
+/// the only keys the captures leave out.
 fn strip_des_metrics(mut metrics: JsonValue) -> JsonValue {
     if let JsonValue::Object(sections) = &mut metrics {
         for (_, section) in sections.iter_mut() {
@@ -99,8 +98,8 @@ fn assert_serve_golden(name: &str, build: fn(usize) -> (ServeConfig, Vec<Workloa
     for workers in [1usize, 2, 4, 8] {
         let (config, workloads) = build(workers);
         let (record, metrics) = serve_record(&config, &workloads);
-        // Bit-for-bit against the pre-port capture, modulo the new des.*
-        // keys and the worker count baked into the report.
+        // Bit-for-bit against the capture, modulo the des.* keys and the
+        // worker count baked into the report.
         let (mut stripped, report_rest) = match record.clone() {
             JsonValue::Object(mut pairs) => {
                 let m = pairs.pop().expect("metrics last");
@@ -121,8 +120,8 @@ fn assert_serve_golden(name: &str, build: fn(usize) -> (ServeConfig, Vec<Workloa
             pinned,
             "{name} diverged from the pre-port golden at workers={workers}"
         );
-        // The calendar's own instrumentation must be present and counted
-        // on the sequential loop (identical at every worker count).
+        // The event loop's own metrics must be present and counted on
+        // the sequential loop (identical at every worker count).
         if let JsonValue::Object(sections) = &metrics {
             let counters = sections
                 .iter()
@@ -219,8 +218,8 @@ fn sim_layer_goldens_are_bit_identical() {
 
 #[test]
 fn sim_network_golden_survives_the_des_port() {
-    // The network path now runs through the event calendar, and must not
-    // have moved a single bit.
+    // The network path times its layers in order and must not move a
+    // single bit.
     assert_eq!(
         sim_json("--scheme UR --network mnist --json"),
         golden("sim_ur_mnist.json")

@@ -237,8 +237,9 @@ fn closed_loop_never_rejects_with_enough_queue() {
 #[test]
 fn open_loop_calendar_stays_bounded_by_the_fleet() {
     let mut config = base_config(poisson(500.0), 19);
-    // Inside the default series window (64 buckets of 4096 cycles), drain
-    // tail included, so every dispatch lands in a retained bucket.
+    // The series keeps 128 buckets of `duration / 64` cycles, twice the
+    // horizon, so the drain tail stays inside the window and every
+    // dispatch lands in a retained bucket.
     config.duration_cycles = 200_000;
     let prior = obs::install(obs::Session::new());
     let report = serve(&config, &[m64()]).expect("valid config");
@@ -263,4 +264,29 @@ fn open_loop_calendar_stays_bounded_by_the_fleet() {
             report.offered
         );
     }
+}
+
+/// The calendar-depth series uses the `serve.*` series geometry, so its
+/// buckets line up with `serve.queue_depth` and cover the whole run.
+#[test]
+fn calendar_depth_series_shares_the_serve_bucket_geometry() {
+    let mut config = base_config(poisson(500.0), 7);
+    config.duration_cycles = 800_000;
+    let prior = obs::install(obs::Session::new());
+    serve(&config, &[m64()]).expect("valid config");
+    let session = obs::take().expect("session installed");
+    if let Some(p) = prior {
+        obs::install(p);
+    }
+    let calendar = session
+        .metrics
+        .series_labeled("des.queue_depth", &[("component", "fleet")])
+        .expect("the event loop records calendar depth");
+    let queue = session
+        .metrics
+        .series("serve.queue_depth")
+        .expect("the fleet records queue depth");
+    assert_eq!(calendar.bucket_width(), queue.bucket_width());
+    assert_eq!(calendar.capacity(), queue.capacity());
+    assert_eq!(calendar.late_samples(), 0);
 }
