@@ -39,7 +39,6 @@ use usystolic_core::{ComputingScheme, IfmSource, KernelPath};
 use usystolic_models::calibration::{calibrate, NetworkCalibration};
 use usystolic_models::zoo::Network;
 use usystolic_obs::{JsonValue, ToJson};
-use usystolic_unary::coding::Coding;
 use usystolic_unary::packed::{self, PackedCbsg};
 use usystolic_unary::rng::SobolSource;
 use usystolic_unary::MAX_BITWIDTH;
@@ -99,17 +98,18 @@ pub fn et_window_error(bitwidth: u32, effective_bitwidth: u32) -> u64 {
 ///
 /// * **Closed form** is legal exactly when the whole window is analytic.
 ///   A binary window is the exact product, which the array adds into the
-///   OREG in one step. A unary window qualifies when both comparators
-///   are analytic: a *temporal* enable stream (counter comparator —
-///   prefix counts collapse to `min`) on constant-sign sign-magnitude
-///   operands, whose weight RNG prefix count is a digit DP over the
-///   base-2 Sobol sequence. No drained sequence exists at all.
-/// * **Packed** is legal when every window reduces to prefix popcounts
-///   over restarting comparator streams: constant increment sign with a
-///   unary coding ([`ComputingScheme::sign_magnitude_operands`]), or
-///   uGEMM-H — whose mixed-sign bipolar window splits into the two
-///   constant-sign enable masks of its ones-/zeros-phase RNGs, each a
-///   conditionally-advanced comparator like the C-BSG.
+///   OREG in one step. A sign-magnitude unary window
+///   ([`ComputingScheme::sign_magnitude_operands`], rate or temporal
+///   coding) adds a constant sign `ISIGN ⊕ WSIGN`, and both of its counts
+///   are analytic: the weight RNG advances only on enabled cycles, so the
+///   enable count depends on `|I|` alone, and that RNG is the base-2
+///   Sobol (van der Corput) sequence, so the weight count is a digit DP.
+///   No per-tile stream exists at all.
+/// * **Packed** is legal for the remaining unary windows that reduce to
+///   prefix popcounts over restarting comparator streams: uGEMM-H, whose
+///   mixed-sign bipolar window splits into the two constant-sign enable
+///   masks of its ones-/zeros-phase RNGs, each a conditionally-advanced
+///   comparator like the C-BSG.
 /// * The bit-serial reference machine is legal everywhere.
 ///
 /// A tier-1 test pins this derivation against the dispatch table
@@ -117,13 +117,9 @@ pub fn et_window_error(bitwidth: u32, effective_bitwidth: u32) -> u64 {
 #[must_use]
 pub fn derive_kernel_paths(scheme: ComputingScheme) -> Vec<KernelPath> {
     let mut paths = Vec::new();
-    let temporal = scheme.sign_magnitude_operands() && scheme.coding() == Some(Coding::Temporal);
-    if !scheme.is_unary() || temporal {
+    if !scheme.is_unary() || (scheme.sign_magnitude_operands() && scheme.coding().is_some()) {
         paths.push(KernelPath::ClosedForm);
-    }
-    if (scheme.sign_magnitude_operands() && scheme.coding().is_some())
-        || scheme == ComputingScheme::UGemmHybrid
-    {
+    } else if scheme == ComputingScheme::UGemmHybrid {
         paths.push(KernelPath::Packed);
     }
     paths.push(KernelPath::Serial);

@@ -1,4 +1,4 @@
-//! Benchmarks the word-packed MAC kernel against the bit-serial
+//! Benchmarks the fast MAC-window paths against the bit-serial
 //! reference and writes `BENCH_kernel.json`.
 //!
 //! Usage: `cargo run --release -p usystolic-bench --bin exp_kernel --

@@ -4,12 +4,18 @@
 //!
 //! The headline case is the paper's 8-bit rate-coded configuration on one
 //! fully-occupied 16×16 weight tile. Three companion rows time the other
-//! dispatch-table paths: the closed-form temporal window (uGEMM-T), the
-//! constant-sign packed bipolar kernel (uGEMM-H), and the multi-word
-//! popcount reduction on a stream wider than one machine word. The report
-//! also sweeps the EBT × scheme space asserting every fast path reproduces
-//! the bit-serial reference exactly, and re-runs each fast path across
-//! worker counts asserting the output checksum never moves.
+//! cases: the closed-form temporal window (uGEMM-T), the uGEMM-H kernel
+//! (closed-form ones phase, word-packed zeros phase), and a 14-bit
+//! rate-coded window far wider than one machine word. Every timed fast
+//! path is what [`KernelMode::Auto`] dispatches; rate and temporal coding
+//! both take the closed form. The report also sweeps the EBT × scheme
+//! space asserting every fast path reproduces the bit-serial reference
+//! exactly, and re-runs each fast path across worker counts asserting the
+//! output checksum never moves.
+//!
+//! The JSON keys `packed_us`, `hybrid_packed_us` and `multiword_*` predate
+//! the closed-form rate window; they keep their names because the
+//! `obs_cli diff` perf gate and the docs refer to them.
 
 use std::time::Instant;
 
@@ -34,13 +40,14 @@ pub struct KernelBench {
     pub iters: usize,
     /// Bit-serial wall time, microseconds (best of `iters`).
     pub serial_us: f64,
-    /// Word-packed wall time, microseconds (best of `iters`).
+    /// Fast-path ([`KernelMode::Auto`], closed-form) wall time,
+    /// microseconds (best of `iters`).
     pub packed_us: f64,
     /// `serial_us / packed_us`.
     pub speedup: f64,
     /// Output checksum of the bit-serial run.
     pub checksum_serial: u64,
-    /// Output checksum of the packed run.
+    /// Output checksum of the fast-path run.
     pub checksum_packed: u64,
     /// Whether the two checksums (and cycle statistics) agree.
     pub checksums_match: bool,
@@ -49,7 +56,7 @@ pub struct KernelBench {
     pub bit_exact: bool,
     /// Worker counts exercised by the determinism check.
     pub workers: Vec<usize>,
-    /// Whether every worker count produced the packed checksum.
+    /// Whether every worker count produced the fast-path checksum.
     pub workers_consistent: bool,
     /// Bit-serial wall time of the temporal (uGEMM-T) case, microseconds.
     pub temporal_serial_us: f64,
@@ -62,18 +69,21 @@ pub struct KernelBench {
     pub temporal_bit_exact: bool,
     /// Bit-serial wall time of the uGEMM-H case, microseconds.
     pub hybrid_serial_us: f64,
-    /// Packed wall time of the uGEMM-H case, microseconds.
+    /// Fast-path wall time of the uGEMM-H case (closed-form ones phase,
+    /// packed zeros phase), microseconds.
     pub hybrid_packed_us: f64,
     /// `hybrid_serial_us / hybrid_packed_us`.
     pub hybrid_speedup: f64,
-    /// Whether the packed bipolar uGEMM-H kernel reproduced the bit-serial
-    /// reference (outputs and cycle statistics) at every worker count.
+    /// Whether the uGEMM-H kernel reproduced the bit-serial reference
+    /// (outputs and cycle statistics) at every worker count.
     pub hybrid_bit_exact: bool,
-    /// Data bitwidth of the multi-word case (stream wider than 64 bits).
+    /// Data bitwidth of the multi-word case (a window of 128 words of 64
+    /// cycles).
     pub multiword_bitwidth: u32,
     /// Bit-serial wall time of the multi-word case, microseconds.
     pub multiword_serial_us: f64,
-    /// Packed wall time of the multi-word case, microseconds.
+    /// Fast-path (closed-form) wall time of the multi-word case,
+    /// microseconds.
     pub multiword_packed_us: f64,
     /// `multiword_serial_us / multiword_packed_us`.
     pub multiword_speedup: f64,
@@ -195,14 +205,14 @@ pub fn run(short: bool, workers: &[usize]) -> KernelBench {
     let (packed_us, checksum_packed) = time_best(iters, || {
         let (out, stats) =
             cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, KernelMode::Auto, 1)
-                .expect("packed run");
+                .expect("fast run");
         checksum(&out, &stats)
     });
 
     // EBT × scheme bit-exactness sweep (small case keeps smoke runs fast).
     // uGEMM-H rejects true early termination, so it rides along at the
-    // full-width no-op EBT, pinning its packed kernel against the
-    // bit-serial bipolar walk.
+    // full-width no-op EBT, pinning its kernel against the bit-serial
+    // bipolar walk.
     let (sweep_gemm, sweep_in, sweep_w) = headline_case(8, 3);
     let mut bit_exact = true;
     for (scheme, ebts) in [
@@ -233,12 +243,12 @@ pub fn run(short: bool, workers: &[usize]) -> KernelBench {
                 KernelMode::Auto,
                 1,
             )
-            .expect("packed sweep run");
+            .expect("fast sweep run");
             bit_exact &= checksum(&so, &ss) == checksum(&po, &ps);
         }
     }
 
-    // Worker determinism: the packed checksum must never move.
+    // Worker determinism: the fast-path checksum must never move.
     let workers_consistent = workers.iter().all(|&w| {
         let (out, stats) =
             cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, KernelMode::Auto, w)
@@ -246,17 +256,19 @@ pub fn run(short: bool, workers: &[usize]) -> KernelBench {
         checksum(&out, &stats) == checksum_packed
     });
 
-    // Closed-form temporal window (uGEMM-T): the dispatch table resolves
-    // the fast path to `KernelPath::ClosedForm`, so no stream is ever
-    // materialised — window ones come from the prefix-count arithmetic.
+    // Closed-form temporal window (uGEMM-T): like rate coding, the
+    // dispatch table resolves it to `KernelPath::ClosedForm`, so no
+    // stream is ever materialised — window ones come from the
+    // prefix-count arithmetic.
     let temporal_cfg = SystolicConfig::new(tile, tile, ComputingScheme::UnaryTemporal, bitwidth)
         .expect("valid temporal configuration")
         .with_acc_width(32);
     let temporal = timed_pair(&temporal_cfg, &gemm, &input, &weights, iters, &workers);
 
-    // Packed bipolar uGEMM-H: constant-sign enable masks replace the
-    // conditionally-advanced RNG walk. Saturation statistics must agree
-    // too, so the accumulator stays at the default full width here.
+    // uGEMM-H: constant-sign enable masks replace the conditionally-
+    // advanced RNG walk (closed-form ones phase, packed zeros phase).
+    // Saturation statistics must agree too, so the accumulator stays at
+    // a full width here.
     let hybrid_tile = 8usize;
     let hybrid_cfg = SystolicConfig::new(
         hybrid_tile,
@@ -276,9 +288,9 @@ pub fn run(short: bool, workers: &[usize]) -> KernelBench {
         &workers,
     );
 
-    // Multi-word reduction: a 14-bit rate-coded stream is 2^13 bits =
-    // 128 u64 words per comparator stream, exercising the unrolled
-    // popcount chain far past the single-word fast case.
+    // Multi-word case: a 14-bit rate-coded window is 2^13 cycles, 128
+    // u64 words had it been packed; the closed form costs O(bitwidth)
+    // per window however long the window is.
     let multiword_bitwidth = 14u32;
     let multiword_tile = 4usize;
     let multiword_cfg = SystolicConfig::new(
@@ -334,7 +346,7 @@ impl KernelBench {
             &["metric", "value"],
         );
         t.push_row(vec!["serial us".into(), format!("{:.1}", self.serial_us)]);
-        t.push_row(vec!["packed us".into(), format!("{:.1}", self.packed_us)]);
+        t.push_row(vec!["fast us".into(), format!("{:.1}", self.packed_us)]);
         t.push_row(vec!["speedup".into(), format!("{:.1}x", self.speedup)]);
         t.push_row(vec![
             "checksums match".into(),
@@ -360,7 +372,7 @@ impl KernelBench {
             self.temporal_bit_exact.to_string(),
         ]);
         t.push_row(vec![
-            "uGEMM-H packed speedup".into(),
+            "uGEMM-H speedup".into(),
             format!(
                 "{:.1}x ({:.1} -> {:.1} us)",
                 self.hybrid_speedup, self.hybrid_serial_us, self.hybrid_packed_us
@@ -432,12 +444,12 @@ mod tests {
     #[test]
     fn short_bench_is_exact_and_deterministic() {
         let report = run(true, &[1, 2, 3]);
-        assert!(report.checksums_match, "serial vs packed checksums differ");
+        assert!(report.checksums_match, "serial vs fast checksums differ");
         assert!(report.bit_exact, "EBT sweep found a mismatch");
         assert!(report.workers_consistent, "worker count changed results");
         assert!(report.serial_us > 0.0 && report.packed_us > 0.0);
         assert!(report.temporal_bit_exact, "closed-form temporal mismatch");
-        assert!(report.hybrid_bit_exact, "packed uGEMM-H mismatch");
+        assert!(report.hybrid_bit_exact, "uGEMM-H fast path mismatch");
         assert!(report.temporal_serial_us > 0.0 && report.temporal_closed_us > 0.0);
         assert!(report.hybrid_serial_us > 0.0 && report.hybrid_packed_us > 0.0);
         assert!(report.multiword_serial_us > 0.0 && report.multiword_packed_us > 0.0);

@@ -19,9 +19,13 @@
 //!   the finished OFM through the early-termination shifters.
 //!
 //! The fast paths ([`KernelMode::resolve`]) evaluate each MAC window in
-//! one shot — the exact product for the binary schemes, a kernel of
-//! [`crate::kernel`] for the unary ones — and then replay the M-end
-//! cascade with the same registers.
+//! one shot and then replay the M-end cascade with the same registers. A
+//! binary window is the exact product. A rate- or temporal-coded window
+//! is a table lookup by `|I|` plus a van der Corput digit DP
+//! (`kernel::ClosedFormTileKernel`, built once per GEMM, no per-tile
+//! stream). A uGEMM-H window adds the same digit DP for its ones
+//! phase to a word-packed prefix popcount for its zeros phase
+//! (`kernel::PackedHybridTileKernel`, packed per tile).
 //!
 //! All five schemes share one OREG semantics, the stepped machine's
 //! (the reduced-resolution OREG of Section III-A):
@@ -39,9 +43,7 @@
 //! cycle count against the `usystolic-sim` ideal-cycle formula.
 
 use crate::config::SystolicConfig;
-use crate::kernel::{
-    ClosedFormTileKernel, KernelMode, KernelPath, PackedHybridTileKernel, PackedTileKernel,
-};
+use crate::kernel::{ClosedFormTileKernel, KernelMode, KernelPath, PackedHybridTileKernel};
 use crate::mapping::TileMapping;
 use crate::pe::IfmSource;
 use crate::scheme::ComputingScheme;
@@ -182,11 +184,11 @@ fn record_tile(kernel: &'static str, cf: usize, rf: usize, rows: usize, cols: us
 ///
 /// Under [`KernelMode::Auto`], each tile is evaluated by the fastest path
 /// [`KernelMode::resolve`] grants the configuration: the closed form for
-/// temporal coding and the binary schemes, and the word-packed popcount
-/// kernel (64 multiply cycles per `u64` word, see [`crate::kernel`]) for
-/// rate coding and uGEMM-H. uGEMM-H OREGs narrower than `bitwidth + 2`
-/// fall back to the stepped machine, where mid-window clamping is real
-/// behaviour the lump add cannot reproduce.
+/// rate and temporal coding and the binary schemes, and for uGEMM-H the
+/// kernel whose zeros phase is word-packed (64 multiply cycles per `u64`
+/// word, see [`crate::kernel`]). uGEMM-H OREGs narrower than
+/// `bitwidth + 2` fall back to the stepped machine, where mid-window
+/// clamping is real behaviour the lump add cannot reproduce.
 ///
 /// # Errors
 ///
@@ -222,6 +224,16 @@ pub fn cycle_accurate_gemm_with(
         KernelPath::Packed => "packed",
         KernelPath::Serial => "serial",
     };
+    // A rate- or temporal-coded window depends on the GEMM, not the
+    // tile: its enable table is built once here and shared by every tile.
+    let closed = match (path, scheme.coding()) {
+        (KernelPath::ClosedForm, Some(coding)) => Some(ClosedFormTileKernel::new(
+            coding,
+            config.bitwidth(),
+            config.mul_cycles(),
+        )),
+        _ => None,
+    };
     let tiles: Vec<(usize, usize)> = (0..map.col_folds())
         .flat_map(|cf| (0..map.row_folds()).map(move |rf| (cf, rf)))
         .collect();
@@ -241,16 +253,13 @@ pub fn cycle_accurate_gemm_with(
         let tile = TileMachine::new(config, input, weights, &map, rf, cf);
         let (rows, cols) = (tile.rows, tile.cols);
         let mut block = Matrix::<i64>::zeros(m, cols);
-        match path {
-            KernelPath::Serial => tile.run(&mut block, &mut tile_stats),
-            KernelPath::ClosedForm if scheme.is_unary() => {
-                tile.run_closed(&mut block, &mut tile_stats)
+        match (path, &closed) {
+            (KernelPath::Serial, _) => tile.run(&mut block, &mut tile_stats),
+            (KernelPath::ClosedForm, Some(kernel)) => {
+                tile.run_closed(kernel, &mut block, &mut tile_stats)
             }
-            KernelPath::ClosedForm => tile.run_binary(&mut block, &mut tile_stats),
-            KernelPath::Packed if scheme == ComputingScheme::UGemmHybrid => {
-                tile.run_packed_hybrid(&mut block, &mut tile_stats)
-            }
-            KernelPath::Packed => tile.run_packed(&mut block, &mut tile_stats),
+            (KernelPath::ClosedForm, None) => tile.run_binary(&mut block, &mut tile_stats),
+            (KernelPath::Packed, _) => tile.run_packed_hybrid(&mut block, &mut tile_stats),
         }
         record_tile(
             match path {
@@ -568,59 +577,29 @@ impl<'a> TileMachine<'a> {
         stats.tiles += 1;
     }
 
-    /// Word-packed evaluation of the same tile: every PE's AND-gate and
-    /// signed accumulation collapse to popcounts over packed comparator
-    /// words ([`crate::kernel::PackedTileKernel`]); the M-end cascade is
-    /// replayed per `(vector, column)` bottom-up, exactly as the scalar
-    /// machine's timing makes it happen (row `r+1`'s M-end lands one cycle
-    /// before row `r`'s, so its drained partial sum is what row `r` folds
-    /// in).
+    /// Closed-form evaluation of a rate- or temporal-coded tile: every
+    /// window count is `O(bitwidth)` arithmetic
+    /// ([`crate::kernel::ClosedFormTileKernel`], shared by every tile of
+    /// the GEMM), with no per-tile stream of any kind.
     ///
-    /// Bit-exact against [`run`](Self::run) for the uSystolic schemes:
-    /// within one MAC window every increment of a PE carries the same
-    /// sign, the accumulator clamps monotonically, and `drain()` clears
-    /// both the value and the sticky saturation flag at every M-end — so
-    /// the lump add per window reproduces the per-cycle adds, clamping
-    /// and saturation count included. Cycle statistics are emitted from
-    /// the closed-form schedule (`t_end`, `R'·C'·M·mac`), which
-    /// `tests::packed_stats_match_serial_stats` pins against the stepped
-    /// machine.
-    ///
-    /// Only meaningful for [`ComputingScheme::UnaryRate`] /
-    /// [`ComputingScheme::UnaryTemporal`]; callers gate on
-    /// [`KernelMode::resolve`].
-    fn run_packed(self, out: &mut Matrix<i64>, stats: &mut CycleStats) {
+    /// Bit-exact against [`run`](Self::run): within one MAC window every
+    /// increment of a PE carries the same sign, the accumulator clamps
+    /// monotonically, and `drain()` clears both the value and the sticky
+    /// saturation flag at every M-end — so the lump add per window
+    /// reproduces the per-cycle adds, clamping and saturation count
+    /// included.
+    fn run_closed(
+        self,
+        kernel: &ClosedFormTileKernel,
+        out: &mut Matrix<i64>,
+        stats: &mut CycleStats,
+    ) {
         let bitwidth = self.config.bitwidth();
-        let coding = if self.config.scheme() == ComputingScheme::UnaryTemporal {
-            Coding::Temporal
-        } else {
-            Coding::Rate
-        };
         let w_sm = self.tile_w_sm();
-        let mut kernel = PackedTileKernel::new(bitwidth, coding, self.config.mul_cycles(), &w_sm);
         self.cascade_replay(
             |p, r, c| {
                 let ifm = SignMagnitude::from_signed(self.input[(p, self.k0 + r)], bitwidth);
-                kernel.window_count(r, c, ifm)
-            },
-            out,
-            stats,
-        );
-    }
-
-    /// Closed-form evaluation of a temporal tile: same M-end cascade as
-    /// [`run_packed`](Self::run_packed), but every window count is
-    /// `O(bitwidth)` arithmetic ([`crate::kernel::ClosedFormTileKernel`])
-    /// — no drained sequences, no comparator words, no per-cycle work of
-    /// any kind.
-    fn run_closed(self, out: &mut Matrix<i64>, stats: &mut CycleStats) {
-        let bitwidth = self.config.bitwidth();
-        let w_sm = self.tile_w_sm();
-        let kernel = ClosedFormTileKernel::new(bitwidth, self.config.mul_cycles(), &w_sm);
-        self.cascade_replay(
-            |p, r, c| {
-                let ifm = SignMagnitude::from_signed(self.input[(p, self.k0 + r)], bitwidth);
-                kernel.window_count(r, c, ifm)
+                kernel.window_count(ifm, w_sm[r][c])
             },
             out,
             stats,
@@ -641,9 +620,9 @@ impl<'a> TileMachine<'a> {
         );
     }
 
-    /// Word-packed evaluation of a uGEMM-H tile: each bipolar window's
-    /// ±1 walk splits into the constant-sign ones-/zeros-phase popcounts
-    /// of [`crate::kernel::PackedHybridTileKernel`] and lumps into one
+    /// Fast evaluation of a uGEMM-H tile: each bipolar window's ±1 walk
+    /// splits into the constant-sign ones-/zeros-phase counts of
+    /// [`crate::kernel::PackedHybridTileKernel`] and lumps into one
     /// accumulator add per window. [`KernelMode::resolve`] guarantees the
     /// OREG cannot clamp mid-window here (`acc_width ≥ bitwidth + 2`), so
     /// the lump add — and the saturation count of the M-end cascade — is
@@ -661,7 +640,7 @@ impl<'a> TileMachine<'a> {
                     .collect()
             })
             .collect();
-        let mut kernel = PackedHybridTileKernel::new(bitwidth, &w_thr);
+        let kernel = PackedHybridTileKernel::new(bitwidth, &w_thr);
         self.cascade_replay(
             |p, r, c| {
                 let level = self.input[(p, self.k0 + r)].clamp(-half, half);
@@ -956,7 +935,7 @@ mod tests {
 
     #[test]
     fn packed_stats_match_serial_stats() {
-        // The packed path emits its statistics from the closed-form
+        // The fast paths emit their statistics from the closed-form
         // schedule; they must equal the stepped machine's measurements,
         // saturation events included (narrow accumulator forces clamping).
         let (gemm, li, lw) = lowered_case(22);
@@ -998,12 +977,25 @@ mod tests {
 
     #[test]
     fn temporal_closed_form_matches_serial_across_bitwidths() {
-        // The closed-form path (KernelMode::Auto on temporal coding) must
-        // reproduce the stepped machine at every bitwidth — mul_cycles 8,
-        // 64 and 128 put the window exactly below, at and above the u64
-        // word boundary the packed kernel straddles.
+        // The fast paths must reproduce the stepped machine at every
+        // bitwidth from 2 to 12: the closed form for temporal coding and
+        // for rate coding at every EBT (plus one 14-bit case, a
+        // 128-word stream), and the uGEMM-H kernel up to 10 bits. The
+        // operands include |I| and |W| = 0, 1 and the inclusive maximum
+        // 2^(N-1), K = 8 folds over 4 rows, and every configuration runs
+        // at its default and at a narrow OREG (the narrowest uGEMM-H
+        // width the kernel accepts) and at 1/2/4/8 workers.
         let (gemm, li, lw) = lowered_case(24);
-        for bitwidth in [4u32, 7, 8] {
+        let mut cases = vec![(ComputingScheme::UnaryRate, 14u32, 14u32)];
+        for bitwidth in 2..=12u32 {
+            cases.extend((1..=bitwidth).map(|ebt| (ComputingScheme::UnaryRate, bitwidth, ebt)));
+            cases.push((ComputingScheme::UnaryTemporal, bitwidth, bitwidth));
+            if bitwidth <= 10 {
+                cases.push((ComputingScheme::UGemmHybrid, bitwidth, bitwidth));
+            }
+        }
+        let mut saturating = 0;
+        for (scheme, bitwidth, ebt) in cases {
             let half = 1i64 << (bitwidth - 1);
             let clamp = |m: &Matrix<i64>| {
                 let mut c = m.clone();
@@ -1012,25 +1004,41 @@ mod tests {
                 }
                 c
             };
-            let (li, lw) = (clamp(&li), clamp(&lw));
-            let cfg = SystolicConfig::new(4, 3, ComputingScheme::UnaryTemporal, bitwidth)
+            let (mut li, mut lw) = (clamp(&li), clamp(&lw));
+            for (k, level) in [0, 1, half, -half, -1].into_iter().enumerate() {
+                li[(0, k)] = level;
+                lw[(k, 1)] = level;
+            }
+            let base = SystolicConfig::new(4, 3, scheme, bitwidth)
                 .expect("valid")
-                .with_acc_width(32);
-            assert_eq!(KernelMode::Auto.resolve(&cfg), KernelPath::ClosedForm);
-            let (serial, serial_stats) =
-                cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Serial, 1)
-                    .expect("serial path executes");
-            for workers in [1usize, 2, 4, 8] {
-                let (closed, closed_stats) =
-                    cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Auto, workers)
-                        .expect("closed-form path executes");
-                assert_eq!(serial, closed, "bitwidth {bitwidth} workers {workers}");
+                .with_effective_bitwidth(ebt)
+                .expect("valid EBT");
+            let narrow = if scheme == ComputingScheme::UGemmHybrid {
+                bitwidth + 2
+            } else {
+                4
+            };
+            for cfg in [base, base.with_acc_width(narrow)] {
+                let case = format!("{scheme} N {bitwidth} EBT {ebt} acc {}", cfg.acc_width());
                 assert_eq!(
-                    serial_stats, closed_stats,
-                    "bitwidth {bitwidth} workers {workers}"
+                    KernelMode::Auto.resolve(&cfg),
+                    crate::kernel_paths(scheme)[0],
+                    "{case}"
                 );
+                let (serial, serial_stats) =
+                    cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Serial, 1)
+                        .expect("serial path executes");
+                saturating += u32::from(serial_stats.saturation_events > 0);
+                for workers in [1usize, 2, 4, 8] {
+                    let (fast, fast_stats) =
+                        cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Auto, workers)
+                            .expect("fast path executes");
+                    assert_eq!(serial, fast, "{case} workers {workers}");
+                    assert_eq!(serial_stats, fast_stats, "{case} workers {workers}");
+                }
             }
         }
+        assert!(saturating > 0, "no narrow OREG saturated");
     }
 
     #[test]

@@ -8,36 +8,41 @@
 //! tile takes is [`KernelMode::resolve`]'s decision over the table of
 //! [`kernel_paths`].
 //!
-//! A uSystolic MAC window is fully determined by three comparator
-//! sequences that restart from the same seed every window (Fig. 4/7): the
-//! C-I comparator of the IFM source, and per column the C-W comparator of
-//! the conditionally-advanced weight RNG. [`usystolic_unary::packed`]
-//! evaluates those comparators 64 cycles per `u64` word; this module adds
-//! the per-tile precomputation that makes whole GEMM tiles cheap:
+//! A uSystolic MAC window is fully determined by two comparator sequences
+//! that restart from the same seed every window (Fig. 4/7): the C-I
+//! comparator of the IFM source, and per column the C-W comparator of the
+//! conditionally-advanced weight RNG. Both reduce to counts, for rate and
+//! temporal coding alike (`ClosedFormTileKernel`):
 //!
-//! * the IFM and weight RNG sequences are drained **once per tile** (the
-//!   sources reset at every window, so one sequence serves all `M × R'`
-//!   windows);
-//! * every PE's weight comparator stream is packed once
-//!   ([`usystolic_unary::packed::PackedCbsg`]);
-//! * a window's signed count collapses to one cached enable popcount plus
-//!   one prefix popcount — `sign · #{ j < n_en : seq_w[j] < |W| }` —
+//! * the weight RNG advances only on enabled cycles, so a window sees only
+//!   *how many* enable bits its IFM produced. That count depends on `|I|`
+//!   alone and is read from one table, built once per GEMM;
+//! * the weight RNG is Sobol dimension 0, the base-2 van der Corput
+//!   sequence, so the number of its first `n_en` outputs below `|W|` is
+//!   the digit DP [`usystolic_unary::packed::vdc_prefix_count`],
+//!   `O(bitwidth)` per window. No window outlasts one RNG period
+//!   (`mul_cycles ≤ 2^(bitwidth−1)`), which is where the DP is exact;
+//! * a window's signed count is `sign · vdc_prefix_count(n_en, |W|)`
 //!   instead of `mul_cycles` scalar iterations.
 //!
 //! The lump-signed count is bit-exact against the cycle-by-cycle
 //! accumulation because every increment of one window carries the same
 //! sign (`ISIGN ⊕ WSIGN` is constant over a window) and the downstream
 //! [`usystolic_unary::add::BinaryAccumulator`] clamps monotonically.
-//! `crate::pe::tests::packed_path_matches_pipeline_across_shapes` and
-//! `crate::array2d::tests` pin the equivalence.
+//! `crate::array2d::tests` pin the equivalence against the stepped machine.
+//!
+//! uGEMM-H's bipolar windows mix +1 and −1 increments.
+//! `PackedHybridTileKernel` splits each into its two constant-sign
+//! phases: the ones phase is the same digit DP, and the zeros phase
+//! (Sobol dimension 2, which has no closed form here) is a word-packed
+//! prefix popcount ([`usystolic_unary::packed::PackedCbsg`]).
 
 use crate::config::SystolicConfig;
 use crate::scheme::ComputingScheme;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use usystolic_unary::coding::Coding;
 use usystolic_unary::packed::{self, PackedCbsg};
-use usystolic_unary::rng::SobolSource;
+use usystolic_unary::rng::{NumberSource, SobolSource};
 use usystolic_unary::sign::SignMagnitude;
 
 use crate::pe::IfmSource;
@@ -46,8 +51,8 @@ use crate::pe::IfmSource;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum KernelMode {
     /// Use the fastest legal path from the dispatch table for each
-    /// scheme: the closed form for temporal coding and the binary
-    /// schemes, the word-packed kernel for rate coding and uGEMM-H.
+    /// scheme: the closed form for rate and temporal coding and the
+    /// binary schemes, the word-packed kernel for uGEMM-H.
     #[default]
     Auto,
     /// Always step the bit-serial reference machine.
@@ -61,18 +66,18 @@ pub enum KernelMode {
 /// paths that are *legal* for it (bit-exact against the reference),
 /// fastest first. `crates/analyze` re-derives the same table from the
 /// schemes' window semantics and a tier-1 test pins the two in agreement,
-/// so a new scheme cannot silently claim a packing it cannot express.
+/// so a new scheme cannot silently claim a path it cannot express.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelPath {
-    /// Closed-form window arithmetic, no drained sequence and no
+    /// Closed-form window arithmetic, no per-tile stream and no
     /// comparator words. A binary window is the exact product, added in
-    /// one step. A temporal window's enable stream is `magnitude` ones
-    /// then zeros, so its enable popcount is a `min` and its weight
-    /// prefix popcount a digit DP
+    /// one step. A rate- or temporal-coded window's enable count is a
+    /// lookup by `|I|` and its weight prefix count a digit DP
     /// ([`usystolic_unary::packed::vdc_prefix_count`]), `O(bitwidth)`
     /// per window.
     ClosedForm,
-    /// Word-packed popcount kernel: 64 window cycles per `u64` word.
+    /// Word-packed popcount kernel, 64 window cycles per `u64` word:
+    /// uGEMM-H's zeros phase.
     Packed,
     /// Cycle-by-cycle bit-serial reference machine.
     Serial,
@@ -90,30 +95,25 @@ impl core::fmt::Display for KernelPath {
 
 /// Legal kernel paths for `scheme`, fastest first.
 ///
-/// The closed form requires an analytic window: the binary schemes add
+/// The closed form requires an analytic window. The binary schemes add
 /// the exact product once per window (the stepped machine does the same
-/// in a single cycle), and a *temporal* enable stream is a counter
-/// comparator whose prefix counts collapse to `min`. Packing requires
-/// every window to reduce to prefix popcounts over restarting comparator
-/// streams: the sign-magnitude rate/temporal codings qualify directly
-/// (constant window sign `ISIGN ⊕ WSIGN`), and uGEMM-H's bipolar windows
-/// split into the two constant-advance RNG phases selected by the input
-/// bit ([`PackedHybridTileKernel`]). Binary products are multi-bit, not
-/// ±1 increments, so they have no packed form. The serial reference
-/// machine is legal everywhere.
+/// in a single cycle). A sign-magnitude unary window (rate or temporal
+/// coding) has a constant sign `ISIGN ⊕ WSIGN`, an enable count that
+/// depends on `|I|` alone, and a weight count that is the van der Corput
+/// digit DP. uGEMM-H's bipolar windows split into the two constant-advance
+/// RNG phases selected by the input bit; its zeros phase has no closed
+/// form, so it takes the packed kernel (`PackedHybridTileKernel`). The
+/// serial reference machine is legal everywhere.
 #[must_use]
 pub fn kernel_paths(scheme: ComputingScheme) -> &'static [KernelPath] {
-    const TEMPORAL: &[KernelPath] = &[
-        KernelPath::ClosedForm,
-        KernelPath::Packed,
-        KernelPath::Serial,
-    ];
-    const PACKED_FIRST: &[KernelPath] = &[KernelPath::Packed, KernelPath::Serial];
-    const BINARY: &[KernelPath] = &[KernelPath::ClosedForm, KernelPath::Serial];
+    const CLOSED_FORM: &[KernelPath] = &[KernelPath::ClosedForm, KernelPath::Serial];
+    const PACKED: &[KernelPath] = &[KernelPath::Packed, KernelPath::Serial];
     match scheme {
-        ComputingScheme::UnaryTemporal => TEMPORAL,
-        ComputingScheme::UnaryRate | ComputingScheme::UGemmHybrid => PACKED_FIRST,
-        ComputingScheme::BinaryParallel | ComputingScheme::BinarySerial => BINARY,
+        ComputingScheme::UGemmHybrid => PACKED,
+        ComputingScheme::UnaryRate
+        | ComputingScheme::UnaryTemporal
+        | ComputingScheme::BinaryParallel
+        | ComputingScheme::BinarySerial => CLOSED_FORM,
     }
 }
 
@@ -192,74 +192,6 @@ impl core::fmt::Display for KernelMode {
     }
 }
 
-/// Per-tile packed state: one drained IFM sequence, one packed weight
-/// comparator stream per PE, and a cache of enable popcounts keyed by the
-/// IFM magnitudes this tile has seen.
-pub(crate) struct PackedTileKernel {
-    seq_i: Vec<u64>,
-    w_sm: Vec<SignMagnitude>,
-    w_packed: Vec<PackedCbsg>,
-    cols: usize,
-    // BTreeMap rather than HashMap: the cache is only keyed lookups today,
-    // but the determinism-taint lint bans hash-ordered containers in
-    // result-affecting crates outright.
-    enable_cache: BTreeMap<u64, u64>,
-}
-
-impl PackedTileKernel {
-    /// Packs one tile's stationary weights (`w_sm[r][c]`, rows of equal
-    /// length) for windows of `mul_cycles` multiply cycles under `coding`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows of `w_sm` have unequal lengths: the tile is
-    /// flattened row-major, so a ragged tile would silently misindex
-    /// every PE after the short row.
-    pub(crate) fn new(
-        bitwidth: u32,
-        coding: Coding,
-        mul_cycles: u64,
-        w_sm: &[Vec<SignMagnitude>],
-    ) -> Self {
-        let mut ifm_src = IfmSource::for_coding(coding, bitwidth);
-        let seq_i = packed::sequence(&mut ifm_src, mul_cycles);
-        let mut w_rng = SobolSource::dimension(0, bitwidth - 1);
-        let seq_w = packed::sequence(&mut w_rng, mul_cycles);
-        let (flat, cols) = flatten_tile(w_sm);
-        let w_packed = flat
-            .iter()
-            .map(|w| PackedCbsg::from_stream(packed::comparator_stream(&seq_w, w.magnitude)))
-            .collect();
-        Self {
-            seq_i,
-            w_sm: flat,
-            w_packed,
-            cols,
-            enable_cache: BTreeMap::new(),
-        }
-    }
-
-    /// Enable-bit popcount of a window processing an IFM of `magnitude`
-    /// (cached: a tile revisits the same input levels every fold).
-    pub(crate) fn enabled(&mut self, magnitude: u64) -> u64 {
-        let seq_i = &self.seq_i;
-        *self
-            .enable_cache
-            .entry(magnitude)
-            .or_insert_with(|| seq_i.iter().filter(|&&v| v < magnitude).count() as u64)
-    }
-
-    /// The signed count PE `(r, c)` contributes for one MAC window on
-    /// `ifm` — identical to what [`crate::pe::UnaryRow::run`] would
-    /// accumulate for that column.
-    pub(crate) fn window_count(&mut self, r: usize, c: usize, ifm: SignMagnitude) -> i64 {
-        let n_en = self.enabled(ifm.magnitude);
-        let idx = r * self.cols + c;
-        let ones = self.w_packed[idx].ones_given(n_en);
-        ifm.product_increment(self.w_sm[idx]) * ones as i64
-    }
-}
-
 /// Flattens a rows-of-columns tile row-major, validating that every row
 /// has the same length.
 ///
@@ -279,100 +211,103 @@ fn flatten_tile<T: Copy>(tile: &[Vec<T>]) -> (Vec<T>, usize) {
     (tile.iter().flatten().copied().collect(), cols)
 }
 
-/// Closed-form evaluation of temporal-coded MAC windows: `O(bitwidth)`
-/// arithmetic per window, no drained sequences, no comparator words.
+/// Closed-form evaluation of rate- and temporal-coded MAC windows:
+/// `O(bitwidth)` arithmetic per window, built once per GEMM and shared by
+/// every tile.
 ///
-/// Temporal coding makes both comparator streams analytic (the
-/// tuGEMM-style shortcut):
+/// Both comparator streams of a sign-magnitude window reduce to counts:
 ///
-/// * the C-I enable stream comes from a wrapping counter, so its popcount
-///   over `mul_cycles` is [`packed::counter_prefix_count`] — effectively
-///   `min(mul_cycles, |I|)`;
+/// * the C-I enable count depends only on `|I|`. `enabled[|I|]` counts
+///   the IFM source's window sequence below `|I|`, drained once and
+///   prefix-summed. For temporal coding the table equals
+///   [`packed::counter_prefix_count`];
 /// * the conditionally-advanced weight RNG is the base-2 Sobol sequence,
 ///   whose prefix count below `|W|` is the digit DP
 ///   [`packed::vdc_prefix_count`].
 ///
-/// `tests::closed_form_matches_packed_tile_kernel` pins the equivalence
-/// against [`PackedTileKernel`] (itself pinned against the bit-serial
-/// machine) across word boundaries.
+/// `tests::closed_form_matches_stepped_row` pins both codings against the
+/// stepped [`crate::pe::UnaryRow::run`].
 pub(crate) struct ClosedFormTileKernel {
     /// Comparator width of both sources (`bitwidth − 1`).
     width: u32,
-    mul_cycles: u64,
-    w_sm: Vec<SignMagnitude>,
-    cols: usize,
+    /// `enabled[m]`: enable-bit count of a window on an IFM of magnitude
+    /// `m`, for `m` in `0..=2^width`.
+    enabled: Vec<u64>,
 }
 
 impl ClosedFormTileKernel {
-    /// Prepares one tile's stationary weights (`w_sm[r][c]`, rows of
-    /// equal length) for temporal windows of `mul_cycles` multiply
-    /// cycles.
+    /// Tabulates the enable counts of `coding`-coded windows of
+    /// `mul_cycles` multiply cycles at `bitwidth`-bit data.
     ///
     /// # Panics
     ///
-    /// Panics on a ragged tile (see [`PackedTileKernel::new`]) or if
-    /// `mul_cycles` exceeds the weight RNG period `2^(bitwidth−1)` (the
-    /// Sobol prefix count has no closed form past one period; temporal
-    /// windows are at most one period by construction).
-    pub(crate) fn new(bitwidth: u32, mul_cycles: u64, w_sm: &[Vec<SignMagnitude>]) -> Self {
+    /// Panics if `mul_cycles` exceeds the weight RNG period
+    /// `2^(bitwidth−1)`: the Sobol prefix count has no closed form past
+    /// one period. Rate windows (`2^(EBT−1)` cycles) and temporal windows
+    /// are at most one period by construction.
+    pub(crate) fn new(coding: Coding, bitwidth: u32, mul_cycles: u64) -> Self {
         let width = bitwidth - 1;
+        let period = 1u64 << width;
         assert!(
-            mul_cycles <= 1u64 << width,
-            "temporal window of {mul_cycles} cycles exceeds the RNG period"
+            mul_cycles <= period,
+            "window of {mul_cycles} cycles exceeds the RNG period {period}"
         );
-        let (w_sm, cols) = flatten_tile(w_sm);
-        Self {
-            width,
-            mul_cycles,
-            w_sm,
-            cols,
+        // Histogram the window's IFM source outputs (all below the
+        // period), then prefix-sum: enabled[m] = #{ t : seq[t] < m }.
+        let mut enabled = vec![0u64; period as usize + 1];
+        let mut ifm_src = IfmSource::for_coding(coding, bitwidth);
+        for _ in 0..mul_cycles {
+            enabled[ifm_src.next() as usize + 1] += 1;
         }
+        for m in 1..enabled.len() {
+            enabled[m] += enabled[m - 1];
+        }
+        Self { width, enabled }
     }
 
-    /// The signed count PE `(r, c)` contributes for one MAC window on
-    /// `ifm` — identical to [`PackedTileKernel::window_count`], without
-    /// ever materialising a stream.
-    pub(crate) fn window_count(&self, r: usize, c: usize, ifm: SignMagnitude) -> i64 {
-        let n_en = packed::counter_prefix_count(self.width, self.mul_cycles, ifm.magnitude);
-        let idx = r * self.cols + c;
-        let w = self.w_sm[idx];
+    /// The signed count a PE holding weight `w` contributes for one MAC
+    /// window on `ifm`, identical to what the stepped machine accumulates.
+    pub(crate) fn window_count(&self, ifm: SignMagnitude, w: SignMagnitude) -> i64 {
+        let n_en = self.enabled[ifm.magnitude as usize];
         let ones = packed::vdc_prefix_count(self.width, n_en, w.magnitude);
         ifm.product_increment(w) * ones as i64
     }
 }
 
-/// Word-packed evaluation of uGEMM-H's bipolar MAC windows.
+/// Evaluation of uGEMM-H's bipolar MAC windows: the ones phase in closed
+/// form, the zeros phase word-packed.
 ///
 /// A bipolar window mixes +1/−1 increments, so it cannot lump into one
-/// signed popcount directly — but the mixing is *structured*: the input
-/// bit selects which of two RNGs advances (ones-phase vs zeros-phase,
-/// Fig. 4 of the uGEMM lineage), and each phase is a conditionally
-/// advanced comparator exactly like the C-BSG. Splitting the window into
-/// its two constant-sign enable masks therefore reduces it to two prefix
-/// popcounts over packed comparator streams:
+/// signed count directly — but the mixing is *structured*: the input bit
+/// selects which of two RNGs advances (ones-phase vs zeros-phase, Fig. 4
+/// of the uGEMM lineage), and each phase is a conditionally advanced
+/// comparator exactly like the C-BSG. Splitting the window into its two
+/// constant-sign enable masks reduces it to two prefix counts:
 ///
 /// ```text
-/// n1   = #{ t < len : seq_in[t] < T_in }          (input-high cycles)
-/// pos  = #{ j < n1 : seq_ones[j] < T_w }          (+1s while input high)
-///      + #{ j < len−n1 : seq_zeros[j] ≥ T_w }     (+1s while input low)
+/// n1   = #{ t < len : seq_in[t] < T_in } = min(T_in, len)   (input-high cycles)
+/// pos  = vdc_prefix_count(n1, T_w)                          (+1s while input high)
+///      + #{ j < len−n1 : seq_zeros[j] ≥ T_w }               (+1s while input low)
 /// sum  = 2·pos − len
 /// ```
+///
+/// The input RNG runs exactly one full period, a permutation of
+/// `0..len`, so its count below `T_in` is a `min`. The ones-phase RNG is
+/// Sobol dimension 0 (the digit DP); the zeros-phase RNG is dimension 2,
+/// packed per PE.
 ///
 /// The lump add into the OREG is bit-exact against the cycle-by-cycle
 /// ±1 walk whenever the accumulator cannot clamp mid-window
 /// (`acc_width ≥ bitwidth + 2`, enforced by [`KernelMode::resolve`]).
 pub(crate) struct PackedHybridTileKernel {
-    /// Window length `2^bitwidth` (bipolar streams carry one extra
-    /// resolution bit).
-    len: u64,
-    seq_in: Vec<u64>,
-    /// Per-PE `+1` popcount streams: ones-phase comparator `< T_w` and
-    /// zeros-phase comparator `≥ T_w`, both packed.
-    ones_lt: Vec<PackedCbsg>,
+    /// Comparator width of all three RNGs (`bitwidth`: bipolar streams
+    /// carry one extra resolution bit).
+    width: u32,
+    /// Per-PE weight thresholds `T_w`.
+    w_thr: Vec<u64>,
+    /// Per-PE zeros-phase `+1` stream: the comparator `≥ T_w`, packed.
     zeros_ge: Vec<PackedCbsg>,
     cols: usize,
-    // BTreeMap, not HashMap: determinism lint (see PackedTileKernel).
-    in_cache: BTreeMap<u64, u64>,
 }
 
 impl PackedHybridTileKernel {
@@ -381,55 +316,34 @@ impl PackedHybridTileKernel {
     ///
     /// # Panics
     ///
-    /// Panics on a ragged tile (see [`PackedTileKernel::new`]).
+    /// Panics on a ragged tile.
     pub(crate) fn new(bitwidth: u32, w_thr: &[Vec<u64>]) -> Self {
-        let len = 1u64 << bitwidth;
-        let seq_in = packed::sequence(&mut SobolSource::dimension(1, bitwidth), len);
-        let seq_ones = packed::sequence(&mut SobolSource::dimension(0, bitwidth), len);
-        let seq_zeros = packed::sequence(&mut SobolSource::dimension(2, bitwidth), len);
-        let (flat, cols) = flatten_tile(w_thr);
-        let ones_lt = flat
-            .iter()
-            .map(|&thr| PackedCbsg::from_stream(packed::comparator_stream(&seq_ones, thr)))
-            .collect();
-        // The zeros-phase emits +1 on `rand >= T_w`; pack the complement
+        let seq_zeros = packed::sequence(&mut SobolSource::dimension(2, bitwidth), 1 << bitwidth);
+        let (w_thr, cols) = flatten_tile(w_thr);
+        // The zeros phase emits +1 on `rand >= T_w`; pack the complement
         // comparator directly so it is a plain prefix popcount too.
-        let zeros_ge = flat
+        let zeros_ge = w_thr
             .iter()
-            .map(|&thr| {
-                let lt = packed::comparator_stream(&seq_zeros, thr);
-                PackedCbsg::from_stream(lt.not())
-            })
+            .map(|&thr| PackedCbsg::from_stream(packed::comparator_stream(&seq_zeros, thr).not()))
             .collect();
         Self {
-            len,
-            seq_in,
-            ones_lt,
+            width: bitwidth,
+            w_thr,
             zeros_ge,
             cols,
-            in_cache: BTreeMap::new(),
         }
-    }
-
-    /// Input-high cycle count of a window on `in_threshold` (cached: a
-    /// tile revisits the same input levels every fold).
-    fn input_high(&mut self, in_threshold: u64) -> u64 {
-        let seq_in = &self.seq_in;
-        *self
-            .in_cache
-            .entry(in_threshold)
-            .or_insert_with(|| seq_in.iter().filter(|&&v| v < in_threshold).count() as u64)
     }
 
     /// The signed sum PE `(r, c)`'s ±1 walk reaches over one MAC window
     /// on an input of `in_threshold` — identical to the value the
     /// bit-serial machine's OREG holds at the window's end.
-    pub(crate) fn window_sum(&mut self, r: usize, c: usize, in_threshold: u64) -> i64 {
-        let n1 = self.input_high(in_threshold);
-        let n0 = self.len - n1;
+    pub(crate) fn window_sum(&self, r: usize, c: usize, in_threshold: u64) -> i64 {
+        let len = 1u64 << self.width;
+        let n1 = in_threshold.min(len);
         let idx = r * self.cols + c;
-        let pos = self.ones_lt[idx].ones_given(n1) + self.zeros_ge[idx].ones_given(n0);
-        2 * pos as i64 - self.len as i64
+        let pos = packed::vdc_prefix_count(self.width, n1, self.w_thr[idx])
+            + self.zeros_ge[idx].ones_given(len - n1);
+        2 * pos as i64 - len as i64
     }
 }
 
@@ -437,7 +351,6 @@ impl PackedHybridTileKernel {
 mod tests {
     use super::*;
     use crate::pe::UnaryRow;
-    use usystolic_unary::rng::NumberSource;
 
     #[test]
     fn mode_packs_all_unary_schemes() {
@@ -471,9 +384,10 @@ mod tests {
             );
             assert_eq!(KernelMode::Serial.path(scheme), KernelPath::Serial);
         }
-        // Temporal and the binary baselines lead with the closed form,
-        // uGEMM-H with the packed kernel.
+        // Rate, temporal and the binary baselines lead with the closed
+        // form, uGEMM-H with the packed kernel.
         for scheme in [
+            ComputingScheme::UnaryRate,
             ComputingScheme::UnaryTemporal,
             ComputingScheme::BinaryParallel,
             ComputingScheme::BinarySerial,
@@ -502,13 +416,14 @@ mod tests {
         assert_eq!(KernelMode::Auto.resolve(&cfg(ug, 10)), KernelPath::Packed);
         assert_eq!(KernelMode::Auto.resolve(&cfg(ug, 32)), KernelPath::Packed);
         assert_eq!(KernelMode::Auto.resolve(&cfg(ug, 9)), KernelPath::Serial);
-        // Temporal resolves to the closed form regardless of OREG width
-        // (constant-sign windows clamp monotonically).
-        let ut = ComputingScheme::UnaryTemporal;
-        assert_eq!(
-            KernelMode::Auto.resolve(&cfg(ut, 9)),
-            KernelPath::ClosedForm
-        );
+        // Rate and temporal resolve to the closed form regardless of OREG
+        // width (constant-sign windows clamp monotonically).
+        for coded in [ComputingScheme::UnaryRate, ComputingScheme::UnaryTemporal] {
+            assert_eq!(
+                KernelMode::Auto.resolve(&cfg(coded, 4)),
+                KernelPath::ClosedForm
+            );
+        }
         // So do the binary baselines: one exact add per window clamps
         // exactly like the stepped machine's single-cycle add.
         let bp = ComputingScheme::BinaryParallel;
@@ -544,40 +459,40 @@ mod tests {
     #[test]
     #[should_panic(expected = "ragged weight tile: row 1 has 2 columns, row 0 has 3")]
     fn ragged_tiles_are_rejected_up_front() {
-        let sm = |v: i64| SignMagnitude::from_signed(v, 8);
-        let ragged = vec![vec![sm(1), sm(2), sm(3)], vec![sm(4), sm(5)]];
-        let _ = PackedTileKernel::new(8, Coding::Rate, 16, &ragged);
+        let ragged = vec![vec![1u64, 2, 3], vec![4, 5]];
+        let _ = PackedHybridTileKernel::new(8, &ragged);
     }
 
     #[test]
-    fn closed_form_matches_packed_tile_kernel() {
-        // The closed form must agree with the packed kernel (itself pinned
-        // against the bit-serial machine) for every temporal window shape,
-        // including word-boundary multiply counts. bitwidth 7 puts the full
-        // window at 64 cycles, bitwidth 8 at 128.
+    fn closed_form_matches_stepped_row() {
+        // The closed form must agree with the stepped pipeline of a unary
+        // row for both codings and every window shape, including
+        // word-boundary multiply counts. bitwidth 7 puts the full window
+        // at 64 cycles, bitwidth 8 at 128.
         let sm = |v: i64, bw: u32| SignMagnitude::from_signed(v, bw);
-        for bitwidth in [4u32, 7, 8] {
-            let period = 1u64 << (bitwidth - 1);
-            let half = period as i64;
-            let w_sm = vec![
-                vec![sm(half, bitwidth), sm(-3, bitwidth), sm(0, bitwidth)],
-                vec![
+        for coding in [Coding::Rate, Coding::Temporal] {
+            for bitwidth in [2u32, 4, 7, 8] {
+                let period = 1u64 << (bitwidth - 1);
+                let half = period as i64;
+                let row_w = vec![
+                    sm(half, bitwidth),
+                    sm(-3, bitwidth),
+                    sm(0, bitwidth),
                     sm(1 - half, bitwidth),
                     sm(1, bitwidth),
                     sm(half / 2, bitwidth),
-                ],
-            ];
-            for mul in [1u64, period - 1, period] {
-                let closed = ClosedFormTileKernel::new(bitwidth, mul, &w_sm);
-                let mut packed = PackedTileKernel::new(bitwidth, Coding::Temporal, mul, &w_sm);
-                for level in [0i64, 1, -1, half / 3, -half / 2, half, -half] {
-                    let ifm = sm(level, bitwidth);
-                    for r in 0..2 {
-                        for c in 0..3 {
+                ];
+                for mul in [1u64, period - 1, period] {
+                    let kernel = ClosedFormTileKernel::new(coding, bitwidth, mul);
+                    for level in [0i64, 1, -1, half / 3, -half / 2, half, -half] {
+                        let ifm = sm(level, bitwidth);
+                        let mut row = UnaryRow::new(bitwidth, ifm, row_w.clone(), coding);
+                        let stepped = row.run(mul).to_vec();
+                        for (c, &w) in row_w.iter().enumerate() {
                             assert_eq!(
-                                closed.window_count(r, c, ifm),
-                                packed.window_count(r, c, ifm),
-                                "bitwidth {bitwidth} mul {mul} level {level} pe ({r},{c})"
+                                kernel.window_count(ifm, w),
+                                stepped[c],
+                                "{coding:?} bitwidth {bitwidth} mul {mul} level {level} col {c}"
                             );
                         }
                     }
@@ -608,10 +523,10 @@ mod tests {
             sum
         }
 
-        for bitwidth in [4u32, 6, 8] {
+        for bitwidth in [2u32, 4, 6, 8] {
             let len = 1u64 << bitwidth;
             let w_thr = vec![vec![0u64, 1, len / 2], vec![len / 3, len - 1, len]];
-            let mut kernel = PackedHybridTileKernel::new(bitwidth, &w_thr);
+            let kernel = PackedHybridTileKernel::new(bitwidth, &w_thr);
             for in_thr in [0u64, 1, len / 2 - 1, len / 2, len / 2 + 1, len - 1, len] {
                 for (r, row) in w_thr.iter().enumerate() {
                     for (c, &thr) in row.iter().enumerate() {
@@ -629,21 +544,19 @@ mod tests {
     #[test]
     fn tile_kernel_matches_row_fast_path() {
         let sm = |v: i64| SignMagnitude::from_signed(v, 8);
-        let w_sm = vec![vec![sm(100), sm(-3), sm(77)], vec![sm(0), sm(-128), sm(55)]];
+        let row_w = vec![sm(100), sm(-3), sm(77), sm(0), sm(-128), sm(55)];
         for coding in [Coding::Rate, Coding::Temporal] {
             for mul in [16u64, 128] {
-                let mut kernel = PackedTileKernel::new(8, coding, mul, &w_sm);
+                let kernel = ClosedFormTileKernel::new(coding, 8, mul);
                 for ifm_level in [0i64, 1, -77, 111, 128, -128] {
-                    for (r, row_w) in w_sm.iter().enumerate() {
-                        let mut row = UnaryRow::new(8, sm(ifm_level), row_w.clone(), coding);
-                        let reference = row.run_packed(mul).to_vec();
-                        for (c, &expect) in reference.iter().enumerate() {
-                            assert_eq!(
-                                kernel.window_count(r, c, sm(ifm_level)),
-                                expect,
-                                "{coding:?} mul {mul} ifm {ifm_level} pe ({r},{c})"
-                            );
-                        }
+                    let mut row = UnaryRow::new(8, sm(ifm_level), row_w.clone(), coding);
+                    let reference = row.run_packed(mul).to_vec();
+                    for (c, &expect) in reference.iter().enumerate() {
+                        assert_eq!(
+                            kernel.window_count(sm(ifm_level), row_w[c]),
+                            expect,
+                            "{coding:?} mul {mul} ifm {ifm_level} col {c}"
+                        );
                     }
                 }
             }

@@ -15,8 +15,10 @@
 //!   all five schemes.
 //! * [`kernel`] — the MAC-window kernels and the per-scheme dispatch
 //!   table ([`KernelMode`]) that let the sweep skip the stepping: closed
-//!   forms, and word-packed popcounts at 64 multiply cycles per `u64`
-//!   word, all bit-exact against the stepped machine.
+//!   forms for the binary, rate- and temporal-coded windows, and for
+//!   uGEMM-H a closed-form ones phase plus a word-packed zeros phase
+//!   (64 multiply cycles per `u64` word), all bit-exact against the
+//!   stepped machine.
 //! * [`fifo`] — the synchronising skew FIFOs surrounding the array.
 //! * [`fsu`] — the fully-streaming unary (uGEMM-style) reference
 //!   architecture used to quantify Table I.

@@ -90,16 +90,12 @@ impl TileMapping {
     }
 
     /// Average PE utilisation over the whole GEMM: occupied PE-tiles over
-    /// total PE-tiles (the "MAC utilisation" of Section V-G).
+    /// total PE-tiles (the "MAC utilisation" of Section V-G), in `O(1)`.
+    /// The folds partition `K` rows and `N` columns, so the tiles occupy
+    /// exactly `K·N` PEs between them.
     #[must_use]
     pub fn utilization(&self) -> f64 {
-        let mut occupied = 0usize;
-        for rf in 0..self.row_folds() {
-            for cf in 0..self.col_folds() {
-                occupied += self.rows_in_fold(rf) * self.cols_in_fold(cf);
-            }
-        }
-        occupied as f64 / (self.tiles() * self.rows * self.cols) as f64
+        (self.k * self.n) as f64 / (self.tiles() * self.rows * self.cols) as f64
     }
 
     /// Reduction length `K`.
@@ -177,6 +173,26 @@ mod tests {
         let t = TileMapping::new(&g, 256, 256);
         assert_eq!(t.tiles(), 1);
         assert!(t.utilization() < 0.001);
+    }
+
+    #[test]
+    fn utilization_equals_the_fold_walk_on_ragged_shapes() {
+        // The closed form must give the same integers, hence the same
+        // f64, as summing the occupied PEs of every fold.
+        for (k, n) in [(1, 1), (13, 14), (25, 30), (7, 3), (1600, 10), (9216, 4096)] {
+            let g = GemmConfig::matmul(1, k, n).unwrap();
+            for (rows, cols) in [(12, 14), (4, 3), (256, 256), (1, 1), (5, 7)] {
+                let t = TileMapping::new(&g, rows, cols);
+                let mut occupied = 0usize;
+                for rf in 0..t.row_folds() {
+                    for cf in 0..t.col_folds() {
+                        occupied += t.rows_in_fold(rf) * t.cols_in_fold(cf);
+                    }
+                }
+                let walk = occupied as f64 / (t.tiles() * rows * cols) as f64;
+                assert_eq!(t.utilization(), walk, "K {k} N {n} on {rows}x{cols}");
+            }
+        }
     }
 
     #[test]

@@ -80,7 +80,8 @@ impl ComputingScheme {
     /// `ISIGN ⊕ WSIGN` (Fig. 7). False for binary schemes (multi-bit
     /// products, not ±1 increments) and for uGEMM-H, whose *bipolar*
     /// streams mix +1/−1 increments within a single window. This is the
-    /// semantic property that makes the word-packed popcount kernel legal.
+    /// semantic property that makes the closed-form window legal: one
+    /// signed count per window instead of a ±1 walk.
     #[must_use]
     pub fn sign_magnitude_operands(&self) -> bool {
         matches!(

@@ -30,8 +30,9 @@ use crate::rng::NumberSource;
 /// `seq[i] = bitrev(gray(i))` is below `threshold`, in `O(width)` — no
 /// drained sequence, no comparator stream.
 ///
-/// This is the tuGEMM-style shortcut for temporal-coded MAC windows: the
-/// weight C-BSG of every uSystolic PE is driven by
+/// This is the tuGEMM-style shortcut for rate- and temporal-coded MAC
+/// windows (and uGEMM-H's ones phase): the weight C-BSG of every
+/// uSystolic PE is driven by
 /// [`crate::rng::SobolSource::dimension`]`(0, w)`, whose output at index
 /// `i` is the bit-reversal of the Gray code of `i`. Fixing the top bits
 /// of `i` fixes the *low* bits of the output, and the free low bits of
@@ -213,7 +214,7 @@ mod tests {
         // prefix 0..=period (covering the word boundaries 0/63/64/65/128)
         // and a spread of thresholds, the closed form must equal a drained
         // sequence count.
-        for width in [1u32, 2, 3, 5, 7, 8] {
+        for width in [1u32, 2, 3, 5, 7, 8, 13] {
             let period = 1u64 << width;
             let seq = sequence(&mut SobolSource::dimension(0, width), period);
             for threshold in [0, 1, period / 3, period / 2, period - 1, period, period + 5] {

@@ -133,6 +133,20 @@ if "$obs" diff BENCH_kernel.json "$kernel_bad" \
 fi
 rm -f "$kernel_now" "$kernel_bad"
 
+echo "==> experiment captures (results/exp_*.txt reproduce byte for byte)"
+# Every experiment binary with a committed capture must print exactly
+# that capture, so a kernel change cannot move Fig. 9 or the ablations.
+capture_now=$(mktemp /tmp/usystolic_capture.XXXXXX.txt)
+for capture in results/exp_*.txt; do
+    bin=$(basename "$capture" .txt)
+    "./target/release/$bin" > "$capture_now"
+    cmp -s "$capture_now" "$capture" || {
+        echo "FAIL: $bin stdout differs from $capture" >&2
+        exit 1
+    }
+done
+rm -f "$capture_now"
+
 echo "==> metrics exporter smoke test (prom + html)"
 prom=$(mktemp /tmp/usystolic_metrics.XXXXXX.prom)
 html=$(mktemp /tmp/usystolic_report.XXXXXX.html)
