@@ -14,6 +14,7 @@ use usystolic_gemm::GemmConfig;
 use usystolic_sim::memory::MemoryHierarchy;
 use usystolic_sim::runtime::ideal_cycles;
 use usystolic_sim::traffic::layer_traffic;
+use usystolic_unary::add::ACC_WIDTHS;
 use usystolic_unary::MAX_BITWIDTH;
 
 /// Minimum accumulator (OREG) width for a reduction of `depth` products.
@@ -209,6 +210,21 @@ fn check_accumulator(spec: &RawSpec, gemm: Option<&GemmConfig>, report: &mut Rep
                 "widen acc_width to at least {required}, or fold the reduction over more tiles"
             ),
         );
+    }
+    if acc > *ACC_WIDTHS.end() {
+        report.error(
+            "USY022",
+            "acc_width",
+            format!(
+                "accumulator width {acc} exceeds the {}-bit OREG the array can build",
+                ACC_WIDTHS.end()
+            ),
+            format!(
+                "use at most {} bits; this reduction needs {required}",
+                ACC_WIDTHS.end()
+            ),
+        );
+        return;
     }
     // Wider than even a full-resolution binary reduction would need: the
     // OREG area the paper fights to shrink is being wasted.
@@ -443,6 +459,17 @@ mod tests {
         let r = analyze(&ur_edge().with_acc_width(binary_need + 1), None, None);
         assert!(r.is_legal(), "warning must not reject: {r}");
         assert!(r.has("USY021"), "{r}");
+    }
+
+    #[test]
+    fn unbuildable_accumulator_is_rejected() {
+        // 63 bits is the widest OREG the array builds: legal (if wasteful);
+        // one more bit is an error, not a USY021 warning.
+        let widest = analyze(&ur_edge().with_acc_width(63), None, None);
+        assert!(widest.is_legal() && !widest.has("USY022"), "{widest}");
+        let r = analyze(&ur_edge().with_acc_width(64), None, None);
+        assert!(r.has("USY022") && !r.is_legal(), "{r}");
+        assert!(!r.has("USY021"), "{r}");
     }
 
     #[test]

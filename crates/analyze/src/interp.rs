@@ -8,9 +8,9 @@
 //!
 //! * the per-window signed count of a MAC window is *monotone* in both
 //!   operand magnitudes (a larger comparator threshold can only enable
-//!   more cycles), so evaluating the exact window function of the packed
-//!   kernel at the range extremes yields the exact per-window maximum —
-//!   not an estimate;
+//!   more cycles), so evaluating the tile sweep's closed-form window at
+//!   the range extremes yields the exact per-window maximum — not an
+//!   estimate;
 //! * one OREG accumulates at most `depth = min(rows, K)` windows before
 //!   its M-end drain (the partial-sum cascade of Fig. 7), so the exact
 //!   accumulated bound is `depth × window_bound`;
@@ -27,31 +27,33 @@
 //! layer's full-precision window bound gives a per-layer relative error,
 //! and the network-level bound is the first-order Lipschitz composition
 //! `Π(1+ε_l) − 1`, checked against a user budget (`USY062`/`USY063`).
-//!
-//! Finally, [`derive_kernel_paths`] re-derives the kernel dispatch table
-//! of [`usystolic_core::kernel_paths`] from the schemes' window semantics
-//! alone, so the table and the semantics cannot drift apart silently.
 
 use crate::checks::required_acc_width;
 use crate::diag::Report;
 use crate::spec::RawSpec;
-use usystolic_core::{ComputingScheme, IfmSource, KernelPath};
+use usystolic_core::{ComputingScheme, IfmSource};
 use usystolic_models::calibration::{calibrate, NetworkCalibration};
 use usystolic_models::zoo::Network;
 use usystolic_obs::{JsonValue, ToJson};
-use usystolic_unary::packed::{self, PackedCbsg};
+use usystolic_unary::add::ACC_WIDTHS;
+use usystolic_unary::packed::sobol_prefix_count;
 use usystolic_unary::rng::SobolSource;
 use usystolic_unary::MAX_BITWIDTH;
 
 /// Exact largest signed-count magnitude one MAC window can contribute to
 /// the OREG, given level-magnitude bounds on the two operands.
 ///
-/// For the sign-magnitude unary schemes this evaluates the packed
-/// kernel's own window function at the extremes (`input_levels`,
-/// `weight_levels`) — exact and achievable, by monotonicity of the two
-/// comparator counts in their thresholds. Binary schemes contribute the
-/// full product. uGEMM-H's bipolar windows add ±1 every multiply cycle,
-/// so `mul_cycles` is a sound (but not achievability-proving) bound.
+/// For the sign-magnitude unary schemes this evaluates the tile sweep's
+/// closed-form window at the extremes (`input_levels`, `weight_levels`):
+/// the enable count `enabled[|I|]` of [`IfmSource::enable_counts`], then
+/// the weight RNG's Sobol prefix count below `|W|`. That is exact and
+/// achievable, by monotonicity of the two comparator counts in their
+/// thresholds. A window longer than one RNG period (no
+/// [`usystolic_core::SystolicConfig`] builds one) has no closed form and
+/// gets the cycle count `mul_cycles`, which is sound. Binary schemes
+/// contribute the full product. uGEMM-H's bipolar windows add ±1 every
+/// multiply cycle, so `mul_cycles` is a sound (but not
+/// achievability-proving) bound.
 #[must_use]
 pub fn window_bound(
     scheme: ComputingScheme,
@@ -71,13 +73,17 @@ pub fn window_bound(
             let Some(coding) = scheme.coding() else {
                 return input_levels * weight_levels;
             };
-            let mut ifm_src = IfmSource::for_coding(coding, bitwidth);
-            let seq_i = packed::sequence(&mut ifm_src, mul_cycles);
-            let enabled = seq_i.iter().filter(|&&v| v < input_levels).count() as u64;
-            let mut w_rng = SobolSource::dimension(0, bitwidth - 1);
-            let seq_w = packed::sequence(&mut w_rng, mul_cycles);
-            let cbsg = PackedCbsg::from_stream(packed::comparator_stream(&seq_w, weight_levels));
-            cbsg.ones_given(enabled)
+            let period = 1u64 << (bitwidth - 1);
+            if mul_cycles > period {
+                return mul_cycles;
+            }
+            let enabled = IfmSource::enable_counts(coding, bitwidth, mul_cycles);
+            let w_rng = SobolSource::dimension(0, bitwidth - 1);
+            sobol_prefix_count(
+                w_rng.directions(),
+                enabled[input_levels.min(period) as usize],
+                weight_levels,
+            )
         }
     }
 }
@@ -91,39 +97,6 @@ pub fn et_window_error(bitwidth: u32, effective_bitwidth: u32) -> u64 {
         return 0;
     }
     (1u64 << (bitwidth - effective_bitwidth + 1)) + 2
-}
-
-/// Statically derives the legal kernel paths for `scheme` from its window
-/// semantics, fastest first.
-///
-/// * **Closed form** is legal exactly when the whole window is analytic.
-///   A binary window is the exact product, which the array adds into the
-///   OREG in one step. A sign-magnitude unary window
-///   ([`ComputingScheme::sign_magnitude_operands`], rate or temporal
-///   coding) adds a constant sign `ISIGN ⊕ WSIGN`, and both of its counts
-///   are analytic: the weight RNG advances only on enabled cycles, so the
-///   enable count depends on `|I|` alone, and that RNG is the base-2
-///   Sobol (van der Corput) sequence, so the weight count is a digit DP.
-///   No per-tile stream exists at all.
-/// * **Packed** is legal for the remaining unary windows that reduce to
-///   prefix popcounts over restarting comparator streams: uGEMM-H, whose
-///   mixed-sign bipolar window splits into the two constant-sign enable
-///   masks of its ones-/zeros-phase RNGs, each a conditionally-advanced
-///   comparator like the C-BSG.
-/// * The bit-serial reference machine is legal everywhere.
-///
-/// A tier-1 test pins this derivation against the dispatch table
-/// [`usystolic_core::kernel_paths`] actually consults.
-#[must_use]
-pub fn derive_kernel_paths(scheme: ComputingScheme) -> Vec<KernelPath> {
-    let mut paths = Vec::new();
-    if !scheme.is_unary() || (scheme.sign_magnitude_operands() && scheme.coding().is_some()) {
-        paths.push(KernelPath::ClosedForm);
-    } else if scheme == ComputingScheme::UGemmHybrid {
-        paths.push(KernelPath::Packed);
-    }
-    paths.push(KernelPath::Serial);
-    paths
 }
 
 /// The abstract interpreter's verdict on one layer.
@@ -217,9 +190,9 @@ fn resolved_effective_bitwidth(spec: &RawSpec) -> u32 {
 /// The returned report contains only network-level codes (`USY060`–
 /// `USY063`); combine it with the per-layer [`crate::analyze`] reports
 /// for the complete picture. Specs whose construction is too broken to
-/// interpret (zero rows, unsupported bitwidth, accumulator out of the
-/// 2..=63 register range) come back empty — the per-layer checks have
-/// already rejected them.
+/// interpret (zero rows, unsupported bitwidth, an accumulator outside
+/// [`ACC_WIDTHS`]) come back empty — the per-layer checks have already
+/// rejected them (`USY001`, `USY002`, `USY020`/`USY022`).
 #[must_use]
 pub fn analyze_network(
     spec: &RawSpec,
@@ -247,7 +220,7 @@ pub fn analyze_network(
         let depth = spec.rows.min(layer.gemm.reduction_len().max(1));
         let worst = required_acc_width(spec.scheme, full, depth);
         let acc = spec.acc_width.unwrap_or(worst);
-        if !(2..=63).contains(&acc) {
+        if !ACC_WIDTHS.contains(&acc) {
             return NetworkAnalysis::default();
         }
         let capacity = (1u64 << (acc - 1)) - 1;
@@ -339,7 +312,6 @@ pub fn analyze_network(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usystolic_core::kernel_paths;
     use usystolic_models::zoo::mnist_cnn4;
 
     fn ur_edge() -> RawSpec {
@@ -390,13 +362,41 @@ mod tests {
     }
 
     #[test]
-    fn derived_paths_agree_with_core_dispatch_table() {
-        for scheme in ComputingScheme::ALL {
-            assert_eq!(
-                derive_kernel_paths(scheme),
-                kernel_paths(scheme).to_vec(),
-                "{scheme:?}: semantic derivation and dispatch table drifted apart"
-            );
+    fn window_bound_matches_the_stepped_row() {
+        // The bound is the tile sweep's closed form, so at every operand
+        // pair it equals the count a stepped row of PEs accumulates.
+        use usystolic_core::UnaryRow;
+        use usystolic_unary::coding::Coding;
+        use usystolic_unary::SignMagnitude;
+        let sm = |v: u64| SignMagnitude::from_signed(v as i64, 8);
+        for (scheme, coding) in [
+            (ComputingScheme::UnaryRate, Coding::Rate),
+            (ComputingScheme::UnaryTemporal, Coding::Temporal),
+        ] {
+            for mul in [8u64, 32, 127, 128] {
+                for i in [0u64, 1, 77, 127, 128] {
+                    for w in [0u64, 1, 64, 127, 128] {
+                        let mut row = UnaryRow::new(8, sm(i), vec![sm(w)], coding);
+                        assert_eq!(
+                            window_bound(scheme, 8, mul, i, w),
+                            row.run(mul)[0].unsigned_abs(),
+                            "{scheme} mul {mul} |I| {i} |W| {w}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn window_bound_is_total_past_one_period() {
+        // No configuration builds a window longer than the RNG period, but
+        // the bound stays total (and sound) there: the cycle count.
+        for scheme in [ComputingScheme::UnaryRate, ComputingScheme::UnaryTemporal] {
+            assert_eq!(window_bound(scheme, 8, 1000, 127, 127), 1000);
+            assert_eq!(window_bound(scheme, 8, 129, 300, 300), 129);
+            // Levels past the largest magnitude clamp to it.
+            assert_eq!(window_bound(scheme, 8, 128, 500, 500), 128);
         }
     }
 

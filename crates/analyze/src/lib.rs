@@ -55,9 +55,6 @@ mod spec;
 
 pub use checks::{analyze, required_acc_width};
 pub use diag::{Diagnostic, Report, Severity};
-pub use interp::{
-    analyze_network, derive_kernel_paths, et_window_error, window_bound, LayerVerdict,
-    NetworkAnalysis,
-};
+pub use interp::{analyze_network, et_window_error, window_bound, LayerVerdict, NetworkAnalysis};
 pub use serving::{check_serving, ServiceEstimate, ServingSpec};
 pub use spec::{RawSpec, RngWiring};

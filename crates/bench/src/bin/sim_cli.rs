@@ -176,7 +176,7 @@ struct FaultCharacterization {
     shape: GemmShape,
     coding: Coding,
     serial: FaultReport,
-    packed: FaultReport,
+    closed: FaultReport,
     binary: FaultReport,
     unary_nrmse: f64,
     binary_nrmse: f64,
@@ -219,20 +219,20 @@ fn fault_characterization(
     let run_binary = |model: &DeviceFaults| {
         faulty_binary_gemm(&a, &b, shape, bitwidth, model).map_err(injection)
     };
-    let unary_clean = run_unary(&quiet, FaultKernel::Packed)?;
+    let unary_clean = run_unary(&quiet, FaultKernel::ClosedForm)?;
     let binary_clean = run_binary(&quiet)?;
     let serial = run_unary(&faults, FaultKernel::Serial)?;
-    let packed = run_unary(&faults, FaultKernel::Packed)?;
+    let closed = run_unary(&faults, FaultKernel::ClosedForm)?;
     let binary = run_binary(&faults)?;
     Ok(FaultCharacterization {
         faults,
         shape,
         coding,
-        unary_nrmse: nrmse(&packed, &unary_clean),
+        unary_nrmse: nrmse(&closed, &unary_clean),
         binary_nrmse: nrmse(&binary, &binary_clean),
-        kernels_agree: serial == packed,
+        kernels_agree: serial == closed,
         serial,
-        packed,
+        closed,
         binary,
     })
 }
@@ -269,7 +269,7 @@ impl FaultCharacterization {
             ),
             (
                 "unary_packed",
-                Self::kernel_json(&self.packed, self.unary_nrmse),
+                Self::kernel_json(&self.closed, self.unary_nrmse),
             ),
             ("binary", Self::kernel_json(&self.binary, self.binary_nrmse)),
         ])
@@ -287,11 +287,12 @@ impl FaultCharacterization {
             self.shape.n
         );
         println!(
-            "  unary ({} = packed: {})  flips {:>6}  stuck windows {:>4}  nrmse {:.4}",
+            "  unary ({} = {}: {})  flips {:>6}  stuck windows {:>4}  nrmse {:.4}",
             FaultKernel::Serial,
+            FaultKernel::ClosedForm,
             self.kernels_agree,
-            self.packed.transient_flips,
-            self.packed.stuck_windows,
+            self.closed.transient_flips,
+            self.closed.stuck_windows,
             self.unary_nrmse
         );
         println!(

@@ -52,7 +52,7 @@ compute- or DRAM-bound layers).
 
 Fault injection (--fault-ber, --fault-stuck, --fault-seed) runs a
 deterministic device-fault characterization on a sub-sampled window of
-the layer's GEMM: bit-serial and word-packed unary kernels (which must
+the layer's GEMM: bit-serial and closed-form unary kernels (which must
 agree bit for bit) against the binary product-register baseline, under
 the same seeded fault sites. --fault-stuck takes R,C,V with V=0|1 and
 may repeat; --fault-seed defaults to 1.

@@ -41,10 +41,10 @@ pub struct BerPoint {
     pub rate_flips: u64,
     /// Flips injected into the binary product registers.
     pub binary_flips: u64,
-    /// Whether the bit-serial and word-packed unary kernels agreed bit
+    /// Whether the bit-serial and closed-form unary kernels agreed bit
     /// for bit at this point (rate coding).
     pub kernels_agree: bool,
-    /// Checksum of the rate-coded packed run (the determinism oracle).
+    /// Checksum of the rate-coded closed-form run (the determinism oracle).
     pub rate_checksum: u64,
 }
 
@@ -74,7 +74,7 @@ pub struct FaultsBench {
     pub seed: u64,
     /// The accuracy-vs-BER curve.
     pub points: Vec<BerPoint>,
-    /// Whether serial and packed unary kernels agreed at every point.
+    /// Whether serial and closed-form unary kernels agreed at every point.
     pub kernels_agree: bool,
     /// Whether re-running the highest-BER point reproduced its checksum.
     pub deterministic: bool,
@@ -133,32 +133,32 @@ pub fn run(short: bool, seed: u64) -> FaultsBench {
         faulty_binary_gemm(&a, &b, shape, bitwidth, &model).expect("valid bench fault model")
     };
 
-    let rate_clean = unary(0.0, Coding::Rate, FaultKernel::Packed);
-    let temporal_clean = unary(0.0, Coding::Temporal, FaultKernel::Packed);
+    let rate_clean = unary(0.0, Coding::Rate, FaultKernel::ClosedForm);
+    let temporal_clean = unary(0.0, Coding::Temporal, FaultKernel::ClosedForm);
     let binary_clean = binary(0.0);
 
     let points: Vec<BerPoint> = BER_SWEEP
         .iter()
         .map(|&ber| {
             let rate_serial = unary(ber, Coding::Rate, FaultKernel::Serial);
-            let rate_packed = unary(ber, Coding::Rate, FaultKernel::Packed);
-            let temporal = unary(ber, Coding::Temporal, FaultKernel::Packed);
+            let rate_fast = unary(ber, Coding::Rate, FaultKernel::ClosedForm);
+            let temporal = unary(ber, Coding::Temporal, FaultKernel::ClosedForm);
             let bin = binary(ber);
             BerPoint {
                 ber,
-                rate_nrmse: nrmse(&rate_packed, &rate_clean),
+                rate_nrmse: nrmse(&rate_fast, &rate_clean),
                 temporal_nrmse: nrmse(&temporal, &temporal_clean),
                 binary_nrmse: nrmse(&bin, &binary_clean),
-                rate_flips: rate_packed.transient_flips,
+                rate_flips: rate_fast.transient_flips,
                 binary_flips: bin.transient_flips,
-                kernels_agree: rate_serial == rate_packed,
-                rate_checksum: rate_packed.checksum(),
+                kernels_agree: rate_serial == rate_fast,
+                rate_checksum: rate_fast.checksum(),
             }
         })
         .collect();
 
     let top_ber = BER_SWEEP[BER_SWEEP.len() - 1];
-    let replay = unary(top_ber, Coding::Rate, FaultKernel::Packed).checksum();
+    let replay = unary(top_ber, Coding::Rate, FaultKernel::ClosedForm).checksum();
     let deterministic = points.last().is_some_and(|p| p.rate_checksum == replay);
     let kernels_agree = points.iter().all(|p| p.kernels_agree);
     let unary_graceful = points
@@ -254,7 +254,10 @@ mod tests {
     #[test]
     fn short_bench_pins_graceful_degradation() {
         let bench = run(true, 0x5eed_fa11);
-        assert!(bench.kernels_agree, "serial and packed kernels diverged");
+        assert!(
+            bench.kernels_agree,
+            "serial and closed-form kernels diverged"
+        );
         assert!(bench.deterministic, "replay changed the checksum");
         assert!(
             bench.unary_graceful,

@@ -1,20 +1,20 @@
-//! Kernel micro-benchmark: bit-serial vs fast-path MAC-window
+//! Kernel micro-benchmark: bit-serial vs closed-form MAC-window
 //! evaluation on the cycle-accurate machine, with bit-exactness and
 //! worker-determinism checks (`BENCH_kernel.json`).
 //!
 //! The headline case is the paper's 8-bit rate-coded configuration on one
 //! fully-occupied 16×16 weight tile. Three companion rows time the other
-//! cases: the closed-form temporal window (uGEMM-T), the uGEMM-H kernel
-//! (closed-form ones phase, word-packed zeros phase), and a 14-bit
-//! rate-coded window far wider than one machine word. Every timed fast
-//! path is what [`KernelMode::Auto`] dispatches; rate and temporal coding
-//! both take the closed form. The report also sweeps the EBT × scheme
-//! space asserting every fast path reproduces the bit-serial reference
-//! exactly, and re-runs each fast path across worker counts asserting the
-//! output checksum never moves.
+//! cases: the temporal window (uGEMM-T), the bipolar uGEMM-H window, and
+//! a 14-bit rate-coded window far wider than one machine word. Every
+//! timed fast path is the closed form [`KernelMode::Auto`] resolves to:
+//! Sobol prefix counts, one per constant-sign phase, for every unary
+//! window. The report also sweeps the EBT × scheme space asserting the
+//! closed form reproduces the bit-serial reference exactly, and re-runs
+//! each fast path across worker counts asserting the output checksum
+//! never moves.
 //!
 //! The JSON keys `packed_us`, `hybrid_packed_us` and `multiword_*` predate
-//! the closed-form rate window; they keep their names because the
+//! the closed-form windows; they keep their names because the
 //! `obs_cli diff` perf gate and the docs refer to them.
 
 use std::time::Instant;
@@ -51,7 +51,7 @@ pub struct KernelBench {
     pub checksum_packed: u64,
     /// Whether the two checksums (and cycle statistics) agree.
     pub checksums_match: bool,
-    /// Whether the fast kernels matched the bit-serial reference exactly
+    /// Whether the closed form matched the bit-serial reference exactly
     /// over the full EBT × scheme sweep and the multi-word case.
     pub bit_exact: bool,
     /// Worker counts exercised by the determinism check.
@@ -69,12 +69,11 @@ pub struct KernelBench {
     pub temporal_bit_exact: bool,
     /// Bit-serial wall time of the uGEMM-H case, microseconds.
     pub hybrid_serial_us: f64,
-    /// Fast-path wall time of the uGEMM-H case (closed-form ones phase,
-    /// packed zeros phase), microseconds.
+    /// Closed-form wall time of the uGEMM-H case, microseconds.
     pub hybrid_packed_us: f64,
     /// `hybrid_serial_us / hybrid_packed_us`.
     pub hybrid_speedup: f64,
-    /// Whether the uGEMM-H kernel reproduced the bit-serial reference
+    /// Whether the uGEMM-H closed form reproduced the bit-serial reference
     /// (outputs and cycle statistics) at every worker count.
     pub hybrid_bit_exact: bool,
     /// Data bitwidth of the multi-word case (a window of 128 words of 64
@@ -211,7 +210,7 @@ pub fn run(short: bool, workers: &[usize]) -> KernelBench {
 
     // EBT × scheme bit-exactness sweep (small case keeps smoke runs fast).
     // uGEMM-H rejects true early termination, so it rides along at the
-    // full-width no-op EBT, pinning its kernel against the bit-serial
+    // full-width no-op EBT, pinning its closed form against the bit-serial
     // bipolar walk.
     let (sweep_gemm, sweep_in, sweep_w) = headline_case(8, 3);
     let mut bit_exact = true;
@@ -256,19 +255,17 @@ pub fn run(short: bool, workers: &[usize]) -> KernelBench {
         checksum(&out, &stats) == checksum_packed
     });
 
-    // Closed-form temporal window (uGEMM-T): like rate coding, the
-    // dispatch table resolves it to `KernelPath::ClosedForm`, so no
-    // stream is ever materialised — window ones come from the
-    // prefix-count arithmetic.
+    // Temporal window (uGEMM-T): like every scheme at a wide OREG, it
+    // resolves to `KernelPath::ClosedForm`, so no stream is ever
+    // materialised — window ones come from the prefix-count arithmetic.
     let temporal_cfg = SystolicConfig::new(tile, tile, ComputingScheme::UnaryTemporal, bitwidth)
         .expect("valid temporal configuration")
         .with_acc_width(32);
     let temporal = timed_pair(&temporal_cfg, &gemm, &input, &weights, iters, &workers);
 
-    // uGEMM-H: constant-sign enable masks replace the conditionally-
-    // advanced RNG walk (closed-form ones phase, packed zeros phase).
-    // Saturation statistics must agree too, so the accumulator stays at
-    // a full width here.
+    // uGEMM-H: the ±1 walk splits into its two constant-sign RNG phases,
+    // one Sobol prefix count each. The lump add needs an OREG that cannot
+    // clamp mid-window, so the accumulator stays at a full width here.
     let hybrid_tile = 8usize;
     let hybrid_cfg = SystolicConfig::new(
         hybrid_tile,

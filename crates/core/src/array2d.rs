@@ -18,14 +18,13 @@
 //!   neighbour published on the previous cycle, and the top row streams
 //!   the finished OFM through the early-termination shifters.
 //!
-//! The fast paths ([`KernelMode::resolve`]) evaluate each MAC window in
-//! one shot and then replay the M-end cascade with the same registers. A
-//! binary window is the exact product. A rate- or temporal-coded window
-//! is a table lookup by `|I|` plus a van der Corput digit DP
-//! (`kernel::ClosedFormTileKernel`, built once per GEMM, no per-tile
-//! stream). A uGEMM-H window adds the same digit DP for its ones
-//! phase to a word-packed prefix popcount for its zeros phase
-//! (`kernel::PackedHybridTileKernel`, packed per tile).
+//! The closed form ([`KernelMode::resolve`]) evaluates each MAC window in
+//! one shot and then replays the M-end cascade with the same registers.
+//! One `kernel::ClosedFormWindow`, built once per GEMM with no per-tile
+//! state, serves all five schemes: a binary window is the exact product;
+//! a rate- or temporal-coded window is a table lookup by `|I|` plus a
+//! Sobol prefix count; a uGEMM-H window is two Sobol prefix counts, one
+//! per RNG phase.
 //!
 //! All five schemes share one OREG semantics, the stepped machine's
 //! (the reduced-resolution OREG of Section III-A):
@@ -36,20 +35,20 @@
 //!   buffer.
 //!
 //! At the default widths (binary: `2N + ⌈log2 R⌉ + 2` bits) nothing
-//! clamps. `tests::matches_fast_executor_*` pin the fast paths and
+//! clamps. `tests::matches_fast_executor_*` pin the closed form and
 //! `execute_lowered` against the stepped machine for every scheme,
 //! `acc_width` 4..=32, `K > R` and 1/2/4/8 workers, and
 //! `tests::cycle_count_matches_timing_model` cross-validates the measured
 //! cycle count against the `usystolic-sim` ideal-cycle formula.
 
 use crate::config::SystolicConfig;
-use crate::kernel::{ClosedFormTileKernel, KernelMode, KernelPath, PackedHybridTileKernel};
+use crate::kernel::{ClosedFormWindow, KernelMode, KernelPath};
 use crate::mapping::TileMapping;
 use crate::pe::IfmSource;
 use crate::scheme::ComputingScheme;
 use crate::CoreError;
 use usystolic_gemm::{GemmConfig, Matrix};
-use usystolic_unary::add::BinaryAccumulator;
+use usystolic_unary::add::{BinaryAccumulator, ACC_WIDTHS};
 use usystolic_unary::coding::Coding;
 use usystolic_unary::rng::{NumberSource, SobolSource};
 use usystolic_unary::sign::SignMagnitude;
@@ -128,7 +127,8 @@ impl RowGen {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Shape`] for mismatched matrices.
+/// Returns [`CoreError::Shape`] for mismatched matrices and
+/// [`CoreError::Config`] for an OREG width the accumulator cannot build.
 pub fn cycle_accurate_gemm(
     config: &SystolicConfig,
     gemm: &GemmConfig,
@@ -182,18 +182,16 @@ fn record_tile(kernel: &'static str, cf: usize, rf: usize, rows: usize, cols: us
 /// for every worker count and for every [`KernelMode`]**
 /// (`tests::packed_kernel_and_workers_are_bit_exact`).
 ///
-/// Under [`KernelMode::Auto`], each tile is evaluated by the fastest path
-/// [`KernelMode::resolve`] grants the configuration: the closed form for
-/// rate and temporal coding and the binary schemes, and for uGEMM-H the
-/// kernel whose zeros phase is word-packed (64 multiply cycles per `u64`
-/// word, see [`crate::kernel`]). uGEMM-H OREGs narrower than
+/// Under [`KernelMode::Auto`], every tile evaluates its windows in closed
+/// form (see [`crate::kernel`]). uGEMM-H OREGs narrower than
 /// `bitwidth + 2` fall back to the stepped machine, where mid-window
 /// clamping is real behaviour the lump add cannot reproduce.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Shape`] for mismatched matrices and
-/// [`CoreError::Config`] if the worker pool fails.
+/// [`CoreError::Config`] for an OREG width outside [`ACC_WIDTHS`] or if
+/// the worker pool fails.
 pub fn cycle_accurate_gemm_with(
     config: &SystolicConfig,
     gemm: &GemmConfig,
@@ -213,27 +211,28 @@ pub fn cycle_accurate_gemm_with(
             weights.cols()
         )));
     }
+    if !ACC_WIDTHS.contains(&config.acc_width()) {
+        return Err(CoreError::Config(format!(
+            "unsupported accumulator width {} (the OREG holds {}..={} bits)",
+            config.acc_width(),
+            ACC_WIDTHS.start(),
+            ACC_WIDTHS.end()
+        )));
+    }
 
     let map = TileMapping::new(gemm, config.rows(), config.cols());
     let scheme = config.scheme();
-    // Resolve the dispatch table once per GEMM (not per tile), so a
-    // demoted request records exactly one fallback event.
+    // Resolve the path once per GEMM (not per tile), so a demoted request
+    // records exactly one fallback event.
     let path = mode.resolve(config);
-    let kernel_label = match path {
-        KernelPath::ClosedForm => "closed-form",
-        KernelPath::Packed => "packed",
-        KernelPath::Serial => "serial",
+    let (kernel_label, tile_span) = match path {
+        KernelPath::ClosedForm => ("closed-form", "cycle_gemm.closed_form"),
+        KernelPath::Serial => ("serial", "cycle_gemm.serial"),
     };
-    // A rate- or temporal-coded window depends on the GEMM, not the
-    // tile: its enable table is built once here and shared by every tile.
-    let closed = match (path, scheme.coding()) {
-        (KernelPath::ClosedForm, Some(coding)) => Some(ClosedFormTileKernel::new(
-            coding,
-            config.bitwidth(),
-            config.mul_cycles(),
-        )),
-        _ => None,
-    };
+    // A window depends on the GEMM, not the tile: it is built once here
+    // and shared by every tile.
+    let closed = (path == KernelPath::ClosedForm)
+        .then(|| ClosedFormWindow::new(scheme, config.bitwidth(), config.mul_cycles()));
     let tiles: Vec<(usize, usize)> = (0..map.col_folds())
         .flat_map(|cf| (0..map.row_folds()).map(move |rf| (cf, rf)))
         .collect();
@@ -253,26 +252,11 @@ pub fn cycle_accurate_gemm_with(
         let tile = TileMachine::new(config, input, weights, &map, rf, cf);
         let (rows, cols) = (tile.rows, tile.cols);
         let mut block = Matrix::<i64>::zeros(m, cols);
-        match (path, &closed) {
-            (KernelPath::Serial, _) => tile.run(&mut block, &mut tile_stats),
-            (KernelPath::ClosedForm, Some(kernel)) => {
-                tile.run_closed(kernel, &mut block, &mut tile_stats)
-            }
-            (KernelPath::ClosedForm, None) => tile.run_binary(&mut block, &mut tile_stats),
-            (KernelPath::Packed, _) => tile.run_packed_hybrid(&mut block, &mut tile_stats),
+        match &closed {
+            Some(window) => tile.run_closed(window, &mut block, &mut tile_stats),
+            None => tile.run(&mut block, &mut tile_stats),
         }
-        record_tile(
-            match path {
-                KernelPath::ClosedForm => "cycle_gemm.closed_form",
-                KernelPath::Packed => "cycle_gemm.packed",
-                KernelPath::Serial => "cycle_gemm.serial",
-            },
-            cf,
-            rf,
-            rows,
-            cols,
-            t0,
-        );
+        record_tile(tile_span, cf, rf, rows, cols, t0);
         (block, tile_stats)
     })
     .map_err(|e| CoreError::Config(format!("tile sweep worker pool failed: {e}")))?;
@@ -309,9 +293,9 @@ pub fn cycle_accurate_gemm_with(
         o.metrics.count(
             match path {
                 KernelPath::Serial => "core.cycle.serial_pe_cycles",
-                // The closed form models the same packed schedule; both
-                // count as off-reference-machine PE cycles.
-                KernelPath::Packed | KernelPath::ClosedForm => "core.cycle.packed_pe_cycles",
+                // The historical name of the off-reference-machine PE
+                // cycles, which the closed form models.
+                KernelPath::ClosedForm => "core.cycle.packed_pe_cycles",
             },
             stats.busy_pe_cycles,
         );
@@ -577,106 +561,34 @@ impl<'a> TileMachine<'a> {
         stats.tiles += 1;
     }
 
-    /// Closed-form evaluation of a rate- or temporal-coded tile: every
-    /// window count is `O(bitwidth)` arithmetic
-    /// ([`crate::kernel::ClosedFormTileKernel`], shared by every tile of
-    /// the GEMM), with no per-tile stream of any kind.
+    /// Closed-form evaluation of a tile: every MAC window is one
+    /// [`ClosedFormWindow::count`], added into the OREG in one step.
     ///
-    /// Bit-exact against [`run`](Self::run): within one MAC window every
-    /// increment of a PE carries the same sign, the accumulator clamps
-    /// monotonically, and `drain()` clears both the value and the sticky
-    /// saturation flag at every M-end — so the lump add per window
-    /// reproduces the per-cycle adds, clamping and saturation count
-    /// included.
-    fn run_closed(
-        self,
-        kernel: &ClosedFormTileKernel,
-        out: &mut Matrix<i64>,
-        stats: &mut CycleStats,
-    ) {
-        let bitwidth = self.config.bitwidth();
-        let w_sm = self.tile_w_sm();
-        self.cascade_replay(
-            |p, r, c| {
-                let ifm = SignMagnitude::from_signed(self.input[(p, self.k0 + r)], bitwidth);
-                kernel.window_count(ifm, w_sm[r][c])
-            },
-            out,
-            stats,
-        );
+    /// Bit-exact against [`run`](Self::run): a window's lump add clamps
+    /// exactly like its per-cycle adds whenever every increment of the
+    /// window has the same sign (binary, rate and temporal windows) or the
+    /// OREG cannot clamp mid-window (uGEMM-H, guaranteed by
+    /// [`KernelMode::resolve`]). One accumulator is reused across windows:
+    /// `drain()` clears the value and the sticky saturation flag at every
+    /// M-end, exactly like the per-PE OREGs, so the saturation count
+    /// matches too.
+    fn run_closed(self, window: &ClosedFormWindow, out: &mut Matrix<i64>, stats: &mut CycleStats) {
+        // One monomorphised cascade per window shape keeps the binary
+        // product free of the unary arms.
+        match window {
+            ClosedFormWindow::Binary => self.cascade(|i, w| i * w, out, stats),
+            _ => self.cascade(|i, w| window.count(i, w), out, stats),
+        }
     }
 
-    /// Closed-form evaluation of a binary tile: every window is the exact
-    /// product `I·W`, added into the OREG in one step. The stepped
-    /// machine also lands the product in a single cycle (the last
-    /// multiply cycle) and folds in the lower partial sum at the M-end,
-    /// so the cascade replay is bit-exact against [`run`](Self::run),
-    /// clamping and saturation count included.
-    fn run_binary(self, out: &mut Matrix<i64>, stats: &mut CycleStats) {
-        self.cascade_replay(
-            |p, r, c| self.input[(p, self.k0 + r)] * self.weights[(self.k0 + r, self.n0 + c)],
-            out,
-            stats,
-        );
-    }
-
-    /// Fast evaluation of a uGEMM-H tile: each bipolar window's ±1 walk
-    /// splits into the constant-sign ones-/zeros-phase counts of
-    /// [`crate::kernel::PackedHybridTileKernel`] and lumps into one
-    /// accumulator add per window. [`KernelMode::resolve`] guarantees the
-    /// OREG cannot clamp mid-window here (`acc_width ≥ bitwidth + 2`), so
-    /// the lump add — and the saturation count of the M-end cascade — is
-    /// bit-exact against [`run`](Self::run).
-    fn run_packed_hybrid(self, out: &mut Matrix<i64>, stats: &mut CycleStats) {
-        let bitwidth = self.config.bitwidth();
-        let half = 1i64 << (bitwidth - 1);
-        let w_thr: Vec<Vec<u64>> = (0..self.rows)
-            .map(|r| {
-                (0..self.cols)
-                    .map(|c| {
-                        let w = self.weights[(self.k0 + r, self.n0 + c)].clamp(-half, half);
-                        (w + half) as u64
-                    })
-                    .collect()
-            })
-            .collect();
-        let kernel = PackedHybridTileKernel::new(bitwidth, &w_thr);
-        self.cascade_replay(
-            |p, r, c| {
-                let level = self.input[(p, self.k0 + r)].clamp(-half, half);
-                kernel.window_sum(r, c, (level + half) as u64)
-            },
-            out,
-            stats,
-        );
-    }
-
-    /// This tile's stationary weights in sign-magnitude form.
-    fn tile_w_sm(&self) -> Vec<Vec<SignMagnitude>> {
-        let bitwidth = self.config.bitwidth();
-        (0..self.rows)
-            .map(|r| {
-                (0..self.cols)
-                    .map(|c| {
-                        SignMagnitude::from_signed(
-                            self.weights[(self.k0 + r, self.n0 + c)],
-                            bitwidth,
-                        )
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Shared backbone of the fast tile paths: the M-end cascade replayed
-    /// per `(vector, column)` bottom-up (row `r+1`'s M-end lands one
-    /// cycle before row `r`'s, so its drained partial sum is what row `r`
-    /// folds in), plus the closed-form schedule statistics. One
-    /// accumulator is reused across windows: `drain()` clears the value
-    /// and the sticky saturation flag, exactly like the per-PE OREGs.
-    fn cascade_replay<F: FnMut(usize, usize, usize) -> i64>(
+    /// The M-end cascade of [`run_closed`](Self::run_closed), replayed
+    /// per `(vector, column)` bottom-up: row `r+1`'s M-end lands one cycle
+    /// before row `r`'s, so its drained partial sum is what row `r` folds
+    /// in. `count(input, weight)` is one window's signed count; the
+    /// schedule statistics are closed-form.
+    fn cascade<F: Fn(i64, i64) -> i64>(
         &self,
-        mut window: F,
+        count: F,
         out: &mut Matrix<i64>,
         stats: &mut CycleStats,
     ) {
@@ -689,7 +601,10 @@ impl<'a> TileMachine<'a> {
             for c in 0..cols {
                 let mut below = 0i64;
                 for r in (0..rows).rev() {
-                    acc.add(window(p, r, c));
+                    acc.add(count(
+                        self.input[(p, self.k0 + r)],
+                        self.weights[(self.k0 + r, self.n0 + c)],
+                    ));
                     acc.add(below);
                     if acc.saturated() {
                         stats.saturation_events += 1;
@@ -901,7 +816,7 @@ mod tests {
 
     #[test]
     fn packed_kernel_and_workers_are_bit_exact() {
-        // The fast kernels and the parallel tile sweep must reproduce the
+        // The closed form and the parallel tile sweep must reproduce the
         // bit-serial single-thread machine exactly, over the unary schemes
         // and the full EBT sweep.
         let (gemm, li, lw) = lowered_case(21);
@@ -920,12 +835,12 @@ mod tests {
                     cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Serial, 1)
                         .expect("serial path executes");
                 for workers in [1usize, 2, 4, 8] {
-                    let (packed, packed_stats) =
+                    let (fast, fast_stats) =
                         cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Auto, workers)
-                            .expect("packed path executes");
-                    assert_eq!(serial, packed, "{scheme} EBT {ebt} workers {workers}");
+                            .expect("closed form executes");
+                    assert_eq!(serial, fast, "{scheme} EBT {ebt} workers {workers}");
                     assert_eq!(
-                        serial_stats, packed_stats,
+                        serial_stats, fast_stats,
                         "{scheme} EBT {ebt} workers {workers}"
                     );
                 }
@@ -935,7 +850,7 @@ mod tests {
 
     #[test]
     fn packed_stats_match_serial_stats() {
-        // The fast paths emit their statistics from the closed-form
+        // The closed form emits its statistics from the closed-form
         // schedule; they must equal the stepped machine's measurements,
         // saturation events included (narrow accumulator forces clamping).
         let (gemm, li, lw) = lowered_case(22);
@@ -945,18 +860,18 @@ mod tests {
         let (serial, serial_stats) =
             cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Serial, 1)
                 .expect("serial path executes");
-        let (packed, packed_stats) =
+        let (fast, fast_stats) =
             cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Auto, 1)
-                .expect("packed path executes");
+                .expect("closed form executes");
         assert!(serial_stats.saturation_events > 0, "case must saturate");
-        assert_eq!(serial, packed);
-        assert_eq!(serial_stats, packed_stats);
+        assert_eq!(serial, fast);
+        assert_eq!(serial_stats, fast_stats);
     }
 
     #[test]
     fn unpackable_schemes_fall_back_to_serial() {
         // A uGEMM-H OREG too narrow for the lump add is the one
-        // configuration no fast path covers: Auto runs the bit-serial
+        // configuration the closed form does not cover: Auto runs the bit-serial
         // reference there, with identical results and stats. (The
         // fallback is counted and warned about, not silent; see
         // `crate::kernel::tests::fallbacks_are_counted_not_silent`.)
@@ -977,20 +892,21 @@ mod tests {
 
     #[test]
     fn temporal_closed_form_matches_serial_across_bitwidths() {
-        // The fast paths must reproduce the stepped machine at every
-        // bitwidth from 2 to 12: the closed form for temporal coding and
-        // for rate coding at every EBT (plus one 14-bit case, a
-        // 128-word stream), and the uGEMM-H kernel up to 10 bits. The
-        // operands include |I| and |W| = 0, 1 and the inclusive maximum
-        // 2^(N-1), K = 8 folds over 4 rows, and every configuration runs
-        // at its default and at a narrow OREG (the narrowest uGEMM-H
-        // width the kernel accepts) and at 1/2/4/8 workers.
+        // The closed form must reproduce the stepped machine at every
+        // bitwidth from 2 to 12: for temporal coding, for rate coding at
+        // every EBT (plus one 14-bit case, a 128-word stream) and for
+        // uGEMM-H (up to a 4,096-cycle window at 12 bits). The operands
+        // include |I| and |W| = 0, 1 and the inclusive maximum 2^(N-1),
+        // K = 8 folds over 4 rows, and every configuration runs at its
+        // default and at a narrow OREG (the narrowest uGEMM-H width the
+        // closed form accepts) and at 1/2/4/8 workers. uGEMM-H also runs
+        // one bit narrower, where Auto demotes to the stepped machine.
         let (gemm, li, lw) = lowered_case(24);
         let mut cases = vec![(ComputingScheme::UnaryRate, 14u32, 14u32)];
         for bitwidth in 2..=12u32 {
             cases.extend((1..=bitwidth).map(|ebt| (ComputingScheme::UnaryRate, bitwidth, ebt)));
             cases.push((ComputingScheme::UnaryTemporal, bitwidth, bitwidth));
-            if bitwidth <= 10 {
+            if bitwidth <= 10 || bitwidth == 12 {
                 cases.push((ComputingScheme::UGemmHybrid, bitwidth, bitwidth));
             }
         }
@@ -1013,16 +929,24 @@ mod tests {
                 .expect("valid")
                 .with_effective_bitwidth(ebt)
                 .expect("valid EBT");
-            let narrow = if scheme == ComputingScheme::UGemmHybrid {
-                bitwidth + 2
-            } else {
-                4
-            };
-            for cfg in [base, base.with_acc_width(narrow)] {
+            let hybrid = scheme == ComputingScheme::UGemmHybrid;
+            let mut configs = vec![
+                base,
+                base.with_acc_width(if hybrid { bitwidth + 2 } else { 4 }),
+            ];
+            if hybrid {
+                configs.push(base.with_acc_width(bitwidth + 1));
+            }
+            for cfg in configs {
                 let case = format!("{scheme} N {bitwidth} EBT {ebt} acc {}", cfg.acc_width());
+                let demoted = hybrid && cfg.acc_width() < bitwidth + 2;
                 assert_eq!(
                     KernelMode::Auto.resolve(&cfg),
-                    crate::kernel_paths(scheme)[0],
+                    if demoted {
+                        KernelPath::Serial
+                    } else {
+                        KernelPath::ClosedForm
+                    },
                     "{case}"
                 );
                 let (serial, serial_stats) =
@@ -1043,14 +967,14 @@ mod tests {
 
     #[test]
     fn hybrid_packed_matches_serial_stats_under_saturation() {
-        // At the narrowest OREG the packed hybrid path still accepts
+        // At the narrowest OREG the uGEMM-H closed form still accepts
         // (acc_width = bitwidth + 2), the M-end cascade genuinely clamps —
-        // the packed path must reproduce results AND saturation counts.
+        // the closed form must reproduce results AND saturation counts.
         let (gemm, li, lw) = lowered_case(25);
         let cfg = SystolicConfig::new(4, 3, ComputingScheme::UGemmHybrid, 8)
             .expect("valid")
             .with_acc_width(10);
-        assert_eq!(KernelMode::Auto.resolve(&cfg), KernelPath::Packed);
+        assert_eq!(KernelMode::Auto.resolve(&cfg), KernelPath::ClosedForm);
         let (serial, serial_stats) =
             cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Serial, 1)
                 .expect("serial path executes");
@@ -1059,11 +983,11 @@ mod tests {
             "case must saturate to be a meaningful pin"
         );
         for workers in [1usize, 2, 4, 8] {
-            let (packed, packed_stats) =
+            let (fast, fast_stats) =
                 cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, KernelMode::Auto, workers)
-                    .expect("packed path executes");
-            assert_eq!(serial, packed, "workers {workers}");
-            assert_eq!(serial_stats, packed_stats, "workers {workers}");
+                    .expect("closed form executes");
+            assert_eq!(serial, fast, "workers {workers}");
+            assert_eq!(serial_stats, fast_stats, "workers {workers}");
         }
     }
 
@@ -1073,5 +997,31 @@ mod tests {
         let cfg = SystolicConfig::new(4, 3, ComputingScheme::UnaryRate, 8).expect("valid");
         let bad = Matrix::<i64>::zeros(2, 2);
         assert!(cycle_accurate_gemm(&cfg, &gemm, &li, &bad).is_err());
+    }
+
+    #[test]
+    fn unsupported_accumulator_widths_are_config_errors() {
+        // An OREG the accumulator cannot build is an error up front, for
+        // every path and the executor, never a panic mid-sweep.
+        let (gemm, li, lw) = lowered_case(15);
+        for scheme in [ComputingScheme::UnaryRate, ComputingScheme::UGemmHybrid] {
+            for acc_width in [0u32, 1, 64, 200] {
+                let cfg = SystolicConfig::new(4, 3, scheme, 8)
+                    .expect("valid")
+                    .with_acc_width(acc_width);
+                for mode in [KernelMode::Auto, KernelMode::Serial] {
+                    let r = cycle_accurate_gemm_with(&cfg, &gemm, &li, &lw, mode, 1);
+                    assert!(
+                        matches!(&r, Err(CoreError::Config(m)) if m.contains("accumulator width")),
+                        "{scheme} acc {acc_width} {mode}: {r:?}"
+                    );
+                }
+                let r = GemmExecutor::new(cfg).execute_lowered(&gemm, &li, &lw);
+                assert!(
+                    matches!(r, Err(CoreError::Config(_))),
+                    "{scheme} acc {acc_width}"
+                );
+            }
+        }
     }
 }

@@ -13,12 +13,10 @@
 //!   cycle-accurate machine (every PE, pipeline register and partial-sum
 //!   cascade), with reduced-resolution OREGs and top-row shifters for
 //!   all five schemes.
-//! * [`kernel`] — the MAC-window kernels and the per-scheme dispatch
-//!   table ([`KernelMode`]) that let the sweep skip the stepping: closed
-//!   forms for the binary, rate- and temporal-coded windows, and for
-//!   uGEMM-H a closed-form ones phase plus a word-packed zeros phase
-//!   (64 multiply cycles per `u64` word), all bit-exact against the
-//!   stepped machine.
+//! * [`kernel`] — the closed-form MAC window that lets the sweep skip
+//!   the stepping for every scheme (Sobol prefix counts for the unary
+//!   windows, the product for the binary ones), bit-exact against the
+//!   stepped machine, and [`KernelMode`], which picks between the two.
 //! * [`fifo`] — the synchronising skew FIFOs surrounding the array.
 //! * [`fsu`] — the fully-streaming unary (uGEMM-style) reference
 //!   architecture used to quantify Table I.
@@ -49,7 +47,7 @@ pub use exec::{ExecStats, GemmExecutor, GemmOutcome};
 pub use fifo::{DelayLine, SkewBank, SkewOrder};
 pub use fsu::FsuGemm;
 pub use isa::{Instruction, IsaError, Processor, Program, ProgramBuilder};
-pub use kernel::{kernel_paths, KernelMode, KernelPath};
+pub use kernel::{KernelMode, KernelPath};
 pub use mapping::TileMapping;
 pub use pe::{IfmSource, UnaryRow};
 pub use scheme::ComputingScheme;

@@ -50,6 +50,30 @@ impl IfmSource {
             Coding::Temporal => IfmSource::Temporal(CounterSource::new(bitwidth - 1)),
         }
     }
+
+    /// Enable-bit counts of a `cycles`-cycle MAC window, by IFM magnitude:
+    /// entry `m`, for `m` in `0..=2^(bitwidth−1)`, counts how many of the
+    /// first `cycles` outputs of [`for_coding`](Self::for_coding)`(coding,
+    /// bitwidth)` fall below `m`. Each entry is a closed-form prefix count
+    /// ([`packed::sobol_prefix_count`] or [`packed::counter_prefix_count`]),
+    /// so no sequence is drained.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a rate-coded window is longer than the Sobol period
+    /// `2^(bitwidth−1)`.
+    #[must_use]
+    pub fn enable_counts(coding: Coding, bitwidth: u32, cycles: u64) -> Vec<u64> {
+        let magnitudes = 0..=1u64 << (bitwidth - 1);
+        match Self::for_coding(coding, bitwidth) {
+            IfmSource::Rate(s) => magnitudes
+                .map(|m| packed::sobol_prefix_count(s.directions(), cycles, m))
+                .collect(),
+            IfmSource::Temporal(c) => magnitudes
+                .map(|m| packed::counter_prefix_count(c.width(), cycles, m))
+                .collect(),
+        }
+    }
 }
 
 impl NumberSource for IfmSource {

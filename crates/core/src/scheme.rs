@@ -75,21 +75,6 @@ impl ComputingScheme {
         matches!(self, ComputingScheme::UnaryRate)
     }
 
-    /// Whether the scheme's unary operands are sign-magnitude pairs, so
-    /// every increment of one MAC window carries the constant sign
-    /// `ISIGN ⊕ WSIGN` (Fig. 7). False for binary schemes (multi-bit
-    /// products, not ±1 increments) and for uGEMM-H, whose *bipolar*
-    /// streams mix +1/−1 increments within a single window. This is the
-    /// semantic property that makes the closed-form window legal: one
-    /// signed count per window instead of a ±1 walk.
-    #[must_use]
-    pub fn sign_magnitude_operands(&self) -> bool {
-        matches!(
-            self,
-            ComputingScheme::UnaryRate | ComputingScheme::UnaryTemporal
-        )
-    }
-
     /// The bitstream coding of the scheme's IFM path, if unary.
     #[must_use]
     pub fn coding(&self) -> Option<Coding> {

@@ -18,7 +18,7 @@ pub enum Fidelity {
     CycleAccurate,
     /// Hoisted exact closed forms — the same bits as
     /// [`CycleAccurate`](Self::CycleAccurate), computed without the
-    /// per-fold walk. The timing analogue of the word-packed kernel.
+    /// per-fold walk. The timing analogue of the closed-form MAC kernel.
     Packed,
     /// `O(1)` closed-form estimates (linear interpolation over the
     /// `analyze` ServiceEstimate). Approximate; trades exactness for

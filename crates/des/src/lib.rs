@@ -15,7 +15,7 @@
 //!   [`Fidelity::CycleAccurate`] re-derives timing from first principles
 //!   at every dispatch, [`Fidelity::Packed`] uses the hoisted exact
 //!   closed forms (same bits, faster — the timing analogue of the
-//!   word-packed kernel), and [`Fidelity::Analytic`] trades exactness
+//!   closed-form MAC kernel), and [`Fidelity::Analytic`] trades exactness
 //!   for `O(1)` closed-form estimates so thousand-instance fleets
 //!   simulate in seconds.
 //!

@@ -2,8 +2,8 @@
 //!
 //! A [`DeviceFaults`] value is the single source of truth for a faulted
 //! run. Everything in it is plain data — the same value handed to the
-//! bit-serial kernel, the packed kernel and the binary baseline produces
-//! the same fault sites, because every site is derived from
+//! bit-serial kernel, the closed-form kernel and the binary baseline
+//! produces the same fault sites, because every site is derived from
 //! `(seed, window, cycle)` and never from evaluation order.
 
 use usystolic_obs::{JsonValue, ToJson};

@@ -1,4 +1,4 @@
-//! Faulted unary GEMM: bit-serial and word-packed paths, bit-identical.
+//! Faulted unary GEMM: bit-serial and closed-form paths, bit-identical.
 //!
 //! Both kernels evaluate `C[m][n] = A[m][k] · B[k][n]` as `m·k·n` unary
 //! MAC windows with the same RNG wiring as the fault-free
@@ -8,10 +8,12 @@
 //!
 //! * **transient flips** — the per-window XOR mask of [`crate::mask`] is
 //!   applied to the product stream. The serial kernel XORs cycle by
-//!   cycle; the packed kernel starts from the prefix-popcount answer and
-//!   adjusts per flip site using the identity
-//!   `product[j] = enable[j] && cw[popcount(enable[..j])]`, which is
-//!   exactly the bit the serial C-BSG emits at cycle `j`.
+//!   cycle; the closed-form kernel starts from the fault-free prefix
+//!   count and adjusts per flip site using the identity
+//!   `product[j] = enable[j] && w_seq[rank(j)]`, where `rank(j)` counts
+//!   the enabled cycles before `j` (the C-BSG advanced once per enabled
+//!   cycle). That is exactly the bit the serial C-BSG emits at cycle
+//!   `j`, and `rank(j)` is itself a prefix count of the IFM source.
 //! * **stuck-at PEs** — the product wire of an afflicted window is
 //!   forced to the stuck value on every cycle (flips still invert it:
 //!   a transient upset rides on top of the hard fault).
@@ -28,8 +30,8 @@ use usystolic_obs::{JsonValue, ToJson};
 use usystolic_sim::{Variable, WordCorruption};
 use usystolic_unary::bsg::ConditionalBsg;
 use usystolic_unary::coding::Coding;
-use usystolic_unary::packed::{comparator_stream, sequence, PackedCbsg};
-use usystolic_unary::rng::{CounterSource, SobolSource};
+use usystolic_unary::packed::{counter_prefix_count, sequence, sobol_prefix_count};
+use usystolic_unary::rng::{CounterSource, NumberSource, SobolSource};
 use usystolic_unary::{stream_len, SignMagnitude, MAX_BITWIDTH};
 
 /// Which kernel implementation evaluates the faulted MAC windows.
@@ -37,15 +39,15 @@ use usystolic_unary::{stream_len, SignMagnitude, MAX_BITWIDTH};
 pub enum FaultKernel {
     /// Cycle-by-cycle reference: one comparator step per multiply cycle.
     Serial,
-    /// Word-packed: prefix popcounts plus per-flip adjustment.
-    Packed,
+    /// Closed-form prefix counts plus per-flip adjustment.
+    ClosedForm,
 }
 
 impl core::fmt::Display for FaultKernel {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(match self {
             FaultKernel::Serial => "serial",
-            FaultKernel::Packed => "packed",
+            FaultKernel::ClosedForm => "closed-form",
         })
     }
 }
@@ -269,15 +271,7 @@ pub fn faulty_unary_gemm(
     faults.validate()?;
     check_inputs(a.len(), b.len(), shape, bitwidth)?;
     let len = stream_len(bitwidth) as usize;
-    // The fault-free wiring of `usystolic_core`: IFM enable comparator on
-    // Sobol dimension 1 (rate) or a counter (temporal); weight C-BSG on
-    // Sobol dimension 0. Sources reset per window, so one drained
-    // sequence serves every window.
-    let ifm_seq = match coding {
-        Coding::Rate => sequence(&mut SobolSource::dimension(1, bitwidth - 1), len as u64),
-        Coding::Temporal => sequence(&mut CounterSource::new(bitwidth - 1), len as u64),
-    };
-    let w_seq = sequence(&mut SobolSource::dimension(0, bitwidth - 1), len as u64);
+    let wiring = Wiring::new(coding, bitwidth);
     let (a_sm, hits_a) = corrupted_operands(a, Variable::Ifm, faults.memory.as_ref(), bitwidth);
     let (b_sm, hits_b) = corrupted_operands(b, Variable::Weight, faults.memory.as_ref(), bitwidth);
     let mut report = FaultReport {
@@ -299,8 +293,8 @@ pub fn faulty_unary_gemm(
                 let mask = window_mask(faults.seed, window, len, faults.ber);
                 record_window(&mut report, window, &mask, stuck, len);
                 let ones = match kernel {
-                    FaultKernel::Serial => serial_window(x, w, &ifm_seq, bitwidth, stuck, &mask),
-                    FaultKernel::Packed => packed_window(x, w, &ifm_seq, &w_seq, stuck, &mask),
+                    FaultKernel::Serial => wiring.serial(x, w, stuck, &mask),
+                    FaultKernel::ClosedForm => wiring.closed_form(x, w, stuck, &mask),
                 };
                 acc += x.product_increment(w) * ones.cast_signed();
             }
@@ -310,69 +304,107 @@ pub fn faulty_unary_gemm(
     Ok(report)
 }
 
-/// Bit-serial evaluation of one faulted MAC window.
-fn serial_window(
-    x: SignMagnitude,
-    w: SignMagnitude,
-    ifm_seq: &[u64],
-    bitwidth: u32,
-    stuck: Option<bool>,
-    mask: &WindowMask,
-) -> u64 {
-    let mut ones = 0u64;
-    match stuck {
-        Some(v) => {
-            for j in 0..ifm_seq.len() {
-                ones += u64::from(v ^ mask.flip(j));
-            }
-        }
-        None => {
-            let mut cbsg =
-                ConditionalBsg::new(w.magnitude, SobolSource::dimension(0, bitwidth - 1));
-            for (j, &s) in ifm_seq.iter().enumerate() {
-                let bit = cbsg.step(s < x.magnitude) ^ mask.flip(j);
-                ones += u64::from(bit);
-            }
-        }
-    }
-    ones
+/// The fault-free wiring of `usystolic_core`'s windows: the IFM enable
+/// comparator on Sobol dimension 1 (rate) or a counter (temporal), and
+/// the weight C-BSG on Sobol dimension 0. Sources reset per window, so
+/// one drained sequence of each serves every window.
+struct Wiring {
+    coding: Coding,
+    /// The rate-coded IFM source (its direction numbers give `rank`).
+    ifm_rng: SobolSource,
+    /// The weight RNG.
+    w_rng: SobolSource,
+    /// The IFM source's window sequence.
+    ifm_seq: Vec<u64>,
+    /// The weight RNG's window sequence.
+    w_seq: Vec<u64>,
 }
 
-/// Word-packed evaluation of one faulted MAC window: the fault-free
-/// prefix-popcount answer, adjusted per flip site via the serial/packed
-/// product-bit identity.
-fn packed_window(
-    x: SignMagnitude,
-    w: SignMagnitude,
-    ifm_seq: &[u64],
-    w_seq: &[u64],
-    stuck: Option<bool>,
-    mask: &WindowMask,
-) -> u64 {
-    if let Some(v) = stuck {
-        // Forced product wire: flips invert the constant.
-        return if v {
-            ifm_seq.len() as u64 - mask.flips()
-        } else {
-            mask.flips()
+impl Wiring {
+    fn new(coding: Coding, bitwidth: u32) -> Self {
+        let len = stream_len(bitwidth);
+        let ifm_rng = SobolSource::dimension(1, bitwidth - 1);
+        let w_rng = SobolSource::dimension(0, bitwidth - 1);
+        let ifm_seq = match coding {
+            Coding::Rate => sequence(&mut ifm_rng.clone(), len),
+            Coding::Temporal => sequence(&mut CounterSource::new(bitwidth - 1), len),
         };
-    }
-    let enable = comparator_stream(ifm_seq, x.magnitude);
-    let cw = PackedCbsg::from_stream(comparator_stream(w_seq, w.magnitude));
-    let mut ones = cw.ones_given(enable.count_ones());
-    for cycle in mask.cycles() {
-        let j = cycle as usize;
-        // product[j] = enable[j] && cw[popcount(enable[..j])]: the C-BSG
-        // has advanced once per prior enabled cycle.
-        let rank = enable.count_ones_first(j) as usize;
-        let product = enable.get(j).unwrap_or(false) && cw.stream().get(rank).unwrap_or(false);
-        if product {
-            ones -= 1;
-        } else {
-            ones += 1;
+        let w_seq = sequence(&mut w_rng.clone(), len);
+        Self {
+            coding,
+            ifm_rng,
+            w_rng,
+            ifm_seq,
+            w_seq,
         }
     }
-    ones
+
+    /// Enabled cycles among the first `cycles` of a window on an IFM of
+    /// magnitude `magnitude`: a prefix count of the IFM source.
+    fn rank(&self, cycles: u64, magnitude: u64) -> u64 {
+        match self.coding {
+            Coding::Rate => sobol_prefix_count(self.ifm_rng.directions(), cycles, magnitude),
+            // The counter is as wide as the rate-coded source.
+            Coding::Temporal => counter_prefix_count(self.ifm_rng.width(), cycles, magnitude),
+        }
+    }
+
+    /// Bit-serial evaluation of one faulted MAC window.
+    fn serial(
+        &self,
+        x: SignMagnitude,
+        w: SignMagnitude,
+        stuck: Option<bool>,
+        mask: &WindowMask,
+    ) -> u64 {
+        let mut ones = 0u64;
+        match stuck {
+            Some(v) => {
+                for j in 0..self.ifm_seq.len() {
+                    ones += u64::from(v ^ mask.flip(j));
+                }
+            }
+            None => {
+                let mut cbsg = ConditionalBsg::new(w.magnitude, self.w_rng.clone());
+                for (j, &s) in self.ifm_seq.iter().enumerate() {
+                    let bit = cbsg.step(s < x.magnitude) ^ mask.flip(j);
+                    ones += u64::from(bit);
+                }
+            }
+        }
+        ones
+    }
+
+    /// Closed-form evaluation of one faulted MAC window: the fault-free
+    /// prefix count, adjusted per flip site by the product bit the serial
+    /// C-BSG emits there.
+    fn closed_form(
+        &self,
+        x: SignMagnitude,
+        w: SignMagnitude,
+        stuck: Option<bool>,
+        mask: &WindowMask,
+    ) -> u64 {
+        let len = self.ifm_seq.len() as u64;
+        if let Some(v) = stuck {
+            // Forced product wire: flips invert the constant.
+            return if v { len - mask.flips() } else { mask.flips() };
+        }
+        let enabled = self.rank(len, x.magnitude);
+        let mut ones = sobol_prefix_count(self.w_rng.directions(), enabled, w.magnitude);
+        for cycle in mask.cycles() {
+            // product[j] = enable[j] && w_seq[rank(j)]: the C-BSG has
+            // advanced once per prior enabled cycle.
+            let product = self.ifm_seq[cycle as usize] < x.magnitude
+                && self.w_seq[self.rank(cycle, x.magnitude) as usize] < w.magnitude;
+            if product {
+                ones -= 1;
+            } else {
+                ones += 1;
+            }
+        }
+        ones
+    }
 }
 
 #[cfg(test)]
@@ -414,7 +446,7 @@ mod tests {
                         })
                         .with_memory(usystolic_sim::WordCorruption::new(seed, 0.1, 5));
                     let serial = run(&faults, coding, FaultKernel::Serial, 7);
-                    let packed = run(&faults, coding, FaultKernel::Packed, 7);
+                    let packed = run(&faults, coding, FaultKernel::ClosedForm, 7);
                     assert_eq!(serial, packed, "{coding} seed {seed} ber {ber}");
                     assert_eq!(serial.checksum(), packed.checksum());
                 }
@@ -425,7 +457,7 @@ mod tests {
     #[test]
     fn quiet_faults_reproduce_the_fault_free_kernel() {
         let quiet = DeviceFaults::new(5);
-        let report = run(&quiet, Coding::Rate, FaultKernel::Packed, 8);
+        let report = run(&quiet, Coding::Rate, FaultKernel::ClosedForm, 8);
         assert_eq!(report.transient_flips, 0);
         assert_eq!(report.stuck_windows, 0);
         assert_eq!(report.corrupted_words, 0);
@@ -455,11 +487,11 @@ mod tests {
     #[test]
     fn same_seed_same_report_different_seed_different_flips() {
         let f1 = DeviceFaults::new(11).with_ber(0.01);
-        let a = run(&f1, Coding::Rate, FaultKernel::Packed, 8);
-        let b = run(&f1, Coding::Rate, FaultKernel::Packed, 8);
+        let a = run(&f1, Coding::Rate, FaultKernel::ClosedForm, 8);
+        let b = run(&f1, Coding::Rate, FaultKernel::ClosedForm, 8);
         assert_eq!(a, b);
         let f2 = DeviceFaults::new(12).with_ber(0.01);
-        let c = run(&f2, Coding::Rate, FaultKernel::Packed, 8);
+        let c = run(&f2, Coding::Rate, FaultKernel::ClosedForm, 8);
         assert_ne!(a.sites, c.sites);
         assert_ne!(a.checksum(), c.checksum());
     }
@@ -476,8 +508,16 @@ mod tests {
         });
         let a = vec![0i64; shape.m * shape.k];
         let b = vec![0i64; shape.k * shape.n];
-        let r = faulty_unary_gemm(&a, &b, shape, 8, Coding::Rate, &faults, FaultKernel::Packed)
-            .expect("valid gemm");
+        let r = faulty_unary_gemm(
+            &a,
+            &b,
+            shape,
+            8,
+            Coding::Rate,
+            &faults,
+            FaultKernel::ClosedForm,
+        )
+        .expect("valid gemm");
         assert_eq!(r.stuck_windows, shape.m as u64);
         assert_eq!(r.stuck_cycles, shape.m as u64 * 128);
         // Stuck-at-1 forces 128 ones per afflicted window even with
@@ -500,7 +540,7 @@ mod tests {
             8,
             Coding::Rate,
             &DeviceFaults::new(1),
-            FaultKernel::Packed,
+            FaultKernel::ClosedForm,
         )
         .expect("valid gemm");
         let corrupted = faulty_unary_gemm(
@@ -510,7 +550,7 @@ mod tests {
             8,
             Coding::Rate,
             &DeviceFaults::new(1).with_memory(usystolic_sim::WordCorruption::new(1, 1.0, 7)),
-            FaultKernel::Packed,
+            FaultKernel::ClosedForm,
         )
         .expect("valid gemm");
         // word_ber = 1 corrupts every stored operand word.
@@ -560,7 +600,7 @@ mod tests {
     #[test]
     fn site_recording_caps_but_counting_continues() {
         let faults = DeviceFaults::new(2).with_ber(0.5);
-        let r = run(&faults, Coding::Rate, FaultKernel::Packed, 8);
+        let r = run(&faults, Coding::Rate, FaultKernel::ClosedForm, 8);
         assert_eq!(r.sites.len(), MAX_RECORDED_SITES);
         assert!(r.transient_flips > MAX_RECORDED_SITES as u64);
     }

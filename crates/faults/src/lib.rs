@@ -13,11 +13,11 @@
 //!   [`usystolic_sim::WordCorruption`]).
 //! * [`mask`] derives **word-granularity fault masks** from a
 //!   SplitMix64 stream keyed per MAC window: transient flips are XOR
-//!   masks, stuck-at faults AND/OR masks, so the packed kernel keeps its
-//!   64-cycles-per-`u64` shape and stays bit-identical with the
+//!   masks, stuck-at faults AND/OR masks, so the closed-form kernel
+//!   visits only the flip sites and stays bit-identical with the
 //!   bit-serial reference under the same seed.
 //! * [`faulty_unary_gemm`] runs a faulted unary GEMM through either the
-//!   bit-serial or the word-packed kernel ([`FaultKernel`]); the two are
+//!   bit-serial or the closed-form kernel ([`FaultKernel`]); the two are
 //!   bit-identical for every seed (`tests` pin it).
 //! * [`faulty_binary_gemm`] is the binary baseline: the same BER applied
 //!   to `2N`-bit product registers, where a single flip can be

@@ -3,10 +3,10 @@
 //! Transient flips are sampled with **geometric skips** (inverse-transform
 //! sampling of the gap between Bernoulli successes), so building a mask
 //! costs `O(flips)` rather than `O(cycles)` and the mask arrives already
-//! packed 64 bits per word — the packed kernel XORs it word-at-a-time
-//! while the bit-serial kernel queries it cycle-at-a-time, and both see
-//! the exact same fault sites because the mask is a pure function of
-//! `(seed, window)`.
+//! packed 64 bits per word — the closed-form kernel walks its flip sites
+//! word-at-a-time while the bit-serial kernel queries it cycle-at-a-time,
+//! and both see the exact same fault sites because the mask is a pure
+//! function of `(seed, window)`.
 
 use usystolic_unary::rng::SplitMix64;
 use usystolic_unary::Bitstream;
@@ -44,13 +44,6 @@ impl WindowMask {
     #[must_use]
     pub fn flip(&self, cycle: usize) -> bool {
         self.bits.get(cycle).unwrap_or(false)
-    }
-
-    /// The packed mask bits — the word-granularity view the packed
-    /// kernel XORs against product words.
-    #[must_use]
-    pub fn bits(&self) -> &Bitstream {
-        &self.bits
     }
 
     /// Flipped cycle indices in ascending order (the fault sites).

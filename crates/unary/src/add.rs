@@ -115,6 +115,10 @@ impl ParallelCounter {
     }
 }
 
+/// Register widths a [`BinaryAccumulator`] supports: a signed `i64`
+/// value with at least one magnitude bit.
+pub const ACC_WIDTHS: core::ops::RangeInclusive<u32> = 2..=63;
+
 /// Signed binary accumulator with a bounded register width: the
 /// reduced-resolution OREG of Fig. 7.
 ///
@@ -137,11 +141,11 @@ impl BinaryAccumulator {
     ///
     /// # Panics
     ///
-    /// Panics if `width` is outside `2..=63`.
+    /// Panics if `width` is outside [`ACC_WIDTHS`].
     #[must_use]
     pub fn new(width: u32) -> Self {
         assert!(
-            (2..=63).contains(&width),
+            ACC_WIDTHS.contains(&width),
             "unsupported accumulator width {width}"
         );
         Self {

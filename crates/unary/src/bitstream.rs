@@ -88,23 +88,6 @@ impl Bitstream {
         &self.words
     }
 
-    /// Number of 1-bits among the first `n` bits of the stream (prefix
-    /// popcount): full words via `count_ones`, plus a masked tail word.
-    ///
-    /// `n` is clamped to the stream length, so `count_ones_first(len())`
-    /// equals [`count_ones`](Self::count_ones).
-    #[must_use]
-    pub fn count_ones_first(&self, n: usize) -> u64 {
-        let n = n.min(self.len);
-        let full = n / 64;
-        let mut ones = popcount_words(&self.words[..full]);
-        let tail = n % 64;
-        if tail != 0 {
-            ones += u64::from((self.words[full] & ((1u64 << tail) - 1)).count_ones());
-        }
-        ones
-    }
-
     /// Number of bits in the stream.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -332,9 +315,9 @@ impl Bitstream {
 }
 
 /// Multi-word popcount reduction: four independent accumulator chains per
-/// iteration, so wide streams (bitwidth ≥ 8 → ≥ 2 words, uGEMM-H → 4+)
-/// keep several `popcnt` units in flight instead of serialising every word
-/// behind one add — the multi-word layout ROADMAP's kernel item asks for.
+/// iteration, so wide streams (bitwidth ≥ 8 → ≥ 2 words) keep several
+/// `popcnt` units in flight instead of serialising every word behind one
+/// add.
 fn popcount_words(words: &[u64]) -> u64 {
     let mut chunks = words.chunks_exact(4);
     let (mut a, mut b, mut c, mut d) = (0u64, 0u64, 0u64, 0u64);
@@ -628,19 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_popcount_matches_scalar() {
-        for len in EDGE_LENGTHS {
-            let bits: Vec<bool> = (0..len).map(|i| (i * 7) % 3 == 0).collect();
-            let bs: Bitstream = bits.iter().copied().collect();
-            for n in [0, 1, 62, 63, 64, 65, 100, len, len + 7] {
-                let expect = bits.iter().take(n).filter(|&&b| b).count() as u64;
-                assert_eq!(bs.count_ones_first(n), expect, "len {len}, prefix {n}");
-            }
-            assert_eq!(bs.count_ones_first(bs.len()), bs.count_ones());
-        }
-    }
-
-    #[test]
     fn multiword_popcount_at_chunk_boundaries() {
         // The 4-words-per-chain reduction must agree with a scalar count at
         // every remainder class of the chunk width (0..=3 leftover words)
@@ -650,10 +620,6 @@ mod tests {
             let bs: Bitstream = bits.iter().copied().collect();
             let expect = bits.iter().filter(|&&b| b).count() as u64;
             assert_eq!(bs.count_ones(), expect, "len {len}");
-            for n in [0, 1, 63, 64, 65, 255, 256, 257, len] {
-                let prefix = bits.iter().take(n).filter(|&&b| b).count() as u64;
-                assert_eq!(bs.count_ones_first(n), prefix, "len {len}, prefix {n}");
-            }
         }
     }
 }

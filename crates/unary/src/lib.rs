@@ -15,8 +15,9 @@
 //! * [`bsg`] — comparator-based bitstream generators, including the
 //!   *conditional* bitstream generator (C-BSG) that underpins the accurate
 //!   uMUL of Fig. 4.
-//! * [`packed`] — word-packed bitstream generation: the same comparators
-//!   evaluated 64 cycles per `u64` word over precomputed source
+//! * [`packed`] — whole-window comparator counts: closed-form prefix
+//!   counts of every Sobol dimension and of a counter, plus the same
+//!   comparators evaluated 64 cycles per `u64` word over drained source
 //!   sequences, bit-exact against the serial generators.
 //! * [`mod@scc`] — the stochastic cross-correlation metric; `SCC == 0` is the
 //!   necessary-and-sufficient condition for accurate unary multiplication

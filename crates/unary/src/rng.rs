@@ -156,6 +156,15 @@ impl SobolSource {
         }
     }
 
+    /// The direction numbers `v_0, …, v_(width−1)`: output `i` is the XOR
+    /// of the `v_b` selected by the set bits of `gray(i) = i ^ (i >> 1)`,
+    /// and `v_b = m_b · 2^(width−1−b)` with `m_b` odd. This is what
+    /// [`crate::packed::sobol_prefix_count`] counts over.
+    #[must_use]
+    pub fn directions(&self) -> &[u64] {
+        &self.direction
+    }
+
     /// The sequence index of the *next* output (0 before the first call to
     /// `next`).
     #[must_use]

@@ -232,6 +232,16 @@ grep -q '"kernels_agree":true' "$faults_json"
 grep -q '"deterministic":true' "$faults_json"
 grep -q '"unary_graceful":true' "$faults_json"
 rm -f "$faults_json"
+# The full BER sweep is deterministic: it must reproduce the committed
+# ledger byte for byte, so every checksum, flip count and NRMSE of the
+# fault kernels is pinned.
+faults_now=$(mktemp /tmp/usystolic_faults_now.XXXXXX.json)
+./target/release/exp_faults --out "$faults_now" > /dev/null
+cmp -s "$faults_now" BENCH_faults.json || {
+    echo "FAIL: exp_faults --out differs from BENCH_faults.json" >&2
+    exit 1
+}
+rm -f "$faults_now"
 
 echo "==> serve_cli fault-injection smoke test (seeded replay + conservation)"
 fa=$(mktemp /tmp/usystolic_fault_serve.XXXXXX.json)
@@ -331,7 +341,8 @@ echo "==> sim_cli device-fault smoke test"
 
 echo "==> bad-input and far-future exit codes"
 # Malformed flags exit 2 with a diagnostic (never a 101 panic), an
-# unsupported width under --check is an analyzer error (exit 1), and
+# unsupported bitwidth or OREG width under --check is an analyzer error
+# (exit 1), and
 # times that saturate the cycle counter finish instead of hanging.
 while read -r want bin args; do
     rc=0
@@ -348,6 +359,7 @@ done <<'CASES'
 2 sim_cli --matmul 4,4,4 --bits 1
 2 sim_cli --matmul 4,4,4 --bits 40
 1 sim_cli --check --bits 0
+1 sim_cli --check --matmul 4,4,4 --acc-width 64
 2 serve_cli --bits 0
 2 serve_cli --bits 40
 2 serve_cli --check --bits 0

@@ -10,7 +10,6 @@
 //! so they are stripped before the golden comparison and asserted
 //! present separately; everything else must not move by a single bit.
 
-use usystolic::arch::{kernel_paths, ComputingScheme};
 use usystolic::des::Fidelity;
 use usystolic::hw::evaluate_layer_with;
 use usystolic::hw::summary::NetworkEvaluation;
@@ -251,23 +250,4 @@ fn analytic_tier_tracks_exact_latency_within_tolerance() {
         analytic.service.p50_cycles,
         exact.service.p50_cycles
     );
-}
-
-#[test]
-fn kernel_dispatch_table_agrees_with_the_analyzer() {
-    // Satellite check: KernelMode::Auto's static per-scheme table and
-    // the analyzer's independently derived paths never drift apart.
-    for scheme in [
-        ComputingScheme::BinaryParallel,
-        ComputingScheme::BinarySerial,
-        ComputingScheme::UGemmHybrid,
-        ComputingScheme::UnaryRate,
-        ComputingScheme::UnaryTemporal,
-    ] {
-        assert_eq!(
-            kernel_paths(scheme),
-            usystolic::analyze::derive_kernel_paths(scheme).as_slice(),
-            "kernel table drifted for {scheme:?}"
-        );
-    }
 }

@@ -98,7 +98,7 @@ fn binary_register_flips_scale_with_bit_position() {
             8,
             Coding::Rate,
             &model,
-            FaultKernel::Packed,
+            FaultKernel::ClosedForm,
         )
         .expect("valid gemm");
         let u_clean = faulty_unary_gemm(
@@ -108,7 +108,7 @@ fn binary_register_flips_scale_with_bit_position() {
             8,
             Coding::Rate,
             &DeviceFaults::new(seed),
-            FaultKernel::Packed,
+            FaultKernel::ClosedForm,
         )
         .expect("valid gemm");
         assert!(
@@ -139,7 +139,7 @@ fn device_faults_are_deterministic_end_to_end() {
     for coding in [Coding::Rate, Coding::Temporal] {
         let first = run(11, coding, FaultKernel::Serial);
         assert_eq!(first, run(11, coding, FaultKernel::Serial), "replay");
-        assert_eq!(first, run(11, coding, FaultKernel::Packed), "kernels");
+        assert_eq!(first, run(11, coding, FaultKernel::ClosedForm), "kernels");
         assert_ne!(
             first.sites,
             run(12, coding, FaultKernel::Serial).sites,
