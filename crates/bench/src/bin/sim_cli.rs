@@ -48,7 +48,7 @@ use usystolic_faults::{
     faulty_binary_gemm, faulty_unary_gemm, DeviceFaults, FaultKernel, FaultReport, GemmShape,
 };
 use usystolic_gemm::GemmConfig;
-use usystolic_hw::evaluate_layer_with;
+use usystolic_hw::evaluate_layer;
 use usystolic_hw::summary::NetworkEvaluation;
 use usystolic_obs::{JsonValue, ToJson};
 use usystolic_sim::{MultiInstanceSystem, ScalingReport};
@@ -346,10 +346,10 @@ fn run() -> cli::Result<ExitCode> {
     };
 
     if let Some(gemm) = args.gemm {
-        let ev = evaluate_layer_with(&sim, &gemm);
+        let ev = evaluate_layer(&config, &memory, &gemm);
         let scaling = args
             .instances
-            .map(|n| MultiInstanceSystem::new(config, memory).scale(&gemm, n));
+            .map(|n| MultiInstanceSystem::new(config, memory).scale(&ev.report, n));
         if let Some(session) = usystolic_obs::take() {
             args.obs.export_session("sim_cli", &session)?;
         }
@@ -402,15 +402,15 @@ fn run() -> cli::Result<ExitCode> {
     }
 
     let network = args.network.as_ref().ok_or(CliError::Help)?;
-    let ev = NetworkEvaluation::evaluate_with(&sim, &network.gemms());
+    let ev = NetworkEvaluation::evaluate(&config, &memory, &network.gemms());
     let scaling: Vec<(String, ScalingReport)> = match args.instances {
         Some(n) => {
             let sys = MultiInstanceSystem::new(config, memory);
             network
                 .layers
                 .iter()
-                .zip(network.gemms())
-                .map(|(layer, gemm)| (layer.name.clone(), sys.scale(&gemm, n)))
+                .zip(&ev.layers)
+                .map(|(layer, l)| (layer.name.clone(), sys.scale(&l.report, n)))
                 .collect()
         }
         None => Vec::new(),

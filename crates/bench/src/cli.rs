@@ -24,17 +24,16 @@ use usystolic_gemm::GemmConfig;
 use usystolic_models::zoo::{self, Network};
 use usystolic_obs::{JsonValue, Session, ToJson};
 use usystolic_serve::{
-    ArrivalProcess, BrownoutPolicy, FleetFaultPlan, LoadGenConfig, RetryPolicy, ServeConfig,
-    ServeReport, ShardFailure, ShardSlowdown, Workload,
+    ArrivalProcess, BrownoutPolicy, Fidelity, FleetFaultPlan, LoadGenConfig, RetryPolicy,
+    ServeConfig, ServeReport, ShardFailure, ShardSlowdown, Workload,
 };
-use usystolic_sim::{Fidelity, MemoryHierarchy, Simulator, CLOCK_HZ};
+use usystolic_sim::{MemoryHierarchy, Simulator, CLOCK_HZ};
 
 use crate::ArrayShape;
 
 /// `sim_cli`'s usage text.
 pub const SIM_USAGE: &str = "usage: usystolic_sim [--scheme BP|BS|UG|UR|UT] [--cycles N] [--bits N]
                      [--shape edge|cloud] [--sram|--no-sram] [--instances N]
-                     [--fidelity cycle|packed|analytic]
                      [--trace FILE] [--metrics FILE] [--metrics-format json|prom]
                      [--report FILE.html] [--json]
                      [--fault-ber F] [--fault-stuck R,C,V]... [--fault-seed N]
@@ -45,10 +44,8 @@ pub const SIM_USAGE: &str = "usage: usystolic_sim [--scheme BP|BS|UG|UR|UT] [--c
                      [--sram|--no-sram] [--json]
                      [--conv ... | --matmul ... | --network ...]
 
---fidelity picks the timing-model tier: cycle (default) walks every
-fold of the tile mapping, packed uses the bit-identical closed form,
-and analytic additionally drops the SRAM service bound (exact for
-compute- or DRAM-bound layers).
+--instances N adds the scaling of N instances sharing one DRAM,
+rescaled from the simulated layer (each network layer with --network).
 
 Fault injection (--fault-ber, --fault-stuck, --fault-seed) runs a
 deterministic device-fault characterization on a sub-sampled window of
@@ -79,7 +76,7 @@ pub const SERVE_USAGE: &str =
                  [--timeout MS] [--retry-max N] [--retry-backoff MS]
                  [--retry-jitter PERMILLE] [--brownout DEPTH,SERVICE]
                  [--shed-expired] [--fault-seed N]
-                 [--fidelity cycle|packed|analytic]
+                 [--fidelity cycle|packed]
 
 Each --network/--matmul/--conv adds one workload class; requests draw a
 class uniformly. With no workload flags a 64x64x64 matmul is served.
@@ -98,11 +95,10 @@ queue wait; --shed-expired drops queued requests past their deadline;
 nominal once the queue passes DEPTH/1000 of capacity, admitting overflow
 up to twice the queue instead of rejecting.
 
---fidelity picks the service-time model resolution: cycle (default)
-re-derives every layer timing from first principles at each dispatch,
-packed uses the precomputed exact totals (identical numbers, faster),
-analytic interpolates the closed-form feasibility estimate (approximate,
-fleet-scale fast).
+--fidelity picks when service times are derived; both print the same
+numbers: cycle (default) re-derives every class's layer profiles at
+each dispatch, packed reads the totals derived once before the event
+loop.
 
 --check runs the static serving-feasibility analysis instead of the
 event simulation: USY070 (provable overload), USY071 (near-saturation
@@ -566,7 +562,6 @@ pub struct SimArgs {
     pub check: bool,
     /// Composed early-termination error budget (`--acc-budget`).
     pub acc_budget: Option<f64>,
-    fidelity: Fidelity,
     acc_width: Option<u32>,
     wiring: RngWiring,
     fifo_depth: Option<usize>,
@@ -588,7 +583,6 @@ impl SimArgs {
                 "--conv" | "--matmul" => a.gemm = Some(parse_gemm(&flag, &argv.value()?)?),
                 "--network" => a.network = Some(network_by_name(&argv.value()?)?),
                 "--instances" => a.instances = Some(argv.parse::<NonZeroUsize>()?.get()),
-                "--fidelity" => a.fidelity = argv.parse()?,
                 "--check" => a.check = true,
                 "--acc-width" => a.acc_width = Some(argv.int()?),
                 "--acc-budget" => {
@@ -630,7 +624,7 @@ impl SimArgs {
     /// The simulator the flags configure.
     pub fn simulator(&self) -> Result<Simulator> {
         let (config, memory) = self.array.build()?;
-        Ok(Simulator::new(config, memory).with_fidelity(self.fidelity))
+        Ok(Simulator::new(config, memory))
     }
 
     /// The unvalidated spec `--check` analyses: the raw knob values,
@@ -912,7 +906,6 @@ mod tests {
             let ur8 = SystolicConfig::edge(ComputingScheme::UnaryRate, 8);
             assert_eq!(*sim.config(), ur8);
             assert_eq!(*sim.memory(), MemoryHierarchy::no_sram());
-            assert_eq!(sim.fidelity(), Fidelity::CycleAccurate);
             assert_eq!(a.gemm, GemmConfig::matmul(4, 4, 4).ok());
             assert_eq!((a.instances, a.check), (None, false));
             assert_eq!(a.obs, ObsArgs::default());
@@ -975,13 +968,6 @@ mod tests {
         }),
         ("--matmul 4,4,4 --instances 16", |a| {
             assert_eq!(a.instances, Some(16))
-        }),
-        ("--matmul 4,4,4 --fidelity packed", |a| {
-            let sim = a.simulator().expect("valid");
-            assert_eq!(sim.fidelity(), Fidelity::Packed);
-        }),
-        ("--matmul 4,4,4 --fidelity analytic", |a| {
-            assert_eq!(a.fidelity, Fidelity::Analytic);
         }),
         (
             "--matmul 4,4,4 --trace t.json --metrics m.prom --metrics-format prom --report r.html",
@@ -1199,7 +1185,7 @@ mod tests {
             c.faults.retry.backoff_base_cycles = 1
         }),
         ("--fidelity packed", |c, _| c.fidelity = Fidelity::Packed),
-        ("--fidelity analytic --fidelity cycle", |_, _| {}),
+        ("--fidelity packed --fidelity cycle", |_, _| {}),
         ("--check --json", |_, _| {}),
         (
             "--trace t.json --metrics m.prom --metrics-format prom --report r.html",
@@ -1267,7 +1253,10 @@ mod tests {
         ("--network lenet", "--network lenet"),
         ("--instances 0 --matmul 4,4,4", "--instances 0"),
         ("--instances x --matmul 4,4,4", "--instances x"),
-        ("--fidelity warp --matmul 4,4,4", "--fidelity warp"),
+        (
+            "--matmul 4,4,4 --fidelity packed",
+            "unknown flag --fidelity",
+        ),
         (
             "--metrics-format bogus --matmul 4,4,4",
             "--metrics-format bogus",
@@ -1335,6 +1324,7 @@ mod tests {
         ("--retry-jitter -5", "--retry-jitter -5"),
         ("--fault-seed x", "--fault-seed x"),
         ("--fidelity warp", "--fidelity warp"),
+        ("--fidelity analytic", "--fidelity analytic"),
         ("--network lenet", "--network lenet"),
         ("--conv 1,2", "--conv 1,2"),
         ("--matmul 4,4", "--matmul 4,4"),

@@ -34,7 +34,6 @@ pub mod accuracy;
 pub mod area;
 pub mod bandwidth;
 pub mod cli;
-pub mod des_fleet;
 pub mod design;
 pub mod design_space;
 pub mod efficiency;

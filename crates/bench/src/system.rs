@@ -50,12 +50,14 @@ pub fn scaling_table(shape: ArrayShape) -> Table {
         &header_refs,
     );
     for (name, cfg) in designs(shape) {
-        let sys = MultiInstanceSystem::new(cfg, MemoryHierarchy::no_sram());
+        let memory = MemoryHierarchy::no_sram();
+        let one = Simulator::new(cfg, memory).simulate(&layer);
+        let sys = MultiInstanceSystem::new(cfg, memory);
         let mut row = vec![name];
         for &n in &counts {
             row.push(format!(
                 "{:.0}",
-                100.0 * sys.scale(&layer, n).scaling_efficiency
+                100.0 * sys.scale(&one, n).scaling_efficiency
             ));
         }
         table.push_row(row);

@@ -1,54 +1,36 @@
-//! The model-resolution switch.
+//! The serve fleet's timing-resolution switch.
 //!
-//! One tier per run: `usystolic_sim::Simulator` times every layer at its
-//! configured tier, and `usystolic_serve` applies `ServeConfig::fidelity`
-//! to every dispatch of a run.
+//! Both tiers are exact: `usystolic_serve` applies
+//! `ServeConfig::fidelity` to every dispatch of a run, and the two differ
+//! only in when a class's layer profiles are derived.
 
 use std::fmt;
 use std::str::FromStr;
 
 use usystolic_obs::{JsonValue, ToJson};
 
-/// How faithfully a run models timing.
+/// When a serve run derives its service times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Fidelity {
-    /// Re-derive timing from first principles (fold walks, per-variable
-    /// SRAM stalls) at every dispatch. Bit-identical reference tier.
+    /// Re-derive the class's layer profiles from its raw GEMMs at every
+    /// dispatch. The reference the hoisted totals are checked against.
     #[default]
     CycleAccurate,
-    /// Hoisted exact closed forms — the same bits as
-    /// [`CycleAccurate`](Self::CycleAccurate), computed without the
-    /// per-fold walk. The timing analogue of the closed-form MAC kernel.
+    /// Read the class totals hoisted out of the event loop: the layer
+    /// profiles are derived once, before the first event, and every
+    /// dispatch reuses them. The same bits as
+    /// [`CycleAccurate`](Self::CycleAccurate).
     Packed,
-    /// `O(1)` closed-form estimates (linear interpolation over the
-    /// `analyze` ServiceEstimate). Approximate; trades exactness for
-    /// fleet-scale speed.
-    Analytic,
 }
 
 impl Fidelity {
-    /// All tiers, highest fidelity first.
-    pub const ALL: [Fidelity; 3] = [
-        Fidelity::CycleAccurate,
-        Fidelity::Packed,
-        Fidelity::Analytic,
-    ];
-
     /// Stable lowercase label used for CLI flags, JSON, and obs labels.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             Fidelity::CycleAccurate => "cycle",
             Fidelity::Packed => "packed",
-            Fidelity::Analytic => "analytic",
         }
-    }
-
-    /// Whether this tier reproduces the cycle-accurate timing bits
-    /// exactly (true for everything except [`Analytic`](Self::Analytic)).
-    #[must_use]
-    pub fn is_exact(self) -> bool {
-        !matches!(self, Fidelity::Analytic)
     }
 }
 
@@ -64,11 +46,7 @@ pub struct ParseFidelityError(String);
 
 impl fmt::Display for ParseFidelityError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown fidelity '{}' (expected cycle|packed|analytic)",
-            self.0
-        )
+        write!(f, "unknown fidelity '{}' (expected cycle|packed)", self.0)
     }
 }
 
@@ -81,7 +59,6 @@ impl FromStr for Fidelity {
         match s.to_ascii_lowercase().as_str() {
             "cycle" | "cycle-accurate" | "cycleaccurate" => Ok(Fidelity::CycleAccurate),
             "packed" => Ok(Fidelity::Packed),
-            "analytic" | "analytical" => Ok(Fidelity::Analytic),
             other => Err(ParseFidelityError(other.to_string())),
         }
     }
@@ -99,7 +76,7 @@ mod tests {
 
     #[test]
     fn parses_every_label_round_trip() {
-        for tier in Fidelity::ALL {
+        for tier in [Fidelity::CycleAccurate, Fidelity::Packed] {
             assert_eq!(tier.label().parse::<Fidelity>(), Ok(tier));
             assert_eq!(tier.to_string(), tier.label());
         }
@@ -112,19 +89,17 @@ mod tests {
             Ok(Fidelity::CycleAccurate)
         );
         assert_eq!("CYCLE".parse::<Fidelity>(), Ok(Fidelity::CycleAccurate));
-        assert_eq!("analytical".parse::<Fidelity>(), Ok(Fidelity::Analytic));
+        assert_eq!("PACKED".parse::<Fidelity>(), Ok(Fidelity::Packed));
     }
 
     #[test]
     fn rejects_unknown_names() {
         assert!("fast".parse::<Fidelity>().is_err());
+        assert!("analytic".parse::<Fidelity>().is_err());
     }
 
     #[test]
-    fn default_is_cycle_accurate_and_exactness_is_tiered() {
+    fn default_is_cycle_accurate() {
         assert_eq!(Fidelity::default(), Fidelity::CycleAccurate);
-        assert!(Fidelity::CycleAccurate.is_exact());
-        assert!(Fidelity::Packed.is_exact());
-        assert!(!Fidelity::Analytic.is_exact());
     }
 }

@@ -11,13 +11,11 @@
 //! * [`EventQueue`] / [`Event`] / [`Scheduled`] — the calendar:
 //!   `schedule`, `pop`, `len`, `is_empty`. A schedule before the last
 //!   popped cycle is clamped to it, so time never runs backwards.
-//! * [`Fidelity`] — the timing-model resolution, one tier per run:
-//!   [`Fidelity::CycleAccurate`] re-derives timing from first principles
-//!   at every dispatch, [`Fidelity::Packed`] uses the hoisted exact
-//!   closed forms (same bits, faster — the timing analogue of the
-//!   closed-form MAC kernel), and [`Fidelity::Analytic`] trades exactness
-//!   for `O(1)` closed-form estimates so thousand-instance fleets
-//!   simulate in seconds.
+//! * [`Fidelity`] — when a serve run derives its service times, one tier
+//!   per run and both exact: [`Fidelity::CycleAccurate`] re-derives each
+//!   class's layer profiles at every dispatch, and [`Fidelity::Packed`]
+//!   reads the totals hoisted out of the event loop (same bits, less
+//!   work per dispatch).
 //!
 //! The queue records no metrics; the loop that drives it does (serve's
 //! fleet writes the `des.*` family).

@@ -28,9 +28,8 @@ pub struct LayerEvaluation {
 }
 
 /// Wraps an already-simulated [`LayerReport`] with the hardware model:
-/// energy, power, EDP, efficiency and area for the simulator's design
-/// point. This is the one place a report becomes an evaluation, shared
-/// by every entry path and fidelity tier.
+/// energy, power, EDP, efficiency and area for the given design
+/// point. This is the one place a report becomes an evaluation.
 #[must_use]
 pub fn evaluate_from_report(
     config: &SystolicConfig,
@@ -50,41 +49,30 @@ pub fn evaluate_from_report(
     }
 }
 
-/// Evaluates one layer on a configured simulator (fidelity included).
-#[must_use]
-pub fn evaluate_layer_with(sim: &Simulator, gemm: &GemmConfig) -> LayerEvaluation {
-    evaluate_from_report(sim.config(), sim.memory(), sim.simulate(gemm))
-}
-
-/// Evaluates one layer on one design point (array + memory hierarchy)
-/// at the default cycle-accurate fidelity.
+/// Evaluates one layer on one design point (array + memory hierarchy).
 #[must_use]
 pub fn evaluate_layer(
     config: &SystolicConfig,
     memory: &MemoryHierarchy,
     gemm: &GemmConfig,
 ) -> LayerEvaluation {
-    evaluate_layer_with(&Simulator::new(*config, *memory), gemm)
+    let report = Simulator::new(*config, *memory).simulate(gemm);
+    evaluate_from_report(config, memory, report)
 }
 
-/// Evaluates a whole network on a configured simulator, one record per
-/// layer, in order ([`Simulator::simulate_network`]).
-#[must_use]
-pub fn evaluate_network_with(sim: &Simulator, layers: &[GemmConfig]) -> Vec<LayerEvaluation> {
-    sim.simulate_network(layers)
-        .into_iter()
-        .map(|report| evaluate_from_report(sim.config(), sim.memory(), report))
-        .collect()
-}
-
-/// Evaluates a whole network at the default cycle-accurate fidelity.
+/// Evaluates a whole network on one design point, one record per layer,
+/// in order ([`Simulator::simulate_network`]).
 #[must_use]
 pub fn evaluate_network(
     config: &SystolicConfig,
     memory: &MemoryHierarchy,
     layers: &[GemmConfig],
 ) -> Vec<LayerEvaluation> {
-    evaluate_network_with(&Simulator::new(*config, *memory), layers)
+    Simulator::new(*config, *memory)
+        .simulate_network(layers)
+        .into_iter()
+        .map(|report| evaluate_from_report(config, memory, report))
+        .collect()
 }
 
 impl usystolic_obs::ToJson for LayerEvaluation {

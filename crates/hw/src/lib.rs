@@ -27,10 +27,7 @@ pub mod tech;
 
 pub use area::{ArrayArea, OnChipArea};
 pub use energy::{LayerEdp, LayerEnergy};
-pub use evaluate::{
-    evaluate_from_report, evaluate_layer, evaluate_layer_with, evaluate_network,
-    evaluate_network_with, LayerEvaluation,
-};
+pub use evaluate::{evaluate_from_report, evaluate_layer, evaluate_network, LayerEvaluation};
 pub use pe_area::PeComponents;
 pub use power::{improvement, reduction_percent, Efficiency, LayerPower};
 pub use summary::NetworkEvaluation;

@@ -3,10 +3,10 @@
 //! inferences-per-joule — the numbers system designers actually budget
 //! with (§V-H's battery scenario).
 
-use crate::evaluate::{evaluate_network_with, LayerEvaluation};
+use crate::evaluate::{evaluate_network, LayerEvaluation};
 use usystolic_core::SystolicConfig;
 use usystolic_gemm::GemmConfig;
-use usystolic_sim::{MemoryHierarchy, Simulator};
+use usystolic_sim::MemoryHierarchy;
 
 /// Aggregated evaluation of one full network pass.
 #[derive(Debug, Clone)]
@@ -24,22 +24,14 @@ pub struct NetworkEvaluation {
 }
 
 impl NetworkEvaluation {
-    /// Evaluates every layer at cycle-accurate fidelity and aggregates.
+    /// Evaluates every layer, in order, and aggregates.
     #[must_use]
     pub fn evaluate(
         config: &SystolicConfig,
         memory: &MemoryHierarchy,
         gemms: &[GemmConfig],
     ) -> Self {
-        Self::evaluate_with(&Simulator::new(*config, *memory), gemms)
-    }
-
-    /// Evaluates every layer on a configured simulator (fidelity
-    /// included) and aggregates. The layers run through the simulator's
-    /// discrete-event calendar.
-    #[must_use]
-    pub fn evaluate_with(sim: &Simulator, gemms: &[GemmConfig]) -> Self {
-        let layers = evaluate_network_with(sim, gemms);
+        let layers = evaluate_network(config, memory, gemms);
         let runtime_s = layers.iter().map(|l| l.report.runtime_s).sum();
         let on_chip_j = layers.iter().map(|l| l.energy.on_chip_j()).sum();
         let total_j = layers.iter().map(|l| l.energy.total_j()).sum();

@@ -21,11 +21,10 @@
 //!    rejected, timed out or failed — is folded into the
 //!    latency/wait/service [`QuantileHistogram`]s right there; no
 //!    per-request record is kept. Service times
-//!    resolve at the configured [`Fidelity`]: cycle-accurate re-derives
-//!    each class's layer profiles from first principles at every
-//!    dispatch, packed uses the hoisted totals (same bits, faster), and
-//!    analytic interpolates the `analyze` closed-form
-//!    [`ServiceEstimate`] in `O(1)` per dispatch. Shared-DRAM contention
+//!    resolve at the configured [`Fidelity`], both exact: cycle-accurate
+//!    re-derives each class's layer profiles from its raw GEMMs at every
+//!    dispatch, and packed reads the totals hoisted into the profile
+//!    phase (same bits, less work per dispatch). Shared-DRAM contention
 //!    scales with the number of busy instances at dispatch.
 //!
 //! The caller's `usystolic_obs` session (if installed) receives queue
@@ -45,7 +44,6 @@ use crate::request::{Disposition, Request, RequestRecord};
 use crate::scheduler::Scheduler;
 use crate::workload::{batched_service_cycles, LayerProfile, Workload, WorkloadProfile};
 use std::collections::BTreeMap;
-use usystolic_analyze::ServiceEstimate;
 use usystolic_des::{Event, EventQueue, Fidelity, Scheduled};
 use usystolic_obs::{QuantileHistogram, ToJson};
 use usystolic_sim::CLOCK_HZ;
@@ -187,9 +185,6 @@ struct Fleet<'a, S> {
     config: &'a ServeConfig,
     workloads: &'a [Workload],
     profiles: &'a [WorkloadProfile],
-    /// Per-class `(max_batch, instances)` operating-point estimates;
-    /// populated only at [`Fidelity::Analytic`].
-    estimates: Vec<ServiceEstimate>,
     load: LoadGen,
     admission: AdmissionController,
     scheduler: Scheduler,
@@ -220,8 +215,8 @@ impl<S> Fleet<'_, S> {
         match self.config.fidelity {
             // Re-derive every layer profile from the raw GEMMs at
             // dispatch time. The integer layer sums commute, so this is
-            // bit-identical to the packed totals — just slower, which is
-            // the point of the reference tier. The re-derivation runs
+            // bit-identical to the packed totals: the reference the
+            // hoisted totals are checked against. The re-derivation runs
             // with the obs session shelved: the profile phase already
             // counted this traffic once, and re-counting it per dispatch
             // would make metric snapshots depend on the fidelity tier.
@@ -250,20 +245,6 @@ impl<S> Fleet<'_, S> {
             }
             Fidelity::Packed => {
                 self.profiles[class].service_cycles_scaled(batch, concurrency, compute_permille)
-            }
-            // Linear interpolation between the closed-form endpoints of
-            // the `analyze` ServiceEstimate: O(1), ignores instantaneous
-            // DRAM concurrency (the estimate already bakes in the
-            // configured fleet width).
-            Fidelity::Analytic => {
-                let est = &self.estimates[class];
-                let span = est.batch_cycles.saturating_sub(est.single_cycles);
-                let slope = match self.config.max_batch {
-                    0 | 1 => 0,
-                    b => span / (b as u64 - 1),
-                };
-                let nominal = est.single_cycles + (batch as u64 - 1) * slope;
-                nominal * u64::from(compute_permille) / 1000
             }
         }
     }
@@ -788,23 +769,11 @@ pub fn serve_with(
         }
     });
 
-    // Analytic operating-point endpoints; the exact tiers never look at
-    // them, so skip the (cheap) derivation unless they will be used.
-    let estimates = if config.fidelity == Fidelity::Analytic {
-        profiles
-            .iter()
-            .map(|p| p.service_estimate(config.max_batch, config.instances))
-            .collect()
-    } else {
-        Vec::new()
-    };
-
     let mut fleet = Fleet {
         events,
         config,
         workloads,
         profiles: &profiles,
-        estimates,
         load,
         admission: AdmissionController::new(config.queue_capacity),
         scheduler: Scheduler::new(config.max_batch),

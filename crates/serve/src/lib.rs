@@ -34,9 +34,9 @@
 //! report. Open-loop arrivals are drawn one ahead and each request is
 //! folded into the statistics as it leaves, so the calendar holds one
 //! arrival plus the in-flight work and no per-request record is kept.
-//! Service times resolve at a configurable [`Fidelity`]: cycle-accurate
-//! and packed are bit-identical, analytic swaps in the `analyze`
-//! closed-form estimate for `O(1)` dispatch at fleet scale.
+//! Service times resolve at a configurable [`Fidelity`], and both tiers
+//! are bit-identical: cycle-accurate re-derives a class's layer profiles
+//! at every dispatch, packed reads the totals hoisted before the loop.
 //!
 //! Fleet resilience is scripted through [`faults`]: shard crashes with
 //! epoch-invalidated completions, bounded retry with deterministic

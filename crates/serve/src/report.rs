@@ -35,10 +35,9 @@ pub struct ServeConfig {
     /// fault-free run — the engine is then bit-identical to one without
     /// the fault layer).
     pub faults: FleetFaultPlan,
-    /// Model resolution the event loop dispatches at.
-    /// [`Fidelity::CycleAccurate`] (the default) and [`Fidelity::Packed`]
-    /// are bit-identical; [`Fidelity::Analytic`] trades exactness for
-    /// `O(1)` service estimates at fleet scale.
+    /// When the event loop derives service times: re-derived per
+    /// dispatch ([`Fidelity::CycleAccurate`], the default) or read from
+    /// the hoisted class totals ([`Fidelity::Packed`]). Bit-identical.
     pub fidelity: Fidelity,
 }
 

@@ -17,7 +17,6 @@
 //! choice is overrated" \[73\]: for the bulk of AlexNet's layers both
 //! dataflows land within a small factor.
 
-use crate::memory::MemoryHierarchy;
 use crate::traffic::{input_elem_bytes, output_elem_bytes, LayerTraffic, VariableTraffic};
 use usystolic_core::SystolicConfig;
 use usystolic_gemm::GemmConfig;
@@ -40,62 +39,43 @@ impl core::fmt::Display for Dataflow {
     }
 }
 
-/// The generalised fold structure: `stationary_cols` values are pinned per
-/// tile and `streamed` vectors pass through each tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Folds {
-    row_folds: u64,
-    col_folds: u64,
-    last_rows: u64,
-    last_cols: u64,
-    rows: u64,
-    cols: u64,
-    streamed: u64,
-}
-
-fn folds(gemm: &GemmConfig, config: &SystolicConfig, dataflow: Dataflow) -> Folds {
-    let k = gemm.reduction_len() as u64;
+/// The stationary and streamed extents `(S, T)`: the `S` values one
+/// tile pins across the array columns and the `T` vectors that stream
+/// through every tile.
+fn extents(gemm: &GemmConfig, dataflow: Dataflow) -> (u64, u64) {
     let m = gemm.output_pixels() as u64;
     let n = gemm.output_channels() as u64;
-    let (stationary_cols, streamed) = match dataflow {
+    match dataflow {
         Dataflow::WeightStationary => (n, m),
         Dataflow::InputStationary => (m, n),
-    };
-    let rows = config.rows() as u64;
-    let cols = config.cols() as u64;
-    Folds {
-        row_folds: k.div_ceil(rows),
-        col_folds: stationary_cols.div_ceil(cols),
-        last_rows: k - (k.div_ceil(rows) - 1) * rows,
-        last_cols: stationary_cols - (stationary_cols.div_ceil(cols) - 1) * cols,
-        rows,
-        cols,
-        streamed,
     }
 }
 
-/// Stall-free compute cycles under the chosen dataflow.
+/// Stall-free compute cycles under the chosen dataflow: the SCALE-Sim
+/// pipeline model summed in closed form.
+///
+/// Each `r × c` tile preloads `r` rows, streams `T` vectors at the MAC
+/// interval and drains through `r + c − 2` cycles of systolic skew. The
+/// ragged last row and column folds only shift the per-fold `r` and `c`
+/// sums, which telescope to `K` and `S`:
+///
+/// ```text
+/// Σ_rf Σ_cf (r + T·mac + r + c − 2)
+///   = 2·col_folds·K + row_folds·S + row_folds·col_folds·(T·mac − 2)
+/// ```
+///
+/// Every tile has `r, c ≥ 1`, so `r + c − 2` never clamps and the sum is
+/// exact.
 #[must_use]
 pub fn ideal_cycles_with(gemm: &GemmConfig, config: &SystolicConfig, dataflow: Dataflow) -> u64 {
-    let f = folds(gemm, config, dataflow);
-    let mac = config.mac_cycles();
-    let mut total = 0u64;
-    for rf in 0..f.row_folds {
-        let r = if rf + 1 == f.row_folds {
-            f.last_rows
-        } else {
-            f.rows
-        };
-        for cf in 0..f.col_folds {
-            let c = if cf + 1 == f.col_folds {
-                f.last_cols
-            } else {
-                f.cols
-            };
-            total += r + f.streamed * mac + (r + c).saturating_sub(2);
-        }
-    }
-    total
+    let k = gemm.reduction_len() as u64;
+    let (s, t) = extents(gemm, dataflow);
+    let row_folds = k.div_ceil(config.rows() as u64);
+    let col_folds = s.div_ceil(config.cols() as u64);
+    let tiles = row_folds * col_folds;
+    // Every tile's term is at least 2, so the sum of the positive parts
+    // covers the subtrahend and the u64 subtraction cannot underflow.
+    2 * col_folds * k + row_folds * s + tiles * t * config.mac_cycles() - 2 * tiles
 }
 
 /// Streamed DRAM traffic under the chosen dataflow (no-SRAM accounting, as
@@ -106,46 +86,32 @@ pub fn layer_traffic_with(
     config: &SystolicConfig,
     dataflow: Dataflow,
 ) -> LayerTraffic {
-    let f = folds(gemm, config, dataflow);
     let in_bytes = input_elem_bytes(config.bitwidth());
     let out_bytes = output_elem_bytes(config);
     let k = gemm.reduction_len() as u64;
     let m = gemm.output_pixels() as u64;
     let n = gemm.output_channels() as u64;
+    let (stationary, _) = extents(gemm, dataflow);
+    let row_folds = k.div_ceil(config.rows() as u64);
+    let col_folds = stationary.div_ceil(config.cols() as u64);
     let dram = match dataflow {
         Dataflow::WeightStationary => VariableTraffic {
-            ifm: m * k * f.col_folds * in_bytes,
+            ifm: m * k * col_folds * in_bytes,
             weight: k * n * in_bytes,
-            ofm: m * n * (2 * f.row_folds - 1) * out_bytes,
+            ofm: m * n * (2 * row_folds - 1) * out_bytes,
         },
         Dataflow::InputStationary => VariableTraffic {
             // Inputs are the preloaded (stationary) operand: once each.
             ifm: m * k * in_bytes,
             // Weights stream: every input-column fold re-streams them.
-            weight: k * n * f.col_folds * in_bytes,
-            ofm: m * n * (2 * f.row_folds - 1) * out_bytes,
+            weight: k * n * col_folds * in_bytes,
+            ofm: m * n * (2 * row_folds - 1) * out_bytes,
         },
     };
     LayerTraffic {
         sram: VariableTraffic::default(),
         dram,
     }
-}
-
-/// Runtime cycles under the chosen dataflow against a shared memory
-/// hierarchy (no-SRAM): max of compute and DRAM service.
-#[must_use]
-pub fn runtime_cycles_with(
-    gemm: &GemmConfig,
-    config: &SystolicConfig,
-    memory: &MemoryHierarchy,
-    dataflow: Dataflow,
-) -> u64 {
-    let ideal = ideal_cycles_with(gemm, config, dataflow);
-    let traffic = layer_traffic_with(gemm, config, dataflow);
-    let dram =
-        (traffic.dram.total() as f64 / memory.dram.sustained_bytes_per_cycle()).ceil() as u64;
-    ideal.max(dram)
 }
 
 #[cfg(test)]
@@ -168,7 +134,8 @@ mod tests {
             ideal_cycles_with(&gemm, &cfg, Dataflow::WeightStationary),
             crate::runtime::ideal_cycles(&gemm, &cfg)
         );
-        let base = crate::traffic::layer_traffic(&gemm, &cfg, &MemoryHierarchy::no_sram());
+        let no_sram = crate::memory::MemoryHierarchy::no_sram();
+        let base = crate::traffic::layer_traffic(&gemm, &cfg, &no_sram);
         let gen = layer_traffic_with(&gemm, &cfg, Dataflow::WeightStationary);
         assert_eq!(base.dram, gen.dram);
     }
@@ -211,17 +178,6 @@ mod tests {
         assert_eq!(is.dram.ifm, 40 * 48);
         assert!(ws.dram.ifm > is.dram.ifm);
         assert!(is.dram.weight > ws.dram.weight);
-    }
-
-    #[test]
-    fn runtime_covers_memory_service() {
-        let gemm = GemmConfig::matmul(1, 512, 512).expect("valid layer");
-        let cfg = SystolicConfig::edge(ComputingScheme::BinaryParallel, 8);
-        let mem = MemoryHierarchy::no_sram();
-        for df in [Dataflow::WeightStationary, Dataflow::InputStationary] {
-            let rt = runtime_cycles_with(&gemm, &cfg, &mem, df);
-            assert!(rt >= ideal_cycles_with(&gemm, &cfg, df), "{df}");
-        }
     }
 
     #[test]

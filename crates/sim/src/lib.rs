@@ -12,12 +12,16 @@
 //! * [`traffic`] — per-layer byte traffic at the SRAM and DRAM levels,
 //!   derived from the weight-stationary tile mapping.
 //! * [`runtime`] — ideal pipeline cycles plus memory-contention stalls.
+//!   The compute model is one closed-form fold sum
+//!   ([`ideal_cycles_with`]; [`ideal_cycles`] is its weight-stationary
+//!   case), `O(1)` per layer however many folds the tile mapping has.
+//! * [`dataflow`] — the same model and the streamed traffic under the
+//!   weight- or input-stationary dataflow.
 //! * [`report`] — [`Simulator`]: one call per layer returning bandwidth,
-//!   runtime, throughput and utilisation in the paper's units, at a
-//!   configurable [`Fidelity`] (cycle-accurate and packed are
-//!   bit-identical; analytic drops the SRAM service bound for speed).
+//!   runtime, throughput and utilisation in the paper's units.
 //!   [`Simulator::simulate_network`] times a network as the in-order
-//!   sequence of its layers.
+//!   sequence of its layers, and [`MultiInstanceSystem::scale`] rescales
+//!   one layer's report to `n` instances sharing one DRAM.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,13 +36,12 @@ pub mod runtime;
 pub mod trace;
 pub mod traffic;
 
-pub use dataflow::{ideal_cycles_with, layer_traffic_with, runtime_cycles_with, Dataflow};
+pub use dataflow::{ideal_cycles_with, layer_traffic_with, Dataflow};
 pub use dram_model::{analyze_trace, DramAnalysis};
 pub use jitter::SlackBudget;
 pub use memory::{DramSpec, MemoryHierarchy, SramSpec, Variable, WordCorruption};
 pub use multi::{battery_lifetime, LifetimeReport, MultiInstanceSystem, ScalingReport};
 pub use report::{LayerReport, Simulator, CLOCK_HZ};
-pub use runtime::{ideal_cycles, ideal_cycles_closed_form, layer_timing, LayerTiming};
+pub use runtime::{ideal_cycles, layer_timing, LayerTiming};
 pub use trace::{Access, TraceEvent, TraceGenerator};
 pub use traffic::{layer_traffic, LayerTraffic, VariableTraffic};
-pub use usystolic_des::Fidelity;

@@ -9,9 +9,7 @@
 //! almost linearly; high-bandwidth binary designs hit the memory wall.
 
 use crate::memory::MemoryHierarchy;
-use crate::report::{Simulator, CLOCK_HZ};
-use crate::runtime::layer_timing_from_traffic;
-use crate::traffic::layer_traffic;
+use crate::report::{LayerReport, Simulator, CLOCK_HZ};
 use usystolic_core::SystolicConfig;
 use usystolic_gemm::GemmConfig;
 
@@ -46,16 +44,16 @@ impl usystolic_obs::ToJson for ScalingReport {
 ///
 /// ```
 /// use usystolic_core::{ComputingScheme, SystolicConfig};
-/// use usystolic_sim::{MemoryHierarchy, MultiInstanceSystem};
+/// use usystolic_sim::{MemoryHierarchy, MultiInstanceSystem, Simulator};
 /// use usystolic_gemm::GemmConfig;
 ///
-/// let sys = MultiInstanceSystem::new(
-///     SystolicConfig::edge(ComputingScheme::UnaryRate, 8).with_mul_cycles(128)?,
-///     MemoryHierarchy::no_sram(),
-/// );
+/// let array = SystolicConfig::edge(ComputingScheme::UnaryRate, 8).with_mul_cycles(128)?;
+/// let memory = MemoryHierarchy::no_sram();
 /// let layer = GemmConfig::conv(31, 31, 96, 5, 5, 1, 256)?;
+/// let one = Simulator::new(array, memory).simulate(&layer);
 /// // Byte-crawling instances share one DRAM almost perfectly.
-/// assert!(sys.scale(&layer, 16).scaling_efficiency > 0.95);
+/// let sys = MultiInstanceSystem::new(array, memory);
+/// assert!(sys.scale(&one, 16).scaling_efficiency > 0.95);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,25 +70,26 @@ impl MultiInstanceSystem {
     }
 
     /// Scaling of `instances` copies running data-parallel replicas of
-    /// `gemm`.
+    /// one layer, given that layer's one-instance report on this system's
+    /// array and memory (what [`Simulator::simulate`] returns). The query
+    /// only rescales the report: it simulates nothing, so an obs session
+    /// sees no second layer.
     ///
     /// # Panics
     ///
     /// Panics if `instances` is zero.
     #[must_use]
-    pub fn scale(&self, gemm: &GemmConfig, instances: usize) -> ScalingReport {
+    pub fn scale(&self, one: &LayerReport, instances: usize) -> ScalingReport {
         assert!(instances > 0, "need at least one instance");
-        let traffic = layer_traffic(gemm, &self.config, &self.memory);
-        let single = layer_timing_from_traffic(gemm, &self.config, &self.memory, &traffic);
         // Shared DRAM: n instances demand n× the bytes in the same window.
-        let dram_cycles = (instances as f64 * traffic.dram.total() as f64
+        let dram_cycles = (instances as f64 * one.traffic.dram.total() as f64
             / self.memory.dram.sustained_bytes_per_cycle())
         .ceil() as u64;
-        let sram_bound = single.runtime_cycles.max(single.ideal_cycles);
+        // Each instance still needs its own compute and SRAM service.
+        let sram_bound = one.timing.runtime_cycles;
         let system_cycles = sram_bound.max(dram_cycles);
         let per_layer_s = system_cycles as f64 / CLOCK_HZ;
         let aggregate = instances as f64 / per_layer_s;
-        let one = Simulator::new(self.config, self.memory).simulate(gemm);
         let report = ScalingReport {
             instances,
             aggregate_throughput: aggregate,
@@ -122,9 +121,10 @@ impl MultiInstanceSystem {
     /// the memory wall.
     #[must_use]
     pub fn max_instances(&self, gemm: &GemmConfig, min_efficiency: f64, max: usize) -> usize {
+        let one = Simulator::new(self.config, self.memory).simulate(gemm);
         let mut best = 1;
         for n in 1..=max {
-            if self.scale(gemm, n).scaling_efficiency >= min_efficiency {
+            if self.scale(&one, n).scaling_efficiency >= min_efficiency {
                 best = n;
             } else {
                 break;
@@ -174,13 +174,18 @@ mod tests {
         GemmConfig::conv(31, 31, 96, 5, 5, 1, 256).expect("valid layer")
     }
 
+    /// A DRAM-only system of `config` arrays and one instance's report
+    /// of the conv layer.
+    fn system(config: SystolicConfig) -> (MultiInstanceSystem, LayerReport) {
+        let memory = MemoryHierarchy::no_sram();
+        let one = Simulator::new(config, memory).simulate(&conv_layer());
+        (MultiInstanceSystem::new(config, memory), one)
+    }
+
     #[test]
     fn single_instance_is_perfectly_efficient() {
-        let sys = MultiInstanceSystem::new(
-            SystolicConfig::edge(ComputingScheme::UnaryRate, 8),
-            MemoryHierarchy::no_sram(),
-        );
-        let r = sys.scale(&conv_layer(), 1);
+        let (sys, one) = system(SystolicConfig::edge(ComputingScheme::UnaryRate, 8));
+        let r = sys.scale(&one, 1);
         assert!((r.scaling_efficiency - 1.0).abs() < 1e-9);
         assert_eq!(r.instances, 1);
     }
@@ -209,30 +214,22 @@ mod tests {
 
     #[test]
     fn efficiency_degrades_monotonically_past_the_wall() {
-        let sys = MultiInstanceSystem::new(
-            SystolicConfig::edge(ComputingScheme::BinaryParallel, 8),
-            MemoryHierarchy::no_sram(),
-        );
-        let layer = conv_layer();
+        let (sys, one) = system(SystolicConfig::edge(ComputingScheme::BinaryParallel, 8));
         let mut last = f64::INFINITY;
         for n in [1usize, 2, 4, 8, 16] {
-            let r = sys.scale(&layer, n);
+            let r = sys.scale(&one, n);
             assert!(r.scaling_efficiency <= last + 1e-9, "n={n}");
             last = r.scaling_efficiency;
         }
-        assert!(sys.scale(&layer, 16).dram_limited);
+        assert!(sys.scale(&one, 16).dram_limited);
     }
 
     #[test]
     fn aggregate_throughput_never_decreases_with_instances() {
-        let sys = MultiInstanceSystem::new(
-            SystolicConfig::edge(ComputingScheme::UnaryRate, 8),
-            MemoryHierarchy::no_sram(),
-        );
-        let layer = conv_layer();
+        let (sys, one) = system(SystolicConfig::edge(ComputingScheme::UnaryRate, 8));
         let mut last = 0.0;
         for n in 1..=8 {
-            let r = sys.scale(&layer, n);
+            let r = sys.scale(&one, n);
             assert!(r.aggregate_throughput >= last, "n={n}");
             last = r.aggregate_throughput;
         }
@@ -250,10 +247,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one instance")]
     fn zero_instances_rejected() {
-        let sys = MultiInstanceSystem::new(
-            SystolicConfig::edge(ComputingScheme::UnaryRate, 8),
-            MemoryHierarchy::no_sram(),
-        );
-        let _ = sys.scale(&conv_layer(), 0);
+        let (sys, one) = system(SystolicConfig::edge(ComputingScheme::UnaryRate, 8));
+        let _ = sys.scale(&one, 0);
     }
 }

@@ -3,12 +3,9 @@
 //! plots (GB/s bandwidth, layers/s throughput).
 
 use crate::memory::MemoryHierarchy;
-use crate::runtime::{
-    ideal_cycles_closed_form, layer_timing_from_parts, layer_timing_from_traffic, LayerTiming,
-};
+use crate::runtime::{layer_timing_from_traffic, LayerTiming};
 use crate::traffic::{layer_traffic, LayerTraffic};
 use usystolic_core::{SystolicConfig, TileMapping};
-use usystolic_des::Fidelity;
 use usystolic_gemm::GemmConfig;
 use usystolic_obs::ToJson;
 
@@ -38,7 +35,8 @@ pub struct LayerReport {
     pub macs: u64,
 }
 
-/// A configured timing simulator (array + memory hierarchy + clock).
+/// A configured timing simulator (array + memory hierarchy), clocked at
+/// [`CLOCK_HZ`].
 ///
 /// # Example
 ///
@@ -59,50 +57,13 @@ pub struct LayerReport {
 pub struct Simulator {
     config: SystolicConfig,
     memory: MemoryHierarchy,
-    clock_hz: f64,
-    fidelity: Fidelity,
 }
 
 impl Simulator {
-    /// Creates a simulator at the paper's 400 MHz clock, at
-    /// [`Fidelity::CycleAccurate`].
+    /// Creates a simulator for one design point.
     #[must_use]
     pub fn new(config: SystolicConfig, memory: MemoryHierarchy) -> Self {
-        Self {
-            config,
-            memory,
-            clock_hz: CLOCK_HZ,
-            fidelity: Fidelity::CycleAccurate,
-        }
-    }
-
-    /// Overrides the model fidelity. [`Fidelity::Packed`] swaps the
-    /// fold-walk compute model for its closed form (bit-identical,
-    /// `O(1)` per layer); [`Fidelity::Analytic`] additionally drops the
-    /// per-variable SRAM service bound (exact for compute- or DRAM-bound
-    /// layers — the paper's crawling regime — and optimistic otherwise).
-    #[must_use]
-    pub fn with_fidelity(mut self, fidelity: Fidelity) -> Self {
-        self.fidelity = fidelity;
-        self
-    }
-
-    /// The model fidelity layers are simulated at.
-    #[must_use]
-    pub fn fidelity(&self) -> Fidelity {
-        self.fidelity
-    }
-
-    /// Overrides the clock (Hz).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clock_hz` is not positive.
-    #[must_use]
-    pub fn with_clock(mut self, clock_hz: f64) -> Self {
-        assert!(clock_hz > 0.0, "clock must be positive");
-        self.clock_hz = clock_hz;
-        self
+        Self { config, memory }
     }
 
     /// The array configuration.
@@ -117,37 +78,12 @@ impl Simulator {
         &self.memory
     }
 
-    /// The clock in Hz.
-    #[must_use]
-    pub fn clock_hz(&self) -> f64 {
-        self.clock_hz
-    }
-
     /// Simulates one GEMM layer.
     #[must_use]
     pub fn simulate(&self, gemm: &GemmConfig) -> LayerReport {
         let traffic = layer_traffic(gemm, &self.config, &self.memory);
-        let timing = match self.fidelity {
-            // The reference: walk every fold of the tile mapping.
-            Fidelity::CycleAccurate => {
-                layer_timing_from_traffic(gemm, &self.config, &self.memory, &traffic)
-            }
-            // Closed-form compute, full memory model — same bits, O(1).
-            Fidelity::Packed => layer_timing_from_parts(
-                ideal_cycles_closed_form(gemm, &self.config),
-                &self.memory,
-                &traffic,
-                true,
-            ),
-            // Closed-form compute, DRAM bound only.
-            Fidelity::Analytic => layer_timing_from_parts(
-                ideal_cycles_closed_form(gemm, &self.config),
-                &self.memory,
-                &traffic,
-                false,
-            ),
-        };
-        let runtime_s = timing.runtime_cycles as f64 / self.clock_hz;
+        let timing = layer_timing_from_traffic(gemm, &self.config, &self.memory, &traffic);
+        let runtime_s = timing.runtime_cycles as f64 / CLOCK_HZ;
         let gb = 1.0e9;
         let map = TileMapping::new(gemm, self.config.rows(), self.config.cols());
         let report = LayerReport {
@@ -363,48 +299,5 @@ mod tests {
         );
         let reports = sim.simulate_network(&two_layers());
         assert_eq!(reports.len(), 2);
-    }
-
-    #[test]
-    fn packed_fidelity_is_bit_identical_per_layer() {
-        let cycle = Simulator::new(
-            SystolicConfig::edge(ComputingScheme::UnaryRate, 8)
-                .with_mul_cycles(128)
-                .unwrap(),
-            MemoryHierarchy::edge_with_sram(),
-        );
-        let packed = cycle.with_fidelity(Fidelity::Packed);
-        assert_eq!(
-            cycle.simulate_network(&two_layers()),
-            packed.simulate_network(&two_layers())
-        );
-    }
-
-    #[test]
-    fn analytic_fidelity_never_slows_a_layer_down() {
-        // Dropping the SRAM service bound can only shorten runtimes.
-        let exact = Simulator::new(
-            SystolicConfig::edge(ComputingScheme::BinaryParallel, 8),
-            MemoryHierarchy::edge_with_sram(),
-        );
-        let analytic = exact.with_fidelity(Fidelity::Analytic);
-        for (e, a) in exact
-            .simulate_network(&two_layers())
-            .iter()
-            .zip(analytic.simulate_network(&two_layers()))
-        {
-            assert!(a.timing.runtime_cycles <= e.timing.runtime_cycles);
-        }
-    }
-
-    #[test]
-    fn custom_clock_rescales_time() {
-        let cfg = SystolicConfig::edge(ComputingScheme::BinaryParallel, 8);
-        let mem = MemoryHierarchy::edge_with_sram();
-        let base = Simulator::new(cfg, mem).simulate(&alexnet_conv2());
-        let fast = Simulator::new(cfg, mem)
-            .with_clock(800.0e6)
-            .simulate(&alexnet_conv2());
-        assert!((fast.runtime_s - base.runtime_s / 2.0).abs() < 1e-9);
     }
 }

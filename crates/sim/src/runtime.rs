@@ -3,16 +3,18 @@
 //!
 //! The compute side follows the SCALE-Sim pipeline model: per weight tile,
 //! `R'` preload cycles, then `M` input vectors at one vector per MAC
-//! interval with `R' + C' − 2` cycles of systolic skew. The memory side
+//! interval with `R' + C' − 2` cycles of systolic skew, summed over the
+//! folds in closed form ([`ideal_cycles_with`]). The memory side
 //! converts the layer's DRAM and SRAM traffic into minimum service cycles
 //! at the sustained bandwidths; the runtime is the maximum of compute and
 //! memory service (perfectly overlapped double buffering), and the
 //! difference to the ideal compute time is the *memory contention
 //! overhead* of Section V-D.
 
+use crate::dataflow::{ideal_cycles_with, Dataflow};
 use crate::memory::MemoryHierarchy;
 use crate::traffic::{layer_traffic, LayerTraffic};
-use usystolic_core::{SystolicConfig, TileMapping};
+use usystolic_core::SystolicConfig;
 use usystolic_gemm::GemmConfig;
 
 /// Cycle-level timing of one layer.
@@ -35,48 +37,11 @@ impl LayerTiming {
     }
 }
 
-/// Ideal (stall-free) compute cycles of a layer.
+/// Ideal (stall-free) compute cycles of a layer: the weight-stationary
+/// case of [`ideal_cycles_with`].
 #[must_use]
 pub fn ideal_cycles(gemm: &GemmConfig, config: &SystolicConfig) -> u64 {
-    let map = TileMapping::new(gemm, config.rows(), config.cols());
-    let m = map.m() as u64;
-    let mac = config.mac_cycles();
-    let mut total = 0u64;
-    for rf in 0..map.row_folds() {
-        for cf in 0..map.col_folds() {
-            let r = map.rows_in_fold(rf) as u64;
-            let c = map.cols_in_fold(cf) as u64;
-            // Preload R' rows, stream M vectors at the MAC interval, drain
-            // through the systolic skew.
-            total += r + m * mac + (r + c).saturating_sub(2);
-        }
-    }
-    total
-}
-
-/// Closed-form ideal cycles: the fold walk of [`ideal_cycles`] summed
-/// analytically. Every full-size fold contributes the same term, and the
-/// ragged last row/column folds only shift the per-fold `R'`/`C'` sums,
-/// which telescope to the mapped `K` and `N` totals:
-///
-/// ```text
-/// Σ_rf Σ_cf (r + m·mac + r + c − 2)
-///   = 2·col_folds·K + row_folds·N + row_folds·col_folds·(m·mac − 2)
-/// ```
-///
-/// (`r + c ≥ 2` always holds, so the walk's `saturating_sub` is exact.)
-/// Bit-identical to [`ideal_cycles`] in `O(1)` — the packed fidelity
-/// tier's compute model.
-#[must_use]
-pub fn ideal_cycles_closed_form(gemm: &GemmConfig, config: &SystolicConfig) -> u64 {
-    let map = TileMapping::new(gemm, config.rows(), config.cols());
-    let rf = map.row_folds() as u64;
-    let cf = map.col_folds() as u64;
-    let m = map.m() as u64;
-    let mac = config.mac_cycles();
-    // Sum before subtraction dominates the subtrahend (each tile's
-    // `2r + c − 2 ≥ 1`), so the u64 subtraction cannot underflow.
-    2 * cf * map.k() as u64 + rf * map.n() as u64 + rf * cf * m * mac - 2 * rf * cf
+    ideal_cycles_with(gemm, config, Dataflow::WeightStationary)
 }
 
 /// Computes the layer timing under the given memory hierarchy.
@@ -91,7 +56,9 @@ pub fn layer_timing(
 }
 
 /// Computes the layer timing from pre-computed traffic (avoids recomputing
-/// traffic when both are needed).
+/// traffic when both are needed): the maximum of the ideal compute
+/// cycles, the DRAM service cycles and the busiest SRAM variable's
+/// service cycles.
 #[must_use]
 pub fn layer_timing_from_traffic(
     gemm: &GemmConfig,
@@ -99,37 +66,16 @@ pub fn layer_timing_from_traffic(
     memory: &MemoryHierarchy,
     traffic: &LayerTraffic,
 ) -> LayerTiming {
-    layer_timing_from_parts(ideal_cycles(gemm, config), memory, traffic, true)
-}
-
-/// Computes the layer timing from a pre-computed ideal-cycle count —
-/// the fidelity tiers' entry point. The packed tier passes the
-/// closed-form ideal ([`ideal_cycles_closed_form`], bit-identical to the
-/// walk); the analytic tier additionally sets `model_sram = false` to
-/// skip the per-variable SRAM service bound, keeping only the DRAM bound
-/// (exact whenever the layer is compute- or DRAM-bound, which is the
-/// paper's crawling regime).
-#[must_use]
-pub fn layer_timing_from_parts(
-    ideal: u64,
-    memory: &MemoryHierarchy,
-    traffic: &LayerTraffic,
-    model_sram: bool,
-) -> LayerTiming {
+    let ideal = ideal_cycles(gemm, config);
     let dram_cycles =
         (traffic.dram.total() as f64 / memory.dram.sustained_bytes_per_cycle()).ceil() as u64;
-    let sram_cycles = match memory.sram {
-        Some(_) if !model_sram => 0,
-        Some(s) => {
-            let per_var = [traffic.sram.ifm, traffic.sram.weight, traffic.sram.ofm];
-            per_var
-                .iter()
-                .map(|&b| (b as f64 / s.bytes_per_cycle() as f64).ceil() as u64)
-                .max()
-                .unwrap_or(0)
-        }
-        None => 0,
-    };
+    let sram_cycles = memory.sram.map_or(0, |s| {
+        [traffic.sram.ifm, traffic.sram.weight, traffic.sram.ofm]
+            .iter()
+            .map(|&b| (b as f64 / s.bytes_per_cycle() as f64).ceil() as u64)
+            .max()
+            .unwrap_or(0)
+    });
     let runtime = ideal.max(dram_cycles).max(sram_cycles);
     let timing = LayerTiming {
         ideal_cycles: ideal,
@@ -159,6 +105,7 @@ impl usystolic_obs::ToJson for LayerTiming {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::layer_traffic_with;
     use usystolic_core::ComputingScheme;
 
     #[test]
@@ -231,10 +178,68 @@ mod tests {
         );
     }
 
+    /// The SCALE-Sim schedule walked fold by fold: the oracle the closed
+    /// form must reproduce. `K` folds over the array rows, the stationary
+    /// extent over its columns, and the streamed vectors pass through
+    /// every tile.
+    fn fold_walk(gemm: &GemmConfig, config: &SystolicConfig, dataflow: Dataflow) -> u64 {
+        let (m, n) = (gemm.output_pixels(), gemm.output_channels());
+        let (stationary, streamed) = match dataflow {
+            Dataflow::WeightStationary => (n, m),
+            Dataflow::InputStationary => (m, n),
+        };
+        let (rows, cols, k) = (config.rows(), config.cols(), gemm.reduction_len());
+        let mac = config.mac_cycles();
+        let mut total = 0u64;
+        for rf in 0..k.div_ceil(rows) {
+            let r = rows.min(k - rf * rows) as u64;
+            for cf in 0..stationary.div_ceil(cols) {
+                let c = cols.min(stationary - cf * cols) as u64;
+                // Preload R' rows, stream the vectors at the MAC
+                // interval, drain through the systolic skew.
+                total += r + streamed as u64 * mac + (r + c).saturating_sub(2);
+            }
+        }
+        total
+    }
+
     #[test]
     fn closed_form_matches_the_fold_walk_exactly() {
-        // Ragged folds in both dimensions, every scheme, long and short
-        // MAC intervals: the closed form is the walk, bit for bit.
+        let dataflows = [Dataflow::WeightStationary, Dataflow::InputStationary];
+        // Every small shape, ragged in both dimensions, at MAC intervals
+        // 1 (binary parallel), 2 (one-cycle unary rate) and 129 (8-bit
+        // unary rate).
+        let intervals = [
+            (ComputingScheme::BinaryParallel, None, 1),
+            (ComputingScheme::UnaryRate, Some(1), 2),
+            (ComputingScheme::UnaryRate, None, 129),
+        ];
+        for (scheme, mul_cycles, mac) in intervals {
+            for (rows, cols) in (1..=5).flat_map(|r| (1..=5).map(move |c| (r, c))) {
+                let mut cfg = SystolicConfig::new(rows, cols, scheme, 8).unwrap();
+                if let Some(c) = mul_cycles {
+                    cfg = cfg.with_mul_cycles(c).unwrap();
+                }
+                assert_eq!(cfg.mac_cycles(), mac);
+                for m in 1..=13 {
+                    for k in 1..=13 {
+                        for n in 1..=13 {
+                            let gemm = GemmConfig::matmul(m, k, n).unwrap();
+                            for df in dataflows {
+                                assert_eq!(
+                                    ideal_cycles_with(&gemm, &cfg, df),
+                                    fold_walk(&gemm, &cfg, df),
+                                    "{rows}x{cols} array, mac {mac}, {m}x{k}x{n} {df}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Layer-sized shapes on the paper's edge and cloud arrays. The
+        // weight-stationary case is `ideal_cycles`, and its streamed DRAM
+        // traffic is the base model's no-SRAM traffic.
         let shapes = [
             GemmConfig::matmul(1, 1, 1).unwrap(),
             GemmConfig::matmul(64, 64, 64).unwrap(),
@@ -255,30 +260,23 @@ mod tests {
         ];
         for gemm in &shapes {
             for cfg in &configs {
+                for df in dataflows {
+                    assert_eq!(
+                        ideal_cycles_with(gemm, cfg, df),
+                        fold_walk(gemm, cfg, df),
+                        "closed form diverged for {gemm:?} {df} on {:?}",
+                        cfg.scheme()
+                    );
+                }
                 assert_eq!(
-                    ideal_cycles_closed_form(gemm, cfg),
                     ideal_cycles(gemm, cfg),
-                    "closed form diverged for {gemm:?} on {:?}",
-                    cfg.scheme()
+                    fold_walk(gemm, cfg, Dataflow::WeightStationary)
                 );
+                let base = layer_traffic(gemm, cfg, &MemoryHierarchy::no_sram());
+                let streamed = layer_traffic_with(gemm, cfg, Dataflow::WeightStationary);
+                assert_eq!(base.dram, streamed.dram);
             }
         }
-    }
-
-    #[test]
-    fn parts_timing_without_sram_model_keeps_the_dram_bound() {
-        let gemm = GemmConfig::conv(27, 27, 96, 5, 5, 1, 256).unwrap();
-        let cfg = SystolicConfig::edge(ComputingScheme::BinaryParallel, 8);
-        let memory = MemoryHierarchy::edge_with_sram();
-        let traffic = layer_traffic(&gemm, &cfg, &memory);
-        let ideal = ideal_cycles(&gemm, &cfg);
-        let full = layer_timing_from_parts(ideal, &memory, &traffic, true);
-        let no_sram = layer_timing_from_parts(ideal, &memory, &traffic, false);
-        assert!(no_sram.runtime_cycles <= full.runtime_cycles);
-        assert_eq!(
-            full,
-            layer_timing_from_traffic(&gemm, &cfg, &memory, &traffic)
-        );
     }
 
     #[test]

@@ -37,9 +37,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ];
     for (name, cfg) in designs {
-        let sys = MultiInstanceSystem::new(cfg, MemoryHierarchy::no_sram());
+        let memory = MemoryHierarchy::no_sram();
+        let one = Simulator::new(cfg, memory).simulate(&layer);
+        let sys = MultiInstanceSystem::new(cfg, memory);
         for n in [1usize, 4, 16, 64] {
-            let r = sys.scale(&layer, n);
+            let r = sys.scale(&one, n);
             println!(
                 "{:<24} {:>10} {:>14.1} {:>11.0}%{}",
                 name,

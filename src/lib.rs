@@ -11,11 +11,13 @@
 //! * [`arch`] — functional systolic arrays: the uSystolic PE array plus the
 //!   binary parallel, binary serial and uGEMM-H baselines.
 //! * [`des`] — the deterministic event calendar behind [`serve`]'s fleet
-//!   loop, and the `CycleAccurate | Packed | Analytic` fidelity tier that
-//!   [`sim`] and [`serve`] apply to a whole run.
-//! * [`sim`] — the uSystolic-Sim substitute: weight-stationary timing,
-//!   SRAM/DRAM memory hierarchy, per-layer bandwidth and runtime; a
-//!   network is timed as the in-order sequence of its layers.
+//!   loop, and the `CycleAccurate | Packed` fidelity tier [`serve`]
+//!   applies to a whole run (service times re-derived per dispatch or
+//!   hoisted; the same bits either way).
+//! * [`sim`] — the uSystolic-Sim substitute: weight-stationary timing as
+//!   one closed-form fold sum, SRAM/DRAM memory hierarchy, per-layer
+//!   bandwidth and runtime; a network is timed as the in-order sequence
+//!   of its layers.
 //! * [`hw`] — hardware cost models (area, leakage/dynamic energy, power,
 //!   efficiency) standing in for Design Compiler + CACTI.
 //! * [`models`] — DNN workload zoo (AlexNet, ResNet18, MNIST CNN,

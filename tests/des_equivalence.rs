@@ -11,7 +11,7 @@
 //! present separately; everything else must not move by a single bit.
 
 use usystolic::des::Fidelity;
-use usystolic::hw::evaluate_layer_with;
+use usystolic::hw::evaluate_layer;
 use usystolic::hw::summary::NetworkEvaluation;
 use usystolic::obs::{JsonValue, ToJson};
 use usystolic::serve::{serve, ServeConfig, Workload};
@@ -191,11 +191,11 @@ fn sim_json(line: &str) -> String {
     let sim = args.simulator().expect("valid array");
     let pairs = match (&args.gemm, &args.network) {
         (Some(gemm), _) => {
-            let ev = evaluate_layer_with(&sim, gemm);
+            let ev = evaluate_layer(sim.config(), sim.memory(), gemm);
             cli::sim_record(&sim, ("gemm", gemm.to_json()), ev.to_json())
         }
         (None, Some(net)) => {
-            let ev = NetworkEvaluation::evaluate_with(&sim, &net.gemms());
+            let ev = NetworkEvaluation::evaluate(sim.config(), sim.memory(), &net.gemms());
             cli::sim_record(&sim, ("network", net.to_json()), ev.to_json())
         }
         (None, None) => panic!("{line}: nothing to simulate"),
@@ -222,32 +222,5 @@ fn sim_network_golden_survives_the_des_port() {
     assert_eq!(
         sim_json("--scheme UR --network mnist --json"),
         golden("sim_ur_mnist.json")
-    );
-}
-
-#[test]
-fn analytic_tier_tracks_exact_latency_within_tolerance() {
-    let (config, workloads) = overload_config(1);
-    let exact = serve(&config, &workloads).expect("valid");
-    let mut analytic_cfg = config.clone();
-    analytic_cfg.fidelity = Fidelity::Analytic;
-    let analytic = serve(&analytic_cfg, &workloads).expect("valid");
-    assert_eq!(exact.lost(), 0);
-    assert_eq!(analytic.lost(), 0);
-    let tolerance = |a: u64, b: u64| {
-        let (a, b) = (a as f64, b as f64);
-        (a - b).abs() / b.max(1.0) <= 0.25
-    };
-    assert!(
-        tolerance(analytic.latency.p50_cycles, exact.latency.p50_cycles),
-        "analytic p50 {} vs exact {}",
-        analytic.latency.p50_cycles,
-        exact.latency.p50_cycles
-    );
-    assert!(
-        tolerance(analytic.service.p50_cycles, exact.service.p50_cycles),
-        "analytic service p50 {} vs exact {}",
-        analytic.service.p50_cycles,
-        exact.service.p50_cycles
     );
 }

@@ -7,8 +7,9 @@
 
 use usystolic::arch::{ComputingScheme, GemmExecutor, SystolicConfig};
 use usystolic::gemm::{FeatureMap, GemmConfig, WeightSet};
+use usystolic::hw::evaluate_layer;
 use usystolic::obs::{self, JsonValue, ToJson};
-use usystolic::sim::{MemoryHierarchy, Simulator};
+use usystolic::sim::{MemoryHierarchy, MultiInstanceSystem, Simulator};
 
 fn alexnet_conv2() -> GemmConfig {
     GemmConfig::conv(31, 31, 96, 5, 5, 1, 256).unwrap()
@@ -111,6 +112,37 @@ fn simulator_counters_reconcile_with_report() {
         report.timing.runtime_cycles
     );
     assert_eq!(m.gauge_value("sim.utilization"), Some(report.utilization));
+}
+
+/// `sim_cli --instances` evaluates the layer once and rescales that
+/// report: the session holds one layer's `sim.*` counters, the same as a
+/// run without `--instances`, plus the scaling query's own.
+#[test]
+fn instances_query_records_one_layers_sim_counters() {
+    let memory = MemoryHierarchy::no_sram();
+    let run = |instances: Option<usize>| {
+        obs::install(obs::Session::new());
+        let ev = evaluate_layer(&crawling_edge(), &memory, &alexnet_conv2());
+        if let Some(n) = instances {
+            let _ = MultiInstanceSystem::new(crawling_edge(), memory).scale(&ev.report, n);
+        }
+        (ev.report, obs::take().expect("session installed").metrics)
+    };
+    let (report, scaled) = run(Some(16));
+    let (_, alone) = run(None);
+    assert_eq!(scaled.counter("sim.layers"), 1);
+    assert_eq!(
+        scaled.counter("sim.dram_bytes"),
+        report.traffic.dram.total()
+    );
+    assert_eq!(scaled.counter("sim.scaling_queries"), 1);
+    let layer_counters = |m: &obs::Registry| -> Vec<(String, u64)> {
+        m.counters()
+            .filter(|(k, _)| k.name() != "sim.scaling_queries")
+            .map(|(k, v)| (k.canonical(), v))
+            .collect()
+    };
+    assert_eq!(layer_counters(&scaled), layer_counters(&alone));
 }
 
 /// Counters accumulate across a multi-layer network simulation.
