@@ -45,10 +45,10 @@ use usystolic_unary::MAX_BITWIDTH;
 ///
 /// For the sign-magnitude unary schemes this evaluates the tile sweep's
 /// closed-form window at the extremes (`input_levels`, `weight_levels`):
-/// the enable count `enabled[|I|]` of [`IfmSource::enable_counts`], then
-/// the weight RNG's Sobol prefix count below `|W|`. That is exact and
-/// achievable, by monotonicity of the two comparator counts in their
-/// thresholds. A window longer than one RNG period (no
+/// the enable count below `|I|` of the IFM source's prefix
+/// ([`IfmSource::prefix`]), then the weight RNG's Sobol prefix count
+/// below `|W|`. That is exact and achievable, by monotonicity of the two
+/// comparator counts in their thresholds. A window longer than one RNG period (no
 /// [`usystolic_core::SystolicConfig`] builds one) has no closed form and
 /// gets the cycle count `mul_cycles`, which is sound. Binary schemes
 /// contribute the full product. uGEMM-H's bipolar windows add ±1 every
@@ -77,13 +77,11 @@ pub fn window_bound(
             if mul_cycles > period {
                 return mul_cycles;
             }
-            let enabled = IfmSource::enable_counts(coding, bitwidth, mul_cycles);
+            let enabled = IfmSource::for_coding(coding, bitwidth)
+                .prefix(mul_cycles)
+                .enable_count(input_levels);
             let w_rng = SobolSource::dimension(0, bitwidth - 1);
-            sobol_prefix_count(
-                w_rng.directions(),
-                enabled[input_levels.min(period) as usize],
-                weight_levels,
-            )
+            sobol_prefix_count(w_rng.directions(), enabled, weight_levels)
         }
     }
 }

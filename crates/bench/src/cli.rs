@@ -1250,6 +1250,10 @@ mod tests {
         ("--conv 1,2", "--conv 1,2: expected 7"),
         ("--matmul 4,x,4", "--matmul 4,x,4: 'x'"),
         ("--matmul 0,4,4", "--matmul 0,4,4"),
+        (
+            "--matmul 100000000,100000000,100000000",
+            "--matmul 100000000,100000000,100000000",
+        ),
         ("--network lenet", "--network lenet"),
         ("--instances 0 --matmul 4,4,4", "--instances 0"),
         ("--instances x --matmul 4,4,4", "--instances x"),
@@ -1328,6 +1332,10 @@ mod tests {
         ("--network lenet", "--network lenet"),
         ("--conv 1,2", "--conv 1,2"),
         ("--matmul 4,4", "--matmul 4,4"),
+        (
+            "--matmul 100000000,100000000,100000000 --duration 0.001",
+            "--matmul 100000000,100000000,100000000",
+        ),
         ("--metrics-format bogus", "--metrics-format bogus"),
         ("--deadline", "--deadline requires a value"),
         ("--bogus", "unknown flag --bogus"),

@@ -8,16 +8,19 @@
 //! a 14-bit rate-coded window far wider than one machine word. Every
 //! timed fast path is the closed form [`KernelMode::Auto`] resolves to:
 //! Sobol prefix counts, one per constant-sign phase, for every unary
-//! window. The report also sweeps the EBT × scheme space asserting the
-//! closed form reproduces the bit-serial reference exactly, and re-runs
-//! each fast path across worker counts asserting the output checksum
-//! never moves.
+//! window. Each timing is the best of several samples in µs per call; a
+//! sample batches calls until it spans at least 5 ms of host time, and
+//! the serial and fast paths are sampled alternately, so even a
+//! microsecond-scale closed-form call is resolved. The report also sweeps
+//! the EBT × scheme space asserting the closed form reproduces the
+//! bit-serial reference exactly, and re-runs each fast path across worker
+//! counts asserting the output checksum never moves.
 //!
 //! The JSON keys `packed_us`, `hybrid_packed_us` and `multiword_*` predate
 //! the closed-form windows; they keep their names because the
 //! `obs_cli diff` perf gate and the docs refer to them.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::table::Table;
 use usystolic_core::{
@@ -36,12 +39,13 @@ pub struct KernelBench {
     pub bitwidth: u32,
     /// Input vectors pushed through the tile.
     pub vectors: usize,
-    /// Timing iterations (best-of).
+    /// Timing samples per case (best-of); each sample is a batch of calls
+    /// spanning at least 5 ms of host time.
     pub iters: usize,
-    /// Bit-serial wall time, microseconds (best of `iters`).
+    /// Bit-serial wall time, microseconds per call (best of `iters`).
     pub serial_us: f64,
     /// Fast-path ([`KernelMode::Auto`], closed-form) wall time,
-    /// microseconds (best of `iters`).
+    /// microseconds per call (best of `iters`).
     pub packed_us: f64,
     /// `serial_us / packed_us`.
     pub speedup: f64,
@@ -116,6 +120,20 @@ fn deterministic_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<i64> {
     m
 }
 
+/// The checksum of one cycle-accurate run.
+fn run_checksum(
+    cfg: &SystolicConfig,
+    gemm: &GemmConfig,
+    input: &Matrix<i64>,
+    weights: &Matrix<i64>,
+    mode: KernelMode,
+    workers: usize,
+) -> u64 {
+    let (out, stats) = cycle_accurate_gemm_with(cfg, gemm, input, weights, mode, workers)
+        .expect("benchmark run executes");
+    checksum(&out, &stats)
+}
+
 fn headline_case(tile: usize, vectors: usize) -> (GemmConfig, Matrix<i64>, Matrix<i64>) {
     let gemm = GemmConfig::matmul(vectors, tile, tile).expect("valid benchmark shape");
     let input = deterministic_matrix(vectors, tile, 0x5eed_0001);
@@ -123,18 +141,46 @@ fn headline_case(tile: usize, vectors: usize) -> (GemmConfig, Matrix<i64>, Matri
     (gemm, input, weights)
 }
 
-fn time_best(iters: usize, mut f: impl FnMut() -> u64) -> (f64, u64) {
-    let mut best = f64::INFINITY;
-    let mut last = 0u64;
-    for _ in 0..iters.max(1) {
-        let t0 = Instant::now();
-        last = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e6);
+/// Host time one timing sample spans at least. A sample repeats its call
+/// until the batch reaches this floor, so a call of about a microsecond
+/// is timed over thousands of repetitions instead of one timer read.
+const SAMPLE_FLOOR: Duration = Duration::from_millis(5);
+
+/// One timing sample of `f`: a batch of calls spanning at least
+/// [`SAMPLE_FLOOR`], in microseconds per call, and `f`'s last result.
+fn sample(f: &mut impl FnMut() -> u64) -> (f64, u64) {
+    let t0 = Instant::now();
+    let mut calls = 0u32;
+    loop {
+        let last = f();
+        calls += 1;
+        let elapsed = t0.elapsed();
+        if elapsed >= SAMPLE_FLOOR {
+            return (elapsed.as_secs_f64() * 1e6 / f64::from(calls), last);
+        }
     }
-    (best, last)
 }
 
-/// One serial-vs-fast comparison: best-of timings, speedup, and a
+/// Best of `samples` timing samples of the bit-serial and the fast path,
+/// in microseconds per call, with each path's last result. The two paths
+/// are sampled alternately, so a slow spell of the host slows both sides
+/// of the speedup ratio rather than one.
+fn time_pair(
+    samples: usize,
+    mut serial: impl FnMut() -> u64,
+    mut fast: impl FnMut() -> u64,
+) -> [(f64, u64); 2] {
+    let mut best = [(f64::INFINITY, 0u64); 2];
+    for _ in 0..samples.max(1) {
+        let pair = [sample(&mut serial), sample(&mut fast)];
+        for (slot, (us, last)) in best.iter_mut().zip(pair) {
+            *slot = (slot.0.min(us), last);
+        }
+    }
+    best
+}
+
+/// One serial-vs-fast comparison: best-of per-call timings, speedup, and a
 /// bit-exactness verdict that also replays the fast path at every
 /// requested worker count (outputs *and* cycle statistics must agree).
 struct PairTiming {
@@ -152,22 +198,14 @@ fn timed_pair(
     iters: usize,
     workers: &[usize],
 ) -> PairTiming {
-    let (serial_us, checksum_serial) = time_best(iters, || {
-        let (out, stats) =
-            cycle_accurate_gemm_with(cfg, gemm, input, weights, KernelMode::Serial, 1)
-                .expect("serial run");
-        checksum(&out, &stats)
-    });
-    let (fast_us, checksum_fast) = time_best(iters, || {
-        let (out, stats) = cycle_accurate_gemm_with(cfg, gemm, input, weights, KernelMode::Auto, 1)
-            .expect("fast run");
-        checksum(&out, &stats)
-    });
+    let [(serial_us, checksum_serial), (fast_us, checksum_fast)] = time_pair(
+        iters,
+        || run_checksum(cfg, gemm, input, weights, KernelMode::Serial, 1),
+        || run_checksum(cfg, gemm, input, weights, KernelMode::Auto, 1),
+    );
     let mut exact = checksum_serial == checksum_fast;
     for &w in workers {
-        let (out, stats) = cycle_accurate_gemm_with(cfg, gemm, input, weights, KernelMode::Auto, w)
-            .expect("worker run");
-        exact &= checksum(&out, &stats) == checksum_fast;
+        exact &= run_checksum(cfg, gemm, input, weights, KernelMode::Auto, w) == checksum_fast;
     }
     PairTiming {
         serial_us,
@@ -184,7 +222,7 @@ fn timed_pair(
 pub fn run(short: bool, workers: &[usize]) -> KernelBench {
     let tile = 16usize;
     let bitwidth = 8u32;
-    let (vectors, iters) = if short { (4, 1) } else { (16, 3) };
+    let (vectors, iters) = if short { (4, 1) } else { (16, 11) };
     let workers: Vec<usize> = if workers.is_empty() {
         vec![1, 2, 4, 8]
     } else {
@@ -195,18 +233,11 @@ pub fn run(short: bool, workers: &[usize]) -> KernelBench {
         .with_acc_width(32);
     let (gemm, input, weights) = headline_case(tile, vectors);
 
-    let (serial_us, checksum_serial) = time_best(iters, || {
-        let (out, stats) =
-            cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, KernelMode::Serial, 1)
-                .expect("serial run");
-        checksum(&out, &stats)
-    });
-    let (packed_us, checksum_packed) = time_best(iters, || {
-        let (out, stats) =
-            cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, KernelMode::Auto, 1)
-                .expect("fast run");
-        checksum(&out, &stats)
-    });
+    let [(serial_us, checksum_serial), (packed_us, checksum_packed)] = time_pair(
+        iters,
+        || run_checksum(&cfg, &gemm, &input, &weights, KernelMode::Serial, 1),
+        || run_checksum(&cfg, &gemm, &input, &weights, KernelMode::Auto, 1),
+    );
 
     // EBT × scheme bit-exactness sweep (small case keeps smoke runs fast).
     // uGEMM-H rejects true early termination, so it rides along at the
@@ -225,34 +256,15 @@ pub fn run(short: bool, workers: &[usize]) -> KernelBench {
                 .with_effective_bitwidth(ebt)
                 .expect("valid EBT")
                 .with_acc_width(32);
-            let (so, ss) = cycle_accurate_gemm_with(
-                &sweep_cfg,
-                &sweep_gemm,
-                &sweep_in,
-                &sweep_w,
-                KernelMode::Serial,
-                1,
-            )
-            .expect("serial sweep run");
-            let (po, ps) = cycle_accurate_gemm_with(
-                &sweep_cfg,
-                &sweep_gemm,
-                &sweep_in,
-                &sweep_w,
-                KernelMode::Auto,
-                1,
-            )
-            .expect("fast sweep run");
-            bit_exact &= checksum(&so, &ss) == checksum(&po, &ps);
+            let [serial, fast] = [KernelMode::Serial, KernelMode::Auto]
+                .map(|mode| run_checksum(&sweep_cfg, &sweep_gemm, &sweep_in, &sweep_w, mode, 1));
+            bit_exact &= serial == fast;
         }
     }
 
     // Worker determinism: the fast-path checksum must never move.
     let workers_consistent = workers.iter().all(|&w| {
-        let (out, stats) =
-            cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, KernelMode::Auto, w)
-                .expect("worker run");
-        checksum(&out, &stats) == checksum_packed
+        run_checksum(&cfg, &gemm, &input, &weights, KernelMode::Auto, w) == checksum_packed
     });
 
     // Temporal window (uGEMM-T): like every scheme at a wide OREG, it

@@ -21,10 +21,14 @@
 //! The closed form ([`KernelMode::resolve`]) evaluates each MAC window in
 //! one shot and then replays the M-end cascade with the same registers.
 //! One `kernel::ClosedFormWindow`, built once per GEMM with no per-tile
-//! state, serves all five schemes: a binary window is the exact product;
-//! a rate- or temporal-coded window is a table lookup by `|I|` plus a
-//! Sobol prefix count; a uGEMM-H window is two Sobol prefix counts, one
-//! per RNG phase.
+//! state, serves all five schemes. It reuses work the way Fig. 7 reuses
+//! bitstreams: each input element's half of its windows (the IFM enable
+//! count and the weight RNG's Sobol prefix for rate and temporal coding,
+//! both phase prefixes for uGEMM-H, the level itself for binary schemes)
+//! is built once and shared by the ≤ C PEs of its row, and each PE's
+//! window is then a branch-free count against its own weight. The
+//! cascade runs vector by vector, each vector's rows bottom-up and each
+//! row's columns left to right, keeping one partial sum per column.
 //!
 //! All five schemes share one OREG semantics, the stepped machine's
 //! (the reduced-resolution OREG of Section III-A):
@@ -42,7 +46,7 @@
 //! cycle count against the `usystolic-sim` ideal-cycle formula.
 
 use crate::config::SystolicConfig;
-use crate::kernel::{ClosedFormWindow, KernelMode, KernelPath};
+use crate::kernel::{BinaryRow, ClosedFormWindow, KernelMode, KernelPath, WindowRow};
 use crate::mapping::TileMapping;
 use crate::pe::IfmSource;
 use crate::scheme::ComputingScheme;
@@ -327,9 +331,9 @@ pub fn cycle_accurate_gemm_with(
     Ok((out, stats))
 }
 
-/// One weight tile. Every run method adds the tile's finished partial
-/// sums into `out`, the tile's own `M × C'` output block (column `c` of
-/// the block is output column `n0 + c`).
+/// One weight tile. Every run method fills `out`, the tile's own zeroed
+/// `M × C'` output block (column `c` of the block is output column
+/// `n0 + c`), with the tile's finished partial sums.
 struct TileMachine<'a> {
     config: &'a SystolicConfig,
     input: &'a Matrix<i64>,
@@ -562,7 +566,7 @@ impl<'a> TileMachine<'a> {
     }
 
     /// Closed-form evaluation of a tile: every MAC window is one
-    /// [`ClosedFormWindow::count`], added into the OREG in one step.
+    /// [`WindowRow::count`], added into the OREG in one step.
     ///
     /// Bit-exact against [`run`](Self::run): a window's lump add clamps
     /// exactly like its per-cycle adds whenever every increment of the
@@ -573,22 +577,27 @@ impl<'a> TileMachine<'a> {
     /// M-end, exactly like the per-PE OREGs, so the saturation count
     /// matches too.
     fn run_closed(self, window: &ClosedFormWindow, out: &mut Matrix<i64>, stats: &mut CycleStats) {
-        // One monomorphised cascade per window shape keeps the binary
-        // product free of the unary arms.
+        // One monomorphised cascade per window kind keeps every row's
+        // count free of the other kinds' arms.
         match window {
-            ClosedFormWindow::Binary => self.cascade(|i, w| i * w, out, stats),
-            _ => self.cascade(|i, w| window.count(i, w), out, stats),
+            ClosedFormWindow::Binary => self.cascade(BinaryRow, out, stats),
+            ClosedFormWindow::SignMagnitude(w) => self.cascade(|i| w.row(i), out, stats),
+            ClosedFormWindow::Bipolar(w) => self.cascade(|i| w.row(i), out, stats),
         }
     }
 
-    /// The M-end cascade of [`run_closed`](Self::run_closed), replayed
-    /// per `(vector, column)` bottom-up: row `r+1`'s M-end lands one cycle
-    /// before row `r`'s, so its drained partial sum is what row `r` folds
-    /// in. `count(input, weight)` is one window's signed count; the
-    /// schedule statistics are closed-form.
-    fn cascade<F: Fn(i64, i64) -> i64>(
+    /// The M-end cascade of [`run_closed`](Self::run_closed), replayed per
+    /// vector bottom-up: row `r+1`'s M-end lands one cycle before row
+    /// `r`'s, so its drained partial sum (`below[c]`, one per column) is
+    /// what row `r` folds in. `below` is the vector's own output row: it
+    /// starts zeroed, as the bottom row folds in nothing, and ends holding
+    /// the top row's totals. `row(input)` builds one input element's half
+    /// of its windows once, and every PE of the row counts it against its
+    /// own weight (a contiguous slice of the weight row); the schedule
+    /// statistics are closed-form.
+    fn cascade<R: WindowRow>(
         &self,
-        count: F,
+        row: impl Fn(i64) -> R,
         out: &mut Matrix<i64>,
         stats: &mut CycleStats,
     ) {
@@ -597,21 +606,19 @@ impl<'a> TileMachine<'a> {
         let (rows, cols, m) = (self.rows, self.cols, self.m);
 
         let mut acc = BinaryAccumulator::new(self.config.acc_width());
-        for p in 0..m {
-            for c in 0..cols {
-                let mut below = 0i64;
-                for r in (0..rows).rev() {
-                    acc.add(count(
-                        self.input[(p, self.k0 + r)],
-                        self.weights[(self.k0 + r, self.n0 + c)],
-                    ));
-                    acc.add(below);
+        for (p, below) in out.as_mut_slice().chunks_exact_mut(cols).enumerate() {
+            let inputs = &self.input.row(p)[self.k0..self.k0 + rows];
+            for (r, &input) in inputs.iter().enumerate().rev() {
+                let shared = row(input);
+                let weights = &self.weights.row(self.k0 + r)[self.n0..self.n0 + cols];
+                for (partial, &weight) in below.iter_mut().zip(weights) {
+                    acc.add(shared.count(weight));
+                    acc.add(*partial);
                     if acc.saturated() {
                         stats.saturation_events += 1;
                     }
-                    below = acc.drain();
+                    *partial = acc.drain();
                 }
-                out[(p, c)] += below;
             }
         }
 

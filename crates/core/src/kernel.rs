@@ -10,16 +10,23 @@
 //!
 //! Every window reduces to counts of comparator outputs below a
 //! threshold, over number sources that restart from the same seed every
-//! window (Fig. 4/7). Each count is a closed-form prefix count
-//! ([`usystolic_unary::packed::sobol_prefix_count`], `O(bitwidth)`), so
+//! window (Fig. 4/7). Each count is a closed-form Sobol prefix count
+//! ([`usystolic_unary::packed::SobolPrefix`]), split the way the array
+//! splits the work. The input element's half, `row(input)`, is built once
+//! per input element in `O(bitwidth)` and shared by the ≤ C PEs of its
+//! row, as Fig. 7's leftmost PE generates the (IFM bit, random number)
+//! pair once for the whole row. Each PE's half, `count(weight)`, is then a
+//! branch-free sum of one add and one shift per prefix class.
 //! `ClosedFormWindow` is built once per GEMM and holds no per-tile state:
 //!
 //! * a binary window is the exact product `I·W`;
-//! * a rate- or temporal-coded window is `sign · count₀(enabled[|I|], |W|)`.
+//! * a rate- or temporal-coded window is `sign · count₀(enabled(|I|), |W|)`.
 //!   The weight RNG (Sobol dimension 0) advances only on enabled cycles,
-//!   so a window sees only *how many* enable bits its IFM produced, and
-//!   that count depends on `|I|` alone ([`IfmSource::enable_counts`]).
-//!   Every increment of one window carries the same sign
+//!   so a window sees only *how many* enable bits its IFM produced: the
+//!   IFM source's own prefix count below `|I|` ([`IfmSource::prefix`]:
+//!   Sobol dimension 1 at `mul_cycles` for rate coding, a counter for
+//!   temporal coding). The row builds the weight RNG's prefix over that
+//!   count. Every increment of one window carries the same sign
 //!   (`ISIGN ⊕ WSIGN`), and the downstream
 //!   [`usystolic_unary::add::BinaryAccumulator`] clamps monotonically, so
 //!   the lump-signed count is bit-exact;
@@ -27,9 +34,9 @@
 //!   which of two RNGs advances (ones phase: Sobol dimension 0, zeros
 //!   phase: dimension 2), and the input RNG runs one full period, a
 //!   permutation, so `n1 = min(T_in, 2^N)` cycles are input-high and
-//!   `n0 = 2^N − n1` input-low. The window sums to
-//!   `2·(count₀(n1, T_w) + n0 − count₂(n0, T_w)) − 2^N`. The lump add is
-//!   bit-exact only when the OREG cannot clamp mid-window
+//!   `n0 = 2^N − n1` input-low. The row builds both phase prefixes, and
+//!   the window sums to `2·(count₀(n1, T_w) + n0 − count₂(n0, T_w)) − 2^N`.
+//!   The lump add is bit-exact only when the OREG cannot clamp mid-window
 //!   (`acc_width ≥ bitwidth + 2`), which [`KernelMode::resolve`] enforces.
 //!
 //! No window outlasts one RNG period (`mul_cycles ≤ 2^(bitwidth−1)` for
@@ -38,11 +45,11 @@
 //! scheme against the stepped machine.
 
 use crate::config::SystolicConfig;
-use crate::pe::IfmSource;
+use crate::pe::{IfmPrefix, IfmSource};
 use crate::scheme::ComputingScheme;
 use std::sync::atomic::{AtomicBool, Ordering};
 use usystolic_unary::coding::Coding;
-use usystolic_unary::packed::sobol_prefix_count;
+use usystolic_unary::packed::SobolPrefix;
 use usystolic_unary::rng::SobolSource;
 
 /// Selects how the tile sweep evaluates MAC windows.
@@ -60,8 +67,9 @@ pub enum KernelMode {
 /// [`KernelMode::resolve`] decides it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelPath {
-    /// Closed-form window arithmetic, `O(bitwidth)` per window, with no
-    /// per-tile stream of any kind (see the module docs).
+    /// Closed-form window arithmetic, `O(bitwidth)` per input element and
+    /// branch-free per window, with no per-tile stream of any kind (see
+    /// the module docs).
     ClosedForm,
     /// Cycle-by-cycle bit-serial reference machine.
     Serial,
@@ -138,29 +146,17 @@ impl core::fmt::Display for KernelMode {
 }
 
 /// The closed-form MAC window of one GEMM's scheme: built once per GEMM,
-/// shared by every tile, `O(bitwidth)` per window (see the module docs).
+/// shared by every tile. Each kind splits a window into the input
+/// element's half (`row(input)`, a [`WindowRow`]) and the per-weight
+/// count, so the tile sweep stays monomorphised per kind (see the module
+/// docs).
 pub(crate) enum ClosedFormWindow {
-    /// Binary schemes: the exact product.
+    /// Binary schemes: the exact product ([`BinaryRow`]).
     Binary,
     /// Rate and temporal coding: a signed weight prefix count.
-    SignMagnitude {
-        /// `2^(bitwidth−1)`: the largest operand magnitude.
-        period: u64,
-        /// Direction numbers of the weight RNG (Sobol dimension 0).
-        weight_rng: Vec<u64>,
-        /// `enabled[m]`: enable-bit count of a window on an IFM of
-        /// magnitude `m`, for `m` in `0..=period`.
-        enabled: Vec<u64>,
-    },
+    SignMagnitude(SignMagnitudeWindow),
     /// uGEMM-H: the two constant-sign phases of a bipolar window.
-    Bipolar {
-        /// `2^(bitwidth−1)`: the offset of a bipolar threshold.
-        half: i64,
-        /// Direction numbers of the ones-phase RNG (Sobol dimension 0).
-        ones_rng: Vec<u64>,
-        /// Direction numbers of the zeros-phase RNG (Sobol dimension 2).
-        zeros_rng: Vec<u64>,
-    },
+    Bipolar(BipolarWindow),
 }
 
 impl ClosedFormWindow {
@@ -178,11 +174,11 @@ impl ClosedFormWindow {
         let coding = match scheme {
             ComputingScheme::BinaryParallel | ComputingScheme::BinarySerial => return Self::Binary,
             ComputingScheme::UGemmHybrid => {
-                return Self::Bipolar {
+                return Self::Bipolar(BipolarWindow {
                     half: 1i64 << (bitwidth - 1),
                     ones_rng: SobolSource::dimension(0, bitwidth).directions().to_vec(),
                     zeros_rng: SobolSource::dimension(2, bitwidth).directions().to_vec(),
-                }
+                })
             }
             ComputingScheme::UnaryRate => Coding::Rate,
             ComputingScheme::UnaryTemporal => Coding::Temporal,
@@ -192,52 +188,125 @@ impl ClosedFormWindow {
             mul_cycles <= period,
             "window of {mul_cycles} cycles exceeds the RNG period {period}"
         );
-        Self::SignMagnitude {
-            period,
+        Self::SignMagnitude(SignMagnitudeWindow {
+            ifm: IfmSource::for_coding(coding, bitwidth).prefix(mul_cycles),
             weight_rng: SobolSource::dimension(0, bitwidth - 1)
                 .directions()
                 .to_vec(),
-            enabled: IfmSource::enable_counts(coding, bitwidth, mul_cycles),
+        })
+    }
+}
+
+/// One input element's half of a closed-form MAC window: everything that
+/// depends on the input alone, built once per input element and counted
+/// against every weight of its PE row.
+pub(crate) trait WindowRow {
+    /// The signed count a PE holding weight level `weight` accumulates
+    /// over one MAC window on this row's input, identical to what the
+    /// stepped machine accumulates.
+    fn count(&self, weight: i64) -> i64;
+}
+
+/// A binary window's row: the input level itself.
+pub(crate) struct BinaryRow(pub(crate) i64);
+
+impl WindowRow for BinaryRow {
+    fn count(&self, weight: i64) -> i64 {
+        self.0 * weight
+    }
+}
+
+/// A rate- or temporal-coded window (see the module docs).
+pub(crate) struct SignMagnitudeWindow {
+    /// Enable counts of a `mul_cycles`-cycle window, by IFM magnitude.
+    ifm: IfmPrefix,
+    /// Direction numbers of the weight RNG (Sobol dimension 0).
+    weight_rng: Vec<u64>,
+}
+
+impl SignMagnitudeWindow {
+    /// The row of input level `input`: the weight RNG's prefix over the
+    /// window's enable count, and the input's sign.
+    pub(crate) fn row(&self, input: i64) -> SignMagnitudeRow {
+        // Sign-magnitude operands clamp their magnitude to the period
+        // 2^(bitwidth−1), like `SignMagnitude::from_signed` (clamping
+        // keeps the sign). The IFM source and the weight RNG both have
+        // that period, and both prefix counts clamp their threshold to it.
+        let enabled = self.ifm.enable_count(input.unsigned_abs());
+        SignMagnitudeRow {
+            weight: SobolPrefix::new(&self.weight_rng, enabled),
+            negative: input < 0,
         }
     }
+}
 
-    /// The signed count a PE holding weight level `weight` accumulates
-    /// over one MAC window on input level `input`, identical to what the
-    /// stepped machine accumulates.
-    pub(crate) fn count(&self, input: i64, weight: i64) -> i64 {
-        match self {
-            Self::Binary => input * weight,
-            Self::SignMagnitude {
-                period,
-                weight_rng,
-                enabled,
-            } => {
-                // Sign-magnitude operands, clamped like
-                // `SignMagnitude::from_signed`: clamping keeps the sign.
-                let magnitude = |v: i64| v.unsigned_abs().min(*period);
-                let n_en = enabled[magnitude(input) as usize];
-                let ones = sobol_prefix_count(weight_rng, n_en, magnitude(weight)) as i64;
-                if (input < 0) != (weight < 0) {
-                    -ones
-                } else {
-                    ones
-                }
-            }
-            Self::Bipolar {
-                half,
-                ones_rng,
-                zeros_rng,
-            } => {
-                let len = 2 * *half as u64;
-                let threshold = |v: i64| (v.clamp(-half, *half) + half) as u64;
-                let t_w = threshold(weight);
-                let n1 = threshold(input);
-                let n0 = len - n1;
-                let plus = sobol_prefix_count(ones_rng, n1, t_w) + n0
-                    - sobol_prefix_count(zeros_rng, n0, t_w);
-                2 * plus as i64 - len as i64
-            }
+/// A rate- or temporal-coded window's row.
+pub(crate) struct SignMagnitudeRow {
+    /// The weight RNG's prefix over the window's enabled cycles.
+    weight: SobolPrefix,
+    /// `ISIGN`.
+    negative: bool,
+}
+
+impl WindowRow for SignMagnitudeRow {
+    fn count(&self, weight: i64) -> i64 {
+        let ones = self.weight.count(weight.unsigned_abs()) as i64;
+        if (weight < 0) != self.negative {
+            -ones
+        } else {
+            ones
         }
+    }
+}
+
+/// A uGEMM-H window (see the module docs).
+pub(crate) struct BipolarWindow {
+    /// `2^(bitwidth−1)`: the offset of a bipolar threshold.
+    half: i64,
+    /// Direction numbers of the ones-phase RNG (Sobol dimension 0).
+    ones_rng: Vec<u64>,
+    /// Direction numbers of the zeros-phase RNG (Sobol dimension 2).
+    zeros_rng: Vec<u64>,
+}
+
+/// The bipolar threshold `clamp(level) + half` of a level, with
+/// `half = 2^(bitwidth−1)`.
+fn bipolar_threshold(level: i64, half: i64) -> u64 {
+    (level.clamp(-half, half) + half) as u64
+}
+
+impl BipolarWindow {
+    /// The row of input level `input`: `n1` input-high cycles on the ones
+    /// RNG, `n0` input-low cycles on the zeros RNG.
+    pub(crate) fn row(&self, input: i64) -> BipolarRow {
+        let n1 = bipolar_threshold(input, self.half);
+        let n0 = 2 * self.half as u64 - n1;
+        BipolarRow {
+            ones: SobolPrefix::new(&self.ones_rng, n1),
+            zeros: SobolPrefix::new(&self.zeros_rng, n0),
+            n0,
+            half: self.half,
+        }
+    }
+}
+
+/// A uGEMM-H window's row.
+pub(crate) struct BipolarRow {
+    /// The ones-phase RNG's prefix over the input-high cycles.
+    ones: SobolPrefix,
+    /// The zeros-phase RNG's prefix over the input-low cycles.
+    zeros: SobolPrefix,
+    /// Input-low cycles.
+    n0: u64,
+    /// `2^(bitwidth−1)`.
+    half: i64,
+}
+
+impl WindowRow for BipolarRow {
+    fn count(&self, weight: i64) -> i64 {
+        let t_w = bipolar_threshold(weight, self.half);
+        let plus = self.ones.count(t_w) + self.n0 - self.zeros.count(t_w);
+        2 * (plus as i64 - self.half)
     }
 }
 
@@ -247,6 +316,19 @@ mod tests {
     use crate::pe::UnaryRow;
     use usystolic_unary::rng::NumberSource;
     use usystolic_unary::sign::SignMagnitude;
+
+    /// The counts of one input element against a row of weights, through
+    /// one shared row the way the tile sweep evaluates them.
+    fn row_counts(window: &ClosedFormWindow, input: i64, weights: &[i64]) -> Vec<i64> {
+        fn counts(row: &impl WindowRow, weights: &[i64]) -> Vec<i64> {
+            weights.iter().map(|&w| row.count(w)).collect()
+        }
+        match window {
+            ClosedFormWindow::Binary => counts(&BinaryRow(input), weights),
+            ClosedFormWindow::SignMagnitude(w) => counts(&w.row(input), weights),
+            ClosedFormWindow::Bipolar(w) => counts(&w.row(input), weights),
+        }
+    }
 
     #[test]
     fn mode_packs_all_unary_schemes() {
@@ -352,14 +434,11 @@ mod tests {
                     for level in [0i64, 1, -1, half / 3, -half / 2, half, -half] {
                         let weights = row_w.iter().map(|&w| sm(w, bitwidth)).collect();
                         let mut row = UnaryRow::new(bitwidth, sm(level, bitwidth), weights, coding);
-                        let stepped = row.run(mul).to_vec();
-                        for (c, &w) in row_w.iter().enumerate() {
-                            assert_eq!(
-                                window.count(level, w),
-                                stepped[c],
-                                "{coding:?} bitwidth {bitwidth} mul {mul} level {level} col {c}"
-                            );
-                        }
+                        assert_eq!(
+                            row_counts(&window, level, &row_w),
+                            row.run(mul).to_vec(),
+                            "{coding:?} bitwidth {bitwidth} mul {mul} level {level}"
+                        );
                     }
                 }
             }
@@ -392,10 +471,13 @@ mod tests {
             let len = 1u64 << bitwidth;
             let half = len as i64 / 2;
             let window = ClosedFormWindow::new(ComputingScheme::UGemmHybrid, bitwidth, len);
+            let w_thrs = [0u64, 1, len / 3, len / 2, len - 1, len];
+            let weights: Vec<i64> = w_thrs.iter().map(|&t| t as i64 - half).collect();
             for in_thr in [0u64, 1, len / 2 - 1, len / 2, len / 2 + 1, len - 1, len] {
-                for w_thr in [0u64, 1, len / 3, len / 2, len - 1, len] {
+                let counts = row_counts(&window, in_thr as i64 - half, &weights);
+                for (&w_thr, count) in w_thrs.iter().zip(counts) {
                     assert_eq!(
-                        window.count(in_thr as i64 - half, w_thr as i64 - half),
+                        count,
                         serial_window_sum(bitwidth, in_thr, w_thr),
                         "bitwidth {bitwidth} in_thr {in_thr} w_thr {w_thr}"
                     );
@@ -417,14 +499,11 @@ mod tests {
                 for ifm_level in [0i64, 1, -77, 111, 128, -128] {
                     let weights = row_w.iter().map(|&w| sm(w)).collect();
                     let mut row = UnaryRow::new(8, sm(ifm_level), weights, coding);
-                    let reference = row.run_packed(mul).to_vec();
-                    for (c, &expect) in reference.iter().enumerate() {
-                        assert_eq!(
-                            window.count(ifm_level, row_w[c]),
-                            expect,
-                            "{coding:?} mul {mul} ifm {ifm_level} col {c}"
-                        );
-                    }
+                    assert_eq!(
+                        row_counts(&window, ifm_level, &row_w),
+                        row.run_packed(mul).to_vec(),
+                        "{coding:?} mul {mul} ifm {ifm_level}"
+                    );
                 }
             }
         }

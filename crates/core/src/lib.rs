@@ -49,7 +49,7 @@ pub use fsu::FsuGemm;
 pub use isa::{Instruction, IsaError, Processor, Program, ProgramBuilder};
 pub use kernel::{KernelMode, KernelPath};
 pub use mapping::TileMapping;
-pub use pe::{IfmSource, UnaryRow};
+pub use pe::{IfmPrefix, IfmSource, UnaryRow};
 pub use scheme::ComputingScheme;
 
 /// Errors produced by the architecture crate.

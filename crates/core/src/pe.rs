@@ -22,7 +22,7 @@
 //! bit-for-bit in its tests.
 
 use usystolic_unary::coding::Coding;
-use usystolic_unary::packed;
+use usystolic_unary::packed::{self, SobolPrefix};
 use usystolic_unary::rng::{CounterSource, NumberSource, SobolSource};
 use usystolic_unary::sign::SignMagnitude;
 
@@ -51,27 +51,57 @@ impl IfmSource {
         }
     }
 
-    /// Enable-bit counts of a `cycles`-cycle MAC window, by IFM magnitude:
-    /// entry `m`, for `m` in `0..=2^(bitwidth−1)`, counts how many of the
-    /// first `cycles` outputs of [`for_coding`](Self::for_coding)`(coding,
-    /// bitwidth)` fall below `m`. Each entry is a closed-form prefix count
-    /// ([`packed::sobol_prefix_count`] or [`packed::counter_prefix_count`]),
-    /// so no sequence is drained.
+    /// The first `cycles` outputs of this source from its reset state, as
+    /// an [`IfmPrefix`]: the closed-form enable-bit count of a
+    /// `cycles`-cycle MAC window on any IFM magnitude, with no drained
+    /// sequence.
     ///
     /// # Panics
     ///
     /// Panics if a rate-coded window is longer than the Sobol period
     /// `2^(bitwidth−1)`.
     #[must_use]
-    pub fn enable_counts(coding: Coding, bitwidth: u32, cycles: u64) -> Vec<u64> {
-        let magnitudes = 0..=1u64 << (bitwidth - 1);
-        match Self::for_coding(coding, bitwidth) {
-            IfmSource::Rate(s) => magnitudes
-                .map(|m| packed::sobol_prefix_count(s.directions(), cycles, m))
-                .collect(),
-            IfmSource::Temporal(c) => magnitudes
-                .map(|m| packed::counter_prefix_count(c.width(), cycles, m))
-                .collect(),
+    pub fn prefix(&self, cycles: u64) -> IfmPrefix {
+        match self {
+            IfmSource::Rate(s) => {
+                IfmPrefix::Rate(Box::new(SobolPrefix::new(s.directions(), cycles)))
+            }
+            IfmSource::Temporal(c) => IfmPrefix::Temporal {
+                width: c.width(),
+                cycles,
+            },
+        }
+    }
+}
+
+/// The enable bits of one MAC window length over an [`IfmSource`]
+/// ([`IfmSource::prefix`]): how many of the source's first outputs fall
+/// below an IFM magnitude, for any magnitude. Built once per window
+/// length and counted once per input element.
+#[derive(Debug, Clone)]
+pub enum IfmPrefix {
+    /// Rate coding: the Sobol prefix, split into its classes.
+    Rate(Box<SobolPrefix>),
+    /// Temporal coding: a wrapping counter (periodic, so any length).
+    Temporal {
+        /// Counter width, `bitwidth − 1`.
+        width: u32,
+        /// Window length in cycles.
+        cycles: u64,
+    },
+}
+
+impl IfmPrefix {
+    /// Enable-bit count of the window on an IFM of magnitude `magnitude`
+    /// (clamped to the source period, like the comparator C-I):
+    /// [`SobolPrefix::count`] or [`packed::counter_prefix_count`].
+    #[must_use]
+    pub fn enable_count(&self, magnitude: u64) -> u64 {
+        match self {
+            IfmPrefix::Rate(prefix) => prefix.count(magnitude),
+            IfmPrefix::Temporal { width, cycles } => {
+                packed::counter_prefix_count(*width, *cycles, magnitude)
+            }
         }
     }
 }

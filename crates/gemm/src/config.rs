@@ -27,6 +27,17 @@ impl core::fmt::Display for GemmKind {
     }
 }
 
+/// Largest GEMM a [`GemmConfig`] describes, in MACs (2^38): the bound
+/// keeps every cycle and byte count derived from a shape inside `u64`.
+/// The costliest product the simulator forms is `macs × mac_cycles`, and
+/// the longest MAC interval is uGEMM-H's at 24-bit data
+/// (`2^24 + 1` cycles), so `2^38 · (2^24 + 1) < 2^63` holds on any array,
+/// a 1×1 one included. The largest layer of the model zoo and the
+/// MLPerf suite (1,849,688,064 MACs) sits ~150× below it. The bound also
+/// caps the input feature map's element count, the one data volume a
+/// strided convolution does not bound by its MAC count.
+pub const MAX_MACS: u64 = 1 << 38;
+
 /// A complete GEMM configuration: the nine parameters of Table II plus the
 /// operation kind.
 ///
@@ -57,8 +68,9 @@ impl GemmConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`GemmError::InvalidConfig`] if any dimension is zero, or if
-    /// the kernel does not fit in the input.
+    /// Returns [`GemmError::InvalidConfig`] if any dimension is zero, if
+    /// the kernel does not fit in the input, or if the MAC count or the
+    /// input element count exceeds [`MAX_MACS`].
     pub fn conv(
         ih: usize,
         iw: usize,
@@ -88,7 +100,8 @@ impl GemmConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`GemmError::InvalidConfig`] if any dimension is zero.
+    /// Returns [`GemmError::InvalidConfig`] if any dimension is zero or if
+    /// the MAC count `m·k·n` exceeds [`MAX_MACS`].
     pub fn matmul(m: usize, k: usize, n: usize) -> Result<Self, GemmError> {
         let cfg = Self {
             kind: GemmKind::MatrixMultiply,
@@ -121,6 +134,26 @@ impl GemmConfig {
             return Err(GemmError::InvalidConfig(format!(
                 "kernel {}x{} does not fit input {}x{}",
                 self.wh, self.ww, self.ih, self.iw
+            )));
+        }
+        // Checked products: an overflowing shape is as oversized as one
+        // past the bound.
+        let product = |dims: &[usize]| {
+            dims.iter()
+                .try_fold(1u64, |acc, &d| acc.checked_mul(u64::try_from(d).ok()?))
+                .filter(|&p| p <= MAX_MACS)
+        };
+        let (oh, ow) = (self.output_height(), self.output_width());
+        if product(&[oh, ow, self.oc, self.wh, self.ww, self.ic]).is_none() {
+            return Err(GemmError::InvalidConfig(format!(
+                "{oh}x{ow}x{} outputs of {}x{}x{} MACs each exceed the {MAX_MACS}-MAC limit",
+                self.oc, self.wh, self.ww, self.ic
+            )));
+        }
+        if product(&[self.ih, self.iw, self.ic]).is_none() {
+            return Err(GemmError::InvalidConfig(format!(
+                "input {}x{}x{} exceeds the {MAX_MACS}-element limit",
+                self.ih, self.iw, self.ic
             )));
         }
         Ok(())
@@ -311,6 +344,38 @@ mod tests {
         assert!(GemmConfig::conv(0, 4, 1, 1, 1, 1, 1).is_err());
         assert!(GemmConfig::matmul(1, 0, 1).is_err());
         assert!(GemmConfig::conv(4, 4, 1, 1, 1, 0, 1).is_err());
+    }
+
+    #[test]
+    fn shapes_up_to_the_mac_limit_are_accepted() {
+        let at = GemmConfig::matmul(1, 1 << 19, 1 << 19).expect("2^38 MACs is the limit");
+        assert_eq!(at.macs(), MAX_MACS);
+        let at = GemmConfig::conv(1 << 10, 1, 1 << 9, 1, 1, 1, 1 << 19).expect("at the limit");
+        assert_eq!(at.macs(), MAX_MACS);
+        // The bound leaves the costliest cycle product, uGEMM-H's 24-bit
+        // MAC interval on a 1x1 array, inside u64.
+        assert!(MAX_MACS.checked_mul((1 << 24) + 1).is_some());
+    }
+
+    #[test]
+    fn shapes_past_the_mac_limit_are_rejected() {
+        // 2^38 + 1 = 5 · 54,975,581,389.
+        let past = GemmConfig::matmul(5, 54_975_581_389, 1);
+        assert!(
+            matches!(&past, Err(GemmError::InvalidConfig(m)) if m.contains("MAC limit")),
+            "{past:?}"
+        );
+        let past = GemmConfig::conv(1 << 10, 1, (1 << 9) + 1, 1, 1, 1, 1 << 19);
+        assert!(past.is_err(), "{past:?}");
+        // Products that overflow u64 are rejected, not wrapped.
+        assert!(GemmConfig::matmul(100_000_000, 100_000_000, 100_000_000).is_err());
+        assert!(GemmConfig::matmul(usize::MAX, usize::MAX, 2).is_err());
+        // A stride that skips inputs bounds the MACs, not the input.
+        let sparse = GemmConfig::conv(1 << 20, 1 << 20, 1, 1, 1, 1 << 20, 1);
+        assert!(
+            matches!(&sparse, Err(GemmError::InvalidConfig(m)) if m.contains("element limit")),
+            "{sparse:?}"
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod quant;
 pub mod stats;
 pub mod tensor;
 
-pub use config::{GemmConfig, GemmKind};
+pub use config::{GemmConfig, GemmKind, MAX_MACS};
 pub use loopnest::{gemm_reference, gemm_with_mac};
 pub use pad::{pad_feature_map, padded_conv};
 pub use quant::{FxpFormat, Quantizer};

@@ -234,6 +234,27 @@ mod tests {
     }
 
     #[test]
+    fn largest_layer_sits_far_below_the_gemm_size_limit() {
+        // `GemmConfig` refuses shapes past `MAX_MACS`; every suite and
+        // zoo layer (1,143 in all) stays ~150x below it.
+        let zoo = [
+            crate::zoo::alexnet(),
+            crate::zoo::mnist_cnn4(),
+            crate::zoo::resnet18(),
+            crate::zoo::vgg16(),
+        ];
+        let gemms: Vec<GemmConfig> = mlperf_suite()
+            .iter()
+            .chain(&zoo)
+            .flat_map(Network::gemms)
+            .collect();
+        assert_eq!(gemms.len(), 1143);
+        let largest = gemms.iter().map(GemmConfig::macs).max().unwrap_or(0);
+        assert_eq!(largest, 1_849_688_064);
+        assert!(largest * 148 < usystolic_gemm::MAX_MACS);
+    }
+
+    #[test]
     fn per_model_layer_counts() {
         assert_eq!(alphagozero().layers.len(), 43);
         assert_eq!(alexnet_len(), 8);

@@ -9,6 +9,9 @@
 //! the sources of this crate that count has a closed form in `O(width)`:
 //! [`sobol_prefix_count`] for any Sobol dimension and
 //! [`counter_prefix_count`] for a counter (the tuGEMM-style shortcut).
+//! The Sobol count splits into a per-prefix half, [`SobolPrefix::new`],
+//! and a branch-free per-threshold half, [`SobolPrefix::count`], so one
+//! prefix is counted against many thresholds for the price of one split.
 //!
 //! The conditional generator (C-BSG, Fig. 4 of the paper) reduces to the
 //! same count: its RNG advances **only on enabled cycles**, so after `k`
@@ -31,13 +34,20 @@
 use crate::bitstream::Bitstream;
 use crate::rng::NumberSource;
 
-/// Closed-form prefix count of a Gray-code Sobol sequence of any
-/// dimension: the number of indices `i < prefix` whose output
-/// `seq[i] = XOR { directions[b] : bit b of gray(i) }` is below
-/// `threshold`, in `O(width)` with `width = directions.len()`. No drained
-/// sequence, no comparator stream.
+/// Most classes a [`SobolPrefix`] holds: one per bit of a width below 64.
+const MAX_CLASSES: usize = 64;
+
+/// One prefix of a Gray-code Sobol sequence of any dimension, split into
+/// the classes its comparator count sums over: [`SobolPrefix::new`] is
+/// the `O(width)` half of the digit DP that depends on the prefix alone,
+/// and [`SobolPrefix::count`] the branch-free half that depends on the
+/// threshold. One prefix serves any number of thresholds; the tile sweep
+/// builds one per input element and counts it against every weight of the
+/// element's PE row, the way the leftmost PE of Fig. 7 generates the
+/// (IFM bit, random number) pair once for its whole row.
 ///
-/// `directions` are the generator's direction numbers
+/// The sequence is `seq[i] = XOR { directions[b] : bit b of gray(i) }`,
+/// with `width = directions.len()` and the generator's direction numbers
 /// ([`crate::rng::SobolSource::directions`]). Every Sobol dimension has
 /// `v_j = m_j · 2^(width−1−j)` with `m_j` odd, so the lowest set bit of
 /// `v_j` is bit `width − 1 − j`. Split the indices below `prefix` by the
@@ -45,62 +55,118 @@ use crate::rng::NumberSource;
 /// above `b` and clears bit `b` has `b` free low index bits. Their Gray
 /// bits select among `v_0, …, v_(b−1)`, whose lowest set bits are
 /// distinct and all in the output's top `b` bits, so the class sweeps
-/// those bits bijectively over fixed low bits: the XOR of the direction
-/// numbers its Gray bits `b` and up select, masked to the low `width − b`
-/// bits.
-/// Each class is one interval count, so the count below a threshold is a
-/// digit DP with no table. Dimension 0 (`v_j = 2^(width−1−j)`) is the
-/// base-2 van der Corput sequence.
+/// those bits bijectively over fixed low bits `low`: the XOR of the
+/// direction numbers its Gray bits `b` and up select, masked to the low
+/// `s = width − b` bits. Its outputs are `high · 2^s + low` for every
+/// `high < 2^b`, so its count below a threshold `t ≤ 2^width` is
+/// `⌈(t − low) / 2^s⌉` clamped at zero, which is exactly
+/// `(t + mask − low) >> s` with `mask = 2^s − 1` (`mask − low < 2^s`
+/// rounds a non-positive `t − low` down to zero). A prefix stores one
+/// `(mask − low, s)` pair per set bit, and a full period one class with
+/// no fixed bits, `(0, 0)`: the sequence is a permutation of
+/// `0..2^width`. Dimension 0 (`v_j = 2^(width−1−j)`) is the base-2 van
+/// der Corput sequence.
 ///
 /// Agrees exactly with counting a drained sequence of every dimension
 /// (`tests::sobol_prefix_count_matches_every_dimension`).
+#[derive(Debug, Clone)]
+pub struct SobolPrefix {
+    /// `mask − low` per class.
+    offsets: [u64; MAX_CLASSES],
+    /// `s = width − b` per class.
+    shifts: [u8; MAX_CLASSES],
+    /// Classes in use.
+    len: usize,
+    /// `2^width`: thresholds clamp to it.
+    period: u64,
+}
+
+impl SobolPrefix {
+    /// Splits the first `prefix` outputs of the Sobol sequence with these
+    /// `directions` into classes, in `O(width)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `directions` is empty or has 64 or more entries, or if
+    /// `prefix` exceeds the period `2^width` (the Gray-code generator is
+    /// not periodic past one period, so a longer prefix has no closed
+    /// form).
+    #[must_use]
+    pub fn new(directions: &[u64], prefix: u64) -> Self {
+        let width = directions.len();
+        assert!(width > 0 && width < 64, "unsupported Sobol width {width}");
+        let period = 1u64 << width;
+        assert!(
+            prefix <= period,
+            "prefix {prefix} exceeds the Sobol period {period}"
+        );
+        let mut split = Self {
+            offsets: [0; MAX_CLASSES],
+            shifts: [0; MAX_CLASSES],
+            len: 0,
+            period,
+        };
+        if prefix == period {
+            // Full period: the sequence is a permutation of 0..2^width,
+            // one class `(0, 0)` with no fixed bits.
+            split.len = 1;
+            return split;
+        }
+        let gray = prefix ^ (prefix >> 1);
+        // XOR of the direction numbers selected by the Gray bits of
+        // `prefix` above the current bit.
+        let mut fixed = 0u64;
+        for b in (0..width).rev() {
+            let v = directions[b];
+            let gbit = (gray >> b) & 1 == 1;
+            if (prefix >> b) & 1 == 1 {
+                // Class `i_b = 0`: its Gray bit b is flipped relative to
+                // `gray`, its low `width − b` output bits are fixed, and
+                // its `b` free index bits sweep the high bits.
+                let class = if gbit { fixed } else { fixed ^ v };
+                let shift = width - b;
+                let mask = (1u64 << shift) - 1;
+                split.offsets[split.len] = mask - (class & mask);
+                // `shift = width − b` is below 64: lint: allow(narrowing)
+                split.shifts[split.len] = shift as u8;
+                split.len += 1;
+            }
+            if gbit {
+                fixed ^= v;
+            }
+        }
+        split
+    }
+
+    /// The number of the prefix's outputs below `threshold`: one add and
+    /// one shift per class, no branch.
+    #[must_use]
+    #[inline]
+    pub fn count(&self, threshold: u64) -> u64 {
+        let threshold = threshold.min(self.period);
+        self.offsets[..self.len]
+            .iter()
+            .zip(&self.shifts[..self.len])
+            .map(|(&offset, &shift)| (threshold + offset) >> shift)
+            .sum()
+    }
+}
+
+/// Closed-form prefix count of a Gray-code Sobol sequence of any
+/// dimension: the number of indices `i < prefix` whose output is below
+/// `threshold`, in `O(width)` with `width = directions.len()`. No drained
+/// sequence, no comparator stream: `SobolPrefix::new(directions,
+/// prefix).count(threshold)` (see [`SobolPrefix`] for the derivation).
+/// Build the [`SobolPrefix`] once instead to count one prefix against
+/// many thresholds.
 ///
 /// # Panics
 ///
 /// Panics if `directions` is empty or has 64 or more entries, or if
-/// `prefix` exceeds the period `2^width` (the Gray-code generator is not
-/// periodic past one period, so a longer prefix has no closed form).
+/// `prefix` exceeds the period `2^width`.
 #[must_use]
 pub fn sobol_prefix_count(directions: &[u64], prefix: u64, threshold: u64) -> u64 {
-    let width = directions.len();
-    assert!(width > 0 && width < 64, "unsupported Sobol width {width}");
-    let period = 1u64 << width;
-    assert!(
-        prefix <= period,
-        "prefix {prefix} exceeds the Sobol period {period}"
-    );
-    let threshold = threshold.min(period);
-    if threshold == 0 {
-        return 0;
-    }
-    if prefix == period {
-        // Full period: the sequence is a permutation of 0..2^width.
-        return threshold;
-    }
-    let gray = prefix ^ (prefix >> 1);
-    // XOR of the direction numbers selected by the Gray bits of `prefix`
-    // above the current bit.
-    let mut fixed = 0u64;
-    let mut count = 0u64;
-    for b in (0..width).rev() {
-        let v = directions[b];
-        let gbit = (gray >> b) & 1 == 1;
-        if (prefix >> b) & 1 == 1 {
-            // Class `i_b = 0`: its Gray bit b is flipped relative to
-            // `gray`, its low `width − b` output bits are fixed, and its
-            // `b` free index bits sweep the high bits over `0..2^b`.
-            // Count the outputs `high · 2^(width−b) + low < threshold`.
-            let class = if gbit { fixed } else { fixed ^ v };
-            let low = class & ((1u64 << (width - b)) - 1);
-            if threshold > low {
-                count += ((threshold - low - 1) >> (width - b)) + 1;
-            }
-        }
-        if gbit {
-            fixed ^= v;
-        }
-    }
-    count
+    SobolPrefix::new(directions, prefix).count(threshold)
 }
 
 /// Closed-form prefix count of a wrapping counter source: the number of
@@ -162,13 +228,39 @@ mod tests {
 
     #[test]
     fn sobol_prefix_count_matches_every_dimension() {
-        // Brute-force pin against the real generator of every dimension:
-        // for every prefix 0..=period and a spread of thresholds, the
-        // closed form must equal a drained sequence count.
+        // Brute-force pin against the real generator of every dimension.
+        // Widths 1..=9: one `SobolPrefix` per prefix 0..=period, counted
+        // against every threshold 0..=period + 1. `below[t]` is the
+        // drained count of outputs below `t` so far.
+        for dim in 0..SOBOL_DIMENSIONS {
+            for width in 1u32..=9 {
+                let period = 1u64 << width;
+                let directions = SobolSource::dimension(dim, width).directions().to_vec();
+                let seq = sequence(&mut SobolSource::dimension(dim, width), period);
+                let mut below = vec![0u64; period as usize + 2];
+                for prefix in 0..=period {
+                    let split = SobolPrefix::new(&directions, prefix);
+                    for (threshold, &expect) in below.iter().enumerate() {
+                        assert_eq!(
+                            split.count(threshold as u64),
+                            expect,
+                            "dim {dim}, width {width}, prefix {prefix}, threshold {threshold}"
+                        );
+                    }
+                    if prefix < period {
+                        for count in &mut below[seq[prefix as usize] as usize + 1..] {
+                            *count += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // Widths 10..=13: `sobol_prefix_count` at every prefix against a
+        // spread of thresholds.
         let thresholds =
             |period: u64| [0, 1, period / 3, period / 2, period - 1, period, period + 5];
         for dim in 0..SOBOL_DIMENSIONS {
-            for width in 1u32..=13 {
+            for width in 10u32..=13 {
                 let period = 1u64 << width;
                 let mut src = SobolSource::dimension(dim, width);
                 let seq = sequence(&mut src, period);
@@ -186,28 +278,41 @@ mod tests {
                     }
                 }
             }
-            // One wide generator, checked at sampled prefixes (every
-            // 997th plus both ends) so the scan stays linear.
-            let width = 20u32;
-            let period = 1u64 << width;
+        }
+        // One wide generator, sampled: every 997th prefix plus both ends,
+        // each split once and counted against sampled thresholds (both
+        // ends, odd points, powers of two ± 1 and pseudo-random levels).
+        // `hist[j]` counts the outputs so far that lie between thresholds
+        // `j − 1` and `j`, so a prefix sum over it is the drained count.
+        let width = 20u32;
+        let period = 1u64 << width;
+        let mut rng = crate::rng::SplitMix64::new(20);
+        let mut thr: Vec<u64> = vec![0, 1, 2, 3, period / 3, period / 2, period - 1, period];
+        thr.extend([period + 1, period + 5]);
+        thr.extend((1..width).flat_map(|b| [(1u64 << b) - 1, 1 << b, (1 << b) + 1]));
+        thr.extend((0..32).map(|_| rng.below(period)));
+        thr.sort_unstable();
+        thr.dedup();
+        for dim in 0..SOBOL_DIMENSIONS {
             let mut src = SobolSource::dimension(dim, width);
-            let thr = thresholds(period);
-            let mut running = [0u64; 7];
+            let directions = src.directions().to_vec();
+            let mut hist = vec![0u64; thr.len() + 1];
             for prefix in 0..=period {
                 if prefix % 997 == 0 || prefix + 1 >= period {
-                    for (t, &threshold) in thr.iter().enumerate() {
+                    let split = SobolPrefix::new(&directions, prefix);
+                    let mut expect = 0u64;
+                    for (j, &threshold) in thr.iter().enumerate() {
+                        expect += hist[j];
                         assert_eq!(
-                            sobol_prefix_count(src.directions(), prefix, threshold),
-                            running[t],
+                            split.count(threshold),
+                            expect,
                             "dim {dim}, width {width}, prefix {prefix}, threshold {threshold}"
                         );
                     }
                 }
                 if prefix < period {
                     let v = src.next();
-                    for (t, &threshold) in thr.iter().enumerate() {
-                        running[t] += u64::from(v < threshold);
-                    }
+                    hist[thr.partition_point(|&t| t <= v)] += 1;
                 }
             }
         }

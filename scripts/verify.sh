@@ -198,13 +198,16 @@ echo "==> serve_cli flat-RSS smoke test (streaming fleet)"
 # Four times the requests must not grow the peak RSS by more than 16 MB:
 # the fleet keeps one arrival ahead and folds each request as it leaves.
 # Each run gets its own python3 parent, so RUSAGE_CHILDREN sees only it.
-peak_kb() {
+rss_kb() {
     python3 -c '
 import resource, subprocess, sys
 subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL,
                stderr=subprocess.DEVNULL, check=True)
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
- ' "$serve" --instances 64 --matmul 64,64,64 --network mnist \
+ ' "$@"
+}
+peak_kb() {
+    rss_kb "$serve" --instances 64 --matmul 64,64,64 --network mnist \
         --fidelity packed "$@"
 }
 short_kb=$(peak_kb --arrival-rate 2000 --queue-depth 100000000 --duration 125)
@@ -222,6 +225,16 @@ long_kb=$(peak_kb --arrival-rate 20000 --queue-depth 4096 --duration 120)
 echo "    saturated peak RSS: $short_kb KB (~3.4e5 completions), $long_kb KB (~1.4e6 completions)"
 test $((long_kb - short_kb)) -le 16384 || {
     echo "FAIL: saturated peak RSS grew by more than 16 MB with 4x the requests" >&2
+    exit 1
+}
+
+echo "==> analyzer peak-RSS smoke test (one enable count per window bound)"
+# The window bound of a 24-bit rate-coded layer needs one enable count,
+# not a 2^23-entry table of them.
+check_kb=$(rss_kb ./target/release/sim_cli --check --network mnist --bits 24)
+echo "    sim_cli --check --network mnist --bits 24 peak RSS: $check_kb KB"
+test "$check_kb" -le 32768 || {
+    echo "FAIL: the 24-bit network check peaked above 32 MB" >&2
     exit 1
 }
 
@@ -339,6 +352,7 @@ done <<'CASES'
 2 sim_cli --matmul 4,4,4 --bits 1
 2 sim_cli --matmul 4,4,4 --bits 40
 2 sim_cli --matmul 4,4,4 --fidelity packed
+2 sim_cli --matmul 100000000,100000000,100000000
 1 sim_cli --check --bits 0
 1 sim_cli --check --matmul 4,4,4 --acc-width 64
 2 serve_cli --bits 0
@@ -350,6 +364,7 @@ done <<'CASES'
 2 serve_cli --think -1
 2 serve_cli --think nan
 2 serve_cli --fidelity analytic
+2 serve_cli --matmul 100000000,100000000,100000000 --duration 0.001
 0 serve_cli --timeout 1e300
 0 serve_cli --shard-fail 1e300
 0 serve_cli --retry-backoff 1e300 --retry-max 1 --shard-fail 1
