@@ -56,6 +56,8 @@ may repeat; --fault-seed defaults to 1.
 
 --check statically validates the configuration against the paper's
 invariants (stable USYxxx diagnostic codes) and exits 1 on any error.
+--acc-width, --acc-budget, --wiring and --fifo-depth configure only that
+analysis, so without --check they are usage errors (exit 2).
 With --network it also runs the whole-network abstract interpreter:
 calibrated value ranges prove per-layer overflow freedom or saturation
 (USY060/USY061), and the composed early-termination error bound is
@@ -570,14 +572,22 @@ pub struct SimArgs {
     fault_seed: Option<u64>,
 }
 
+/// `sim_cli` flags that configure only the static analysis (`--check`):
+/// the simulation has no use for them, so they need `--check`.
+const SIM_CHECK_ONLY: [&str; 4] = ["--acc-width", "--acc-budget", "--wiring", "--fifo-depth"];
+
 impl SimArgs {
     /// Parses `sim_cli`'s argv (without the program name).
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self> {
         let mut argv = Argv::new(args);
         let mut a = Self::default();
+        let mut check_only = None;
         while let Some(flag) = argv.next_flag() {
             if a.array.accept(&flag, &mut argv)? || a.obs.accept(&flag, &mut argv)? {
                 continue;
+            }
+            if SIM_CHECK_ONLY.contains(&flag.as_str()) {
+                check_only.get_or_insert_with(|| flag.clone());
             }
             match flag.as_str() {
                 "--conv" | "--matmul" => a.gemm = Some(parse_gemm(&flag, &argv.value()?)?),
@@ -612,6 +622,11 @@ impl SimArgs {
                 "--fault-seed" => a.fault_seed = Some(argv.int()?),
                 _ => return Err(argv.unknown()),
             }
+        }
+        if let (false, Some(flag)) = (a.check, check_only) {
+            return Err(CliError::Usage(format!(
+                "{flag} configures the static analysis only: add --check"
+            )));
         }
         if !a.check && a.gemm.is_none() && a.network.is_none() {
             return Err(CliError::Usage(
@@ -1240,6 +1255,14 @@ mod tests {
         ("--cycles 300 --matmul 4,4,4", "--cycles 300"),
         ("--cycles -1 --matmul 4,4,4", "--cycles -1: not an integer"),
         (
+            "--cycles 3 --matmul 4,4,4",
+            "--cycles 3: bad early termination: multiply cycles 3 must be a power of two in 1..=128",
+        ),
+        (
+            "--cycles 256 --matmul 4,4,4",
+            "multiply cycles 256 must be a power of two in 1..=128",
+        ),
+        (
             "--scheme XX --matmul 4,4,4",
             "--scheme XX: expected BP, BS, UG, UR or UT",
         ),
@@ -1271,6 +1294,10 @@ mod tests {
         ("--check --acc-budget x", "--acc-budget x: not a number"),
         ("--check --wiring loose", "--wiring loose"),
         ("--check --fifo-depth -3", "--fifo-depth -3: not an integer"),
+        ("--matmul 4,4,4 --acc-width 1", "--acc-width configures"),
+        ("--matmul 4,4,4 --acc-budget 0.5", "--acc-budget configures"),
+        ("--matmul 4,4,4 --wiring independent", "--wiring configures"),
+        ("--matmul 4,4,4 --fifo-depth 0", "--fifo-depth configures"),
         ("--matmul 4,4,4 --fault-ber 1.5", "--fault-ber 1.5"),
         ("--matmul 4,4,4 --fault-ber nan", "--fault-ber nan"),
         ("--matmul 4,4,4 --fault-stuck 2,3,7", "--fault-stuck 2,3,7"),
@@ -1288,6 +1315,14 @@ mod tests {
         ("--bits 40", "--bits 40"),
         ("--check --bits 0", "--bits 0"),
         ("--cycles 300", "--cycles 300"),
+        (
+            "--cycles 3",
+            "--cycles 3: bad early termination: multiply cycles 3 must be a power of two in 1..=128",
+        ),
+        (
+            "--cycles 256 --bits 8",
+            "multiply cycles 256 must be a power of two in 1..=128",
+        ),
         ("--scheme XX", "--scheme XX"),
         ("--closed-loop 0", "--closed-loop 0"),
         ("--closed-loop x", "--closed-loop x"),

@@ -11,7 +11,10 @@
 //! window. Each timing is the best of several samples in µs per call; a
 //! sample batches calls until it spans at least 5 ms of host time, and
 //! the serial and fast paths are sampled alternately, so even a
-//! microsecond-scale closed-form call is resolved. The report also sweeps
+//! microsecond-scale closed-form call is resolved. A full run repeats the
+//! whole timing matrix [`REPETITIONS`] times and reports every `*_us` and
+//! `*speedup` key as its median across the repetitions, so one slow spell
+//! of the host cannot set the ledger. The report also sweeps
 //! the EBT × scheme space asserting the closed form reproduces the
 //! bit-serial reference exactly, and re-runs each fast path across worker
 //! counts asserting the output checksum never moves.
@@ -39,9 +42,12 @@ pub struct KernelBench {
     pub bitwidth: u32,
     /// Input vectors pushed through the tile.
     pub vectors: usize,
-    /// Timing samples per case (best-of); each sample is a batch of calls
-    /// spanning at least 5 ms of host time.
+    /// Timing samples per case and repetition (best-of); each sample is a
+    /// batch of calls spanning at least 5 ms of host time.
     pub iters: usize,
+    /// Repetitions of the whole timing matrix; every timing and speedup
+    /// below is the median across them.
+    pub repetitions: usize,
     /// Bit-serial wall time, microseconds per call (best of `iters`).
     pub serial_us: f64,
     /// Fast-path ([`KernelMode::Auto`], closed-form) wall time,
@@ -180,71 +186,136 @@ fn time_pair(
     best
 }
 
-/// One serial-vs-fast comparison: best-of per-call timings, speedup, and a
-/// bit-exactness verdict that also replays the fast path at every
-/// requested worker count (outputs *and* cycle statistics must agree).
-struct PairTiming {
+/// Repetitions of the whole timing matrix in a full run (a short run
+/// makes one). Each repetition times every case with best-of-`iters`
+/// samples per path, about 0.5 s, so a full run takes about 3.5 s.
+pub const REPETITIONS: usize = 7;
+
+/// One timed case: a configuration and its lowered GEMM.
+struct Case {
+    cfg: SystolicConfig,
+    gemm: GemmConfig,
+    input: Matrix<i64>,
+    weights: Matrix<i64>,
+}
+
+impl Case {
+    /// Best-of-`iters` per-call timings of the bit-serial and the fast
+    /// path, `[serial_us, fast_us]`, with their checksums.
+    fn time(&self, iters: usize) -> ([f64; 2], [u64; 2]) {
+        let run = |mode| run_checksum(&self.cfg, &self.gemm, &self.input, &self.weights, mode, 1);
+        let [(serial_us, serial), (fast_us, fast)] =
+            time_pair(iters, || run(KernelMode::Serial), || run(KernelMode::Auto));
+        ([serial_us, fast_us], [serial, fast])
+    }
+
+    /// The fast path's checksum at one worker count.
+    fn fast_checksum(&self, workers: usize) -> u64 {
+        run_checksum(
+            &self.cfg,
+            &self.gemm,
+            &self.input,
+            &self.weights,
+            KernelMode::Auto,
+            workers,
+        )
+    }
+}
+
+/// The median of a non-empty sample of odd size ([`REPETITIONS`] or one).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// One case's medians across the repetitions: serial and fast µs per call
+/// and the speedup (the median of the per-repetition ratios).
+struct CaseMedians {
     serial_us: f64,
     fast_us: f64,
     speedup: f64,
-    exact: bool,
 }
 
-fn timed_pair(
-    cfg: &SystolicConfig,
-    gemm: &GemmConfig,
-    input: &Matrix<i64>,
-    weights: &Matrix<i64>,
-    iters: usize,
-    workers: &[usize],
-) -> PairTiming {
-    let [(serial_us, checksum_serial), (fast_us, checksum_fast)] = time_pair(
-        iters,
-        || run_checksum(cfg, gemm, input, weights, KernelMode::Serial, 1),
-        || run_checksum(cfg, gemm, input, weights, KernelMode::Auto, 1),
-    );
-    let mut exact = checksum_serial == checksum_fast;
-    for &w in workers {
-        exact &= run_checksum(cfg, gemm, input, weights, KernelMode::Auto, w) == checksum_fast;
-    }
-    PairTiming {
-        serial_us,
-        fast_us,
-        speedup: serial_us / fast_us.max(1e-9),
-        exact,
+impl CaseMedians {
+    fn of(timings: &[[f64; 2]]) -> Self {
+        let key = |f: fn(&[f64; 2]) -> f64| median(timings.iter().map(f).collect());
+        Self {
+            serial_us: key(|t| t[0]),
+            fast_us: key(|t| t[1]),
+            speedup: key(|t| t[0] / t[1].max(1e-9)),
+        }
     }
 }
 
-/// Runs the kernel benchmark. `short` shrinks the vector count and the
-/// timing iterations for CI smoke runs; `workers` is the determinism
-/// sweep (deduplicated order kept).
+/// Runs the kernel benchmark. `short` shrinks the vector count, the
+/// timing iterations and the repetitions (to one) for CI smoke runs;
+/// `workers` is the determinism sweep (deduplicated order kept).
 #[must_use]
 pub fn run(short: bool, workers: &[usize]) -> KernelBench {
     let tile = 16usize;
     let bitwidth = 8u32;
-    let (vectors, iters) = if short { (4, 1) } else { (16, 11) };
+    let (vectors, iters, repetitions) = if short {
+        (4, 1, 1)
+    } else {
+        (16, 11, REPETITIONS)
+    };
     let workers: Vec<usize> = if workers.is_empty() {
         vec![1, 2, 4, 8]
     } else {
         workers.to_vec()
     };
-    let cfg = SystolicConfig::new(tile, tile, ComputingScheme::UnaryRate, bitwidth)
-        .expect("valid benchmark configuration")
-        .with_acc_width(32);
-    let (gemm, input, weights) = headline_case(tile, vectors);
-
-    let [(serial_us, checksum_serial), (packed_us, checksum_packed)] = time_pair(
-        iters,
-        || run_checksum(&cfg, &gemm, &input, &weights, KernelMode::Serial, 1),
-        || run_checksum(&cfg, &gemm, &input, &weights, KernelMode::Auto, 1),
-    );
+    let case = |tile: usize, vectors: usize, scheme, bitwidth| {
+        let (gemm, input, weights) = headline_case(tile, vectors);
+        Case {
+            cfg: SystolicConfig::new(tile, tile, scheme, bitwidth)
+                .expect("valid benchmark configuration")
+                .with_acc_width(32),
+            gemm,
+            input,
+            weights,
+        }
+    };
+    // The timing matrix. Headline: the paper's 8-bit rate-coded tile.
+    // Temporal (uGEMM-T): like every scheme at a wide OREG, it resolves to
+    // `KernelPath::ClosedForm`, so no stream is ever materialised. uGEMM-H:
+    // the ±1 walk splits into its two constant-sign RNG phases, one Sobol
+    // prefix count each; the lump add needs an OREG that cannot clamp
+    // mid-window, so the accumulator stays at a full width. Multi-word: a
+    // 14-bit rate-coded window is 2^13 cycles, 128 u64 words had it been
+    // packed; the closed form costs O(bitwidth) per window however long
+    // the window is.
+    let multiword_bitwidth = 14u32;
+    let cases = [
+        case(tile, vectors, ComputingScheme::UnaryRate, bitwidth),
+        case(tile, vectors, ComputingScheme::UnaryTemporal, bitwidth),
+        case(8, vectors.min(8), ComputingScheme::UGemmHybrid, bitwidth),
+        case(4, 2, ComputingScheme::UnaryRate, multiword_bitwidth),
+    ];
+    // Every repetition times each case once; a case is exact only if its
+    // two paths agree in every repetition.
+    let mut timings = vec![Vec::with_capacity(repetitions); cases.len()];
+    let mut exact = [true; 4];
+    let mut checksums = [0u64; 2];
+    for _ in 0..repetitions {
+        for (i, case) in cases.iter().enumerate() {
+            let (timing, [serial, fast]) = case.time(iters);
+            timings[i].push(timing);
+            exact[i] &= serial == fast;
+            if i == 0 {
+                checksums = [serial, fast];
+            }
+        }
+    }
+    let [headline, temporal, hybrid, multiword] =
+        [0, 1, 2, 3].map(|i| CaseMedians::of(&timings[i]));
+    let [checksum_serial, checksum_packed] = checksums;
 
     // EBT × scheme bit-exactness sweep (small case keeps smoke runs fast).
     // uGEMM-H rejects true early termination, so it rides along at the
     // full-width no-op EBT, pinning its closed form against the bit-serial
     // bipolar walk.
     let (sweep_gemm, sweep_in, sweep_w) = headline_case(8, 3);
-    let mut bit_exact = true;
+    let mut bit_exact = exact[3];
     for (scheme, ebts) in [
         (ComputingScheme::UnaryRate, &[8u32, 7, 6, 5, 4][..]),
         (ComputingScheme::UnaryTemporal, &[8u32][..]),
@@ -262,80 +333,41 @@ pub fn run(short: bool, workers: &[usize]) -> KernelBench {
         }
     }
 
-    // Worker determinism: the fast-path checksum must never move.
-    let workers_consistent = workers.iter().all(|&w| {
-        run_checksum(&cfg, &gemm, &input, &weights, KernelMode::Auto, w) == checksum_packed
-    });
-
-    // Temporal window (uGEMM-T): like every scheme at a wide OREG, it
-    // resolves to `KernelPath::ClosedForm`, so no stream is ever
-    // materialised — window ones come from the prefix-count arithmetic.
-    let temporal_cfg = SystolicConfig::new(tile, tile, ComputingScheme::UnaryTemporal, bitwidth)
-        .expect("valid temporal configuration")
-        .with_acc_width(32);
-    let temporal = timed_pair(&temporal_cfg, &gemm, &input, &weights, iters, &workers);
-
-    // uGEMM-H: the ±1 walk splits into its two constant-sign RNG phases,
-    // one Sobol prefix count each. The lump add needs an OREG that cannot
-    // clamp mid-window, so the accumulator stays at a full width here.
-    let hybrid_tile = 8usize;
-    let hybrid_cfg = SystolicConfig::new(
-        hybrid_tile,
-        hybrid_tile,
-        ComputingScheme::UGemmHybrid,
-        bitwidth,
-    )
-    .expect("valid hybrid configuration")
-    .with_acc_width(32);
-    let (hybrid_gemm, hybrid_in, hybrid_w) = headline_case(hybrid_tile, vectors.min(8));
-    let hybrid = timed_pair(
-        &hybrid_cfg,
-        &hybrid_gemm,
-        &hybrid_in,
-        &hybrid_w,
-        iters,
-        &workers,
-    );
-
-    // Multi-word case: a 14-bit rate-coded window is 2^13 cycles, 128
-    // u64 words had it been packed; the closed form costs O(bitwidth)
-    // per window however long the window is.
-    let multiword_bitwidth = 14u32;
-    let multiword_tile = 4usize;
-    let multiword_cfg = SystolicConfig::new(
-        multiword_tile,
-        multiword_tile,
-        ComputingScheme::UnaryRate,
-        multiword_bitwidth,
-    )
-    .expect("valid multi-word configuration")
-    .with_acc_width(32);
-    let (mw_gemm, mw_in, mw_w) = headline_case(multiword_tile, 2);
-    let multiword = timed_pair(&multiword_cfg, &mw_gemm, &mw_in, &mw_w, iters, &workers);
-    bit_exact &= multiword.exact;
+    // Worker determinism: no fast-path checksum may move with the worker
+    // count (the headline case reports it; the other cases fold it into
+    // their bit-exactness verdicts).
+    let consistent = |case: &Case| {
+        let one = case.fast_checksum(1);
+        workers.iter().all(|&w| case.fast_checksum(w) == one)
+    };
+    let workers_consistent = consistent(&cases[0]);
+    let temporal_bit_exact = exact[1] && consistent(&cases[1]);
+    let hybrid_bit_exact = exact[2] && consistent(&cases[2]);
+    bit_exact &= consistent(&cases[3]);
 
     KernelBench {
         tile,
         bitwidth,
         vectors,
         iters,
-        serial_us,
-        packed_us,
-        speedup: serial_us / packed_us.max(1e-9),
+        repetitions,
+        serial_us: headline.serial_us,
+        packed_us: headline.fast_us,
+        speedup: headline.speedup,
         checksum_serial,
         checksum_packed,
-        checksums_match: checksum_serial == checksum_packed,
+        checksums_match: exact[0],
         bit_exact,
         workers,
         workers_consistent,
         temporal_serial_us: temporal.serial_us,
         temporal_closed_us: temporal.fast_us,
         temporal_speedup: temporal.speedup,
-        temporal_bit_exact: temporal.exact,
+        temporal_bit_exact,
         hybrid_serial_us: hybrid.serial_us,
         hybrid_packed_us: hybrid.fast_us,
         hybrid_speedup: hybrid.speedup,
-        hybrid_bit_exact: hybrid.exact,
+        hybrid_bit_exact,
         multiword_bitwidth,
         multiword_serial_us: multiword.serial_us,
         multiword_packed_us: multiword.fast_us,
@@ -354,6 +386,10 @@ impl KernelBench {
             ),
             &["metric", "value"],
         );
+        t.push_row(vec![
+            "repetitions (medians)".into(),
+            self.repetitions.to_string(),
+        ]);
         t.push_row(vec!["serial us".into(), format!("{:.1}", self.serial_us)]);
         t.push_row(vec!["fast us".into(), format!("{:.1}", self.packed_us)]);
         t.push_row(vec!["speedup".into(), format!("{:.1}x", self.speedup)]);
@@ -409,6 +445,7 @@ impl ToJson for KernelBench {
             ("bitwidth", u64::from(self.bitwidth).to_json()),
             ("vectors", (self.vectors as u64).to_json()),
             ("iters", (self.iters as u64).to_json()),
+            ("repetitions", (self.repetitions as u64).to_json()),
             ("serial_us", self.serial_us.to_json()),
             ("packed_us", self.packed_us.to_json()),
             ("speedup", self.speedup.to_json()),
@@ -470,6 +507,20 @@ mod tests {
         assert!(json.contains("\"hybrid_bit_exact\":true"), "{json}");
         assert!(json.contains("\"multiword_speedup\""), "{json}");
         assert!(report.table().rows().len() >= 11);
+    }
+
+    #[test]
+    fn medians_take_the_middle_repetition() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        // One outlying repetition cannot move the reported value.
+        let m = CaseMedians::of(&[
+            [100.0, 1.0],
+            [90.0, 1.0],
+            [147.0, 1.0],
+            [95.0, 1.0],
+            [99.0, 1.0],
+        ]);
+        assert_eq!((m.serial_us, m.fast_us, m.speedup), (99.0, 1.0, 99.0));
     }
 
     #[test]

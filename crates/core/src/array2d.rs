@@ -1,12 +1,15 @@
 //! The tile sweep behind every GEMM of the crate: a fully cycle-accurate
-//! `R × C` array machine and the fast tile paths that reproduce it.
+//! `R × C` array machine and the closed form that reproduces it.
 //!
 //! [`cycle_accurate_gemm_with`] is the only GEMM engine;
 //! [`crate::exec::GemmExecutor::execute_lowered`] runs it under
-//! [`KernelMode::Auto`]. Each weight tile takes one of two routes.
+//! [`KernelMode::Auto`]. The sweep runs one task per row fold (at most
+//! `R` reduction rows), each producing that fold's `M × N` partial sums
+//! over every column fold. A fold takes one of two routes.
 //!
 //! The stepped reference machine ([`KernelMode::Serial`]) advances the
-//! whole array cycle by cycle exactly as Fig. 7 describes it:
+//! whole array cycle by cycle, one weight tile after the other, exactly as
+//! Fig. 7 describes it:
 //!
 //! * `R'` weight-preload cycles per tile;
 //! * input vectors injected bottom-row-first through the staircase skew
@@ -25,10 +28,16 @@
 //! bitstreams: each input element's half of its windows (the IFM enable
 //! count and the weight RNG's Sobol prefix for rate and temporal coding,
 //! both phase prefixes for uGEMM-H, the level itself for binary schemes)
-//! is built once and shared by the ≤ C PEs of its row, and each PE's
-//! window is then a branch-free count against its own weight. The
-//! cascade runs vector by vector, each vector's rows bottom-up and each
-//! row's columns left to right, keeping one partial sum per column.
+//! is built once per row fold and shared by all `N` PEs of its weight row,
+//! across every column fold. Column folds share no partial sums and every
+//! number source restarts per window, so sweeping the full contiguous
+//! weight row (`weights.row(k)[..N]`) computes exactly what the fold's
+//! tiles compute one by one, and its [`CycleStats`] are the per-tile
+//! closed-form schedule summed over the fold's tiles. Each row counts its
+//! weights eight at a time, class by class
+//! ([`usystolic_unary::packed::SobolPrefix::count_lanes`]). The cascade
+//! runs vector by vector, each vector's rows bottom-up and each row's
+//! columns left to right, keeping one partial sum per column.
 //!
 //! All five schemes share one OREG semantics, the stepped machine's
 //! (the reduced-resolution OREG of Section III-A):
@@ -41,21 +50,27 @@
 //! At the default widths (binary: `2N + ⌈log2 R⌉ + 2` bits) nothing
 //! clamps. `tests::matches_fast_executor_*` pin the closed form and
 //! `execute_lowered` against the stepped machine for every scheme,
-//! `acc_width` 4..=32, `K > R` and 1/2/4/8 workers, and
-//! `tests::cycle_count_matches_timing_model` cross-validates the measured
-//! cycle count against the `usystolic-sim` ideal-cycle formula.
+//! `acc_width` 4..=32, `K > R`, `N` wider than one count batch and
+//! 1/2/4/8 workers, and `tests::cycle_count_matches_timing_model`
+//! cross-validates the measured cycle count against the `usystolic-sim`
+//! ideal-cycle formula.
 
 use crate::config::SystolicConfig;
-use crate::kernel::{BinaryRow, ClosedFormWindow, KernelMode, KernelPath, WindowRow};
+use crate::kernel::{ClosedFormWindow, KernelMode, KernelPath, WindowRow};
 use crate::mapping::TileMapping;
 use crate::pe::IfmSource;
 use crate::scheme::ComputingScheme;
 use crate::CoreError;
+use std::ops::Range;
 use usystolic_gemm::{GemmConfig, Matrix};
 use usystolic_unary::add::{BinaryAccumulator, ACC_WIDTHS};
 use usystolic_unary::coding::Coding;
 use usystolic_unary::rng::{NumberSource, SobolSource};
 use usystolic_unary::sign::SignMagnitude;
+
+/// Weights the closed-form cascade counts per [`WindowRow::count`] call:
+/// the length of a row fold's stack buffer of window counts.
+const BATCH: usize = 64;
 
 /// Statistics of a cycle-accurate run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,6 +83,16 @@ pub struct CycleStats {
     pub tiles: u64,
     /// OREG saturation events.
     pub saturation_events: u64,
+}
+
+impl CycleStats {
+    /// Adds another part of the sweep's statistics to these.
+    fn absorb(&mut self, other: CycleStats) {
+        self.cycles += other.cycles;
+        self.busy_pe_cycles += other.busy_pe_cycles;
+        self.tiles += other.tiles;
+        self.saturation_events += other.saturation_events;
+    }
 }
 
 /// Per-row bitstream generation state.
@@ -142,29 +167,37 @@ pub fn cycle_accurate_gemm(
     cycle_accurate_gemm_with(config, gemm, input, weights, KernelMode::Auto, 1)
 }
 
-/// Records one tile's wall-clock span on the [`usystolic_obs::PID_WALL`]
-/// lane (no-op when no session is installed — in particular on worker
-/// threads of the parallel tile sweep, which carry no session).
-fn record_tile(kernel: &'static str, cf: usize, rf: usize, rows: usize, cols: usize, t0: f64) {
+/// Records one unit of the sweep (a serial tile or a closed-form row fold)
+/// on the [`usystolic_obs::PID_WALL`] lane: its wall-clock span `name`
+/// with `args`, its time in the histogram `metric` (µs) and its `tiles`
+/// in `core.tiles{kernel}`. A no-op when no session is installed, in
+/// particular on worker threads of the parallel sweep, which carry none.
+fn record_unit(
+    kernel: &'static str,
+    metric: &'static str,
+    name: impl FnOnce() -> String,
+    args: &[(&str, usize)],
+    tiles: usize,
+    t0: f64,
+) {
     usystolic_obs::with(|o| {
         use usystolic_obs::ToJson;
         let t1 = o.tracer.now_us();
-        o.metrics.observe("core.tile_us", t1 - t0);
+        o.metrics.observe(metric, t1 - t0);
         o.metrics
-            .observe_labeled("core.tile_us", &[("kernel", kernel)], t1 - t0);
+            .observe_labeled(metric, &[("kernel", kernel)], t1 - t0);
         o.metrics
-            .count_labeled("core.tiles", &[("kernel", kernel)], 1);
+            .count_labeled("core.tiles", &[("kernel", kernel)], tiles as u64);
         // `correlated_args` stamps the active request/shard ids (set by
-        // the serve engine) onto the tile span, closing the admission →
-        // batch → layer → tile chain in the trace.
-        let args = o.correlated_args(vec![
-            ("col_fold".to_owned(), (cf as u64).to_json()),
-            ("row_fold".to_owned(), (rf as u64).to_json()),
-            ("rows".to_owned(), (rows as u64).to_json()),
-            ("cols".to_owned(), (cols as u64).to_json()),
-        ]);
+        // the serve engine) onto the span, closing the admission → batch
+        // → layer → tile chain in the trace.
+        let args = o.correlated_args(
+            args.iter()
+                .map(|&(key, value)| (key.to_owned(), (value as u64).to_json()))
+                .collect(),
+        );
         o.tracer.complete(
-            format!("{kernel} tile c{cf}r{rf}"),
+            name(),
             "core",
             usystolic_obs::PID_WALL,
             1,
@@ -177,19 +210,25 @@ fn record_tile(kernel: &'static str, cf: usize, rf: usize, rows: usize, cols: us
 
 /// [`cycle_accurate_gemm`] with an explicit kernel mode and worker count.
 ///
-/// The weight-tile sweep is embarrassingly parallel (tiles share no
-/// machine state, only the output accumulation), so tiles are dispatched
-/// across `workers` threads of the shared work-stealing pool
-/// ([`usystolic_pool`]). Each tile returns only its own `M × C'` output
-/// block, and the blocks are folded sequentially in the canonical
-/// `(col_fold, row_fold)` order — the result is **bit-for-bit identical
-/// for every worker count and for every [`KernelMode`]**
+/// The sweep is embarrassingly parallel across row folds (they share no
+/// machine state, only the output accumulation), so each row fold is one
+/// task on `workers` threads of the shared work-stealing pool
+/// ([`usystolic_pool`]). A task sweeps its fold across every column fold
+/// and returns its own `M × N` block of partial sums, and the blocks are
+/// added sequentially in row-fold order — the result is **bit-for-bit
+/// identical for every worker count and for every [`KernelMode`]**
 /// (`tests::packed_kernel_and_workers_are_bit_exact`).
 ///
-/// Under [`KernelMode::Auto`], every tile evaluates its windows in closed
+/// Under [`KernelMode::Auto`], every fold evaluates its windows in closed
 /// form (see [`crate::kernel`]). uGEMM-H OREGs narrower than
-/// `bitwidth + 2` fall back to the stepped machine, where mid-window
-/// clamping is real behaviour the lump add cannot reproduce.
+/// `bitwidth + 2` fall back to the stepped machine, tile by tile, where
+/// mid-window clamping is real behaviour the lump add cannot reproduce.
+///
+/// Telemetry follows the unit of work: a closed-form fold records one
+/// wall-clock span `cycle_gemm.closed_form tiles r{rf}` and its time in
+/// `core.fold_us`; a stepped tile records `cycle_gemm.serial tile
+/// c{cf}r{rf}` and `core.tile_us`. `core.tiles{kernel}` counts every tile
+/// either way.
 ///
 /// # Errors
 ///
@@ -229,57 +268,89 @@ pub fn cycle_accurate_gemm_with(
     // Resolve the path once per GEMM (not per tile), so a demoted request
     // records exactly one fallback event.
     let path = mode.resolve(config);
-    let (kernel_label, tile_span) = match path {
-        KernelPath::ClosedForm => ("closed-form", "cycle_gemm.closed_form"),
-        KernelPath::Serial => ("serial", "cycle_gemm.serial"),
+    let kernel_label = match path {
+        KernelPath::ClosedForm => "closed-form",
+        KernelPath::Serial => "serial",
     };
     // A window depends on the GEMM, not the tile: it is built once here
-    // and shared by every tile.
+    // and shared by every row fold.
     let closed = (path == KernelPath::ClosedForm)
         .then(|| ClosedFormWindow::new(scheme, config.bitwidth(), config.mul_cycles()));
-    let tiles: Vec<(usize, usize)> = (0..map.col_folds())
-        .flat_map(|cf| (0..map.row_folds()).map(move |rf| (cf, rf)))
-        .collect();
 
     let mut sweep_t0 = 0.0;
     usystolic_obs::with(|o| sweep_t0 = o.tracer.now_us());
 
-    // Per-tile blocks in parallel. The per-tile spans inside the closure
-    // are recorded only on the inline (single-worker) path: worker threads
-    // carry no thread-local observability session, so the calls no-op
-    // there and the sweep-level span below covers the parallel case.
-    let partials = usystolic_pool::run_indexed(workers, tiles.len(), |i| {
-        let (cf, rf) = tiles[i];
-        let mut tile_stats = CycleStats::default();
+    // One task per row fold, each returning its own `M × N` block of
+    // partial sums. The spans inside the closure are recorded only on the
+    // inline (single-worker) path: worker threads carry no thread-local
+    // observability session, so the calls no-op there and the sweep-level
+    // span below covers the parallel case.
+    let partials = usystolic_pool::run_indexed(workers, map.row_folds(), |rf| {
+        let mut block = Matrix::<i64>::zeros(m, n);
+        let mut fold_stats = CycleStats::default();
+        let (k0, rows) = (rf * config.rows(), map.rows_in_fold(rf));
         let mut t0 = 0.0;
-        usystolic_obs::with(|o| t0 = o.tracer.now_us());
-        let tile = TileMachine::new(config, input, weights, &map, rf, cf);
-        let (rows, cols) = (tile.rows, tile.cols);
-        let mut block = Matrix::<i64>::zeros(m, cols);
         match &closed {
-            Some(window) => tile.run_closed(window, &mut block, &mut tile_stats),
-            None => tile.run(&mut block, &mut tile_stats),
+            Some(window) => {
+                usystolic_obs::with(|o| t0 = o.tracer.now_us());
+                fold_stats.saturation_events = sweep_fold(
+                    window,
+                    config.acc_width(),
+                    input,
+                    weights,
+                    k0,
+                    rows,
+                    &mut block,
+                );
+                for cf in 0..map.col_folds() {
+                    fold_stats.absorb(tile_schedule(config, rows, map.cols_in_fold(cf), m));
+                }
+                record_unit(
+                    "cycle_gemm.closed_form",
+                    "core.fold_us",
+                    || format!("cycle_gemm.closed_form tiles r{rf}"),
+                    &[("row_fold", rf), ("rows", rows), ("tiles", map.col_folds())],
+                    map.col_folds(),
+                    t0,
+                );
+            }
+            None => {
+                for cf in 0..map.col_folds() {
+                    usystolic_obs::with(|o| t0 = o.tracer.now_us());
+                    let tile = TileMachine::new(config, input, weights, &map, rf, cf);
+                    let cols = tile.cols;
+                    tile.run(&mut block, &mut fold_stats);
+                    record_unit(
+                        "cycle_gemm.serial",
+                        "core.tile_us",
+                        || format!("cycle_gemm.serial tile c{cf}r{rf}"),
+                        &[
+                            ("col_fold", cf),
+                            ("row_fold", rf),
+                            ("rows", rows),
+                            ("cols", cols),
+                        ],
+                        1,
+                        t0,
+                    );
+                }
+            }
         }
-        record_tile(tile_span, cf, rf, rows, cols, t0);
-        (block, tile_stats)
+        (block, fold_stats)
     })
     .map_err(|e| CoreError::Config(format!("tile sweep worker pool failed: {e}")))?;
 
-    // Deterministic sequential fold in tile order: parallelism changes
+    // Deterministic sequential fold in row-fold order: parallelism changes
     // wall-clock time, never one output bit.
-    let mut out = Matrix::<i64>::zeros(m, n);
-    let mut stats = CycleStats::default();
-    for ((block, tile_stats), &(cf, _)) in partials.iter().zip(&tiles) {
-        let n0 = cf * config.cols();
-        for p in 0..m {
-            for c in 0..block.cols() {
-                out[(p, n0 + c)] += block[(p, c)];
-            }
+    let mut partials = partials.into_iter();
+    let (mut out, mut stats) = partials
+        .next()
+        .unwrap_or_else(|| (Matrix::zeros(m, n), CycleStats::default()));
+    for (block, fold_stats) in partials {
+        for (total, partial) in out.as_mut_slice().iter_mut().zip(block.as_slice()) {
+            *total += partial;
         }
-        stats.cycles += tile_stats.cycles;
-        stats.busy_pe_cycles += tile_stats.busy_pe_cycles;
-        stats.tiles += tile_stats.tiles;
-        stats.saturation_events += tile_stats.saturation_events;
+        stats.absorb(fold_stats);
     }
 
     // Top-row shifters: rescale the early-terminated partial sums once,
@@ -331,9 +402,9 @@ pub fn cycle_accurate_gemm_with(
     Ok((out, stats))
 }
 
-/// One weight tile. Every run method fills `out`, the tile's own zeroed
-/// `M × C'` output block (column `c` of the block is output column
-/// `n0 + c`), with the tile's finished partial sums.
+/// One weight tile of the stepped reference machine. [`run`](Self::run)
+/// adds the tile's finished partial sums into columns `n0..n0 + C'` of
+/// its row fold's `M × N` block.
 struct TileMachine<'a> {
     config: &'a SystolicConfig,
     input: &'a Matrix<i64>,
@@ -551,7 +622,7 @@ impl<'a> TileMachine<'a> {
                         }
                         let total = accs[idx].drain();
                         if r == 0 {
-                            out[(p, c)] += total;
+                            out[(p, self.n0 + c)] += total;
                         } else {
                             psum_next[idx] = total;
                         }
@@ -564,69 +635,142 @@ impl<'a> TileMachine<'a> {
         stats.cycles += (t_end + 1) as u64;
         stats.tiles += 1;
     }
+}
 
-    /// Closed-form evaluation of a tile: every MAC window is one
-    /// [`WindowRow::count`], added into the OREG in one step.
-    ///
-    /// Bit-exact against [`run`](Self::run): a window's lump add clamps
-    /// exactly like its per-cycle adds whenever every increment of the
-    /// window has the same sign (binary, rate and temporal windows) or the
-    /// OREG cannot clamp mid-window (uGEMM-H, guaranteed by
-    /// [`KernelMode::resolve`]). One accumulator is reused across windows:
-    /// `drain()` clears the value and the sticky saturation flag at every
-    /// M-end, exactly like the per-PE OREGs, so the saturation count
-    /// matches too.
-    fn run_closed(self, window: &ClosedFormWindow, out: &mut Matrix<i64>, stats: &mut CycleStats) {
-        // One monomorphised cascade per window kind keeps every row's
-        // count free of the other kinds' arms.
-        match window {
-            ClosedFormWindow::Binary => self.cascade(BinaryRow, out, stats),
-            ClosedFormWindow::SignMagnitude(w) => self.cascade(|i| w.row(i), out, stats),
-            ClosedFormWindow::Bipolar(w) => self.cascade(|i| w.row(i), out, stats),
-        }
+/// The closed-form schedule of one `rows × cols` tile over `m` vectors,
+/// exactly what the stepped machine measures: `rows` preload cycles, then
+/// the top-right PE starts its first window `rows + cols − 2` cycles after
+/// the bottom-left one and runs `m` windows of `mac_cycles` each.
+fn tile_schedule(config: &SystolicConfig, rows: usize, cols: usize, m: usize) -> CycleStats {
+    let mac = config.mac_cycles();
+    CycleStats {
+        cycles: (2 * rows + cols - 2) as u64 + m as u64 * mac,
+        busy_pe_cycles: (rows * cols * m) as u64 * mac,
+        tiles: 1,
+        saturation_events: 0,
     }
+}
 
-    /// The M-end cascade of [`run_closed`](Self::run_closed), replayed per
-    /// vector bottom-up: row `r+1`'s M-end lands one cycle before row
-    /// `r`'s, so its drained partial sum (`below[c]`, one per column) is
-    /// what row `r` folds in. `below` is the vector's own output row: it
-    /// starts zeroed, as the bottom row folds in nothing, and ends holding
-    /// the top row's totals. `row(input)` builds one input element's half
-    /// of its windows once, and every PE of the row counts it against its
-    /// own weight (a contiguous slice of the weight row); the schedule
-    /// statistics are closed-form.
-    fn cascade<R: WindowRow>(
-        &self,
-        row: impl Fn(i64) -> R,
-        out: &mut Matrix<i64>,
-        stats: &mut CycleStats,
-    ) {
-        let mac = self.config.mac_cycles() as i64;
-        let preload = self.rows as i64;
-        let (rows, cols, m) = (self.rows, self.cols, self.m);
-
-        let mut acc = BinaryAccumulator::new(self.config.acc_width());
-        for (p, below) in out.as_mut_slice().chunks_exact_mut(cols).enumerate() {
-            let inputs = &self.input.row(p)[self.k0..self.k0 + rows];
-            for (r, &input) in inputs.iter().enumerate().rev() {
-                let shared = row(input);
-                let weights = &self.weights.row(self.k0 + r)[self.n0..self.n0 + cols];
-                for (partial, &weight) in below.iter_mut().zip(weights) {
-                    acc.add(shared.count(weight));
-                    acc.add(*partial);
-                    if acc.saturated() {
-                        stats.saturation_events += 1;
-                    }
-                    *partial = acc.drain();
+/// Closed-form evaluation of one row fold (reduction rows `k0..k0 +
+/// rows`) across every column fold at once, into the fold's zeroed `M ×
+/// N` `block`; returns the OREG saturation events.
+///
+/// Column folds share no partial sums and every number source restarts
+/// per window, so one pass over each full weight row
+/// (`weights.row(k)[..N]`) computes exactly what the fold's tiles compute
+/// one by one. Per vector the cascade runs bottom-up: row `r+1`'s M-end
+/// lands one cycle before row `r`'s, so its drained partial sum
+/// (`below[c]`, one per column) is what row `r` folds in. `below` is the
+/// vector's own row of `block`: it starts zeroed, as the bottom row folds
+/// in nothing, and ends holding the top row's totals. Each input element's
+/// half of its windows ([`WindowRow`]) is built once for all `N` columns.
+///
+/// Bit-exact against [`TileMachine::run`]: a window's lump add clamps
+/// exactly like its per-cycle adds whenever every increment of the window
+/// has the same sign (binary, rate and temporal windows) or the OREG
+/// cannot clamp mid-window (uGEMM-H, guaranteed by
+/// [`KernelMode::resolve`]). One accumulator serves a whole PE row: `drain()`
+/// clears the value and the sticky saturation flag at every M-end, exactly
+/// like the per-PE OREGs, so the saturation count matches too.
+fn sweep_fold(
+    window: &ClosedFormWindow,
+    acc_width: u32,
+    input: &Matrix<i64>,
+    weights: &Matrix<i64>,
+    k0: usize,
+    rows: usize,
+    block: &mut Matrix<i64>,
+) -> u64 {
+    // One monomorphised sweep per window kind keeps every row's count
+    // free of the other kinds' arms.
+    let fold = (input, weights, k0..k0 + rows);
+    match window {
+        // The exact product, fused into the M-end: a buffered pass of
+        // products is slower.
+        ClosedFormWindow::Binary => sweep_rows(fold, block, |level, weights, below| {
+            let mut oreg = BinaryAccumulator::new(acc_width);
+            let mut saturations = 0;
+            for (partial, &weight) in below.iter_mut().zip(weights) {
+                if m_end(&mut oreg, level * weight, partial) {
+                    saturations += 1;
                 }
             }
+            saturations
+        }),
+        ClosedFormWindow::SignMagnitude(w) => {
+            let mut counts = [0; BATCH];
+            sweep_rows(fold, block, |level, weights, below| {
+                cascade(&w.row(level), acc_width, weights, below, &mut counts)
+            })
         }
-
-        let t_end = preload + (rows as i64 - 1) + (cols as i64 - 1) + m as i64 * mac - 1;
-        stats.cycles += (t_end + 1) as u64;
-        stats.busy_pe_cycles += (rows * cols * m) as u64 * self.config.mac_cycles();
-        stats.tiles += 1;
+        ClosedFormWindow::Bipolar(w) => {
+            let mut counts = [0; BATCH];
+            sweep_rows(fold, block, |level, weights, below| {
+                cascade(&w.row(level), acc_width, weights, below, &mut counts)
+            })
+        }
     }
+}
+
+/// The vector and row loops of [`sweep_fold`] over reduction rows `ks`:
+/// `step(level, weight_row, below)` runs the M-end of one input element's
+/// row against its whole weight row and returns the saturation events.
+fn sweep_rows(
+    (input, weights, ks): (&Matrix<i64>, &Matrix<i64>, Range<usize>),
+    block: &mut Matrix<i64>,
+    mut step: impl FnMut(i64, &[i64], &mut [i64]) -> u64,
+) -> u64 {
+    let mut saturations = 0;
+    for (p, below) in block
+        .as_mut_slice()
+        .chunks_exact_mut(weights.cols())
+        .enumerate()
+    {
+        for (k, &level) in ks.clone().zip(&input.row(p)[ks.clone()]).rev() {
+            saturations += step(level, weights.row(k), below);
+        }
+    }
+    saturations
+}
+
+/// One row's M-end over a whole weight row: the row counts [`BATCH`]
+/// weights at a time into `counts` (a buffer of the whole fold, so no row
+/// clears one), and each PE's count then folds into the `acc_width`-bit
+/// OREG with the partial sum from below. Returns the saturation events.
+fn cascade(
+    row: &impl WindowRow,
+    acc_width: u32,
+    weights: &[i64],
+    below: &mut [i64],
+    counts: &mut [i64; BATCH],
+) -> u64 {
+    // A local OREG: every M-end drains it, so no state outlives the row.
+    let mut oreg = BinaryAccumulator::new(acc_width);
+    let mut saturations = 0;
+    for (weights, below) in weights.chunks(BATCH).zip(below.chunks_mut(BATCH)) {
+        let counts = &mut counts[..weights.len()];
+        row.count(weights, counts);
+        for (partial, &count) in below.iter_mut().zip(&*counts) {
+            if m_end(&mut oreg, count, partial) {
+                saturations += 1;
+            }
+        }
+    }
+    saturations
+}
+
+/// One PE's M-end: its window `count` and the lower neighbour's
+/// `partial` sum fold into the OREG, which drains into `partial`.
+/// Returns whether the OREG saturated. (Its callers count saturations
+/// with a branch, which is never taken at the default widths; summing
+/// the flag instead measured slower.)
+#[inline]
+fn m_end(oreg: &mut BinaryAccumulator, count: i64, partial: &mut i64) -> bool {
+    oreg.add(count);
+    oreg.add(*partial);
+    let saturated = oreg.saturated();
+    *partial = oreg.drain();
+    saturated
 }
 
 #[cfg(test)]
@@ -652,13 +796,14 @@ mod tests {
 
     /// Differential check of `execute_lowered` and the `Auto` tile paths
     /// against the stepped machine for one scheme at effective bitwidth
-    /// `ebt`: every `acc_width` in 4..=32, three SplitMix64 GEMMs with
-    /// `K > R` (`K mod R ≠ 0`) and `N > C` (`N mod C ≠ 0`), and 1/2/4/8
-    /// workers.
+    /// `ebt`: every `acc_width` in 4..=32, four SplitMix64 GEMMs with
+    /// `K > R` (`K mod R ≠ 0`) and `N > C` (`N mod C ≠ 0`), one of them
+    /// wider than a count batch (`N = 70 > BATCH`, ragged in the last
+    /// column fold and the last batch), and 1/2/4/8 workers.
     fn assert_differential(scheme: ComputingScheme, ebt: u32) {
         let mut rng = SplitMix64::new(0xD1FF);
         let mut saturating = 0;
-        for (m, k, n) in [(2usize, 10usize, 4usize), (3, 7, 5), (1, 13, 7)] {
+        for (m, k, n) in [(2usize, 10usize, 4usize), (3, 7, 5), (1, 13, 7), (2, 9, 70)] {
             let gemm = GemmConfig::matmul(m, k, n).expect("valid test shape");
             let mut level = || rng.below(257) as i64 - 128;
             let input = Matrix::from_fn(m, k, |_, _| level());
@@ -995,6 +1140,52 @@ mod tests {
                     .expect("closed form executes");
             assert_eq!(serial, fast, "workers {workers}");
             assert_eq!(serial_stats, fast_stats, "workers {workers}");
+        }
+    }
+
+    #[test]
+    fn telemetry_follows_the_unit_of_work() {
+        // K = 9 over 4 rows and N = 5 over 3 columns: 3 row folds × 2
+        // column folds. The closed form records one span and one
+        // `core.fold_us` sample per row fold, the stepped machine one of
+        // each per tile, and both count every tile in `core.tiles`.
+        let gemm = GemmConfig::matmul(2, 9, 5).expect("valid test shape");
+        let input = Matrix::from_fn(2, 9, |p, k| (p * 9 + k) as i64 - 8);
+        let weights = Matrix::from_fn(9, 5, |k, n| (k * 5 + n) as i64 - 20);
+        let cfg = SystolicConfig::new(4, 3, ComputingScheme::UnaryRate, 8).expect("valid");
+        for (mode, kernel, metric, spans) in [
+            (
+                KernelMode::Auto,
+                "cycle_gemm.closed_form",
+                "core.fold_us",
+                3,
+            ),
+            (KernelMode::Serial, "cycle_gemm.serial", "core.tile_us", 6),
+        ] {
+            let previous = usystolic_obs::install(usystolic_obs::Session::new());
+            cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, mode, 1)
+                .expect("sweep executes");
+            let session = usystolic_obs::take().expect("session installed above");
+            if let Some(prev) = previous {
+                usystolic_obs::install(prev);
+            }
+            let m = &session.metrics;
+            assert_eq!(m.counter_labeled("core.tiles", &[("kernel", kernel)]), 6);
+            let samples = |name| m.histogram(name).map_or(0, |h| h.count());
+            assert_eq!(samples(metric), spans, "{mode}");
+            assert_eq!(samples("core.fold_us") + samples("core.tile_us"), spans);
+            let names: Vec<String> = session
+                .tracer
+                .events()
+                .filter(|e| e.name.starts_with(kernel))
+                .map(|e| e.name.clone())
+                .collect();
+            assert_eq!(names.len(), spans as usize, "{mode}: {names:?}");
+            if mode == KernelMode::Auto {
+                assert_eq!(names[0], "cycle_gemm.closed_form tiles r0");
+            } else {
+                assert_eq!(names[0], "cycle_gemm.serial tile c0r0");
+            }
         }
     }
 

@@ -91,10 +91,10 @@ impl GemmExecutor {
         Self { config, workers: 1 }
     }
 
-    /// Spreads the independent weight-tile sweep across `workers` threads
-    /// of the shared work-stealing pool. Results are bit-for-bit identical
-    /// for every worker count — the per-tile partials are folded
-    /// sequentially in the serial sweep's order.
+    /// Spreads the tile sweep's independent row folds across `workers`
+    /// threads of the shared work-stealing pool. Results are bit-for-bit
+    /// identical for every worker count — the per-fold partial sums are
+    /// added sequentially in row-fold order.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);

@@ -2,10 +2,10 @@
 //! scheme, and the one dispatch decision between it and the stepped
 //! reference machine.
 //!
-//! [`crate::array2d`] runs every GEMM tile by tile. Per tile it either
-//! steps the bit-serial reference machine or evaluates each MAC window in
-//! one shot with `ClosedFormWindow`, then replays the M-end partial-sum
-//! cascade through the reduced-resolution OREGs.
+//! [`crate::array2d`] runs every GEMM one row fold at a time. Per fold it
+//! either steps the bit-serial reference machine tile by tile or evaluates
+//! each MAC window in one shot with `ClosedFormWindow`, then replays the
+//! M-end partial-sum cascade through the reduced-resolution OREGs.
 //! [`KernelMode::resolve`] picks one of the two per GEMM.
 //!
 //! Every window reduces to counts of comparator outputs below a
@@ -13,11 +13,14 @@
 //! window (Fig. 4/7). Each count is a closed-form Sobol prefix count
 //! ([`usystolic_unary::packed::SobolPrefix`]), split the way the array
 //! splits the work. The input element's half, `row(input)`, is built once
-//! per input element in `O(bitwidth)` and shared by the ≤ C PEs of its
-//! row, as Fig. 7's leftmost PE generates the (IFM bit, random number)
-//! pair once for the whole row. Each PE's half, `count(weight)`, is then a
-//! branch-free sum of one add and one shift per prefix class.
-//! `ClosedFormWindow` is built once per GEMM and holds no per-tile state:
+//! per input element and row fold in `O(bitwidth)` and shared by all `N`
+//! PEs of its weight row, across every column fold, as Fig. 7's leftmost
+//! PE generates the (IFM bit, random number) pair once for the whole row.
+//! The row then counts its whole weight row ([`WindowRow::count`]), eight
+//! weights at a time: per prefix class one add and one shift across eight
+//! `u32` lanes ([`usystolic_unary::packed::SobolPrefix::count_lanes`]), no
+//! branch on the data. `ClosedFormWindow` is built once per GEMM and holds
+//! no per-fold state:
 //!
 //! * a binary window is the exact product `I·W`;
 //! * a rate- or temporal-coded window is `sign · count₀(enabled(|I|), |W|)`.
@@ -49,7 +52,7 @@ use crate::pe::{IfmPrefix, IfmSource};
 use crate::scheme::ComputingScheme;
 use std::sync::atomic::{AtomicBool, Ordering};
 use usystolic_unary::coding::Coding;
-use usystolic_unary::packed::SobolPrefix;
+use usystolic_unary::packed::{SobolPrefix, LANES};
 use usystolic_unary::rng::SobolSource;
 
 /// Selects how the tile sweep evaluates MAC windows.
@@ -68,8 +71,8 @@ pub enum KernelMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelPath {
     /// Closed-form window arithmetic, `O(bitwidth)` per input element and
-    /// branch-free per window, with no per-tile stream of any kind (see
-    /// the module docs).
+    /// row fold and branch-free per window, with no stream of any kind
+    /// (see the module docs).
     ClosedForm,
     /// Cycle-by-cycle bit-serial reference machine.
     Serial,
@@ -146,12 +149,13 @@ impl core::fmt::Display for KernelMode {
 }
 
 /// The closed-form MAC window of one GEMM's scheme: built once per GEMM,
-/// shared by every tile. Each kind splits a window into the input
+/// shared by every row fold. Each kind splits a window into the input
 /// element's half (`row(input)`, a [`WindowRow`]) and the per-weight
 /// count, so the tile sweep stays monomorphised per kind (see the module
 /// docs).
 pub(crate) enum ClosedFormWindow {
-    /// Binary schemes: the exact product ([`BinaryRow`]).
+    /// Binary schemes: the exact product, which the tile sweep fuses into
+    /// its M-end cascade.
     Binary,
     /// Rate and temporal coding: a signed weight prefix count.
     SignMagnitude(SignMagnitudeWindow),
@@ -199,21 +203,13 @@ impl ClosedFormWindow {
 
 /// One input element's half of a closed-form MAC window: everything that
 /// depends on the input alone, built once per input element and counted
-/// against every weight of its PE row.
+/// against its whole row of the weight matrix.
 pub(crate) trait WindowRow {
-    /// The signed count a PE holding weight level `weight` accumulates
-    /// over one MAC window on this row's input, identical to what the
-    /// stepped machine accumulates.
-    fn count(&self, weight: i64) -> i64;
-}
-
-/// A binary window's row: the input level itself.
-pub(crate) struct BinaryRow(pub(crate) i64);
-
-impl WindowRow for BinaryRow {
-    fn count(&self, weight: i64) -> i64 {
-        self.0 * weight
-    }
+    /// Writes to `counts[j]` the signed count a PE holding weight level
+    /// `weights[j]` accumulates over one MAC window on this row's input,
+    /// identical to what the stepped machine accumulates. The slices have
+    /// the same length; the weights are counted [`LANES`] at a time.
+    fn count(&self, weights: &[i64], counts: &mut [i64]);
 }
 
 /// A rate- or temporal-coded window (see the module docs).
@@ -227,6 +223,7 @@ pub(crate) struct SignMagnitudeWindow {
 impl SignMagnitudeWindow {
     /// The row of input level `input`: the weight RNG's prefix over the
     /// window's enable count, and the input's sign.
+    #[inline]
     pub(crate) fn row(&self, input: i64) -> SignMagnitudeRow {
         // Sign-magnitude operands clamp their magnitude to the period
         // 2^(bitwidth−1), like `SignMagnitude::from_signed` (clamping
@@ -249,12 +246,22 @@ pub(crate) struct SignMagnitudeRow {
 }
 
 impl WindowRow for SignMagnitudeRow {
-    fn count(&self, weight: i64) -> i64 {
-        let ones = self.weight.count(weight.unsigned_abs()) as i64;
-        if (weight < 0) != self.negative {
-            -ones
-        } else {
-            ones
+    fn count(&self, weights: &[i64], counts: &mut [i64]) {
+        // All ones for a negative input: `ISIGN` as a mask.
+        let isign = -i64::from(self.negative);
+        for (weights, counts) in weights.chunks(LANES).zip(counts.chunks_mut(LANES)) {
+            let mut magnitudes = [0u32; LANES];
+            for (magnitude, &weight) in magnitudes.iter_mut().zip(weights) {
+                // Any magnitude past the period clamps to it in the count.
+                *magnitude = u32::try_from(weight.unsigned_abs()).unwrap_or(u32::MAX);
+            }
+            let ones = self.weight.count_lanes(magnitudes);
+            for ((count, &ones), &weight) in counts.iter_mut().zip(&ones).zip(weights) {
+                // All ones for `ISIGN ⊕ WSIGN`: `(x ^ sign) − sign` negates
+                // the count without a branch on the data.
+                let sign = (weight >> 63) ^ isign;
+                *count = (i64::from(ones) ^ sign) - sign;
+            }
         }
     }
 }
@@ -278,6 +285,7 @@ fn bipolar_threshold(level: i64, half: i64) -> u64 {
 impl BipolarWindow {
     /// The row of input level `input`: `n1` input-high cycles on the ones
     /// RNG, `n0` input-low cycles on the zeros RNG.
+    #[inline]
     pub(crate) fn row(&self, input: i64) -> BipolarRow {
         let n1 = bipolar_threshold(input, self.half);
         let n0 = 2 * self.half as u64 - n1;
@@ -303,10 +311,20 @@ pub(crate) struct BipolarRow {
 }
 
 impl WindowRow for BipolarRow {
-    fn count(&self, weight: i64) -> i64 {
-        let t_w = bipolar_threshold(weight, self.half);
-        let plus = self.ones.count(t_w) + self.n0 - self.zeros.count(t_w);
-        2 * (plus as i64 - self.half)
+    fn count(&self, weights: &[i64], counts: &mut [i64]) {
+        for (weights, counts) in weights.chunks(LANES).zip(counts.chunks_mut(LANES)) {
+            let mut thresholds = [0u32; LANES];
+            for (threshold, &weight) in thresholds.iter_mut().zip(weights) {
+                // At most 2^bitwidth ≤ 2^24: lint: allow(narrowing)
+                *threshold = bipolar_threshold(weight, self.half) as u32;
+            }
+            let ones = self.ones.count_lanes(thresholds);
+            let zeros = self.zeros.count_lanes(thresholds);
+            for ((count, &ones), &zeros) in counts.iter_mut().zip(&ones).zip(&zeros) {
+                let plus = u64::from(ones) + self.n0 - u64::from(zeros);
+                *count = 2 * (plus as i64 - self.half);
+            }
+        }
     }
 }
 
@@ -321,10 +339,12 @@ mod tests {
     /// one shared row the way the tile sweep evaluates them.
     fn row_counts(window: &ClosedFormWindow, input: i64, weights: &[i64]) -> Vec<i64> {
         fn counts(row: &impl WindowRow, weights: &[i64]) -> Vec<i64> {
-            weights.iter().map(|&w| row.count(w)).collect()
+            let mut counts = vec![0; weights.len()];
+            row.count(weights, &mut counts);
+            counts
         }
         match window {
-            ClosedFormWindow::Binary => counts(&BinaryRow(input), weights),
+            ClosedFormWindow::Binary => weights.iter().map(|&w| input * w).collect(),
             ClosedFormWindow::SignMagnitude(w) => counts(&w.row(input), weights),
             ClosedFormWindow::Bipolar(w) => counts(&w.row(input), weights),
         }

@@ -12,11 +12,14 @@
 //! * [`array2d`] — the one GEMM engine: a tile sweep over the fully
 //!   cycle-accurate machine (every PE, pipeline register and partial-sum
 //!   cascade), with reduced-resolution OREGs and top-row shifters for
-//!   all five schemes.
+//!   all five schemes, run one row fold per task across every column
+//!   fold.
 //! * [`kernel`] — the closed-form MAC window that lets the sweep skip
 //!   the stepping for every scheme (Sobol prefix counts for the unary
-//!   windows, the product for the binary ones), bit-exact against the
-//!   stepped machine, and [`KernelMode`], which picks between the two.
+//!   windows, the product for the binary ones): each input element's
+//!   half is built once per row fold and counted against its whole
+//!   weight row. Bit-exact against the stepped machine; [`KernelMode`]
+//!   picks between the two.
 //! * [`fifo`] — the synchronising skew FIFOs surrounding the array.
 //! * [`fsu`] — the fully-streaming unary (uGEMM-style) reference
 //!   architecture used to quantify Table I.

@@ -2,8 +2,9 @@
 //!
 //! Two consumers split their work into embarrassingly parallel indexed
 //! phases: the serving simulator (profiling every `(workload, layer)` pair
-//! before its event loop, folding per-request records after it) and the
-//! GEMM executors (the independent weight-tile sweep of a lowered GEMM).
+//! before its event loop, its only work on the pool) and the GEMM
+//! executors (the independent row folds of a lowered GEMM, each swept
+//! across every column fold).
 //! [`run_indexed`] runs those phases across `workers` `std::thread`s:
 //! every worker owns a deque of task indices, pops from its own front, and
 //! **steals from the back** of the busiest victim when it runs dry (the

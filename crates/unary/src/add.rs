@@ -143,6 +143,7 @@ impl BinaryAccumulator {
     ///
     /// Panics if `width` is outside [`ACC_WIDTHS`].
     #[must_use]
+    #[inline]
     pub fn new(width: u32) -> Self {
         assert!(
             ACC_WIDTHS.contains(&width),

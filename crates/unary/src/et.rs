@@ -45,6 +45,14 @@ pub enum EtError {
     /// Early termination was requested for temporal coding
     /// (Section II-B3: significant accuracy loss — not supported).
     TemporalCodingUnsupported,
+    /// A multiply cycle count that is not a power of two in
+    /// `1..=2^(full−1)`, the window lengths of EBT 1..=`full`.
+    InvalidMulCycles {
+        /// Requested multiply cycles.
+        cycles: u64,
+        /// Full data bitwidth.
+        full: u32,
+    },
 }
 
 impl core::fmt::Display for EtError {
@@ -56,6 +64,11 @@ impl core::fmt::Display for EtError {
             EtError::TemporalCodingUnsupported => {
                 f.write_str("early termination is unsupported for temporal coding")
             }
+            EtError::InvalidMulCycles { cycles, full } => write!(
+                f,
+                "multiply cycles {cycles} must be a power of two in 1..={}",
+                1u64 << full.saturating_sub(1).min(63)
+            ),
         }
     }
 }
@@ -159,17 +172,18 @@ impl EarlyTermination {
     ///
     /// # Errors
     ///
-    /// Returns [`EtError::InvalidEffectiveBitwidth`] if `mul_cycles` is not
-    /// a power of two representable within `full_bitwidth`.
+    /// Returns [`EtError::InvalidMulCycles`] unless `mul_cycles` is a
+    /// power of two in `1..=2^(full_bitwidth−1)`, the value the user
+    /// gave rather than an effective bitwidth derived from it.
     pub fn from_mul_cycles(full_bitwidth: u32, mul_cycles: u64) -> Result<Self, EtError> {
+        let invalid = EtError::InvalidMulCycles {
+            cycles: mul_cycles,
+            full: full_bitwidth,
+        };
         if !mul_cycles.is_power_of_two() {
-            return Err(EtError::InvalidEffectiveBitwidth {
-                effective: 0,
-                full: full_bitwidth,
-            });
+            return Err(invalid);
         }
-        let n = mul_cycles.trailing_zeros() + 1;
-        Self::new(full_bitwidth, n)
+        Self::new(full_bitwidth, mul_cycles.trailing_zeros() + 1).map_err(|_| invalid)
     }
 }
 
@@ -255,6 +269,22 @@ mod tests {
             EarlyTermination::from_mul_cycles(8, 256).is_err(),
             "EBT 9 > N 8"
         );
+    }
+
+    #[test]
+    fn bad_mul_cycles_name_the_cycles_given() {
+        for cycles in [0u64, 3, 33, 256, 1 << 40] {
+            let e = EarlyTermination::from_mul_cycles(8, cycles).unwrap_err();
+            assert_eq!(e, EtError::InvalidMulCycles { cycles, full: 8 });
+            assert_eq!(
+                e.to_string(),
+                format!("multiply cycles {cycles} must be a power of two in 1..=128")
+            );
+        }
+        for (ebt, cycles) in [(1u32, 1u64), (6, 32), (8, 128)] {
+            let et = EarlyTermination::from_mul_cycles(8, cycles).unwrap();
+            assert_eq!(et.effective_bitwidth(), ebt);
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! [`counter_prefix_count`] for a counter (the tuGEMM-style shortcut).
 //! The Sobol count splits into a per-prefix half, [`SobolPrefix::new`],
 //! and a branch-free per-threshold half, [`SobolPrefix::count`], so one
-//! prefix is counted against many thresholds for the price of one split.
+//! prefix is counted against many thresholds for the price of one split;
+//! [`SobolPrefix::count_lanes`] counts eight thresholds at once, class by
+//! class.
 //!
 //! The conditional generator (C-BSG, Fig. 4 of the paper) reduces to the
 //! same count: its RNG advances **only on enabled cycles**, so after `k`
@@ -37,14 +39,22 @@ use crate::rng::NumberSource;
 /// Most classes a [`SobolPrefix`] holds: one per bit of a width below 64.
 const MAX_CLASSES: usize = 64;
 
+/// Thresholds one [`SobolPrefix::count_lanes`] call counts at once.
+pub const LANES: usize = 8;
+
+/// Widest generator [`SobolPrefix::count_lanes`] counts in `u32` lanes: a
+/// clamped threshold plus an offset stays below `2^(width+1) ≤ 2^32`.
+const MAX_LANE_WIDTH: usize = 31;
+
 /// One prefix of a Gray-code Sobol sequence of any dimension, split into
 /// the classes its comparator count sums over: [`SobolPrefix::new`] is
 /// the `O(width)` half of the digit DP that depends on the prefix alone,
 /// and [`SobolPrefix::count`] the branch-free half that depends on the
 /// threshold. One prefix serves any number of thresholds; the tile sweep
-/// builds one per input element and counts it against every weight of the
-/// element's PE row, the way the leftmost PE of Fig. 7 generates the
-/// (IFM bit, random number) pair once for its whole row.
+/// builds one per input element and row fold and counts it against the
+/// element's whole weight row ([`SobolPrefix::count_lanes`]), the way the
+/// leftmost PE of Fig. 7 generates the (IFM bit, random number) pair once
+/// for its whole row.
 ///
 /// The sequence is `seq[i] = XOR { directions[b] : bit b of gray(i) }`,
 /// with `width = directions.len()` and the generator's direction numbers
@@ -83,7 +93,8 @@ pub struct SobolPrefix {
 
 impl SobolPrefix {
     /// Splits the first `prefix` outputs of the Sobol sequence with these
-    /// `directions` into classes, in `O(width)`.
+    /// `directions` into classes, in `O(width)` and with no branch on the
+    /// prefix's bits.
     ///
     /// # Panics
     ///
@@ -118,22 +129,21 @@ impl SobolPrefix {
         let mut fixed = 0u64;
         for b in (0..width).rev() {
             let v = directions[b];
-            let gbit = (gray >> b) & 1 == 1;
-            if (prefix >> b) & 1 == 1 {
-                // Class `i_b = 0`: its Gray bit b is flipped relative to
-                // `gray`, its low `width − b` output bits are fixed, and
-                // its `b` free index bits sweep the high bits.
-                let class = if gbit { fixed } else { fixed ^ v };
-                let shift = width - b;
-                let mask = (1u64 << shift) - 1;
-                split.offsets[split.len] = mask - (class & mask);
-                // `shift = width − b` is below 64: lint: allow(narrowing)
-                split.shifts[split.len] = shift as u8;
-                split.len += 1;
-            }
-            if gbit {
-                fixed ^= v;
-            }
+            // All ones when Gray bit b of `prefix` is set.
+            let gbit = ((gray >> b) & 1).wrapping_neg();
+            // Class `i_b = 0`: its Gray bit b is flipped relative to
+            // `gray`, its low `width − b` output bits are fixed, and its
+            // `b` free index bits sweep the high bits. Every bit writes its
+            // class, and only a set bit of `prefix` keeps it (`len` grows
+            // by the bit), so the split does not branch on the prefix.
+            let class = fixed ^ (v & !gbit);
+            let shift = width - b;
+            let mask = (1u64 << shift) - 1;
+            split.offsets[split.len] = mask - (class & mask);
+            // `shift = width − b` is below 64: lint: allow(narrowing)
+            split.shifts[split.len] = shift as u8;
+            split.len += usize::from((prefix >> b) & 1 == 1);
+            fixed ^= v & gbit;
         }
         split
     }
@@ -149,6 +159,41 @@ impl SobolPrefix {
             .zip(&self.shifts[..self.len])
             .map(|(&offset, &shift)| (threshold + offset) >> shift)
             .sum()
+    }
+
+    /// [`count`](Self::count) of [`LANES`] thresholds at once, class by
+    /// class: the class loop runs outside and the thresholds inside, so
+    /// each class is one add and one shift by the same amount across every
+    /// `u32` lane, with no branch. The tile sweep counts a whole weight row
+    /// this way, eight weights per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the generator is wider than 31 bits: a lane holds a
+    /// clamped threshold plus an offset, below `2^(width+1)` (data of at
+    /// most [`crate::MAX_BITWIDTH`] bits stays below `2^25`).
+    #[must_use]
+    #[inline]
+    pub fn count_lanes(&self, thresholds: [u32; LANES]) -> [u32; LANES] {
+        assert!(
+            self.period <= 1 << MAX_LANE_WIDTH,
+            "u32 lanes hold generators of at most {MAX_LANE_WIDTH} bits"
+        );
+        // At most 2^31 after the assert: lint: allow(narrowing)
+        let period = self.period as u32;
+        let thresholds = thresholds.map(|threshold| threshold.min(period));
+        let mut counts = [0u32; LANES];
+        for (&offset, &shift) in self.offsets[..self.len]
+            .iter()
+            .zip(&self.shifts[..self.len])
+        {
+            // `mask − low < 2^shift ≤ 2^31`: lint: allow(narrowing)
+            let offset = offset as u32;
+            for (count, &threshold) in counts.iter_mut().zip(&thresholds) {
+                *count += (threshold + offset) >> shift;
+            }
+        }
+        counts
     }
 }
 
@@ -247,6 +292,26 @@ mod tests {
                             "dim {dim}, width {width}, prefix {prefix}, threshold {threshold}"
                         );
                     }
+                    // The lane count, eight thresholds per call over the
+                    // same 0..=period + 1 (the last call's spare lanes go
+                    // unchecked).
+                    for (call, expect) in below.chunks(LANES).enumerate() {
+                        let mut lanes = [0u32; LANES];
+                        for (lane, threshold) in lanes.iter_mut().zip(call * LANES..) {
+                            *lane = threshold as u32;
+                        }
+                        let counts = split.count_lanes(lanes);
+                        for ((&count, &expect), threshold) in
+                            counts.iter().zip(expect).zip(call * LANES..)
+                        {
+                            assert_eq!(
+                                u64::from(count),
+                                expect,
+                                "lanes: dim {dim}, width {width}, prefix {prefix}, \
+                                 threshold {threshold}"
+                            );
+                        }
+                    }
                     if prefix < period {
                         for count in &mut below[seq[prefix as usize] as usize + 1..] {
                             *count += 1;
@@ -316,6 +381,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn count_lanes_take_thresholds_up_to_the_widest_lane() {
+        // A 31-bit generator is the widest whose lanes cannot overflow:
+        // thresholds up to u32::MAX clamp to the period, and every lane
+        // agrees with the scalar count.
+        let directions = SobolSource::dimension(3, 31).directions().to_vec();
+        let thresholds = [
+            0u32,
+            1,
+            1 << 30,
+            (1 << 31) - 1,
+            1 << 31,
+            (1 << 31) + 1,
+            u32::MAX,
+            12_345,
+        ];
+        for prefix in [0u64, 1, 12_345, (1 << 31) - 1, 1 << 31] {
+            let split = SobolPrefix::new(&directions, prefix);
+            let counts = split.count_lanes(thresholds);
+            for (&count, &threshold) in counts.iter().zip(&thresholds) {
+                assert_eq!(
+                    u64::from(count),
+                    split.count(u64::from(threshold)),
+                    "prefix {prefix}, threshold {threshold}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 lanes hold generators of at most 31 bits")]
+    fn count_lanes_reject_generators_wider_than_a_lane() {
+        let directions = SobolSource::dimension(0, 32).directions().to_vec();
+        let _ = SobolPrefix::new(&directions, 7).count_lanes([1; LANES]);
     }
 
     #[test]
