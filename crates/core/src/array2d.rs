@@ -169,9 +169,10 @@ pub fn cycle_accurate_gemm(
 
 /// Records one unit of the sweep (a serial tile or a closed-form row fold)
 /// on the [`usystolic_obs::PID_WALL`] lane: its wall-clock span `name`
-/// with `args`, its time in the histogram `metric` (µs) and its `tiles`
-/// in `core.tiles{kernel}`. A no-op when no session is installed, in
-/// particular on worker threads of the parallel sweep, which carry none.
+/// with `args`, its time in whole nanoseconds in the histogram `metric`
+/// and its `tiles` in `core.tiles{kernel}`. A no-op when no session is
+/// installed, in particular on worker threads of the parallel sweep,
+/// which carry none.
 fn record_unit(
     kernel: &'static str,
     metric: &'static str,
@@ -183,9 +184,9 @@ fn record_unit(
     usystolic_obs::with(|o| {
         use usystolic_obs::ToJson;
         let t1 = o.tracer.now_us();
-        o.metrics.observe(metric, t1 - t0);
-        o.metrics
-            .observe_labeled(metric, &[("kernel", kernel)], t1 - t0);
+        let ns = ((t1 - t0) * 1.0e3).round() as u64;
+        o.metrics.observe(metric, ns);
+        o.metrics.observe_labeled(metric, &[("kernel", kernel)], ns);
         o.metrics
             .count_labeled("core.tiles", &[("kernel", kernel)], tiles as u64);
         // `correlated_args` stamps the active request/shard ids (set by
@@ -226,8 +227,8 @@ fn record_unit(
 ///
 /// Telemetry follows the unit of work: a closed-form fold records one
 /// wall-clock span `cycle_gemm.closed_form tiles r{rf}` and its time in
-/// `core.fold_us`; a stepped tile records `cycle_gemm.serial tile
-/// c{cf}r{rf}` and `core.tile_us`. `core.tiles{kernel}` counts every tile
+/// `core.fold_ns`; a stepped tile records `cycle_gemm.serial tile
+/// c{cf}r{rf}` and `core.tile_ns`. `core.tiles{kernel}` counts every tile
 /// either way.
 ///
 /// # Errors
@@ -307,7 +308,7 @@ pub fn cycle_accurate_gemm_with(
                 }
                 record_unit(
                     "cycle_gemm.closed_form",
-                    "core.fold_us",
+                    "core.fold_ns",
                     || format!("cycle_gemm.closed_form tiles r{rf}"),
                     &[("row_fold", rf), ("rows", rows), ("tiles", map.col_folds())],
                     map.col_folds(),
@@ -322,7 +323,7 @@ pub fn cycle_accurate_gemm_with(
                     tile.run(&mut block, &mut fold_stats);
                     record_unit(
                         "cycle_gemm.serial",
-                        "core.tile_us",
+                        "core.tile_ns",
                         || format!("cycle_gemm.serial tile c{cf}r{rf}"),
                         &[
                             ("col_fold", cf),
@@ -1147,7 +1148,7 @@ mod tests {
     fn telemetry_follows_the_unit_of_work() {
         // K = 9 over 4 rows and N = 5 over 3 columns: 3 row folds × 2
         // column folds. The closed form records one span and one
-        // `core.fold_us` sample per row fold, the stepped machine one of
+        // `core.fold_ns` sample per row fold, the stepped machine one of
         // each per tile, and both count every tile in `core.tiles`.
         let gemm = GemmConfig::matmul(2, 9, 5).expect("valid test shape");
         let input = Matrix::from_fn(2, 9, |p, k| (p * 9 + k) as i64 - 8);
@@ -1157,10 +1158,10 @@ mod tests {
             (
                 KernelMode::Auto,
                 "cycle_gemm.closed_form",
-                "core.fold_us",
+                "core.fold_ns",
                 3,
             ),
-            (KernelMode::Serial, "cycle_gemm.serial", "core.tile_us", 6),
+            (KernelMode::Serial, "cycle_gemm.serial", "core.tile_ns", 6),
         ] {
             let previous = usystolic_obs::install(usystolic_obs::Session::new());
             cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, mode, 1)
@@ -1173,7 +1174,7 @@ mod tests {
             assert_eq!(m.counter_labeled("core.tiles", &[("kernel", kernel)]), 6);
             let samples = |name| m.histogram(name).map_or(0, |h| h.count());
             assert_eq!(samples(metric), spans, "{mode}");
-            assert_eq!(samples("core.fold_us") + samples("core.tile_us"), spans);
+            assert_eq!(samples("core.fold_ns") + samples("core.tile_ns"), spans);
             let names: Vec<String> = session
                 .tracer
                 .events()

@@ -12,7 +12,7 @@ use crate::kernel::KernelMode;
 use crate::scheme::ComputingScheme;
 use crate::CoreError;
 use usystolic_gemm::im2col;
-use usystolic_gemm::quant::Quantizer;
+use usystolic_gemm::quant::{quantize_feature_map, quantize_weight_set};
 use usystolic_gemm::{FeatureMap, GemmConfig, Matrix, WeightSet};
 use usystolic_unary::et::EarlyTermination;
 
@@ -130,22 +130,8 @@ impl GemmExecutor {
         usystolic_obs::with(|o| t0 = o.tracer.now_us());
 
         let bitwidth = self.config.bitwidth();
-        let qi = Quantizer::calibrated(bitwidth, input.as_slice());
-        let qw = Quantizer::calibrated(bitwidth, weights.as_slice());
-
-        let i_int = FeatureMap::from_fn(
-            input.height(),
-            input.width(),
-            input.channels(),
-            |h, w, c| qi.quantize(input[(h, w, c)]),
-        );
-        let w_int = WeightSet::from_fn(
-            weights.out_channels(),
-            weights.height(),
-            weights.width(),
-            weights.in_channels(),
-            |oc, wh, ww, ic| qw.quantize(weights[(oc, wh, ww, ic)]),
-        );
+        let (i_int, qi) = quantize_feature_map(input, bitwidth);
+        let (w_int, qw) = quantize_weight_set(weights, bitwidth);
 
         let li = im2col::lower_input(gemm, &i_int)?;
         let lw = im2col::lower_weights(gemm, &w_int)?;

@@ -211,22 +211,8 @@ pub fn fxp_gemm(
     format: FxpFormat,
 ) -> Result<FeatureMap<f64>, GemmError> {
     let (w_bits, i_bits) = format.input_bits();
-    let qw = Quantizer::calibrated(w_bits, weights.as_slice());
-    let qi = Quantizer::calibrated(i_bits, input.as_slice());
-
-    let w_int = WeightSet::from_fn(
-        weights.out_channels(),
-        weights.height(),
-        weights.width(),
-        weights.in_channels(),
-        |oc, wh, ww, ic| qw.quantize(weights[(oc, wh, ww, ic)]),
-    );
-    let i_int = FeatureMap::from_fn(
-        input.height(),
-        input.width(),
-        input.channels(),
-        |h, w, c| qi.quantize(input[(h, w, c)]),
-    );
+    let (w_int, qw) = quantize_weight_set(weights, w_bits);
+    let (i_int, qi) = quantize_feature_map(input, i_bits);
 
     let int_out = gemm_with_mac(config, &i_int, &w_int, 0i64, |acc, &w, &i| acc + w * i)?;
 

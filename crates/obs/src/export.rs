@@ -6,10 +6,9 @@
 //! through), so exported artifacts are diffable and CI can grep them.
 //!
 //! * [`prometheus_text`] follows the text exposition format version
-//!   0.0.4: `# TYPE` headers, `name{label="value"}` sample lines,
-//!   cumulative `_bucket{le=…}` histogram series, and `quantile=`-labeled
-//!   summary lines for the quantile histograms. Metric names are
-//!   sanitized (`.` → `_`) to the Prometheus grammar.
+//!   0.0.4: `# TYPE` headers, `name{label="value"}` sample lines, and
+//!   `quantile=`-labeled summary lines for the histograms. Metric names
+//!   are sanitized (`.` → `_`) to the Prometheus grammar.
 //! * [`html_report`] renders one standalone HTML page — no external
 //!   assets — with metric tables and inline SVG sparklines for every
 //!   windowed time series, so a serve run's rolling arrival/rejection
@@ -53,8 +52,8 @@ fn fmt_value(v: f64) -> String {
     }
 }
 
-/// Renders a label set, optionally extended with extra pairs (`le`,
-/// `quantile`), as the `{…}` clause of a sample line.
+/// Renders a label set, optionally extended with extra pairs
+/// (`quantile`), as the `{…}` clause of a sample line.
 fn label_clause(labels: &LabelSet, extra: &[(&str, &str)]) -> String {
     if labels.is_empty() && extra.is_empty() {
         return String::new();
@@ -108,11 +107,10 @@ impl<'a> TypeHeader<'a> {
 
 /// Exports the registry in the Prometheus text exposition format.
 ///
-/// Counters, gauges and histograms map to their native Prometheus
-/// types; quantile histograms are exposed as summaries with
-/// `quantile="0.5" / "0.95" / "0.99"` series. Windowed time series have
-/// no Prometheus equivalent and are exposed through the JSON snapshot
-/// and [`html_report`] instead.
+/// Counters and gauges map to their native Prometheus types; histograms
+/// are exposed as summaries with `quantile="0.5" / "0.95" / "0.99"`
+/// series. Windowed time series have no Prometheus equivalent and are
+/// exposed through the JSON snapshot and [`html_report`] instead.
 #[must_use]
 pub fn prometheus_text(registry: &Registry) -> String {
     let mut out = String::new();
@@ -139,42 +137,8 @@ pub fn prometheus_text(registry: &Registry) -> String {
         out.push('\n');
     }
 
-    let mut header = TypeHeader::new("histogram");
-    for (key, h) in registry.histograms() {
-        let name = sanitize_metric_name(key.name());
-        header.emit(&mut out, &name);
-        let mut cumulative = 0u64;
-        for (bound, count) in h.bounds().iter().zip(h.counts()) {
-            cumulative += count;
-            out.push_str(&name);
-            out.push_str("_bucket");
-            out.push_str(&label_clause(key.labels(), &[("le", &fmt_value(*bound))]));
-            out.push(' ');
-            out.push_str(&cumulative.to_string());
-            out.push('\n');
-        }
-        out.push_str(&name);
-        out.push_str("_bucket");
-        out.push_str(&label_clause(key.labels(), &[("le", "+Inf")]));
-        out.push(' ');
-        out.push_str(&h.count().to_string());
-        out.push('\n');
-        out.push_str(&name);
-        out.push_str("_sum");
-        out.push_str(&label_clause(key.labels(), &[]));
-        out.push(' ');
-        out.push_str(&fmt_value(h.sum()));
-        out.push('\n');
-        out.push_str(&name);
-        out.push_str("_count");
-        out.push_str(&label_clause(key.labels(), &[]));
-        out.push(' ');
-        out.push_str(&h.count().to_string());
-        out.push('\n');
-    }
-
     let mut header = TypeHeader::new("summary");
-    for (key, s) in registry.quantiles() {
+    for (key, s) in registry.histograms() {
         let name = sanitize_metric_name(key.name());
         header.emit(&mut out, &name);
         for (p, label) in [(50.0, "0.5"), (95.0, "0.95"), (99.0, "0.99")] {
@@ -314,35 +278,10 @@ pub fn html_report(title: &str, registry: &Registry) -> String {
         table_open(
             &mut out,
             "Histograms",
-            &["metric", "count", "sum", "mean", "min", "max"],
-        );
-        for (key, h) in registry.histograms() {
-            out.push_str("<tr>");
-            td(&mut out, &key.canonical());
-            td(&mut out, &h.count().to_string());
-            td(&mut out, &fmt_value(h.sum()));
-            td(&mut out, &fmt_value(h.mean()));
-            td(
-                &mut out,
-                &h.min_value().map_or_else(|| "-".into(), fmt_value),
-            );
-            td(
-                &mut out,
-                &h.max_value().map_or_else(|| "-".into(), fmt_value),
-            );
-            out.push_str("</tr>\n");
-        }
-        out.push_str("</table>\n");
-    }
-
-    if registry.quantiles().next().is_some() {
-        table_open(
-            &mut out,
-            "Quantiles",
             &["metric", "count", "p50", "p95", "p99", "min", "max"],
         );
         let cell = |v: Option<u64>| v.map_or_else(|| "-".into(), |v| v.to_string());
-        for (key, s) in registry.quantiles() {
+        for (key, s) in registry.histograms() {
             out.push_str("<tr>");
             td(&mut out, &key.canonical());
             td(&mut out, &s.count().to_string());
@@ -405,12 +344,8 @@ mod tests {
             5,
         );
         r.gauge("sim.utilization", 0.75);
-        r.register_histogram("serve.batch", &[1.0, 2.0, 4.0]);
-        r.observe("serve.batch", 1.0);
-        r.observe("serve.batch", 3.0);
-        r.observe("serve.batch", 9.0);
         for v in 1..=100 {
-            r.record_quantile("serve.latency", v);
+            r.observe("serve.latency", v);
         }
         for c in 0..32 {
             r.series_record("serve.arrivals", c * 100, 1.0);
@@ -429,18 +364,6 @@ mod tests {
         assert!(text.contains("serve_rejected{class=\"edge\",prio=\"normal\"} 5\n"));
         // One TYPE header per family, not per series.
         assert_eq!(text.matches("# TYPE serve_rejected counter").count(), 1);
-    }
-
-    #[test]
-    fn prometheus_histogram_is_cumulative_with_inf() {
-        let text = prometheus_text(&sample_registry());
-        assert!(text.contains("# TYPE serve_batch histogram\n"));
-        assert!(text.contains("serve_batch_bucket{le=\"1\"} 1\n"));
-        assert!(text.contains("serve_batch_bucket{le=\"2\"} 1\n"));
-        assert!(text.contains("serve_batch_bucket{le=\"4\"} 2\n"));
-        assert!(text.contains("serve_batch_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("serve_batch_sum 13\n"));
-        assert!(text.contains("serve_batch_count 3\n"));
     }
 
     #[test]
@@ -474,6 +397,8 @@ mod tests {
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("<h1>serve run</h1>"));
         assert!(html.contains("serve.rejected{class=&quot;edge&quot;"));
+        assert!(html.contains("<h2>Histograms</h2>"));
+        assert!(html.contains("<td>serve.latency</td><td>100</td><td>50</td>"));
         assert!(html.contains("<svg"));
         assert!(html.contains("polyline"));
         // Self-contained: no external references.

@@ -1,4 +1,4 @@
-//! The workspace's one quantile mechanism: an exact-when-small
+//! The workspace's one distribution type: an exact-when-small
 //! histogram over `u64` samples with a fixed memory cap.
 //!
 //! [`QuantileHistogram`] keeps one counter per distinct value in a
@@ -7,8 +7,8 @@
 //! nearest-rank definition: the `p`-th percentile of `n` samples is the
 //! value at rank `⌈p/100 · n⌉` (1-based) in sorted order — exactly what a
 //! sorted-vector reference computes. The serve report's latency,
-//! queue-wait and service summaries and the registry's `quantiles`
-//! family all read this type.
+//! queue-wait and service summaries and every histogram of the metrics
+//! registry are this type.
 //!
 //! ## Past the cap
 //!

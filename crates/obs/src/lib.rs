@@ -8,9 +8,9 @@
 //!   (the workspace's stand-in for `serde::Serialize`);
 //! * [`label`] — `(name, sorted label set)` metric keys and the
 //!   [`labels!`] builder macro;
-//! * [`metrics`] — counters, gauges, fixed-bucket histograms, quantile
-//!   histograms and windowed time series, all label-aware;
-//! * [`histogram`] — the one quantile mechanism: exact nearest-rank
+//! * [`metrics`] — counters, gauges, histograms and windowed time series,
+//!   all label-aware;
+//! * [`histogram`] — the one distribution type: exact nearest-rank
 //!   percentiles below [`histogram::CAP`] distinct values, rounded to
 //!   fewer significant bits above it;
 //! * [`series`] — rings of fixed-width cycle buckets for rolling rates;
@@ -36,8 +36,10 @@
 //!
 //! obs::install(obs::Session::new());
 //! // ... run instrumented code: Simulator::simulate, GemmExecutor::execute ...
-//! obs::with(|o| o.metrics.count("my.counter", 1));
-//! obs::count_labeled("my.rejected", obs::labels!("class" => "edge"), 1);
+//! obs::with(|o| {
+//!     o.metrics.count("my.counter", 1);
+//!     o.metrics.observe_labeled("my.wait_ns", obs::labels!("class" => "edge"), 250);
+//! });
 //! let session = obs::take().expect("installed above");
 //! assert_eq!(session.metrics.counter("my.counter"), 1);
 //! let chrome_json = session.tracer.export_chrome();
@@ -45,10 +47,12 @@
 //! ```
 //!
 //! Sessions are deliberately thread-local: the simulator is
-//! single-threaded per design point, and sweep harnesses that fan out
-//! across threads install one session per worker and
-//! [`Registry::absorb`] the results (histograms, quantiles and series all
-//! merge rather than clobber).
+//! single-threaded per design point, and only the thread that installed
+//! a session records. The parallel tile sweep's pool workers carry no
+//! session, so at more than one worker their per-fold spans and samples
+//! are dropped and only the sweep-level span remains.
+//! [`Registry::absorb`] merges one registry into another (histograms and
+//! series merge rather than clobber); no harness calls it yet.
 //!
 //! ## Request correlation
 //!
@@ -72,7 +76,7 @@ pub use export::{html_report, prometheus_text};
 pub use histogram::QuantileHistogram;
 pub use json::{JsonError, JsonValue, ToJson};
 pub use label::{LabelSet, MetricKey};
-pub use metrics::{Histogram, Registry, ABSORB_CONFLICTS};
+pub use metrics::{Registry, ABSORB_CONFLICTS};
 pub use series::{SeriesBucket, TimeSeries};
 pub use trace::{Phase, TraceEvent, Tracer, DEFAULT_CAPACITY, PID_SIM, PID_WALL};
 
@@ -85,7 +89,7 @@ use std::cell::RefCell;
 pub struct Session {
     /// Span/event ring buffer.
     pub tracer: Tracer,
-    /// Counters, gauges, histograms, quantiles, series.
+    /// Counters, gauges, histograms, series.
     pub metrics: Registry,
     /// Virtual timeline cursor for simulated-cycle spans: each
     /// `Simulator::simulate` call places its layer span here and advances
@@ -148,12 +152,6 @@ pub fn take() -> Option<Session> {
     SESSION.with(|s| s.borrow_mut().take())
 }
 
-/// Whether a session is installed on this thread.
-#[must_use]
-pub fn is_enabled() -> bool {
-    SESSION.with(|s| s.borrow().is_some())
-}
-
 /// Runs `f` against this thread's session, or does nothing when none is
 /// installed. This is the single gate every instrumentation site goes
 /// through: the disabled path is a thread-local load plus a branch.
@@ -165,77 +163,6 @@ pub fn with<F: FnOnce(&mut Session)>(f: F) {
     });
 }
 
-/// Convenience: adds to a counter in the installed session (no-op when
-/// disabled).
-pub fn count(name: &str, v: u64) {
-    with(|o| o.metrics.count(name, v));
-}
-
-/// Convenience: adds to a labeled counter (no-op when disabled; the
-/// label slice is borrowed, so the disabled path does not allocate).
-pub fn count_labeled(name: &str, labels: &[(&str, &str)], v: u64) {
-    with(|o| o.metrics.count_labeled(name, labels, v));
-}
-
-/// Convenience: sets a gauge in the installed session (no-op when
-/// disabled).
-pub fn gauge(name: &str, v: f64) {
-    with(|o| o.metrics.gauge(name, v));
-}
-
-/// Convenience: sets a labeled gauge (no-op when disabled).
-pub fn gauge_labeled(name: &str, labels: &[(&str, &str)], v: f64) {
-    with(|o| o.metrics.gauge_labeled(name, labels, v));
-}
-
-/// Convenience: records a histogram sample in the installed session
-/// (no-op when disabled).
-pub fn observe(name: &str, v: f64) {
-    with(|o| o.metrics.observe(name, v));
-}
-
-/// Convenience: records a labeled histogram sample (no-op when
-/// disabled).
-pub fn observe_labeled(name: &str, labels: &[(&str, &str)], v: f64) {
-    with(|o| o.metrics.observe_labeled(name, labels, v));
-}
-
-/// Convenience: records a quantile-histogram sample (no-op when
-/// disabled).
-pub fn record_quantile(name: &str, v: u64) {
-    with(|o| o.metrics.record_quantile(name, v));
-}
-
-/// Convenience: records a labeled quantile-histogram sample (no-op
-/// when disabled).
-pub fn record_quantile_labeled(name: &str, labels: &[(&str, &str)], v: u64) {
-    with(|o| o.metrics.record_quantile_labeled(name, labels, v));
-}
-
-/// Convenience: records a windowed time-series sample (no-op when
-/// disabled).
-pub fn series_record(name: &str, cycle: u64, v: f64) {
-    with(|o| o.metrics.series_record(name, cycle, v));
-}
-
-/// Convenience: records a labeled windowed time-series sample (no-op
-/// when disabled).
-pub fn series_record_labeled(name: &str, labels: &[(&str, &str)], cycle: u64, v: f64) {
-    with(|o| o.metrics.series_record_labeled(name, labels, cycle, v));
-}
-
-/// Sets (or clears) the request-correlation id on the installed session
-/// (no-op when disabled).
-pub fn set_request_id(id: Option<u64>) {
-    with(|o| o.request_id = id);
-}
-
-/// Sets (or clears) the shard-correlation id on the installed session
-/// (no-op when disabled).
-pub fn set_shard_id(id: Option<u64>) {
-    with(|o| o.shard_id = id);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,30 +170,23 @@ mod tests {
     #[test]
     fn install_with_take_round_trip() {
         assert!(take().is_none());
-        assert!(!is_enabled());
         install(Session::new());
-        assert!(is_enabled());
-        count("x", 2);
-        count("x", 3);
-        gauge("g", 1.0);
-        observe("h", 4.0);
+        with(|o| {
+            o.metrics.count("x", 2);
+            o.metrics.count("x", 3);
+            o.metrics.gauge("g", 1.0);
+            o.metrics.observe("h", 4);
+        });
         let s = take().expect("session installed");
         assert_eq!(s.metrics.counter("x"), 5);
         assert_eq!(s.metrics.gauge_value("g"), Some(1.0));
         assert_eq!(s.metrics.histogram("h").unwrap().count(), 1);
-        assert!(!is_enabled());
+        assert!(take().is_none());
     }
 
     #[test]
     fn disabled_helpers_are_noops() {
         assert!(take().is_none());
-        count("never", 1);
-        gauge("never", 1.0);
-        observe("never", 1.0);
-        count_labeled("never", labels!("k" => "v"), 1);
-        record_quantile("never", 1);
-        series_record("never", 0, 1.0);
-        set_request_id(Some(1));
         with(|_| panic!("must not run without a session"));
         assert!(take().is_none());
     }
@@ -274,7 +194,7 @@ mod tests {
     #[test]
     fn install_returns_previous_session() {
         install(Session::new());
-        count("a", 1);
+        with(|o| o.metrics.count("a", 1));
         let prev = install(Session::new()).expect("previous session");
         assert_eq!(prev.metrics.counter("a"), 1);
         let fresh = take().expect("fresh session");
@@ -284,11 +204,13 @@ mod tests {
     #[test]
     fn labeled_helpers_hit_the_registry() {
         install(Session::new());
-        count_labeled("c", labels!("k" => "v"), 2);
-        gauge_labeled("g", labels!("k" => "v"), 1.5);
-        observe_labeled("h", labels!("k" => "v"), 3.0);
-        record_quantile_labeled("q", labels!("k" => "v"), 4);
-        series_record_labeled("s", labels!("k" => "v"), 100, 1.0);
+        with(|o| {
+            o.metrics.count_labeled("c", labels!("k" => "v"), 2);
+            o.metrics.gauge_labeled("g", labels!("k" => "v"), 1.5);
+            o.metrics.observe_labeled("h", labels!("k" => "v"), 4);
+            o.metrics
+                .series_record_labeled("s", labels!("k" => "v"), 100, 1.0);
+        });
         let s = take().expect("installed");
         assert_eq!(s.metrics.counter_labeled("c", labels!("k" => "v")), 2);
         assert_eq!(
@@ -298,13 +220,6 @@ mod tests {
         assert_eq!(
             s.metrics
                 .histogram_labeled("h", labels!("k" => "v"))
-                .unwrap()
-                .count(),
-            1
-        );
-        assert_eq!(
-            s.metrics
-                .quantile_labeled("q", labels!("k" => "v"))
                 .unwrap()
                 .percentile(50.0),
             Some(4)
@@ -321,16 +236,16 @@ mod tests {
     #[test]
     fn correlation_ids_thread_into_span_args() {
         install(Session::new());
-        set_request_id(Some(7));
-        set_shard_id(Some(3));
         with(|o| {
+            o.request_id = Some(7);
+            o.shard_id = Some(3);
             let args = o.correlated_args(vec![("x".to_owned(), JsonValue::UInt(1))]);
             let ts = o.tracer.now_us();
             o.tracer
                 .complete("work", "test", PID_WALL, 0, ts, 1.0, args);
+            o.request_id = None;
+            o.shard_id = None;
         });
-        set_request_id(None);
-        set_shard_id(None);
         let s = take().expect("installed");
         let ev = s.tracer.events().next().expect("one span");
         let args = &ev.args;

@@ -1,8 +1,9 @@
 //! Pins the "observability off = free" contract: with no session
-//! installed, instrumentation helpers perform **zero heap allocations**.
+//! installed, instrumentation sites perform **zero heap allocations**.
 //!
 //! A counting global allocator records every allocation on the process;
-//! the disabled path (`obs::with`, `obs::count`, …) must not touch it.
+//! the disabled path (`obs::with`, the one gate every site goes through)
+//! must not touch it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,17 +76,14 @@ fn disabled_instrumentation_does_not_allocate() {
 
     // Touch the thread-local once so lazy TLS initialisation is not
     // charged to the measured region.
-    usystolic_obs::count("warmup", 1);
+    usystolic_obs::with(|o| o.metrics.count("warmup", 1));
 
     let allocs = min_allocations_during(|| {
         for i in 0..10_000u64 {
-            usystolic_obs::count("sim.dram_bytes", i);
-            usystolic_obs::gauge("sim.utilization", 0.5);
-            usystolic_obs::observe("core.tile_cycles", i as f64);
-            usystolic_obs::with(|o| {
-                // Never runs: no session installed.
-                o.metrics.count("unreachable", 1);
-            });
+            // None of these closures runs: no session installed.
+            usystolic_obs::with(|o| o.metrics.count("sim.dram_bytes", i));
+            usystolic_obs::with(|o| o.metrics.gauge("sim.utilization", 0.5));
+            usystolic_obs::with(|o| o.metrics.observe("core.tile_ns", i));
         }
     });
     assert_eq!(
@@ -94,11 +92,11 @@ fn disabled_instrumentation_does_not_allocate() {
     );
 }
 
-/// The dimensional sites added for fleet telemetry — labeled counters/
-/// gauges/histograms, quantile histograms, windowed series and the
-/// request-correlation setters — stay allocation-free when disabled:
-/// labels are borrowed `&[(&str, &str)]` slices, so no call below may
-/// build a `String` or box anything before the session check.
+/// The dimensional sites added for fleet telemetry — labeled counters,
+/// gauges and histograms, windowed series and the request-correlation
+/// fields — stay allocation-free when disabled: labels are borrowed
+/// `&[(&str, &str)]` slices, so no site below may build a `String` or
+/// box anything before the session check.
 #[test]
 fn disabled_labeled_and_sketch_sites_do_not_allocate() {
     let _guard = serial_guard();
@@ -106,28 +104,34 @@ fn disabled_labeled_and_sketch_sites_do_not_allocate() {
         usystolic_obs::take().is_none(),
         "test requires no installed session"
     );
-    usystolic_obs::count("warmup", 1);
+    usystolic_obs::with(|o| o.metrics.count("warmup", 1));
 
     let allocs = min_allocations_during(|| {
         for i in 0..10_000u64 {
-            usystolic_obs::count_labeled(
-                "serve.rejected",
-                &[("class", "m"), ("priority", "high")],
-                1,
-            );
-            usystolic_obs::gauge_labeled("sim.scaling_efficiency", &[("instances", "4")], 0.9);
-            usystolic_obs::observe_labeled("core.tile_us", &[("kernel", "packed")], i as f64);
-            usystolic_obs::record_quantile("serve.latency_cycles", i);
-            usystolic_obs::record_quantile_labeled("serve.latency_cycles", &[("class", "m")], 1);
-            usystolic_obs::series_record("serve.arrivals", i, 1.0);
-            usystolic_obs::series_record_labeled("serve.arrivals", &[("class", "m")], i, 1.0);
-            usystolic_obs::set_request_id(Some(i));
-            usystolic_obs::set_shard_id(Some(1));
+            usystolic_obs::with(|o| {
+                o.metrics.count_labeled(
+                    "serve.rejected",
+                    &[("class", "m"), ("priority", "high")],
+                    1,
+                );
+                o.metrics
+                    .gauge_labeled("sim.scaling_efficiency", &[("instances", "4")], 0.9);
+                o.metrics
+                    .observe_labeled("core.tile_ns", &[("kernel", "serial")], i);
+                o.metrics.observe("serve.latency_cycles", i);
+                o.metrics
+                    .observe_labeled("serve.latency_cycles", &[("class", "m")], 1);
+                o.metrics.series_record("serve.arrivals", i, 1.0);
+                o.metrics
+                    .series_record_labeled("serve.arrivals", &[("class", "m")], i, 1.0);
+                o.request_id = Some(i);
+                o.shard_id = Some(1);
+            });
         }
     });
     assert_eq!(
         allocs, 0,
-        "disabled labeled/quantile/series path allocated {allocs} times"
+        "disabled labeled/histogram/series path allocated {allocs} times"
     );
 }
 
@@ -135,7 +139,7 @@ fn disabled_labeled_and_sketch_sites_do_not_allocate() {
 fn enabled_instrumentation_records() {
     let _guard = serial_guard();
     usystolic_obs::install(usystolic_obs::Session::new());
-    usystolic_obs::count("k", 2);
+    usystolic_obs::with(|o| o.metrics.count("k", 2));
     let s = usystolic_obs::take().expect("installed above");
     assert_eq!(s.metrics.counter("k"), 2);
 }

@@ -29,7 +29,7 @@
 //!
 //! The caller's `usystolic_obs` session (if installed) receives queue
 //! depth gauges, admission/rejection/deadline counters, batch-size and
-//! latency histograms, the ledger's latency and queue-wait quantile
+//! per-class latency histograms, the ledger's latency and queue-wait
 //! histograms (merged once, after the report is built), and one
 //! Chrome-trace span per dispatched batch on the simulated-cycle lane
 //! (`tid` = instance). The event loop itself adds
@@ -300,11 +300,11 @@ impl<S> Fleet<'_, S> {
                     &[("class", class_name)],
                     batch.len() as u64,
                 );
-                o.metrics.observe("serve.batch_size", batch.len() as f64);
+                o.metrics.observe("serve.batch_size", batch.len() as u64);
                 o.metrics.observe_labeled(
                     "serve.batch_size",
                     &[("class", class_name)],
-                    batch.len() as f64,
+                    batch.len() as u64,
                 );
                 let depth = admission.depth() as f64;
                 o.metrics.gauge("serve.queue_depth", depth);
@@ -503,20 +503,15 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                         usystolic_obs::with(|o| {
                             let class = workloads[request.class].name.as_str();
                             let latency = now - request.arrival;
-                            let wait = dispatch - request.arrival;
                             o.metrics.count("serve.completed", 1);
                             o.metrics.count_labeled(
                                 "serve.completed",
                                 &[("class", class), ("priority", request.priority.label())],
                                 1,
                             );
-                            o.metrics
-                                .observe("serve.latency_ms", ServeReport::cycles_to_ms(latency));
-                            o.metrics
-                                .observe("serve.queue_wait_ms", ServeReport::cycles_to_ms(wait));
                             // The unlabeled totals are the ledger's own
                             // histograms, merged once after the run.
-                            o.metrics.record_quantile_labeled(
+                            o.metrics.observe_labeled(
                                 "serve.latency_cycles",
                                 &[("class", class)],
                                 latency,
@@ -889,9 +884,9 @@ pub fn serve_with(
             .gauge("serve.throughput_per_s", report.throughput_per_s);
         if stats.latency.count() > 0 {
             o.metrics
-                .merge_quantile("serve.latency_cycles", stats.latency);
+                .merge_histogram("serve.latency_cycles", stats.latency);
             o.metrics
-                .merge_quantile("serve.queue_wait_cycles", stats.queue_wait);
+                .merge_histogram("serve.queue_wait_cycles", stats.queue_wait);
         }
     });
     Ok(report)

@@ -79,7 +79,12 @@ pub fn ideal_cycles_with(gemm: &GemmConfig, config: &SystolicConfig, dataflow: D
 }
 
 /// Streamed DRAM traffic under the chosen dataflow (no-SRAM accounting, as
-/// the unary designs run).
+/// the unary designs run), and the array-side volumes of
+/// [`layer_traffic`](crate::traffic::layer_traffic): the `T` streamed
+/// vectors are re-streamed once per column fold (`T·K·⌈S/C⌉`), the
+/// stationary operand is preloaded once (`K·S`), and each output is
+/// written once per row fold and read back once per later one
+/// (`M·N·(2·⌈K/R⌉ − 1)`).
 #[must_use]
 pub fn layer_traffic_with(
     gemm: &GemmConfig,
@@ -89,28 +94,22 @@ pub fn layer_traffic_with(
     let in_bytes = input_elem_bytes(config.bitwidth());
     let out_bytes = output_elem_bytes(config);
     let k = gemm.reduction_len() as u64;
-    let m = gemm.output_pixels() as u64;
-    let n = gemm.output_channels() as u64;
-    let (stationary, _) = extents(gemm, dataflow);
+    let (s, t) = extents(gemm, dataflow);
     let row_folds = k.div_ceil(config.rows() as u64);
-    let col_folds = stationary.div_ceil(config.cols() as u64);
-    let dram = match dataflow {
-        Dataflow::WeightStationary => VariableTraffic {
-            ifm: m * k * col_folds * in_bytes,
-            weight: k * n * in_bytes,
-            ofm: m * n * (2 * row_folds - 1) * out_bytes,
-        },
-        Dataflow::InputStationary => VariableTraffic {
-            // Inputs are the preloaded (stationary) operand: once each.
-            ifm: m * k * in_bytes,
-            // Weights stream: every input-column fold re-streams them.
-            weight: k * n * col_folds * in_bytes,
-            ofm: m * n * (2 * row_folds - 1) * out_bytes,
-        },
+    let col_folds = s.div_ceil(config.cols() as u64);
+    let streamed = t * k * col_folds * in_bytes;
+    let stationary = k * s * in_bytes;
+    let (ifm, weight) = match dataflow {
+        Dataflow::WeightStationary => (streamed, stationary),
+        Dataflow::InputStationary => (stationary, streamed),
     };
     LayerTraffic {
         sram: VariableTraffic::default(),
-        dram,
+        dram: VariableTraffic {
+            ifm,
+            weight,
+            ofm: s * t * (2 * row_folds - 1) * out_bytes,
+        },
     }
 }
 

@@ -86,8 +86,10 @@ pub fn layer_timing_from_traffic(
         o.metrics.count("sim.ideal_cycles", timing.ideal_cycles);
         o.metrics.count("sim.stall_cycles", timing.stall_cycles);
         o.metrics.count("sim.runtime_cycles", timing.runtime_cycles);
-        o.metrics
-            .observe("sim.layer_overhead_pct", timing.overhead() * 100.0);
+        o.metrics.observe(
+            "sim.layer_overhead_permille",
+            (timing.overhead() * 1.0e3).round() as u64,
+        );
     });
     timing
 }

@@ -14,6 +14,7 @@
 //!   directly — which is exactly why binary designs cannot drop the SRAM
 //!   and crawling uSystolic can (Section V-B).
 
+use crate::dataflow::{layer_traffic_with, Dataflow};
 use crate::memory::MemoryHierarchy;
 use usystolic_core::{SystolicConfig, TileMapping};
 use usystolic_gemm::GemmConfig;
@@ -76,49 +77,38 @@ pub fn layer_traffic(
     config: &SystolicConfig,
     memory: &MemoryHierarchy,
 ) -> LayerTraffic {
-    let map = TileMapping::new(gemm, config.rows(), config.cols());
-    let in_bytes = input_elem_bytes(config.bitwidth());
-    let out_bytes = output_elem_bytes(config);
-
-    let m = map.m() as u64;
-    let k = map.k() as u64;
-    let n = map.n() as u64;
-    let row_folds = map.row_folds() as u64;
-    let col_folds = map.col_folds() as u64;
-
-    // Array-side (streamed) volumes.
-    let ifm_streamed = m * k * col_folds * in_bytes; // every column fold re-streams all vectors
-    let weight_streamed = k * n * in_bytes; // each weight preloaded exactly once
-                                            // Partial sums: per column fold, each output written once per row fold
-                                            // and read back once per subsequent row fold.
-    let ofm_streamed = m * n * (2 * row_folds - 1) * out_bytes;
-
-    // Compulsory (raw) volumes.
-    let ifm_raw = gemm.input_elems() * in_bytes;
-    let ofm_final = m * n * out_bytes;
-
+    // Array-side (streamed) volumes: the weight-stationary case of the
+    // dataflow model, which without SRAM is the whole DRAM picture.
+    let no_sram = layer_traffic_with(gemm, config, Dataflow::WeightStationary);
     let traffic = match memory.sram {
         Some(sram) => {
+            let map = TileMapping::new(gemm, config.rows(), config.cols());
+            let out_bytes = output_elem_bytes(config);
+            let m = map.m() as u64;
+            let streamed = no_sram.dram;
+            // Compulsory (raw) volumes.
+            let ifm_raw = gemm.input_elems() * input_elem_bytes(config.bitwidth());
+            let ofm_final = m * map.n() as u64 * out_bytes;
             // SRAM serves the streamed traffic; DRAM sees compulsory
             // transfers plus capacity-miss refetches/spills.
             let ifm_fits = ifm_raw <= sram.capacity_bytes;
             let dram_ifm = if ifm_fits {
                 ifm_raw
             } else {
-                ifm_raw * col_folds
+                ifm_raw * map.col_folds() as u64
             };
             // Weights always stream through once (weight-stationary reuse
             // happens in the PEs, not the SRAM).
-            let dram_weight = weight_streamed;
+            let dram_weight = streamed.weight;
             // Partial-sum working set per column fold.
             let ofm_ws = m * map.cols_in_fold(0) as u64 * out_bytes;
             let ofm_fits = ofm_ws <= sram.capacity_bytes;
-            let dram_ofm = if ofm_fits { ofm_final } else { ofm_streamed };
+            let dram_ofm = if ofm_fits { ofm_final } else { streamed.ofm };
             LayerTraffic {
                 sram: VariableTraffic {
-                    ifm: ifm_streamed + dram_ifm, // reads by array + fills from DRAM
-                    weight: 2 * weight_streamed,  // fill + drain to the array
-                    ofm: ofm_streamed + dram_ofm,
+                    ifm: streamed.ifm + dram_ifm, // reads by array + fills from DRAM
+                    weight: 2 * streamed.weight,  // fill + drain to the array
+                    ofm: streamed.ofm + dram_ofm,
                 },
                 dram: VariableTraffic {
                     ifm: dram_ifm,
@@ -127,14 +117,7 @@ pub fn layer_traffic(
                 },
             }
         }
-        None => LayerTraffic {
-            sram: VariableTraffic::default(),
-            dram: VariableTraffic {
-                ifm: ifm_streamed,
-                weight: weight_streamed,
-                ofm: ofm_streamed,
-            },
-        },
+        None => no_sram,
     };
     usystolic_obs::with(|o| {
         o.metrics.count("sim.dram_bytes", traffic.dram.total());

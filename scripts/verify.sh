@@ -1,10 +1,13 @@
 #!/usr/bin/env sh
-# Local mirror of the CI gate: hermetic build, tests, formatting, lints,
-# then a smoke run of the observability pipeline.
+# The repository's one gate, run as is by CI (.github/workflows/ci.yml)
+# and locally: hermetic build, tests, formatting, lints, then smoke runs
+# of every CLI, the captures and ledgers, and the benchmark.
 set -eu
 
 cd "$(dirname "$0")/.."
 
+# The workspace is hermetic (path dependencies only), so the build and
+# tests must succeed with the network cut off.
 echo "==> cargo build --release --workspace --offline"
 cargo build --release --workspace --offline
 
@@ -12,18 +15,10 @@ echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
 echo "==> cargo fmt --all --check"
-if rustup component list 2>/dev/null | grep -q "rustfmt.*(installed)"; then
-    cargo fmt --all --check
-else
-    echo "    (rustfmt not installed, skipping)"
-fi
+cargo fmt --all --check
 
 echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
-if rustup component list 2>/dev/null | grep -q "clippy.*(installed)"; then
-    cargo clippy --workspace --all-targets --offline -- -D warnings
-else
-    echo "    (clippy not installed, skipping)"
-fi
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo run --release -p xtask --offline -- lint"
 cargo run --release -p xtask --offline -- lint
@@ -100,6 +95,9 @@ grep -q '"sim.dram_bytes"' "$metrics"
 rm -f "$trace" "$metrics"
 
 echo "==> kernel bench smoke test (fast paths vs serial bit-exactness)"
+# The closed-form MAC window of every scheme — rate, temporal and bipolar
+# uGEMM-H — must reproduce the bit-serial reference bit for bit, at every
+# worker count.
 bench_json=$(mktemp /tmp/usystolic_kernel.XXXXXX.json)
 ./target/release/exp_kernel --short --out "$bench_json" > /dev/null
 grep -q '"checksums_match":true' "$bench_json"
@@ -157,14 +155,18 @@ html=$(mktemp /tmp/usystolic_report.XXXXXX.html)
     --metrics "$prom" --metrics-format prom --report "$html" --json > /dev/null
 grep -q '# TYPE sim_dram_bytes counter' "$prom"
 grep -q '<table' "$html"
-if ./target/release/sim_cli --matmul 4,4,4 --metrics-format bogus \
-    > /dev/null 2>&1; then
-    echo "FAIL: --metrics-format bogus should exit 2" >&2
+# Unknown formats are a usage error: exit 2.
+rc=0
+./target/release/sim_cli --matmul 4,4,4 --metrics-format bogus \
+    > /dev/null 2>&1 || rc=$?
+test "$rc" -eq 2 || {
+    echo "FAIL: --metrics-format bogus exited $rc, want 2" >&2
     exit 1
-fi
+}
 rm -f "$prom" "$html"
 
 echo "==> sim_cli --instances scaling smoke test"
+# Multi-instance scaling must surface through the CLI.
 ./target/release/sim_cli --scheme UR --cycles 128 --no-sram \
     --conv 31,31,96,5,5,1,256 --instances 16 --json \
     | grep -q '"scaling_efficiency"'
@@ -178,7 +180,7 @@ b=$(mktemp /tmp/usystolic_serve.XXXXXX.json)
 "$serve" --seed 7 --workers 4 --instances 4 --arrival-rate 2000000 \
     --duration 0.002 --queue-depth 16 --deadline 1.0 --json > "$a"
 grep -q '"p99_cycles"' "$a"
-grep -q '"serve.queue_wait_ms"' "$a"
+grep -q '"serve.queue_wait_cycles"' "$a"
 grep -q '"rejected":0' "$a" && {
     echo "FAIL: expected non-zero rejections under overload" >&2
     exit 1
@@ -240,6 +242,9 @@ test "$check_kb" -le 32768 || {
 }
 
 echo "==> exp_faults smoke test (accuracy vs BER, graceful degradation)"
+# Device-level resilience: the BER sweep must show kernel agreement,
+# seed-replay determinism, and unary curves strictly below the binary
+# baseline at every non-zero BER.
 faults_json=$(mktemp /tmp/usystolic_faults.XXXXXX.json)
 ./target/release/exp_faults --short --out "$faults_json" > /dev/null
 grep -q '"kernels_agree":true' "$faults_json"
@@ -314,7 +319,8 @@ rm -f "$fc" "$fp"
 echo "==> perfbench smoke test (the benchmark builds against this API)"
 # perfbench is a cargo workspace of its own, so the builds and tests
 # above never compile it. One short traced run per workload must exit 0
-# and end on a JSON line that reports no failed operation.
+# and end on a JSON line that reports no failed operation. It builds
+# under target/, which CI's cargo cache covers.
 for w in gemm_layers fleet_steady fleet_saturated fleet_faults; do
     out=$(CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
         --workload "$w" --seed 1 --seconds 1 --trace 1 --short) || {
@@ -336,8 +342,8 @@ echo "==> sim_cli device-fault smoke test"
 echo "==> bad-input and far-future exit codes"
 # Malformed flags exit 2 with a diagnostic (never a 101 panic), an
 # unsupported bitwidth or OREG width under --check is an analyzer error
-# (exit 1), and
-# times that saturate the cycle counter finish instead of hanging.
+# (exit 1), and times that saturate the cycle counter finish instead of
+# hanging or wrapping.
 while read -r want bin args; do
     rc=0
     # shellcheck disable=SC2086 # $args is a word list on purpose

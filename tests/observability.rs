@@ -217,31 +217,8 @@ fn functional_execution_traces_wall_clock_spans() {
     }
 }
 
-/// Histogram bucket boundaries are inclusive at the upper bound and the
-/// overflow bucket catches everything beyond the last bound (integration
-/// duplicate of the crate-level unit test, exercised through the facade).
-#[test]
-fn histogram_bucket_boundaries_via_facade() {
-    let mut reg = obs::Registry::new();
-    reg.register_histogram("lat", &[1.0, 10.0, 100.0]);
-    for v in [0.5, 1.0, 1.5, 10.0, 99.9, 100.0, 1000.0] {
-        reg.observe("lat", v);
-    }
-    let h = reg.histogram("lat").unwrap();
-    assert_eq!(h.count(), 7);
-    // Buckets: (≤1, ≤10, ≤100, overflow) — upper bounds inclusive.
-    assert_eq!(h.counts(), &[2, 2, 2, 1]);
-
-    let rendered = h.to_json();
-    let counts = rendered
-        .get("counts")
-        .and_then(JsonValue::as_array)
-        .unwrap();
-    assert_eq!(counts.len(), 4);
-}
-
 // ---------------------------------------------------------------------------
-// Fleet-grade telemetry: dimensional metrics, quantiles, series, correlation.
+// Fleet-grade telemetry: dimensional metrics, histograms, series, correlation.
 // ---------------------------------------------------------------------------
 
 use usystolic::serve::loadgen::{ArrivalProcess, LoadGenConfig};
@@ -287,7 +264,7 @@ fn serve_latency_sketch_agrees_with_exact_histogram() {
 
     let latency = session
         .metrics
-        .quantile("serve.latency_cycles")
+        .histogram("serve.latency_cycles")
         .expect("latency quantiles recorded");
     assert_eq!(latency.count(), report.latency.count);
     assert!(
@@ -307,13 +284,13 @@ fn serve_latency_sketch_agrees_with_exact_histogram() {
     // per-class partition adds back up to the unlabeled total.
     let wait = session
         .metrics
-        .quantile("serve.queue_wait_cycles")
+        .histogram("serve.queue_wait_cycles")
         .expect("queue-wait quantiles");
     assert_eq!(wait.count(), report.queue_wait.count);
     assert_eq!(LatencySummary::from(wait), report.queue_wait);
     let by_class = session
         .metrics
-        .quantile_labeled("serve.latency_cycles", &[("class", "matmul64")])
+        .histogram_labeled("serve.latency_cycles", &[("class", "matmul64")])
         .expect("per-class latency quantiles");
     assert_eq!(by_class.count(), latency.count());
 }
@@ -349,9 +326,21 @@ fn serve_labeled_metrics_reconcile_with_report() {
     let rejections = m.series("serve.rejections").expect("rejection series");
     let rej: f64 = rejections.iter().map(|(_, b)| b.count as f64).sum();
     assert_eq!(rej as u64, report.rejected);
+
+    // One batch-size sample per dispatched batch, partitioned by class,
+    // and one latency sample per completion.
+    let samples =
+        |name, labels: &[(&str, &str)]| m.histogram_labeled(name, labels).map_or(0, |h| h.count());
+    assert_eq!(samples("serve.batch_size", &[]), report.batches);
+    let by_class: u64 = workloads
+        .iter()
+        .map(|w| samples("serve.batch_size", &[("class", w.name.as_str())]))
+        .sum();
+    assert_eq!(by_class, report.batches, "batch-size classes partition");
+    assert_eq!(samples("serve.latency_cycles", &[]), report.completed);
 }
 
-/// The metrics registry — labeled counters, quantiles, windowed series and
+/// The metrics registry — labeled counters, histograms, windowed series and
 /// all — renders bit-identically for every worker count: the host pool
 /// only parallelises pure phases, so telemetry is part of the
 /// determinism contract.
