@@ -1,10 +1,11 @@
 //! # usystolic-des — the deterministic event calendar
 //!
 //! `usystolic_serve`'s fleet event loop schedules and pops through the
-//! [`EventQueue`]. The queue is a binary heap over the total order
-//! `(time, event class, insertion sequence)` — no hash containers, no
-//! wall clock — so the pop order, and therefore every simulation built
-//! on it, is a pure function of the inputs.
+//! [`EventQueue`]. The queue is a binary heap of keys over the total
+//! order `(time, event class, insertion sequence)`, each naming its
+//! payload's slot in a slab — no hash containers, no wall clock — so the
+//! pop order, and therefore every simulation built on it, is a pure
+//! function of the inputs.
 //!
 //! The surface is two small pieces:
 //!

@@ -33,47 +33,54 @@ pub struct Scheduled<E> {
     pub event: E,
 }
 
-/// Heap entry ordered as a max-heap on the *reversed* deterministic key
-/// `(at, class, seq)`, so `BinaryHeap::pop` yields the earliest event.
-/// Ordering ignores the payload entirely, so `E` needs no `Ord`.
+/// Heap entry: the deterministic key and the slab slot of its payload.
+///
+/// `tie` packs `class << 56 | seq`, so comparing `(at, tie)` is comparing
+/// `(at, class, seq)`. Ordering is reversed, so `BinaryHeap::pop` yields
+/// the earliest event; the slot never decides, since no two entries share
+/// a `seq`. The payload stays in the slab, so a sift moves 24 bytes
+/// however large `E` is.
 #[derive(Debug, Clone, Copy)]
-struct Entry<E> {
+struct Key {
     at: u64,
-    class: u8,
-    seq: u64,
-    event: E,
+    tie: u64,
+    slot: usize,
 }
 
-impl<E> Entry<E> {
-    fn key(&self) -> (u64, u8, u64) {
-        (self.at, self.class, self.seq)
-    }
-}
+/// Bits of `seq` in [`Key::tie`]; the class byte sits above them.
+const SEQ_BITS: u32 = 56;
 
-impl<E> PartialEq for Entry<E> {
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+        (self.at, self.tie) == (other.at, other.tie)
     }
 }
 
-impl<E> Eq for Entry<E> {}
+impl Eq for Key {}
 
-impl<E> Ord for Entry<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
-        other.key().cmp(&self.key())
+        (other.at, other.tie).cmp(&(self.at, self.tie))
     }
 }
 
-impl<E> PartialOrd for Entry<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// A deterministic min-heap of future events.
+/// A deterministic min-heap of future events: keys in a binary heap,
+/// payloads in a slab whose freed slots are reused, so the slab never
+/// holds more slots than the most events ever pending at once.
 #[derive(Debug)]
 pub struct EventQueue<E: Event> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: BinaryHeap<Key>,
+    /// Payload of the pending event whose key names the slot; `None` in
+    /// free slots.
+    slab: Vec<Option<E>>,
+    /// Slots of `slab` free for reuse.
+    free: Vec<usize>,
     next_seq: u64,
     /// Cycle of the last popped event; schedules are clamped to it.
     now: u64,
@@ -91,6 +98,8 @@ impl<E: Event> EventQueue<E> {
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
             now: 0,
         }
@@ -98,25 +107,40 @@ impl<E: Event> EventQueue<E> {
 
     /// Schedules `event` to fire at cycle `at`, or at the last popped
     /// cycle if `at` is before it, so causality cannot run backwards.
+    ///
+    /// `seq` has 56 bits, so the order holds for the first 2^56 (about
+    /// 7·10^16) schedules of one queue.
     pub fn schedule(&mut self, at: u64, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
+        debug_assert!(seq < 1 << SEQ_BITS, "event sequence overflow");
+        let tie = (u64::from(event.class()) << SEQ_BITS) | seq;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                self.slab.len() - 1
+            }
+        };
+        self.heap.push(Key {
             at: at.max(self.now),
-            class: event.class(),
-            seq,
-            event,
+            tie,
+            slot,
         });
     }
 
     /// Pops the next event in deterministic `(at, class, seq)` order.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let entry = self.heap.pop()?;
-        self.now = entry.at;
-        Some(Scheduled {
-            at: entry.at,
-            event: entry.event,
-        })
+        let key = self.heap.pop()?;
+        // Every key names a filled slot: `schedule` fills it and only
+        // this pop empties it.
+        let event = self.slab[key.slot].take()?;
+        self.free.push(key.slot);
+        self.now = key.at;
+        Some(Scheduled { at: key.at, event })
     }
 
     /// Number of pending events.
@@ -190,5 +214,29 @@ mod tests {
         q.schedule(0, Tagged(0, 2)); // in the past → clamped
         q.schedule(9, Tagged(0, 3));
         assert_eq!(drain(&mut q), [(7, 0, 2), (9, 0, 3)]);
+    }
+
+    #[test]
+    fn slab_never_outgrows_the_peak_pending_count() {
+        let mut q = EventQueue::new();
+        let mut peak = 0;
+        let mut tag = 0;
+        // Waves of schedules and pops: every pop frees a slot the next
+        // schedule reuses, so the slab tracks the deepest wave.
+        for wave in [3usize, 10, 1, 7, 10, 2] {
+            for _ in 0..wave {
+                tag += 1;
+                q.schedule(tag % 5, Tagged((tag % 3) as u8, tag));
+            }
+            peak = peak.max(q.len());
+            assert_eq!(q.slab.len(), peak);
+            for _ in 0..wave.div_ceil(2) {
+                assert!(q.pop().is_some());
+            }
+        }
+        drain(&mut q);
+        assert_eq!(q.slab.len(), peak);
+        assert_eq!(q.free.len(), peak);
+        assert!(q.slab.iter().all(Option::is_none));
     }
 }

@@ -53,11 +53,18 @@ impl Model {
     }
 }
 
-/// One random operation mix: `ops` weighted steps against both the real
-/// queue and the model, checking every observable after each step.
-/// Cycles are drawn from `0..64` whatever has popped, so later schedules
-/// often land in the past and exercise the clamp.
-fn run_random_ops(seed: u64, ops: usize) {
+/// One random operation mix: `ops` steps against both the real queue and
+/// the model, each a schedule with probability `schedule_tenths / 10` and
+/// a pop otherwise, checking every observable after each step.
+///
+/// Most cycles are drawn from `0..64` whatever has popped, so later
+/// schedules often land in the past and exercise the clamp; one in
+/// sixteen comes from the top 65 cycles, where saturated timers (a
+/// `now + t` that overflowed) sit. Classes are mostly `0..3` (many ties)
+/// and otherwise anything in the `u8` range. A balanced mix over many
+/// steps keeps popping and rescheduling, so freed payload slots are
+/// reused throughout.
+fn run_random_ops(seed: u64, ops: usize, schedule_tenths: u64) {
     let mut rng = SplitMix64::new(seed);
     let mut queue: EventQueue<Item> = EventQueue::new();
     let mut model = Model::default();
@@ -65,10 +72,17 @@ fn run_random_ops(seed: u64, ops: usize) {
 
     for step in 0..ops {
         let ctx = |extra: &str| format!("seed={seed} step={step} {extra}");
-        // schedule: 6/10, pop: 4/10
-        if rng.next_u64() % 10 < 6 {
-            let at = rng.next_u64() % 64; // dense → many ties
-            let class = (rng.next_u64() % 3) as u8;
+        if rng.next_u64() % 10 < schedule_tenths {
+            let at = if rng.next_u64().is_multiple_of(16) {
+                u64::MAX - rng.next_u64() % 65
+            } else {
+                rng.next_u64() % 64 // dense → many ties
+            };
+            let class = if rng.next_u64().is_multiple_of(4) {
+                (rng.next_u64() >> 56) as u8
+            } else {
+                (rng.next_u64() % 3) as u8
+            };
             let item = Item {
                 class,
                 tag: next_tag,
@@ -110,8 +124,18 @@ fn run_random_ops(seed: u64, ops: usize) {
 
 #[test]
 fn random_op_sequences_match_the_reference_model() {
+    // schedule: 6/10, pop: 4/10
     for seed in [1, 7, 42, 0xDEAD_BEEF, 0x5EED_5EED_5EED] {
-        run_random_ops(seed, 600);
+        run_random_ops(seed, 600, 6);
+    }
+}
+
+#[test]
+fn long_interleavings_reuse_slots_in_order() {
+    // Balanced schedules and pops: the queue hovers at a shallow depth
+    // while thousands of events pass through its reused slots.
+    for seed in [2, 0xC0FFEE] {
+        run_random_ops(seed, 20_000, 5);
     }
 }
 

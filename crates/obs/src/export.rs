@@ -141,8 +141,9 @@ pub fn prometheus_text(registry: &Registry) -> String {
     for (key, s) in registry.histograms() {
         let name = sanitize_metric_name(key.name());
         header.emit(&mut out, &name);
-        for (p, label) in [(50.0, "0.5"), (95.0, "0.95"), (99.0, "0.99")] {
-            if let Some(v) = s.percentile(p) {
+        let quantiles = s.percentiles([50.0, 95.0, 99.0]);
+        for (q, label) in quantiles.into_iter().zip(["0.5", "0.95", "0.99"]) {
+            if let Some(v) = q {
                 out.push_str(&name);
                 out.push_str(&label_clause(key.labels(), &[("quantile", label)]));
                 out.push(' ');
@@ -285,8 +286,8 @@ pub fn html_report(title: &str, registry: &Registry) -> String {
             out.push_str("<tr>");
             td(&mut out, &key.canonical());
             td(&mut out, &s.count().to_string());
-            for p in [50.0, 95.0, 99.0] {
-                td(&mut out, &cell(s.percentile(p)));
+            for q in s.percentiles([50.0, 95.0, 99.0]) {
+                td(&mut out, &cell(q));
             }
             td(&mut out, &cell(s.min()));
             td(&mut out, &cell(s.max()));

@@ -1,8 +1,8 @@
 //! The workspace's one distribution type: an exact-when-small
 //! histogram over `u64` samples with a fixed memory cap.
 //!
-//! [`QuantileHistogram`] keeps one counter per distinct value in a
-//! `BTreeMap` while that map holds at most [`CAP`] keys, and
+//! [`QuantileHistogram`] keeps one counter per distinct value while it
+//! holds at most [`CAP`] keys, and
 //! [`percentile`](QuantileHistogram::percentile) implements the
 //! nearest-rank definition: the `p`-th percentile of `n` samples is the
 //! value at rank `⌈p/100 · n⌉` (1-based) in sorted order — exactly what a
@@ -10,37 +10,61 @@
 //! queue-wait and service summaries and every histogram of the metrics
 //! registry are this type.
 //!
+//! ## Layout
+//!
+//! The counters are a dense slab of `(value, count)` pairs in first-seen
+//! order plus an open-addressing index into it (a power-of-two table of
+//! `u32` positions, at most 3/4 full, probed linearly from a fixed
+//! multiplicative hash; the keys are the program's own samples, not
+//! outside input), so a sample costs one probe and no allocation once
+//! its key exists. Reads (percentiles, JSON, equality, a merge's source)
+//! walk the slab through a `u32` permutation sorted by value, one sort
+//! per read; nothing observable depends on the slab's order.
+//!
 //! ## Past the cap
 //!
-//! Saturated traffic makes almost every latency distinct, so an exact map
-//! would grow with the request count. When an insert pushes the map past
+//! Saturated traffic makes almost every latency distinct, so an exact
+//! slab would grow with the request count. When an insert pushes it past
 //! `CAP` keys, the histogram keeps only each sample's top `sig`
 //! significant bits, rounded down, and folds colliding keys together.
 //! `sig` first drops straight to the bit length of the largest sample (a
 //! no-op on the keys), then one bit at a time until at most `CAP / 2`
-//! keys would remain, and the map is rebuilt once at that `sig`; the
-//! halved target keeps rebuilds rare. Rounding down is monotone, so a
-//! reported percentile is the true nearest-rank value rounded down to
-//! `sig` bits: its relative error is below `2^(1−sig)`. `count`, `sum`,
-//! `mean`, `min` and `max` are tracked apart from the keys and stay
-//! exact.
+//! keys would remain (one sort of the slab and one walk over it count
+//! the keys left at every `sig`), and the slab is rebuilt at that `sig`;
+//! the halved target keeps rebuilds rare. Rounding down is
+//! monotone, so a reported percentile is the true nearest-rank value
+//! rounded down to `sig` bits: its relative error is below `2^(1−sig)`.
+//! `count`, `sum`, `mean`, `min` and `max` are tracked apart from the
+//! keys and stay exact.
 //!
 //! The histogram is a pure function of its sample sequence (a merge, of
 //! the two histograms in argument order), so identical streams give
 //! identical bytes.
 
 use crate::json::{JsonValue, ToJson};
-use std::collections::BTreeMap;
 
-/// The most distinct keys a [`QuantileHistogram`] holds (about 7.3 MB of
-/// `BTreeMap` nodes). Below it every percentile is exact.
+/// The most distinct keys a [`QuantileHistogram`] holds (about 6 MB: 4 MB
+/// of `(value, count)` pairs and a 2 MB index). Below it every
+/// percentile is exact.
 pub const CAP: usize = 1 << 18;
+
+/// An index slot that names no pair.
+const EMPTY: u32 = u32::MAX;
+
+/// Index length on the first insert.
+const MIN_INDEX: usize = 16;
 
 /// A value→count histogram: exact below [`CAP`] distinct values, rounded
 /// to `sig` significant bits above it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct QuantileHistogram {
-    counts: BTreeMap<u64, u64>,
+    /// One `(key, count)` pair per distinct key, in first-seen order
+    /// (sorted by key right after a rebuild).
+    counts: Vec<(u64, u64)>,
+    /// Open-addressing index: the position in `counts` of each key, at
+    /// the slot its hash probes to, or [`EMPTY`]. Its length is a power
+    /// of two (or 0 before the first insert) and it is at most 3/4 full.
+    index: Vec<u32>,
     sig: u32,
     count: u64,
     sum: u128,
@@ -51,7 +75,8 @@ pub struct QuantileHistogram {
 impl Default for QuantileHistogram {
     fn default() -> Self {
         Self {
-            counts: BTreeMap::new(),
+            counts: Vec::new(),
+            index: Vec::new(),
             sig: u64::BITS,
             count: 0,
             sum: 0,
@@ -70,6 +95,13 @@ fn bit_len(v: u64) -> u32 {
 fn round(v: u64, sig: u32) -> u64 {
     let drop = bit_len(v).saturating_sub(sig);
     v >> drop << drop
+}
+
+/// First index slot probed for `key` in a table of `len` slots (a power
+/// of two): the top bits of a Fibonacci hash.
+fn home(key: u64, len: usize) -> usize {
+    let bits = len.trailing_zeros();
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - bits)) as usize
 }
 
 impl QuantileHistogram {
@@ -102,7 +134,10 @@ impl QuantileHistogram {
         if other.sig < self.sig {
             self.rebuild(other.sig);
         }
-        for (&v, &n) in &other.counts {
+        // Ascending key order, so a merge that passes the cap coarsens
+        // on the same keys whatever order `other` saw them in.
+        for at in other.sorted() {
+            let (v, n) = other.counts[at as usize];
             self.insert(v, n);
         }
     }
@@ -150,75 +185,179 @@ impl QuantileHistogram {
     /// Panics if `p` is not in `(0, 100]`.
     #[must_use]
     pub fn percentile(&self, p: f64) -> Option<u64> {
-        assert!(p > 0.0 && p <= 100.0, "percentile {p} out of (0, 100]");
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (p / 100.0 * self.count as f64).ceil() as u64;
-        let rank = rank.clamp(1, self.count);
-        let mut seen = 0u64;
-        for (&v, &n) in &self.counts {
-            seen += n;
-            if seen >= rank {
-                return Some(v);
-            }
-        }
-        self.counts.keys().next_back().copied()
+        let [v] = self.percentiles([p]);
+        v
     }
 
-    /// Adds `n` samples of `v`, coarsening once the map passes the cap.
+    /// [`percentile`](Self::percentile) at each of `ps`, in the order
+    /// given, from one sort of the keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any `p` is not in `(0, 100]`.
+    #[must_use]
+    pub fn percentiles<const N: usize>(&self, ps: [f64; N]) -> [Option<u64>; N] {
+        for p in ps {
+            assert!(p > 0.0 && p <= 100.0, "percentile {p} out of (0, 100]");
+        }
+        let mut out = [None; N];
+        if self.count == 0 {
+            return out;
+        }
+        let ranks =
+            ps.map(|p| ((p / 100.0 * self.count as f64).ceil() as u64).clamp(1, self.count));
+        // Answer the ranks in ascending order along one walk of the keys.
+        let mut asked: [usize; N] = std::array::from_fn(|i| i);
+        asked.sort_unstable_by_key(|&i| ranks[i]);
+        let order = self.sorted();
+        let mut keys = order.iter().map(|&at| self.counts[at as usize]);
+        let (mut seen, mut value) = (0u64, 0u64);
+        for i in asked {
+            while seen < ranks[i] {
+                // The counts sum to `count`, so the walk reaches every
+                // rank before the keys run out.
+                let Some((v, n)) = keys.next() else { break };
+                seen += n;
+                value = v;
+            }
+            out[i] = Some(value);
+        }
+        out
+    }
+
+    /// Positions of `counts`, sorted by key. Keys are distinct, so a
+    /// stable sort gives the one order; it also takes a slab that is
+    /// mostly sorted, as after a rebuild, in about linear time.
+    fn sorted(&self) -> Vec<u32> {
+        // `counts` never holds more than CAP + 1 pairs, so positions fit.
+        let mut order: Vec<u32> = (0..self.counts.len() as u32).collect();
+        order.sort_by_key(|&at| self.counts[at as usize].0);
+        order
+    }
+
+    /// Adds `n` samples of `v`, coarsening once the slab passes the cap.
     fn insert(&mut self, v: u64, n: u64) {
-        *self.counts.entry(round(v, self.sig)).or_insert(0) += n;
+        if self.index.is_empty() {
+            self.reindex(MIN_INDEX);
+        }
+        let key = round(v, self.sig);
+        let mask = self.index.len() - 1;
+        let mut slot = home(key, self.index.len());
+        loop {
+            let at = self.index[slot];
+            if at == EMPTY {
+                break;
+            }
+            let pair = &mut self.counts[at as usize];
+            if pair.0 == key {
+                pair.1 += n;
+                return;
+            }
+            slot = (slot + 1) & mask;
+        }
+        self.index[slot] = self.counts.len() as u32;
+        self.counts.push((key, n));
+        if self.counts.len() * 4 > self.index.len() * 3 {
+            self.reindex(self.index.len() * 2);
+        }
         if self.counts.len() > CAP {
             self.coarsen();
         }
     }
 
-    /// Rebuilds the map at the largest `sig` that leaves at most
+    /// Rebuilds `index` at `len` slots over the current `counts`.
+    fn reindex(&mut self, len: usize) {
+        self.index.clear();
+        self.index.resize(len, EMPTY);
+        let mask = len - 1;
+        for (at, &(key, _)) in self.counts.iter().enumerate() {
+            let mut slot = home(key, len);
+            while self.index[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.index[slot] = at as u32;
+        }
+    }
+
+    /// Rebuilds the slab at the largest `sig` that leaves at most
     /// `CAP / 2` keys.
     fn coarsen(&mut self) {
+        self.counts.sort_unstable_by_key(|&(v, _)| v);
+        // Two adjacent keys fold together at every `sig` up to the number
+        // of top bits they share (none across bit lengths), so the keys
+        // left at `sig` are 1 plus the adjacent pairs sharing fewer.
+        let mut shared = [0usize; u64::BITS as usize + 1];
+        for pair in self.counts.windows(2) {
+            let (a, b) = (pair[0].0, pair[1].0);
+            let bits = if bit_len(a) == bit_len(b) {
+                bit_len(a) - bit_len(a ^ b)
+            } else {
+                0
+            };
+            shared[bits as usize] += 1;
+        }
+        let keys_at = |sig: u32| 1 + shared[..sig as usize].iter().sum::<usize>();
         // Bits above the largest sample's length are already exact, so
         // the search starts one below it. At `sig` 1 at most 65 keys
         // remain, so it ends before `sig` reaches 0.
         let mut sig = self.sig.min(bit_len(self.max)) - 1;
-        while self.keys_at(sig) > CAP / 2 {
+        while keys_at(sig) > CAP / 2 {
             sig -= 1;
         }
         self.rebuild(sig);
     }
 
-    /// How many keys the map would hold at `sig` significant bits.
-    fn keys_at(&self, sig: u32) -> usize {
-        let mut last = None;
-        self.counts
-            .keys()
-            .filter(|&&v| {
-                let key = round(v, sig);
-                last.replace(key) != Some(key)
-            })
-            .count()
-    }
-
-    /// Re-keys every counter at `sig` significant bits.
+    /// Re-keys every counter at `sig` significant bits: sorts the slab
+    /// (a linear pass when it already is) and folds each run of keys
+    /// that round alike into its first pair.
     fn rebuild(&mut self, sig: u32) {
         self.sig = sig;
-        for (v, n) in std::mem::take(&mut self.counts) {
-            *self.counts.entry(round(v, sig)).or_insert(0) += n;
+        self.counts.sort_unstable_by_key(|&(v, _)| v);
+        let mut kept = 0;
+        for at in 0..self.counts.len() {
+            let (v, n) = self.counts[at];
+            let key = round(v, sig);
+            if kept > 0 && self.counts[kept - 1].0 == key {
+                self.counts[kept - 1].1 += n;
+            } else {
+                self.counts[kept] = (key, n);
+                kept += 1;
+            }
         }
+        self.counts.truncate(kept);
+        self.reindex(self.index.len().max(MIN_INDEX));
     }
 }
 
+/// Equal when every moment, the resolution and the value→count pairs
+/// (in key order, whatever order the slabs hold them in) agree.
+impl PartialEq for QuantileHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        (self.sig, self.count, self.sum, self.min, self.max)
+            == (other.sig, other.count, other.sum, other.min, other.max)
+            && self.counts.len() == other.counts.len()
+            && self
+                .sorted()
+                .iter()
+                .zip(&other.sorted())
+                .all(|(&a, &b)| self.counts[a as usize] == other.counts[b as usize])
+    }
+}
+
+impl Eq for QuantileHistogram {}
+
 impl ToJson for QuantileHistogram {
     fn to_json(&self) -> JsonValue {
+        let [p50, p95, p99] = self.percentiles([50.0, 95.0, 99.0]);
         JsonValue::object(vec![
             ("count", self.count.to_json()),
             ("sum", (self.sum as f64).to_json()),
             ("min", self.min().to_json()),
             ("max", self.max().to_json()),
             ("sig", self.sig.to_json()),
-            ("p50", self.percentile(50.0).to_json()),
-            ("p95", self.percentile(95.0).to_json()),
-            ("p99", self.percentile(99.0).to_json()),
+            ("p50", p50.to_json()),
+            ("p95", p95.to_json()),
+            ("p99", p99.to_json()),
         ])
     }
 }
@@ -379,5 +518,217 @@ mod tests {
         merged.merge(&QuantileHistogram::new());
         let both: Vec<u64> = left.iter().chain(&right).copied().collect();
         assert_eq!(merged, histogram_of(&both));
+    }
+
+    /// The `BTreeMap` histogram this type replaced, kept as the reference
+    /// model: the same insert, coarsen and merge over one ordered map.
+    #[derive(Clone)]
+    struct Model {
+        counts: std::collections::BTreeMap<u64, u64>,
+        sig: u32,
+        count: u64,
+        sum: u128,
+        min: u64,
+        max: u64,
+    }
+
+    impl Model {
+        fn new() -> Self {
+            Self {
+                counts: std::collections::BTreeMap::new(),
+                sig: u64::BITS,
+                count: 0,
+                sum: 0,
+                min: u64::MAX,
+                max: 0,
+            }
+        }
+
+        fn observe(&mut self, v: u64) {
+            self.count += 1;
+            self.sum += u128::from(v);
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+            self.insert(v, 1);
+        }
+
+        fn merge(&mut self, other: &Model) {
+            if other.count == 0 {
+                return;
+            }
+            self.count += other.count;
+            self.sum += other.sum;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+            if other.sig < self.sig {
+                self.rebuild(other.sig);
+            }
+            for (&v, &n) in &other.counts {
+                self.insert(v, n);
+            }
+        }
+
+        fn insert(&mut self, v: u64, n: u64) {
+            *self.counts.entry(round(v, self.sig)).or_insert(0) += n;
+            if self.counts.len() > CAP {
+                let mut sig = self.sig.min(bit_len(self.max)) - 1;
+                while self.keys_at(sig) > CAP / 2 {
+                    sig -= 1;
+                }
+                self.rebuild(sig);
+            }
+        }
+
+        fn keys_at(&self, sig: u32) -> usize {
+            let mut last = None;
+            self.counts
+                .keys()
+                .filter(|&&v| {
+                    let key = round(v, sig);
+                    last.replace(key) != Some(key)
+                })
+                .count()
+        }
+
+        fn rebuild(&mut self, sig: u32) {
+            self.sig = sig;
+            for (v, n) in std::mem::take(&mut self.counts) {
+                *self.counts.entry(round(v, sig)).or_insert(0) += n;
+            }
+        }
+
+        /// The nearest-rank percentiles 1..=100, from one walk of the map.
+        fn percentiles(&self) -> Vec<Option<u64>> {
+            if self.count == 0 {
+                return vec![None; 100];
+            }
+            let mut walk = self.counts.iter();
+            let (mut seen, mut value) = (0u64, 0u64);
+            (1..=100)
+                .map(|p| {
+                    let rank = (f64::from(p) / 100.0 * self.count as f64).ceil() as u64;
+                    while seen < rank.clamp(1, self.count) {
+                        let (&v, &n) = walk.next().expect("counts sum to count");
+                        seen += n;
+                        value = v;
+                    }
+                    Some(value)
+                })
+                .collect()
+        }
+
+        fn to_json_string(&self) -> String {
+            let ps = self.percentiles();
+            let min = (self.count > 0).then_some(self.min);
+            let max = (self.count > 0).then_some(self.max);
+            JsonValue::object(vec![
+                ("count", self.count.to_json()),
+                ("sum", (self.sum as f64).to_json()),
+                ("min", min.to_json()),
+                ("max", max.to_json()),
+                ("sig", self.sig.to_json()),
+                ("p50", ps[49].to_json()),
+                ("p95", ps[94].to_json()),
+                ("p99", ps[98].to_json()),
+            ])
+            .render()
+        }
+    }
+
+    /// The histogram and the model agree on the JSON bytes, every integer
+    /// percentile, the resolution and every key's count.
+    fn assert_matches_model(h: &QuantileHistogram, m: &Model, ctx: &str) {
+        assert_eq!(h.to_json_string(), m.to_json_string(), "{ctx}: json");
+        let all: [f64; 100] = std::array::from_fn(|i| (i + 1) as f64);
+        assert_eq!(h.percentiles(all).to_vec(), m.percentiles(), "{ctx}");
+        assert_eq!((h.sig, h.counts.len()), (m.sig, m.counts.len()), "{ctx}");
+    }
+
+    /// Observes `values` into both sides; returns how many times the
+    /// histogram passed the cap (each pass lowers `sig`).
+    fn observe_both(h: &mut QuantileHistogram, m: &mut Model, values: &[u64]) -> usize {
+        let mut passes = 0;
+        for &v in values {
+            let sig = h.sig;
+            h.observe(v);
+            m.observe(v);
+            passes += usize::from(h.sig < sig);
+        }
+        passes
+    }
+
+    fn both_of(values: &[u64]) -> (QuantileHistogram, Model, usize) {
+        let (mut h, mut m) = (QuantileHistogram::new(), Model::new());
+        let passes = observe_both(&mut h, &mut m, values);
+        (h, m, passes)
+    }
+
+    /// `n` distinct values in `[lo, lo + 2^bits)`, visited in a scattered
+    /// order. Dense enough that dropping two bits folds most of them, so
+    /// passing the cap costs the model's per-`sig` key walk only twice.
+    fn scattered(n: usize, lo: u64, bits: u32) -> Vec<u64> {
+        (0..n as u64)
+            .map(|i| lo + (i.wrapping_mul(0x9E37_79B9) & ((1 << bits) - 1)))
+            .collect()
+    }
+
+    #[test]
+    fn matches_the_btreemap_model_across_zero_one_and_two_cap_passes() {
+        let (h, m, passes) = both_of(&samples(21, 20_000, 1 << 30));
+        assert_eq!(passes, 0);
+        assert_matches_model(&h, &m, "exact");
+        // Past the cap once on one stretch of 24-bit values, then again on
+        // a second, disjoint one.
+        let (mut h, mut m, passes) = both_of(&scattered(CAP + CAP / 8, 1 << 23, 19));
+        assert_eq!(passes, 1);
+        assert_matches_model(&h, &m, "one pass");
+        let second = scattered(200_000, (1 << 23) + (1 << 20), 20);
+        assert_eq!(observe_both(&mut h, &mut m, &second), 1, "a second pass");
+        assert_matches_model(&h, &m, "two passes");
+    }
+
+    /// Merges in both argument orders of an exact histogram and a
+    /// past-cap one, each followed by more samples at the merged
+    /// resolution, as a merge mid-stream would be.
+    #[test]
+    fn exact_and_past_cap_merges_match_the_btreemap_model() {
+        let exact = both_of(&samples(31, 5000, 1 << 24));
+        let coarse = both_of(&scattered(CAP + CAP / 8, 1 << 23, 19));
+        assert_eq!((exact.2, coarse.2), (0, 1));
+        assert_merges_match(&exact, &coarse);
+    }
+
+    /// Two exact histograms whose union passes the cap inside the merge,
+    /// in both argument orders. All keys are 41-bit. `right` saw its
+    /// dense keys (one bit folds them in pairs) before its sparse ones
+    /// (16 apart), but the sparse ones are the smaller: merged into
+    /// `left` in ascending order, they are what passes the cap, which
+    /// needs five bits dropped; in `right`'s own order the dense ones
+    /// would pass it at two.
+    #[test]
+    fn merges_that_pass_the_cap_match_the_btreemap_model() {
+        let base = 1u64 << 40;
+        let left = both_of(&scattered(CAP / 2, base + (1 << 36), 17));
+        let dense = (0..CAP as u64 / 2 - 1).map(|j| base + (1 << 34) + j);
+        let sparse = (0..CAP as u64 / 2 + 1).map(|i| base + (i << 4));
+        let right = both_of(&dense.chain(sparse).collect::<Vec<_>>());
+        assert_eq!((left.2, right.2), (0, 0));
+        assert_merges_match(&left, &right);
+    }
+
+    /// `a` merged with `b` and `b` with `a`, then 20,000 more samples,
+    /// agree with the model.
+    fn assert_merges_match(
+        a: &(QuantileHistogram, Model, usize),
+        b: &(QuantileHistogram, Model, usize),
+    ) {
+        let more = samples(35, 20_000, 1 << 26);
+        for (x, y) in [(a, b), (b, a)] {
+            let (mut h, mut m) = (x.0.clone(), x.1.clone());
+            h.merge(&y.0);
+            m.merge(&y.1);
+            observe_both(&mut h, &mut m, &more);
+            assert_matches_model(&h, &m, "merge, then more samples");
+        }
     }
 }

@@ -164,14 +164,17 @@ impl AdmissionController {
             .map(|(_, class)| class)
     }
 
-    /// Removes and returns the first `n` requests of `class` (fewer if
-    /// it holds fewer), in dispatch-key order. `class` must be one
-    /// [`Self::leading_class`] returned.
-    pub(crate) fn take_front(&mut self, class: usize, n: usize) -> Vec<Request> {
+    /// Removes the first `n` requests of `class` (fewer if it holds
+    /// fewer) and appends them to `out`, in dispatch-key order. `class`
+    /// must be one [`Self::leading_class`] returned.
+    pub(crate) fn take_front(&mut self, class: usize, n: usize, out: &mut Vec<Request>) {
         let queue = &mut self.classes[class];
         let n = n.min(queue.len());
         self.depth -= n;
-        queue.drain(..n).collect()
+        // Copy out through an exact-length iterator (one reserve, no
+        // per-element capacity check), then drop the prefix in place.
+        out.extend(queue.range(..n).copied());
+        queue.drain(..n);
     }
 
     /// Current queue depth.

@@ -106,19 +106,16 @@ impl Event for EventKind {
     }
 }
 
-/// A batch in flight on one instance.
-#[derive(Debug, Clone)]
-struct InFlight {
-    dispatch: u64,
-    batch: Vec<Request>,
-    degraded: bool,
-}
-
 /// Per-instance bookkeeping during the event loop.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Instance {
-    /// In-flight batch, if busy.
-    in_flight: Option<InFlight>,
+    /// The batch in flight, empty while idle. The buffer is kept across
+    /// dispatches, so a steady fleet allocates no batch.
+    batch: Vec<Request>,
+    /// Cycle the in-flight batch was dispatched at.
+    dispatch: u64,
+    /// Whether the in-flight batch runs degraded (brown-out).
+    degraded: bool,
     busy_cycles: u64,
     batches: u64,
     /// False once the shard fail-stops; a dead shard never dispatches.
@@ -175,6 +172,38 @@ struct FaultTally {
     shard_crashes: u64,
 }
 
+/// The alive, idle instances as a bitset: bit `i % 64` of word `i / 64`
+/// is set iff instance `i` (0-based) is alive and has no batch in flight.
+/// The lowest set bit is the lowest-index free instance, the one
+/// dispatch fills first.
+#[derive(Debug)]
+struct IdleSet(Vec<u64>);
+
+impl IdleSet {
+    /// A set holding all of instances `0..n`.
+    fn full(n: usize) -> Self {
+        let mut set = Self(vec![0; n.div_ceil(64)]);
+        for i in 0..n {
+            set.insert(i);
+        }
+        set
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1u64 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.0[i / 64] &= !(1u64 << (i % 64));
+    }
+
+    /// The lowest member, if any.
+    fn first(&self) -> Option<usize> {
+        let (word, bits) = self.0.iter().enumerate().find(|(_, &bits)| bits != 0)?;
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+}
+
 /// Labels of the `des.queue_depth` gauge and series.
 const FLEET: [(&str, &str); 1] = [("component", "fleet")];
 
@@ -189,11 +218,15 @@ struct Fleet<'a, S> {
     admission: AdmissionController,
     scheduler: Scheduler,
     instances: Vec<Instance>,
+    /// The instances dispatch may fill.
+    idle: IdleSet,
     busy: usize,
     ledger: Ledger<S>,
     offered: u64,
     tally: FaultTally,
     /// Retry attempts consumed per request id, keyed deterministically.
+    /// Only requests still in the system have an entry: settling a
+    /// request takes its entry out.
     retry_counts: BTreeMap<u64, u32>,
 }
 
@@ -201,6 +234,12 @@ impl<S> Fleet<'_, S> {
     /// Retry attempts request `id` has consumed so far.
     fn retries(&self, id: u64) -> u32 {
         self.retry_counts.get(&id).copied().unwrap_or(0)
+    }
+
+    /// [`Self::retries`], dropping the entry: for a request that is
+    /// leaving the system (or about to record its next attempt).
+    fn take_retries(&mut self, id: u64) -> u32 {
+        self.retry_counts.remove(&id).unwrap_or(0)
     }
 
     /// Service cycles of a batch at the configured fidelity.
@@ -259,11 +298,7 @@ impl<S> Fleet<'_, S> {
             if self.admission.depth() == 0 {
                 return;
             }
-            let Some(free_idx) = self
-                .instances
-                .iter()
-                .position(|i| i.alive && i.in_flight.is_none())
-            else {
+            let Some(free_idx) = self.idle.first() else {
                 return;
             };
             // Brown-out is decided on the depth seen *before* this batch
@@ -272,9 +307,14 @@ impl<S> Fleet<'_, S> {
                 self.admission.depth() * 1000
                     >= b.depth_permille as usize * self.admission.capacity()
             });
-            let Some(batch) = self.scheduler.next_batch(&mut self.admission) else {
+            // An idle instance's buffer is empty; the batch fills it.
+            if !self
+                .scheduler
+                .next_batch_into(&mut self.admission, &mut self.instances[free_idx].batch)
+            {
                 return;
-            };
+            }
+            let batch = &self.instances[free_idx].batch;
             let class = batch[0].class;
             let concurrency = self.busy + 1;
             let permille = degraded.map_or(1000, |b| b.service_permille);
@@ -346,12 +386,10 @@ impl<S> Fleet<'_, S> {
                 o.shard_id = None;
             });
             let slot = &mut self.instances[free_idx];
-            slot.in_flight = Some(InFlight {
-                dispatch: now,
-                batch,
-                degraded: degraded.is_some(),
-            });
+            slot.dispatch = now;
+            slot.degraded = degraded.is_some();
             slot.batches += 1;
+            self.idle.remove(free_idx);
             self.busy += 1;
             self.events.schedule(
                 completion,
@@ -482,13 +520,17 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                 if slot.epoch != epoch {
                     return;
                 }
-                if let Some(fl) = slot.in_flight.take() {
+                // The buffer goes back to the instance emptied, keeping its
+                // capacity for the next dispatch.
+                let mut batch = std::mem::take(&mut slot.batch);
+                if !batch.is_empty() {
                     self.busy -= 1;
-                    slot.busy_cycles += now - fl.dispatch;
-                    let size = fl.batch.len();
-                    let dispatch = fl.dispatch;
-                    for request in fl.batch {
-                        let retries = self.retries(request.id);
+                    slot.busy_cycles += now - slot.dispatch;
+                    let size = batch.len();
+                    let (dispatch, degraded) = (slot.dispatch, slot.degraded);
+                    self.idle.insert(instance - 1);
+                    for request in batch.drain(..) {
+                        let retries = self.take_retries(request.id);
                         self.ledger.settle(RequestRecord {
                             request,
                             disposition: Disposition::Completed,
@@ -497,7 +539,7 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                             instance,
                             batch_size: size,
                             retries,
-                            degraded: fl.degraded,
+                            degraded,
                         });
                         let workloads = self.workloads;
                         usystolic_obs::with(|o| {
@@ -527,12 +569,14 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                         }
                     }
                 }
+                self.instances[instance - 1].batch = batch;
             }
             EventKind::ShardFail { instance } => {
                 let slot = &mut self.instances[instance - 1];
                 if slot.alive {
                     slot.alive = false;
                     slot.epoch += 1;
+                    self.idle.remove(instance - 1);
                     self.tally.shard_crashes += 1;
                     usystolic_obs::with(|o| {
                         o.metrics
@@ -546,11 +590,13 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                             Vec::new(),
                         );
                     });
-                    if let Some(fl) = slot.in_flight.take() {
+                    // A dead shard never dispatches again: its buffer goes.
+                    let batch = std::mem::take(&mut slot.batch);
+                    if !batch.is_empty() {
                         self.busy -= 1;
-                        slot.busy_cycles += now - fl.dispatch;
-                        for request in fl.batch {
-                            let attempt = self.retries(request.id);
+                        slot.busy_cycles += now - slot.dispatch;
+                        for request in batch {
+                            let attempt = self.take_retries(request.id);
                             if attempt < self.config.faults.retry.max_retries {
                                 self.retry_counts.insert(request.id, attempt + 1);
                                 self.tally.retries += 1;
@@ -599,7 +645,7 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                 // dispatched or completed requests ignore stale timers.
                 if let Some(request) = self.admission.remove_by_id(id) {
                     self.tally.timed_out += 1;
-                    let retries = self.retries(id);
+                    let retries = self.take_retries(id);
                     self.ledger.settle(RequestRecord::dropped(
                         request,
                         Disposition::TimedOut,
@@ -635,7 +681,7 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
         if self.config.faults.shed_expired {
             for request in self.admission.expire_before(now) {
                 self.tally.timed_out += 1;
-                let retries = self.retries(request.id);
+                let retries = self.take_retries(request.id);
                 self.ledger.settle(RequestRecord::dropped(
                     request,
                     Disposition::TimedOut,
@@ -772,17 +818,19 @@ pub fn serve_with(
         load,
         admission: AdmissionController::new(config.queue_capacity),
         scheduler: Scheduler::new(config.max_batch),
-        instances: vec![
-            Instance {
-                in_flight: None,
+        instances: (0..config.instances)
+            .map(|_| Instance {
+                batch: Vec::new(),
+                dispatch: 0,
+                degraded: false,
                 busy_cycles: 0,
                 batches: 0,
                 alive: true,
                 epoch: 0,
                 slow_percent: 100,
-            };
-            config.instances
-        ],
+            })
+            .collect(),
+        idle: IdleSet::full(config.instances),
         busy: 0,
         ledger: Ledger {
             latency: QuantileHistogram::new(),
@@ -804,7 +852,7 @@ pub fn serve_with(
     // to serve them: record each as failed so the ledger still closes.
     for request in fleet.admission.drain_remaining() {
         fleet.tally.failed += 1;
-        let retries = fleet.retries(request.id);
+        let retries = fleet.take_retries(request.id);
         fleet.ledger.settle(RequestRecord::dropped(
             request,
             Disposition::Failed,
@@ -817,6 +865,8 @@ pub fn serve_with(
         });
     }
 
+    // Every request has left the system, taking its retry entry along.
+    debug_assert!(fleet.retry_counts.is_empty(), "retry ledger leaked");
     let stats = fleet.ledger;
     let makespan = makespan.max(config.duration_cycles);
     let busy_cycles: Vec<u64> = fleet.instances.iter().map(|i| i.busy_cycles).collect();
@@ -920,4 +970,29 @@ fn profile_workloads(
             WorkloadProfile::from_layers(&wl.name, &layers, &config.memory)
         })
         .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::IdleSet;
+
+    #[test]
+    fn idle_set_yields_the_lowest_member_across_words() {
+        let mut idle = IdleSet::full(96);
+        assert_eq!(idle.first(), Some(0));
+        for i in 0..70 {
+            idle.remove(i);
+        }
+        assert_eq!(idle.first(), Some(70), "second word");
+        idle.insert(63);
+        assert_eq!(idle.first(), Some(63), "back in the first word");
+        idle.remove(63);
+        for i in 70..96 {
+            idle.remove(i);
+        }
+        assert_eq!(idle.first(), None);
+        idle.insert(95);
+        assert_eq!(idle.first(), Some(95));
+        assert_eq!(IdleSet::full(0).first(), None);
+    }
 }

@@ -98,12 +98,13 @@ impl From<&QuantileHistogram> for LatencySummary {
     /// The p50/p95/p99 summary used throughout the serving reports (all
     /// zero when the histogram is empty).
     fn from(h: &QuantileHistogram) -> Self {
+        let [p50, p95, p99] = h.percentiles([50.0, 95.0, 99.0]);
         Self {
             count: h.count(),
             mean_cycles: h.mean(),
-            p50_cycles: h.percentile(50.0).unwrap_or(0),
-            p95_cycles: h.percentile(95.0).unwrap_or(0),
-            p99_cycles: h.percentile(99.0).unwrap_or(0),
+            p50_cycles: p50.unwrap_or(0),
+            p95_cycles: p95.unwrap_or(0),
+            p99_cycles: p99.unwrap_or(0),
             max_cycles: h.max().unwrap_or(0),
         }
     }

@@ -45,10 +45,26 @@ impl Scheduler {
     /// queue is empty. All returned requests share one workload class;
     /// the first element is the leader.
     pub fn next_batch(&self, queue: &mut AdmissionController) -> Option<Vec<Request>> {
+        let mut batch = Vec::new();
+        self.next_batch_into(queue, &mut batch).then_some(batch)
+    }
+
+    /// [`Self::next_batch`] into a caller's buffer: appends the next
+    /// batch to `batch` and returns `true`, or returns `false` and leaves
+    /// `batch` alone when the queue is empty. The fleet passes each
+    /// instance's emptied buffer, so dispatch allocates nothing.
+    pub(crate) fn next_batch_into(
+        &self,
+        queue: &mut AdmissionController,
+        batch: &mut Vec<Request>,
+    ) -> bool {
         // Each class queue is sorted by dispatch key, so the leader heads
         // its class and its followers are the requests right behind it.
-        let class = queue.leading_class()?;
-        Some(queue.take_front(class, self.max_batch))
+        let Some(class) = queue.leading_class() else {
+            return false;
+        };
+        queue.take_front(class, self.max_batch, batch);
+        true
     }
 }
 
@@ -132,6 +148,21 @@ mod tests {
         let ids: Vec<u64> = batch.iter().map(|r| r.id).collect();
         // Leader has the tightest deadline; followers by arrival.
         assert_eq!(ids, [9, 1, 3]);
+    }
+
+    #[test]
+    fn next_batch_into_appends_to_the_callers_buffer() {
+        let reqs = [req(1, 0), req(2, 1), req(3, 0)];
+        let mut q = filled(&reqs);
+        let mut batch = Vec::with_capacity(8);
+        assert!(Scheduler::new(8).next_batch_into(&mut q, &mut batch));
+        let ids: Vec<u64> = batch.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [1, 3]);
+        batch.clear();
+        assert!(Scheduler::new(8).next_batch_into(&mut q, &mut batch));
+        assert_eq!(batch.len(), 1);
+        assert!(!Scheduler::new(8).next_batch_into(&mut q, &mut batch));
+        assert_eq!(batch[0].id, 2, "an empty queue leaves the buffer alone");
     }
 
     #[test]

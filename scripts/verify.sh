@@ -14,6 +14,18 @@ cargo build --release --workspace --offline
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
+echo "==> serve golden writer (tests/golden/serve_*.json reproduce byte for byte)"
+# The ignored writer renders every serve capture through the same path
+# the golden comparisons read, so the two cannot drift apart.
+cargo test -q --offline --test des_equivalence -- --ignored regenerate
+goldens="${CARGO_TARGET_DIR:-target}/tmp/goldens"
+for capture in tests/golden/serve_*.json; do
+    cmp -s "$goldens/$(basename "$capture")" "$capture" || {
+        echo "FAIL: the serve golden writer does not reproduce $capture" >&2
+        exit 1
+    }
+done
+
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 

@@ -1,6 +1,6 @@
 //! Golden equivalence for the event calendar (`crates/des`).
 //!
-//! The five files under `tests/golden/` pin `sim_cli` and `serve_cli`
+//! The files under `tests/golden/` pin `sim_cli` and `serve_cli`
 //! output. These tests parse each capture's argv through the CLIs' own
 //! argument layer (`usystolic_bench::cli`), rebuild the JSON record
 //! in-process and assert the engines reproduce the pinned bytes bit for
@@ -9,6 +9,17 @@
 //! The serve event loop's own `des.*` metrics are not in the captures,
 //! so they are stripped before the golden comparison and asserted
 //! present separately; everything else must not move by a single bit.
+//!
+//! The ignored `regenerate_serve_goldens` test writes every serve
+//! capture through that same path into `$CARGO_TARGET_TMPDIR/goldens/`:
+//!
+//! ```sh
+//! cargo test -q --test des_equivalence -- --ignored regenerate
+//! ```
+//!
+//! `scripts/verify.sh` runs it and `cmp`s each written file against
+//! `tests/golden/`; after a legitimate change to serve's output, copy
+//! the written files over the captures.
 
 use usystolic::des::Fidelity;
 use usystolic::hw::evaluate_layer;
@@ -70,6 +81,31 @@ fn shardkill_config(workers: usize) -> (ServeConfig, Vec<Workload>) {
     (args.config, args.workloads)
 }
 
+/// `serve_cli --matmul 64,64,64 --instances 96 --duration 0.01
+/// --arrival-rate 400000 --queue-depth 256 --shard-fail 2,70 --shard-fail
+/// 3,1 --retry-max 2 --timeout 0.1 --fault-seed 5 --workers W --json`:
+/// every instance busy, so the lowest idle instance is picked across more
+/// than one 64-bit word, and a crash lands above instance 64.
+fn fleet96_config(workers: usize) -> (ServeConfig, Vec<Workload>) {
+    let args = ServeArgs::parse(argv(&format!(
+        "--matmul 64,64,64 --instances 96 --duration 0.01 --arrival-rate 400000 \
+         --queue-depth 256 --shard-fail 2,70 --shard-fail 3,1 --retry-max 2 \
+         --timeout 0.1 --fault-seed 5 --workers {workers} --json"
+    )))
+    .expect("valid argv");
+    (args.config, args.workloads)
+}
+
+/// Builds a serve capture's config and workloads at a worker count.
+type Build = fn(usize) -> (ServeConfig, Vec<Workload>);
+
+/// Every serve capture under `tests/golden/` and the argv that makes it.
+const SERVE_GOLDENS: [(&str, Build); 3] = [
+    ("serve_seed7_overload.json", overload_config),
+    ("serve_faults_shardkill.json", shardkill_config),
+    ("serve_fleet96_shardkill.json", fleet96_config),
+];
+
 /// Runs the engine under a fresh obs session and rebuilds `serve_cli`'s
 /// `--json` record. Returns `(record, metrics)` so callers can compare
 /// both the des-stripped and untouched renders.
@@ -91,7 +127,21 @@ fn normalize_workers(render: &str, workers: usize) -> String {
     render.replacen(&format!("\"workers\":{workers}"), "\"workers\":1", 1)
 }
 
-fn assert_serve_golden(name: &str, build: fn(usize) -> (ServeConfig, Vec<Workload>)) {
+/// The record as the captures pin it: `des.*` keys dropped from the
+/// trailing metrics section and the worker count normalised to 1.
+fn golden_render(record: &JsonValue, workers: usize) -> String {
+    let filtered = match record.clone() {
+        JsonValue::Object(mut pairs) => {
+            let (key, metrics) = pairs.pop().expect("metrics last");
+            pairs.push((key, strip_des_metrics(metrics)));
+            JsonValue::Object(pairs)
+        }
+        other => panic!("record is not an object: {other:?}"),
+    };
+    normalize_workers(&filtered.render(), workers)
+}
+
+fn assert_serve_golden(name: &str, build: Build) {
     let pinned = golden(name);
     let mut unfiltered = Vec::new();
     for workers in [1usize, 2, 4, 8] {
@@ -99,23 +149,8 @@ fn assert_serve_golden(name: &str, build: fn(usize) -> (ServeConfig, Vec<Workloa
         let (record, metrics) = serve_record(&config, &workloads);
         // Bit-for-bit against the capture, modulo the des.* keys and the
         // worker count baked into the report.
-        let (mut stripped, report_rest) = match record.clone() {
-            JsonValue::Object(mut pairs) => {
-                let m = pairs.pop().expect("metrics last");
-                (m, JsonValue::Object(pairs))
-            }
-            other => panic!("record is not an object: {other:?}"),
-        };
-        stripped.1 = strip_des_metrics(stripped.1);
-        let filtered = match report_rest {
-            JsonValue::Object(mut pairs) => {
-                pairs.push(stripped);
-                JsonValue::Object(pairs)
-            }
-            other => panic!("unreachable: {other:?}"),
-        };
         assert_eq!(
-            normalize_workers(&filtered.render(), workers),
+            golden_render(&record, workers),
             pinned,
             "{name} diverged from the pre-port golden at workers={workers}"
         );
@@ -160,8 +195,31 @@ fn serve_shardkill_golden_is_bit_identical_at_every_worker_count() {
 }
 
 #[test]
+fn serve_fleet96_golden_is_bit_identical_at_every_worker_count() {
+    assert_serve_golden("serve_fleet96_shardkill.json", fleet96_config);
+}
+
+/// Writes every serve capture, rendered exactly as the comparisons above
+/// read it, to `$CARGO_TARGET_TMPDIR/goldens/`. Ignored because it only
+/// writes; `scripts/verify.sh` runs it and compares the files with
+/// `tests/golden/`.
+#[test]
+#[ignore = "writes captures; run by scripts/verify.sh"]
+fn regenerate_serve_goldens() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("goldens");
+    std::fs::create_dir_all(&dir).expect("create the capture directory");
+    for (name, build) in SERVE_GOLDENS {
+        let (config, workloads) = build(1);
+        let (record, _) = serve_record(&config, &workloads);
+        let path = dir.join(name);
+        std::fs::write(&path, golden_render(&record, 1) + "\n")
+            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    }
+}
+
+#[test]
 fn serve_packed_tier_matches_cycle_accurate_bit_for_bit() {
-    for build in [overload_config, shardkill_config] {
+    for (_, build) in SERVE_GOLDENS {
         let (config, workloads) = build(1);
         let (cycle, _) = serve_record(&config, &workloads);
         let mut packed_cfg = config.clone();
