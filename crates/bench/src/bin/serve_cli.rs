@@ -183,8 +183,18 @@ fn run() -> cli::Result<ExitCode> {
 
     // The session also feeds the --json "metrics" section, so install it
     // unconditionally; every recorded value is simulation-derived (no
-    // wall-clock), keeping the output bit-for-bit reproducible.
-    usystolic_obs::install(usystolic_obs::Session::new());
+    // wall-clock), keeping the output bit-for-bit reproducible. Spans are
+    // recorded only for --trace: without it the tracer is off, and the
+    // engine builds no batch span.
+    let tracer = if obs.tracing() {
+        usystolic_obs::Tracer::default()
+    } else {
+        usystolic_obs::Tracer::off()
+    };
+    usystolic_obs::install(usystolic_obs::Session {
+        tracer,
+        ..usystolic_obs::Session::default()
+    });
     let report = serve(&config, &workloads).map_err(|e| e.to_string())?;
     let session = usystolic_obs::take().unwrap_or_default();
     obs.export_session("serve_cli", &session)?;

@@ -491,6 +491,12 @@ impl ObsArgs {
         Ok(true)
     }
 
+    /// Whether `--trace` asks for the session's spans.
+    #[must_use]
+    pub fn tracing(&self) -> bool {
+        self.trace.is_some()
+    }
+
     /// Whether any artefact needs an obs session.
     #[must_use]
     pub fn observing(&self) -> bool {

@@ -5,13 +5,16 @@
 //! order `(time, event class, insertion sequence)`, each naming its
 //! payload's slot in a slab — no hash containers, no wall clock — so the
 //! pop order, and therefore every simulation built on it, is a pure
-//! function of the inputs.
+//! function of the inputs. The fleet keeps the events it creates already
+//! in order (an open loop's next arrival, its armed timeouts) beside the
+//! queue and merges them by [`EventQueue::peek`]'s `(time, class)`, so
+//! the heap orders only the rest.
 //!
 //! The surface is two small pieces:
 //!
 //! * [`EventQueue`] / [`Event`] / [`Scheduled`] — the calendar:
-//!   `schedule`, `pop`, `len`, `is_empty`. A schedule before the last
-//!   popped cycle is clamped to it, so time never runs backwards.
+//!   `schedule`, `pop`, `peek`, `len`, `is_empty`. A schedule before the
+//!   last popped cycle is clamped to it, so time never runs backwards.
 //! * [`Fidelity`] — when a serve run derives its service times, one tier
 //!   per run and both exact: [`Fidelity::CycleAccurate`] re-derives each
 //!   class's layer profiles at every dispatch, and [`Fidelity::Packed`]

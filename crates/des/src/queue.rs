@@ -143,6 +143,16 @@ impl<E: Event> EventQueue<E> {
         Some(Scheduled { at: key.at, event })
     }
 
+    /// The `(at, class)` of the event [`pop`](Self::pop) would return
+    /// next, or `None` when empty. A caller that keeps in-order events of
+    /// its own merges them with the calendar by this key.
+    #[must_use]
+    pub fn peek(&self) -> Option<(u64, u8)> {
+        self.heap
+            .peek()
+            .map(|key| (key.at, (key.tie >> SEQ_BITS) as u8))
+    }
+
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {

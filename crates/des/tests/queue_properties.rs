@@ -40,14 +40,21 @@ impl Model {
         self.pending.push((at.max(self.now), item.class, seq, item));
     }
 
-    fn pop(&mut self) -> Option<(u64, Item)> {
-        let idx = self
-            .pending
+    /// Position in `pending` of the next event to pop.
+    fn next(&self) -> Option<usize> {
+        self.pending
             .iter()
             .enumerate()
             .min_by_key(|(_, &(at, class, seq, _))| (at, class, seq))
-            .map(|(i, _)| i)?;
-        let (at, _, _, item) = self.pending.remove(idx);
+            .map(|(i, _)| i)
+    }
+
+    fn peek(&self) -> Option<(u64, u8)> {
+        self.next().map(|i| (self.pending[i].0, self.pending[i].1))
+    }
+
+    fn pop(&mut self) -> Option<(u64, Item)> {
+        let (at, _, _, item) = self.pending.remove(self.next()?);
         self.now = at;
         Some((at, item))
     }
@@ -55,7 +62,9 @@ impl Model {
 
 /// One random operation mix: `ops` steps against both the real queue and
 /// the model, each a schedule with probability `schedule_tenths / 10` and
-/// a pop otherwise, checking every observable after each step.
+/// a pop otherwise, checking every observable after each step: `len`,
+/// `is_empty` and `peek`, which must name the model's next `(at, class)`
+/// (`None` when empty) without changing what the following pops return.
 ///
 /// Most cycles are drawn from `0..64` whatever has popped, so later
 /// schedules often land in the past and exercise the clamp; one in
@@ -112,13 +121,22 @@ fn run_random_ops(seed: u64, ops: usize, schedule_tenths: u64) {
             "{}",
             ctx("is_empty")
         );
+        assert_eq!(queue.peek(), model.peek(), "{}", ctx("peek"));
     }
 
-    // Drain both sides: the tail order must match exactly.
+    // Drain both sides: the tail order must match exactly, and each peek
+    // names the event the next pop returns.
     while let Some(expect) = model.pop() {
+        let peeked = queue.peek();
         let real = queue.pop().expect("queue drained before model");
         assert_eq!((real.at, real.event), expect, "seed={seed} drain order");
+        assert_eq!(
+            peeked,
+            Some((real.at, real.event.class)),
+            "seed={seed} drain peek"
+        );
     }
+    assert_eq!(queue.peek(), None, "seed={seed} peek when empty");
     assert!(queue.pop().is_none(), "seed={seed} queue outlived model");
 }
 

@@ -14,12 +14,21 @@
 //!
 //! The counters are a dense slab of `(value, count)` pairs in first-seen
 //! order plus an open-addressing index into it (a power-of-two table of
-//! `u32` positions, at most 3/4 full, probed linearly from a fixed
+//! `u32` slots, at most 3/4 full, probed linearly from a fixed
 //! multiplicative hash; the keys are the program's own samples, not
 //! outside input), so a sample costs one probe and no allocation once
-//! its key exists. Reads (percentiles, JSON, equality, a merge's source)
-//! walk the slab through a `u32` permutation sorted by value, one sort
-//! per read; nothing observable depends on the slab's order.
+//! its key exists. Each slot packs the pair's slab position (19 bits)
+//! with a 13-bit tag from the key's hash, and a probe reads the slab only
+//! where the tag matches, so most of a new key's probe chain stays in the
+//! index.
+//!
+//! Percentiles count the samples per bucket in one pass over the slab (a
+//! bucket is a key's top 7 significant bits, so the buckets are monotone
+//! in the key), then sort only the keys of the buckets that hold a
+//! requested rank; if every key falls in one bucket, that is the whole
+//! slab. Equality and a merge's source walk the whole slab through a
+//! `u32` permutation sorted by value. Nothing observable depends on the
+//! slab's order.
 //!
 //! ## Past the cap
 //!
@@ -48,11 +57,29 @@ use crate::json::{JsonValue, ToJson};
 /// percentile is exact.
 pub const CAP: usize = 1 << 18;
 
-/// An index slot that names no pair.
+/// Low bits of an index slot: the pair's position in the slab. The slab
+/// never holds more than `CAP + 1` pairs, so positions fit in 19 bits;
+/// the 13 bits above them are the key's hash tag.
+const POS_BITS: u32 = 19;
+
+/// The position bits of an index slot.
+const POS_MASK: u32 = (1 << POS_BITS) - 1;
+
+/// An index slot that names no pair (its position bits name no pair).
 const EMPTY: u32 = u32::MAX;
+
+const _: () = assert!(CAP + 1 < POS_MASK as usize, "slab positions must fit");
 
 /// Index length on the first insert.
 const MIN_INDEX: usize = 16;
+
+/// Significant bits that pick a key's percentile bucket.
+const BUCKET_BITS: u32 = 7;
+
+/// Number of percentile buckets: every key below `2^BUCKET_BITS` has its
+/// own, then `2^(BUCKET_BITS - 1)` per larger bit length.
+const BUCKETS: usize =
+    ((u64::BITS - BUCKET_BITS) << (BUCKET_BITS - 1)) as usize + (1 << BUCKET_BITS);
 
 /// A value→count histogram: exact below [`CAP`] distinct values, rounded
 /// to `sig` significant bits above it.
@@ -61,9 +88,10 @@ pub struct QuantileHistogram {
     /// One `(key, count)` pair per distinct key, in first-seen order
     /// (sorted by key right after a rebuild).
     counts: Vec<(u64, u64)>,
-    /// Open-addressing index: the position in `counts` of each key, at
-    /// the slot its hash probes to, or [`EMPTY`]. Its length is a power
-    /// of two (or 0 before the first insert) and it is at most 3/4 full.
+    /// Open-addressing index: at the slot each key's hash probes to, its
+    /// position in `counts` (low [`POS_BITS`]) under its hash tag, or
+    /// [`EMPTY`]. Its length is a power of two (or 0 before the first
+    /// insert) and it is at most 3/4 full.
     index: Vec<u32>,
     sig: u32,
     count: u64,
@@ -97,11 +125,32 @@ fn round(v: u64, sig: u32) -> u64 {
     v >> drop << drop
 }
 
-/// First index slot probed for `key` in a table of `len` slots (a power
-/// of two): the top bits of a Fibonacci hash.
-fn home(key: u64, len: usize) -> usize {
-    let bits = len.trailing_zeros();
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - bits)) as usize
+/// Fibonacci hash of a key.
+fn hash(key: u64) -> u64 {
+    key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// First index slot probed for a key of hash `h` in a table of `len`
+/// slots (a power of two): the hash's top bits.
+fn home(h: u64, len: usize) -> usize {
+    (h >> (u64::BITS - len.trailing_zeros())) as usize
+}
+
+/// The tag bits of an index slot for a key of hash `h`: hash bits 32–44,
+/// below the home bits of any index this type builds (at most 2^19
+/// slots, since the slab stops at `CAP + 1` pairs), so keys that share a
+/// home slot rarely share a tag.
+fn tag(h: u64) -> u32 {
+    ((h >> 32) as u32) << POS_BITS
+}
+
+/// The percentile bucket of `v`: `v` itself below 128; above, `v >> drop`
+/// (its top 7 significant bits, in `64..128`) plus `64 · drop`, where
+/// `drop` counts the low bits cut off. Monotone in `v`, so the buckets
+/// split the sorted keys into consecutive runs.
+fn bucket(v: u64) -> usize {
+    let drop = bit_len(v).saturating_sub(BUCKET_BITS);
+    ((drop as usize) << (BUCKET_BITS - 1)) + (v >> drop) as usize
 }
 
 impl QuantileHistogram {
@@ -190,7 +239,9 @@ impl QuantileHistogram {
     }
 
     /// [`percentile`](Self::percentile) at each of `ps`, in the order
-    /// given, from one sort of the keys.
+    /// given. One pass counts the samples per bucket (a key's top 7
+    /// significant bits, monotone in the key), and only the keys of the
+    /// buckets that hold a requested rank are sorted.
     ///
     /// # Panics
     ///
@@ -206,16 +257,50 @@ impl QuantileHistogram {
         }
         let ranks =
             ps.map(|p| ((p / 100.0 * self.count as f64).ceil() as u64).clamp(1, self.count));
-        // Answer the ranks in ascending order along one walk of the keys.
+        // Answer the ranks in ascending order.
         let mut asked: [usize; N] = std::array::from_fn(|i| i);
         asked.sort_unstable_by_key(|&i| ranks[i]);
-        let order = self.sorted();
-        let mut keys = order.iter().map(|&at| self.counts[at as usize]);
-        let (mut seen, mut value) = (0u64, 0u64);
+        let mut per_bucket = vec![0u64; BUCKETS];
+        for &(v, n) in &self.counts {
+            per_bucket[bucket(v)] += n;
+        }
+        // Each rank's bucket, and the samples in the buckets below it.
+        // The counts sum to `count`, so every rank lands in a bucket.
+        let mut home = [(0usize, 0u64); N];
+        let (mut b, mut below) = (0, 0);
+        for &i in &asked {
+            while b + 1 < BUCKETS && below + per_bucket[b] < ranks[i] {
+                below += per_bucket[b];
+                b += 1;
+            }
+            home[i] = (b, below);
+        }
+        let mut wanted = [0u64; BUCKETS.div_ceil(64)];
+        for &(b, _) in &home {
+            wanted[b / 64] |= 1 << (b % 64);
+        }
+        let mut keys: Vec<(u64, u64)> = self
+            .counts
+            .iter()
+            .copied()
+            .filter(|&(v, _)| {
+                let b = bucket(v);
+                (wanted[b / 64] >> (b % 64)) & 1 == 1
+            })
+            .collect();
+        keys.sort_unstable_by_key(|&(v, _)| v);
+        // Walk the wanted buckets' keys in order, restarting the running
+        // rank at each bucket's first key from the samples below it.
+        let mut keys = keys.into_iter().peekable();
+        let (mut current, mut seen, mut value) = (usize::MAX, 0u64, 0u64);
         for i in asked {
+            let (b, below) = home[i];
+            if b != current {
+                current = b;
+                seen = below;
+                while keys.next_if(|&(v, _)| bucket(v) < b).is_some() {}
+            }
             while seen < ranks[i] {
-                // The counts sum to `count`, so the walk reaches every
-                // rank before the keys run out.
                 let Some((v, n)) = keys.next() else { break };
                 seen += n;
                 value = v;
@@ -225,9 +310,10 @@ impl QuantileHistogram {
         out
     }
 
-    /// Positions of `counts`, sorted by key. Keys are distinct, so a
-    /// stable sort gives the one order; it also takes a slab that is
-    /// mostly sorted, as after a rebuild, in about linear time.
+    /// Positions of `counts`, sorted by key, for a merge's source and for
+    /// equality. Keys are distinct, so a stable sort gives the one order;
+    /// it also takes a slab that is mostly sorted, as after a rebuild, in
+    /// about linear time.
     fn sorted(&self) -> Vec<u32> {
         // `counts` never holds more than CAP + 1 pairs, so positions fit.
         let mut order: Vec<u32> = (0..self.counts.len() as u32).collect();
@@ -241,21 +327,26 @@ impl QuantileHistogram {
             self.reindex(MIN_INDEX);
         }
         let key = round(v, self.sig);
+        let h = hash(key);
+        let tag = tag(h);
         let mask = self.index.len() - 1;
-        let mut slot = home(key, self.index.len());
+        let mut slot = home(h, self.index.len());
         loop {
-            let at = self.index[slot];
-            if at == EMPTY {
+            let entry = self.index[slot];
+            if entry == EMPTY {
                 break;
             }
-            let pair = &mut self.counts[at as usize];
-            if pair.0 == key {
-                pair.1 += n;
-                return;
+            // Only a matching tag sends the probe to the slab.
+            if entry & !POS_MASK == tag {
+                let pair = &mut self.counts[(entry & POS_MASK) as usize];
+                if pair.0 == key {
+                    pair.1 += n;
+                    return;
+                }
             }
             slot = (slot + 1) & mask;
         }
-        self.index[slot] = self.counts.len() as u32;
+        self.index[slot] = tag | self.counts.len() as u32;
         self.counts.push((key, n));
         if self.counts.len() * 4 > self.index.len() * 3 {
             self.reindex(self.index.len() * 2);
@@ -271,11 +362,12 @@ impl QuantileHistogram {
         self.index.resize(len, EMPTY);
         let mask = len - 1;
         for (at, &(key, _)) in self.counts.iter().enumerate() {
-            let mut slot = home(key, len);
+            let h = hash(key);
+            let mut slot = home(h, len);
             while self.index[slot] != EMPTY {
                 slot = (slot + 1) & mask;
             }
-            self.index[slot] = at as u32;
+            self.index[slot] = tag(h) | at as u32;
         }
     }
 
@@ -642,14 +734,48 @@ mod tests {
         let all: [f64; 100] = std::array::from_fn(|i| (i + 1) as f64);
         assert_eq!(h.percentiles(all).to_vec(), m.percentiles(), "{ctx}");
         assert_eq!((h.sig, h.counts.len()), (m.sig, m.counts.len()), "{ctx}");
+        let pairs = h.sorted().into_iter().map(|at| h.counts[at as usize]);
+        assert!(
+            pairs.eq(m.counts.iter().map(|(&v, &n)| (v, n))),
+            "{ctx}: counts"
+        );
+    }
+
+    /// Every pair sits in one index slot, tagged with its key's hash tag
+    /// and reachable from its home slot without crossing an empty one;
+    /// every other slot is empty.
+    fn assert_index_consistent(h: &QuantileHistogram) {
+        let mask = h.index.len() - 1;
+        let mut seen = vec![false; h.counts.len()];
+        for (slot, &entry) in h.index.iter().enumerate() {
+            if entry == EMPTY {
+                continue;
+            }
+            let at = (entry & POS_MASK) as usize;
+            let hk = hash(h.counts[at].0);
+            assert_eq!(entry & !POS_MASK, tag(hk), "slot {slot}: tag");
+            assert!(!std::mem::replace(&mut seen[at], true), "pair {at} twice");
+            let mut probe = home(hk, h.index.len());
+            while probe != slot {
+                assert_ne!(h.index[probe], EMPTY, "pair {at} behind an empty slot");
+                probe = (probe + 1) & mask;
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "a pair has no slot");
     }
 
     /// Observes `values` into both sides; returns how many times the
-    /// histogram passed the cap (each pass lowers `sig`).
+    /// histogram passed the cap (each pass lowers `sig`). Right before
+    /// each pass the slab holds `CAP` pairs, so the index is checked with
+    /// tagged slots at every position up to `CAP - 1`, and the sample
+    /// that passes the cap probes through them to write position `CAP`.
     fn observe_both(h: &mut QuantileHistogram, m: &mut Model, values: &[u64]) -> usize {
         let mut passes = 0;
         for &v in values {
             let sig = h.sig;
+            if h.counts.len() == CAP {
+                assert_index_consistent(h);
+            }
             h.observe(v);
             m.observe(v);
             passes += usize::from(h.sig < sig);
@@ -670,6 +796,80 @@ mod tests {
         (0..n as u64)
             .map(|i| lo + (i.wrapping_mul(0x9E37_79B9) & ((1 << bits) - 1)))
             .collect()
+    }
+
+    /// 10^5 distinct keys in `[2^40, 2^40 + 2^33)` all share one bucket
+    /// (their top 7 bits agree), so every rank lands in it and the whole
+    /// slab is sorted: the slowest case of the bucket location.
+    #[test]
+    fn keys_crowded_into_one_bucket_match_the_btreemap_model() {
+        let values = scattered(100_000, 1 << 40, 33);
+        let b = bucket(values[0]);
+        assert!(values.iter().all(|&v| bucket(v) == b), "one bucket");
+        let (mut h, mut m, _) = both_of(&values);
+        assert_matches_model(&h, &m, "one bucket");
+        // A second copy of every other key doubles its count.
+        observe_both(&mut h, &mut m, &values[..50_000]);
+        assert_matches_model(&h, &m, "one bucket, repeated keys");
+    }
+
+    /// Keys on every bucket edge: each key below 128 (one bucket apiece),
+    /// `2^k - 1`, `2^k` and `2^k + 1` for every `k`, and `u64::MAX`, each
+    /// observed one to three times.
+    #[test]
+    fn keys_on_bucket_edges_match_the_btreemap_model() {
+        let mut edges: Vec<u64> = (0..=127).collect();
+        for k in 0..u64::BITS {
+            let p = 1u64 << k;
+            edges.extend([p - 1, p, p + 1]);
+        }
+        edges.push(u64::MAX);
+        let mut sorted = edges.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert!(sorted.windows(2).all(|w| bucket(w[0]) <= bucket(w[1])));
+        assert_eq!((bucket(0), bucket(127)), (0, 127));
+        assert_eq!(bucket(128), 128);
+        assert_eq!(bucket(u64::MAX), BUCKETS - 1);
+        let values: Vec<u64> = edges
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &v)| std::iter::repeat_n(v, 1 + i % 3))
+            .collect();
+        let (h, m, _) = both_of(&values);
+        assert_matches_model(&h, &m, "bucket edges");
+    }
+
+    /// 4,000 keys whose hashes agree on the tag and on every home bit of
+    /// the largest index: one probe chain in which every slot's tag
+    /// matches. Each key still keeps its own count.
+    #[test]
+    fn keys_sharing_one_tag_count_apart() {
+        // The hash multiplies by an odd constant, so it inverts (Newton's
+        // iteration mod 2^64): pick the hashes, then solve for the keys.
+        let mul = hash(1);
+        let mut inverse = mul;
+        for _ in 0..6 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(mul.wrapping_mul(inverse)));
+        }
+        assert_eq!(hash(inverse), 1);
+        let shared = 0xABCD_E123_4000_0000_u64;
+        let keys: Vec<u64> = (0..4000u64)
+            .map(|i| (shared | (i.wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF)).wrapping_mul(inverse))
+            .collect();
+        assert!(keys.iter().all(|&k| {
+            let h = hash(k);
+            tag(h) == tag(hash(keys[0])) && home(h, 1 << 19) == home(hash(keys[0]), 1 << 19)
+        }));
+        let values: Vec<u64> = keys
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &k)| std::iter::repeat_n(k, 1 + i % 4))
+            .collect();
+        let (h, m, _) = both_of(&values);
+        assert_eq!(h.counts.len(), keys.len());
+        assert_index_consistent(&h);
+        assert_matches_model(&h, &m, "one tag");
     }
 
     #[test]

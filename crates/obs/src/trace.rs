@@ -128,6 +128,27 @@ impl Tracer {
         }
     }
 
+    /// A tracer that records nothing, for a session that keeps only
+    /// metrics: every span is discarded before it is stored, and none
+    /// counts as dropped.
+    #[must_use]
+    pub fn off() -> Self {
+        Self {
+            events: VecDeque::new(),
+            capacity: 0,
+            dropped: 0,
+            epoch: Instant::now(),
+        }
+    }
+
+    /// Whether the tracer records events (false only for
+    /// [`off`](Self::off)). Instrumentation whose span is costly to build
+    /// checks it first.
+    #[must_use]
+    pub fn enabled(&self) -> bool {
+        self.capacity > 0
+    }
+
     /// Microseconds of wall time since the tracer was created.
     #[must_use]
     pub fn now_us(&self) -> f64 {
@@ -135,6 +156,9 @@ impl Tracer {
     }
 
     fn push(&mut self, ev: TraceEvent) {
+        if !self.enabled() {
+            return;
+        }
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -228,7 +252,7 @@ impl Tracer {
         self.dropped
     }
 
-    /// The configured capacity.
+    /// The configured capacity (0 for [`off`](Self::off)).
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -315,6 +339,19 @@ mod tests {
         assert_eq!(t.dropped(), 2);
         let names: Vec<&str> = t.events().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["e2", "e3", "e4"]);
+    }
+
+    #[test]
+    fn an_off_tracer_keeps_and_drops_nothing() {
+        let mut t = Tracer::off();
+        assert!(!t.enabled() && Tracer::default().enabled());
+        for i in 0..5 {
+            span(&mut t, &format!("e{i}"), i as f64);
+        }
+        t.instant("i", "test", PID_SIM, 0, 0.0, vec![]);
+        t.counter("c", "test", PID_SIM, 0.0, 1.0);
+        assert!(t.is_empty());
+        assert_eq!((t.dropped(), t.capacity()), (0, 0));
     }
 
     #[test]

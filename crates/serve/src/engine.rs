@@ -9,15 +9,20 @@
 //!    [`WorkloadProfile`](crate::workload::WorkloadProfile) on the
 //!    work-stealing pool, the only work the pool does. Profiling is pure,
 //!    so the phase is result-identical for any worker count.
-//! 2. **Event loop** (sequential, deterministic) — the fleet pops its
-//!    `usystolic_des` [`EventQueue`] and handles each event: arrivals flow
-//!    through the bounded [`AdmissionController`], the EDF/priority
-//!    [`Scheduler`] packs same-class batches onto free instances, and
-//!    completions free instances and (in closed-loop mode) trigger the
-//!    next client request. An open loop's arrivals are drawn one ahead:
-//!    each arrival schedules the next, so the calendar holds one arrival
-//!    plus in-flight completions, fault events and armed timers, never
-//!    the whole stream. Every request that leaves the system — completed,
+//! 2. **Event loop** (sequential, deterministic) — the fleet takes its
+//!    events in `(cycle, class, insertion)` order and handles each:
+//!    arrivals flow through the bounded [`AdmissionController`], the
+//!    EDF/priority [`Scheduler`] packs same-class batches onto free
+//!    instances, and completions free instances and (in closed-loop mode)
+//!    trigger the next client request. Events wait in three sources: an
+//!    open loop's next arrival, drawn one ahead (each arrival draws the
+//!    next, never the whole stream); the armed timeouts, a FIFO because
+//!    one fixed budget makes arming order firing order; and the
+//!    `usystolic_des` [`EventQueue`] for completions, fleet faults,
+//!    retries and closed-loop arrivals. The loop takes the earliest head
+//!    by `(cycle, class)` ([`EventQueue::peek`] for the calendar's), the
+//!    calendar's own tie order, so only out-of-order events pay for the
+//!    heap. Every request that leaves the system — completed,
 //!    rejected, timed out or failed — is folded into the
 //!    latency/wait/service [`QuantileHistogram`]s right there; no
 //!    per-request record is kept. Service times
@@ -30,11 +35,12 @@
 //! The caller's `usystolic_obs` session (if installed) receives queue
 //! depth gauges, admission/rejection/deadline counters, batch-size and
 //! per-class latency histograms, the ledger's latency and queue-wait
-//! histograms (merged once, after the report is built), and one
-//! Chrome-trace span per dispatched batch on the simulated-cycle lane
-//! (`tid` = instance). The event loop itself adds
-//! `des.events.{scheduled,dispatched}`, `des.dispatch{fidelity}` and the
-//! `des.queue_depth{component="fleet"}` gauge and series.
+//! histograms (merged once, after the report is built), and, when the
+//! session's tracer is on, one Chrome-trace span per dispatched batch on
+//! the simulated-cycle lane (`tid` = instance). The event loop itself
+//! adds `des.events.{scheduled,dispatched}`, `des.dispatch{fidelity}` and
+//! the `des.queue_depth{component="fleet"}` gauge and series, counting
+//! the events of all three sources.
 
 use crate::admission::{Admission, AdmissionController};
 use crate::loadgen::LoadGen;
@@ -43,8 +49,8 @@ use crate::report::{ServeConfig, ServeError, ServeReport};
 use crate::request::{Disposition, Request, RequestRecord};
 use crate::scheduler::Scheduler;
 use crate::workload::{batched_service_cycles, LayerProfile, Workload, WorkloadProfile};
-use std::collections::BTreeMap;
-use usystolic_des::{Event, EventQueue, Fidelity, Scheduled};
+use std::collections::{BTreeMap, VecDeque};
+use usystolic_des::{Event, EventQueue, Fidelity};
 use usystolic_obs::{QuantileHistogram, ToJson};
 use usystolic_sim::CLOCK_HZ;
 
@@ -88,6 +94,11 @@ pub enum EventKind {
     Arrival(Request),
 }
 
+/// Same-cycle class of [`EventKind::Timeout`].
+const TIMEOUT_CLASS: u8 = 3;
+/// Same-cycle class of [`EventKind::Arrival`].
+const ARRIVAL_CLASS: u8 = 5;
+
 impl Event for EventKind {
     /// Same-cycle tie order: completions free instances first, then
     /// fleet faults land, then timeouts expire, then retries re-enter,
@@ -99,9 +110,9 @@ impl Event for EventKind {
             EventKind::Completion { .. } => 0,
             EventKind::ShardFail { .. } => 1,
             EventKind::ShardSlow { .. } => 2,
-            EventKind::Timeout { .. } => 3,
+            EventKind::Timeout { .. } => TIMEOUT_CLASS,
             EventKind::Retry(_) => 4,
-            EventKind::Arrival(_) => 5,
+            EventKind::Arrival(_) => ARRIVAL_CLASS,
         }
     }
 }
@@ -207,10 +218,32 @@ impl IdleSet {
 /// Labels of the `des.queue_depth` gauge and series.
 const FLEET: [(&str, &str); 1] = [("component", "fleet")];
 
-/// The whole serving fleet: its event calendar, admission, scheduling,
+/// Where the fleet's next event waits.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Calendar,
+    Arrival,
+    Timer,
+}
+
+/// The whole serving fleet: its event sources, admission, scheduling,
 /// instances, fault handling and the request ledger.
+///
+/// Events wait in three sources, merged by `(cycle, class)`, the
+/// calendar's own tie order. Two kinds arrive already in firing order
+/// and skip the calendar's heap: an open loop's arrivals (strictly
+/// increasing cycles, drawn one ahead) and the timeouts (each armed at
+/// `now + timeout_cycles` with one budget, so arming order is firing
+/// order). Every other event goes through the calendar. Each class lives
+/// in one source (a closed loop's arrivals go to the calendar, and then
+/// `arrival` stays empty), so no two sources tie.
 struct Fleet<'a, S> {
+    /// Completions, fleet faults, retries and closed-loop arrivals.
     events: EventQueue<EventKind>,
+    /// The open loop's next arrival.
+    arrival: Option<Request>,
+    /// Armed timeouts `(at, id, attempt)`, earliest first.
+    timers: VecDeque<(u64, u64, u32)>,
     config: &'a ServeConfig,
     workloads: &'a [Workload],
     profiles: &'a [WorkloadProfile],
@@ -231,6 +264,60 @@ struct Fleet<'a, S> {
 }
 
 impl<S> Fleet<'_, S> {
+    /// Puts `event` on the calendar at cycle `at`, handling cycle `now`.
+    /// Nothing is scheduled in the past, so the calendar's clamp never
+    /// moves an event of the fleet.
+    fn schedule(&mut self, now: u64, at: u64, event: EventKind) {
+        debug_assert!(at >= now, "event scheduled at {at}, before cycle {now}");
+        self.events.schedule(at, event);
+    }
+
+    /// Arms request `id`'s wait budget for `attempt`, if timeouts are on.
+    fn arm_timeout(&mut self, now: u64, id: u64, attempt: u32) {
+        if let Some(t) = self.config.faults.timeout_cycles {
+            let at = now.saturating_add(t);
+            debug_assert!(
+                self.timers.back().is_none_or(|&(last, ..)| last <= at),
+                "timers must be armed in firing order"
+            );
+            self.timers.push_back((at, id, attempt));
+        }
+    }
+
+    /// Events waiting in all three sources.
+    fn pending(&self) -> usize {
+        self.events.len() + usize::from(self.arrival.is_some()) + self.timers.len()
+    }
+
+    /// Takes the earliest event of the three sources by `(cycle, class)`.
+    fn next_event(&mut self) -> Option<(u64, EventKind)> {
+        let mut next = self.events.peek();
+        let mut source = Source::Calendar;
+        if let Some(r) = &self.arrival {
+            let key = (r.arrival, ARRIVAL_CLASS);
+            if next.is_none_or(|n| key < n) {
+                (next, source) = (Some(key), Source::Arrival);
+            }
+        }
+        if let Some(&(at, ..)) = self.timers.front() {
+            let key = (at, TIMEOUT_CLASS);
+            if next.is_none_or(|n| key < n) {
+                source = Source::Timer;
+            }
+        }
+        match source {
+            Source::Calendar => self.events.pop().map(|s| (s.at, s.event)),
+            Source::Arrival => self
+                .arrival
+                .take()
+                .map(|r| (r.arrival, EventKind::Arrival(r))),
+            Source::Timer => self
+                .timers
+                .pop_front()
+                .map(|(at, id, attempt)| (at, EventKind::Timeout { id, attempt })),
+        }
+    }
+
     /// Retry attempts request `id` has consumed so far.
     fn retries(&self, id: u64) -> u32 {
         self.retry_counts.get(&id).copied().unwrap_or(0)
@@ -322,7 +409,7 @@ impl<S> Fleet<'_, S> {
             // A slowed shard serves at factor_percent of nominal speed.
             let service =
                 service.saturating_mul(u64::from(self.instances[free_idx].slow_percent)) / 100;
-            let completion = now + service;
+            let completion = now.saturating_add(service);
             if degraded.is_some() {
                 self.tally.brownout_requests += batch.len() as u64;
                 usystolic_obs::with(|o| {
@@ -351,6 +438,9 @@ impl<S> Fleet<'_, S> {
                 o.metrics.series_record("serve.queue_depth", now, depth);
                 o.metrics
                     .series_record("serve.dispatches", now, batch.len() as f64);
+                if !o.tracer.enabled() {
+                    return;
+                }
                 // Correlate the batch span with the shard executing it and
                 // the requests it carries, so one request's admission →
                 // batch path reconstructs in Perfetto.
@@ -389,13 +479,15 @@ impl<S> Fleet<'_, S> {
             slot.dispatch = now;
             slot.degraded = degraded.is_some();
             slot.batches += 1;
+            let epoch = slot.epoch;
             self.idle.remove(free_idx);
             self.busy += 1;
-            self.events.schedule(
+            self.schedule(
+                now,
                 completion,
                 EventKind::Completion {
                     instance: free_idx + 1,
-                    epoch: slot.epoch,
+                    epoch,
                 },
             );
         }
@@ -403,19 +495,20 @@ impl<S> Fleet<'_, S> {
 }
 
 impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
-    /// Pops and handles events until the calendar drains; returns the
+    /// Takes and handles events until every source drains; returns the
     /// cycle of the last event (0 when none fired). Each event takes one
     /// obs lookup for the loop's own metrics; every scheduled event is
     /// dispatched, so `des.events.scheduled` is written once at the end.
+    /// The `des.*` metrics count events of all three sources alike.
     fn run(&mut self) -> u64 {
         let fidelity = [("fidelity", self.config.fidelity.label())];
         let mut last = 0;
         let mut dispatched = 0;
-        while let Some(Scheduled { at, event }) = self.events.pop() {
+        while let Some((at, event)) = self.next_event() {
             last = at;
             dispatched += 1;
             self.handle(at, event);
-            let depth = self.events.len() as f64;
+            let depth = self.pending() as f64;
             usystolic_obs::with(|o| {
                 o.metrics.count("des.events.dispatched", 1);
                 o.metrics.count_labeled("des.dispatch", &fidelity, 1);
@@ -434,11 +527,9 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
         match event {
             EventKind::Arrival(request) => {
                 self.offered += 1;
-                // An open loop keeps one arrival on the calendar: this
-                // one draws the next (closed loops draw none here).
-                if let Some(next) = self.load.next_arrival(self.config.duration_cycles) {
-                    self.events.schedule(next.arrival, EventKind::Arrival(next));
-                }
+                // An open loop holds one arrival ahead: this one draws the
+                // next (closed loops draw none here).
+                self.arrival = self.load.next_arrival(self.config.duration_cycles);
                 usystolic_obs::with(|o| {
                     o.metrics.series_record("serve.arrivals", now, 1.0);
                 });
@@ -456,15 +547,7 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                 };
                 match decision {
                     Admission::Admitted => {
-                        if let Some(t) = self.config.faults.timeout_cycles {
-                            self.events.schedule(
-                                now.saturating_add(t),
-                                EventKind::Timeout {
-                                    id: request.id,
-                                    attempt: 0,
-                                },
-                            );
-                        }
+                        self.arm_timeout(now, request.id, 0);
                         let admission = &self.admission;
                         usystolic_obs::with(|o| {
                             let depth = admission.depth() as f64;
@@ -490,6 +573,9 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                                 1,
                             );
                             o.metrics.series_record("serve.rejections", now, 1.0);
+                            if !o.tracer.enabled() {
+                                return;
+                            }
                             o.request_id = Some(request.id);
                             let args = o.correlated_args(vec![(
                                 "class".to_owned(),
@@ -564,7 +650,7 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                                 self.load
                                     .after_completion(client, now, self.config.duration_cycles)
                             {
-                                self.events.schedule(next.arrival, EventKind::Arrival(next));
+                                self.schedule(now, next.arrival, EventKind::Arrival(next));
                             }
                         }
                     }
@@ -601,8 +687,11 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                                 self.retry_counts.insert(request.id, attempt + 1);
                                 self.tally.retries += 1;
                                 let delay = self.config.faults.backoff_cycles(request.id, attempt);
-                                self.events
-                                    .schedule(now.saturating_add(delay), EventKind::Retry(request));
+                                self.schedule(
+                                    now,
+                                    now.saturating_add(delay),
+                                    EventKind::Retry(request),
+                                );
                                 usystolic_obs::with(|o| o.metrics.count("serve.retries", 1));
                             } else {
                                 self.tally.failed += 1;
@@ -665,16 +754,7 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                 // restarts from this resubmission.
                 self.tally.failovers += 1;
                 self.admission.requeue(request);
-                if let Some(t) = self.config.faults.timeout_cycles {
-                    let attempt = self.retries(request.id);
-                    self.events.schedule(
-                        now.saturating_add(t),
-                        EventKind::Timeout {
-                            id: request.id,
-                            attempt,
-                        },
-                    );
-                }
+                self.arm_timeout(now, request.id, self.retries(request.id));
                 usystolic_obs::with(|o| o.metrics.count("serve.failovers", 1));
             }
         }
@@ -757,20 +837,18 @@ pub fn serve_with(
         LoadGen::new(lc)
     };
     let mut events: EventQueue<EventKind> = EventQueue::new();
-    // Closed loops seed one request per client. An open loop schedules
-    // only its first arrival; each arrival then schedules the next.
-    // Open-loop arrival cycles strictly increase and `Arrival` is the
-    // last same-cycle class, so this pops in the order the whole stream
-    // scheduled up front would.
-    let seeds = if load.is_closed_loop() {
-        load.initial_arrivals(config.duration_cycles)
+    // Closed loops seed one request per client on the calendar. An open
+    // loop holds only its first arrival; each arrival then draws the
+    // next. Open-loop arrival cycles strictly increase and `Arrival` is
+    // the last same-cycle class, so this fires in the order the whole
+    // stream scheduled up front would.
+    let mut arrival = None;
+    if load.is_closed_loop() {
+        for r in load.initial_arrivals(config.duration_cycles) {
+            events.schedule(r.arrival, EventKind::Arrival(r));
+        }
     } else {
-        load.next_arrival(config.duration_cycles)
-            .into_iter()
-            .collect()
-    };
-    for r in seeds {
-        events.schedule(r.arrival, EventKind::Arrival(r));
+        arrival = load.next_arrival(config.duration_cycles);
     }
     for f in &config.faults.failures {
         events.schedule(
@@ -804,7 +882,7 @@ pub fn serve_with(
         ] {
             o.metrics.register_series(name, &[], width, 128);
         }
-        if !events.is_empty() {
+        if !events.is_empty() || arrival.is_some() {
             o.metrics
                 .register_series("des.queue_depth", &FLEET, width, 128);
         }
@@ -812,6 +890,8 @@ pub fn serve_with(
 
     let mut fleet = Fleet {
         events,
+        arrival,
+        timers: VecDeque::new(),
         config,
         workloads,
         profiles: &profiles,

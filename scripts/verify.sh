@@ -213,11 +213,15 @@ echo "==> serve_cli flat-RSS smoke test (streaming fleet)"
 # Four times the requests must not grow the peak RSS by more than 16 MB:
 # the fleet keeps one arrival ahead and folds each request as it leaves.
 # Each run gets its own python3 parent, so RUSAGE_CHILDREN sees only it.
+# No run here asks for --trace, so none may fill (and warn about) a trace
+# ring: without --trace the session records no span.
 rss_kb() {
     python3 -c '
 import resource, subprocess, sys
-subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL,
-               stderr=subprocess.DEVNULL, check=True)
+run = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL,
+                     stderr=subprocess.PIPE, text=True, check=True)
+if "trace ring full" in run.stderr:
+    sys.exit("FAIL: " + " ".join(sys.argv[1:]) + " filled a trace ring without --trace")
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
  ' "$@"
 }

@@ -25,7 +25,10 @@ use usystolic::des::Fidelity;
 use usystolic::hw::evaluate_layer;
 use usystolic::hw::summary::NetworkEvaluation;
 use usystolic::obs::{JsonValue, ToJson};
-use usystolic::serve::{serve, ServeConfig, Workload};
+use usystolic::serve::{
+    serve, ArrivalProcess, LayerProfile, RetryPolicy, ServeConfig, ShardFailure, ShardSlowdown,
+    Workload, WorkloadProfile,
+};
 use usystolic_bench::cli::{self, ServeArgs, SimArgs};
 
 fn golden(name: &str) -> String {
@@ -96,14 +99,92 @@ fn fleet96_config(workers: usize) -> (ServeConfig, Vec<Workload>) {
     (args.config, args.workloads)
 }
 
+/// Batch-1 service cycles of the single class of `workloads`, asserted
+/// the same at every concurrency up to `config.instances` (no shared-DRAM
+/// stretch), so a `--max-batch 1` fleet completes a fixed time after
+/// each dispatch.
+fn batch1_service_cycles(config: &ServeConfig, workloads: &[Workload]) -> u64 {
+    let layers: Vec<LayerProfile> = workloads[0]
+        .layers
+        .iter()
+        .map(|g| LayerProfile::compute(g, &config.array, &config.memory))
+        .collect();
+    let profile = WorkloadProfile::from_layers(&workloads[0].name, &layers, &config.memory);
+    let service = profile.service_cycles(1, 1);
+    assert!(
+        (1..=config.instances).all(|c| profile.service_cycles(1, c) == service),
+        "batch-1 service must not depend on concurrency"
+    );
+    service
+}
+
+/// `serve_cli --matmul 64,64,64 --instances 3 --queue-depth 6 --max-batch 1
+/// --workers W --json` on a grid of `S / 4` cycles, `S` being the batch-1
+/// service time: uniform arrivals every `S / 4` (an open loop no CLI flag
+/// makes), a 6-step timeout, a crash of instance 2 at step 41 (mid-batch)
+/// whose request retries after 2 steps, and instance 3 at half speed from
+/// step 80. Every event lands on a step, so completions, the crash,
+/// timeouts, retries and arrivals share cycles and the same-cycle class
+/// order decides the outcome: a timeout that frees a queue slot before a
+/// same-cycle arrival turns a rejection into an admission.
+fn ties_open_config(workers: usize) -> (ServeConfig, Vec<Workload>) {
+    let args = ServeArgs::parse(argv(&format!(
+        "--matmul 64,64,64 --instances 3 --queue-depth 6 --max-batch 1 \
+         --workers {workers} --json"
+    )))
+    .expect("valid argv");
+    let (mut config, workloads) = (args.config, args.workloads);
+    let service = batch1_service_cycles(&config, &workloads);
+    assert_eq!(service % 4, 0, "the grid step must divide the service time");
+    let step = service / 4;
+    config.load.process = ArrivalProcess::OpenUniform {
+        interval_cycles: step,
+    };
+    config.duration_cycles = 200 * step;
+    config.faults.timeout_cycles = Some(6 * step);
+    config.faults.failures = vec![ShardFailure {
+        at: 41 * step,
+        instance: 2,
+    }];
+    config.faults.slowdowns = vec![ShardSlowdown {
+        at: 80 * step,
+        instance: 3,
+        factor_percent: 200,
+    }];
+    config.faults.retry = RetryPolicy {
+        max_retries: 2,
+        backoff_base_cycles: 2 * step,
+        jitter_permille: 0,
+    };
+    (config, workloads)
+}
+
+/// [`ties_open_config`]'s fleet and fault plan under a closed loop of 8
+/// clients with no think time: each completion issues its client's next
+/// request on the same cycle, and the 2 × `S` timeout of a request
+/// admitted on a completion lands on that instance's completion two
+/// batches later.
+fn ties_closed_config(workers: usize) -> (ServeConfig, Vec<Workload>) {
+    let (mut config, workloads) = ties_open_config(workers);
+    let service = batch1_service_cycles(&config, &workloads);
+    config.load.process = ArrivalProcess::ClosedLoop {
+        clients: 8,
+        think_cycles: 0,
+    };
+    config.faults.timeout_cycles = Some(2 * service);
+    (config, workloads)
+}
+
 /// Builds a serve capture's config and workloads at a worker count.
 type Build = fn(usize) -> (ServeConfig, Vec<Workload>);
 
 /// Every serve capture under `tests/golden/` and the argv that makes it.
-const SERVE_GOLDENS: [(&str, Build); 3] = [
+const SERVE_GOLDENS: [(&str, Build); 5] = [
     ("serve_seed7_overload.json", overload_config),
     ("serve_faults_shardkill.json", shardkill_config),
     ("serve_fleet96_shardkill.json", fleet96_config),
+    ("serve_ties_open.json", ties_open_config),
+    ("serve_ties_closed.json", ties_closed_config),
 ];
 
 /// Runs the engine under a fresh obs session and rebuilds `serve_cli`'s
@@ -197,6 +278,16 @@ fn serve_shardkill_golden_is_bit_identical_at_every_worker_count() {
 #[test]
 fn serve_fleet96_golden_is_bit_identical_at_every_worker_count() {
     assert_serve_golden("serve_fleet96_shardkill.json", fleet96_config);
+}
+
+#[test]
+fn serve_open_loop_ties_golden_is_bit_identical_at_every_worker_count() {
+    assert_serve_golden("serve_ties_open.json", ties_open_config);
+}
+
+#[test]
+fn serve_closed_loop_ties_golden_is_bit_identical_at_every_worker_count() {
+    assert_serve_golden("serve_ties_closed.json", ties_closed_config);
 }
 
 /// Writes every serve capture, rendered exactly as the comparisons above
