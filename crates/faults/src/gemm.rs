@@ -2,8 +2,8 @@
 //!
 //! Both kernels evaluate `C[m][n] = A[m][k] · B[k][n]` as `m·k·n` unary
 //! MAC windows with the same RNG wiring as the fault-free
-//! `usystolic_core` kernels (IFM comparator on Sobol dimension 1 or a
-//! counter, weight C-BSG on Sobol dimension 0), then inject the
+//! `usystolic_core` kernels (the IFM comparator on core's own
+//! [`IfmSource`], weight C-BSG on Sobol dimension 0), then inject the
 //! [`DeviceFaults`] model:
 //!
 //! * **transient flips** — the per-window XOR mask of [`crate::mask`] is
@@ -26,12 +26,13 @@
 
 use crate::config::{DeviceFaults, FaultError};
 use crate::mask::{window_mask, WindowMask};
+use usystolic_core::IfmSource;
 use usystolic_obs::{JsonValue, ToJson};
 use usystolic_sim::{Variable, WordCorruption};
 use usystolic_unary::bsg::ConditionalBsg;
 use usystolic_unary::coding::Coding;
-use usystolic_unary::packed::{counter_prefix_count, sequence, sobol_prefix_count};
-use usystolic_unary::rng::{CounterSource, NumberSource, SobolSource};
+use usystolic_unary::packed::{sequence, sobol_prefix_count};
+use usystolic_unary::rng::SobolSource;
 use usystolic_unary::{stream_len, SignMagnitude, MAX_BITWIDTH};
 
 /// Which kernel implementation evaluates the faulted MAC windows.
@@ -305,13 +306,12 @@ pub fn faulty_unary_gemm(
 }
 
 /// The fault-free wiring of `usystolic_core`'s windows: the IFM enable
-/// comparator on Sobol dimension 1 (rate) or a counter (temporal), and
-/// the weight C-BSG on Sobol dimension 0. Sources reset per window, so
-/// one drained sequence of each serves every window.
+/// comparator on core's [`IfmSource`] for the coding, and the weight
+/// C-BSG on Sobol dimension 0. Sources reset per window, so one drained
+/// sequence of each serves every window.
 struct Wiring {
-    coding: Coding,
-    /// The rate-coded IFM source (its direction numbers give `rank`).
-    ifm_rng: SobolSource,
+    /// The IFM source (its closed-form enable count gives `rank`).
+    ifm: IfmSource,
     /// The weight RNG.
     w_rng: SobolSource,
     /// The IFM source's window sequence.
@@ -323,16 +323,12 @@ struct Wiring {
 impl Wiring {
     fn new(coding: Coding, bitwidth: u32) -> Self {
         let len = stream_len(bitwidth);
-        let ifm_rng = SobolSource::dimension(1, bitwidth - 1);
+        let ifm = IfmSource::for_coding(coding, bitwidth);
         let w_rng = SobolSource::dimension(0, bitwidth - 1);
-        let ifm_seq = match coding {
-            Coding::Rate => sequence(&mut ifm_rng.clone(), len),
-            Coding::Temporal => sequence(&mut CounterSource::new(bitwidth - 1), len),
-        };
+        let ifm_seq = sequence(&mut ifm.clone(), len);
         let w_seq = sequence(&mut w_rng.clone(), len);
         Self {
-            coding,
-            ifm_rng,
+            ifm,
             w_rng,
             ifm_seq,
             w_seq,
@@ -342,11 +338,7 @@ impl Wiring {
     /// Enabled cycles among the first `cycles` of a window on an IFM of
     /// magnitude `magnitude`: a prefix count of the IFM source.
     fn rank(&self, cycles: u64, magnitude: u64) -> u64 {
-        match self.coding {
-            Coding::Rate => sobol_prefix_count(self.ifm_rng.directions(), cycles, magnitude),
-            // The counter is as wide as the rate-coded source.
-            Coding::Temporal => counter_prefix_count(self.ifm_rng.width(), cycles, magnitude),
-        }
+        self.ifm.prefix(cycles).enable_count(magnitude)
     }
 
     /// Bit-serial evaluation of one faulted MAC window.

@@ -162,11 +162,20 @@ impl QuantileHistogram {
 
     /// Records one sample.
     pub fn observe(&mut self, v: u64) {
-        self.count += 1;
-        self.sum += u128::from(v);
+        self.observe_n(v, 1);
+    }
+
+    /// Records `n` samples of `v` at once: the same histogram as `n`
+    /// calls of [`Self::observe`], for one probe of the index.
+    pub fn observe_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.count += n;
+        self.sum += u128::from(v) * u128::from(n);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        self.insert(v, 1);
+        self.insert(v, n);
     }
 
     /// Folds another histogram into this one. Below the cap the result
@@ -885,6 +894,40 @@ mod tests {
         let second = scattered(200_000, (1 << 23) + (1 << 20), 20);
         assert_eq!(observe_both(&mut h, &mut m, &second), 1, "a second pass");
         assert_matches_model(&h, &m, "two passes");
+    }
+
+    /// `observe_n(v, n)` is `n` single observes: keys weighted one to
+    /// three, below the cap and across two passes of it, match the model
+    /// fed one sample at a time, and a zero weight records nothing (not
+    /// even a new minimum or maximum).
+    #[test]
+    fn weighted_observes_match_single_observes_in_the_btreemap_model() {
+        let (mut h, mut m) = (QuantileHistogram::new(), Model::new());
+        let weigh = |h: &mut QuantileHistogram, m: &mut Model, values: &[u64]| {
+            let mut passes = 0;
+            for (i, &v) in values.iter().enumerate() {
+                let (sig, n) = (h.sig, 1 + i as u64 % 3);
+                h.observe_n(v, n);
+                for _ in 0..n {
+                    m.observe(v);
+                }
+                passes += usize::from(h.sig < sig);
+            }
+            passes
+        };
+        h.observe_n(u64::MAX, 0);
+        assert_eq!(h, QuantileHistogram::new(), "zero weight");
+        assert_eq!(weigh(&mut h, &mut m, &samples(41, 20_000, 1 << 30)), 0);
+        assert_matches_model(&h, &m, "weighted, exact");
+        let (mut h, mut m) = (QuantileHistogram::new(), Model::new());
+        let first = scattered(CAP + CAP / 8, 1 << 23, 19);
+        assert_eq!(weigh(&mut h, &mut m, &first), 1, "one pass");
+        assert_matches_model(&h, &m, "weighted, one pass");
+        let second = scattered(200_000, (1 << 23) + (1 << 20), 20);
+        assert_eq!(weigh(&mut h, &mut m, &second), 1, "a second pass");
+        h.observe_n(0, 0);
+        h.observe_n(u64::MAX, 0);
+        assert_matches_model(&h, &m, "weighted, two passes");
     }
 
     /// Merges in both argument orders of an exact histogram and a

@@ -32,15 +32,22 @@
 //!    phase (same bits, less work per dispatch). Shared-DRAM contention
 //!    scales with the number of busy instances at dispatch.
 //!
-//! The caller's `usystolic_obs` session (if installed) receives queue
-//! depth gauges, admission/rejection/deadline counters, batch-size and
-//! per-class latency histograms, the ledger's latency and queue-wait
-//! histograms (merged once, after the report is built), and, when the
-//! session's tracer is on, one Chrome-trace span per dispatched batch on
-//! the simulated-cycle lane (`tid` = instance). The event loop itself
-//! adds `des.events.{scheduled,dispatched}`, `des.dispatch{fidelity}` and
-//! the `des.queue_depth{component="fleet"}` gauge and series, counting
-//! the events of all three sources.
+//! The caller's `usystolic_obs` session (if installed) receives each
+//! metric from one site, where its value is final. The ledger's `settle`
+//! counts every request that leaves the system by outcome (and by
+//! rejection reason) and samples its per-class latency; each dispatch
+//! records its batch size, the queue depth and, when the session's tracer
+//! is on, one Chrome-trace span on the simulated-cycle lane (`tid` =
+//! instance); arrivals, rejections and queue depth also feed windowed
+//! series. The run totals (offered, admitted, batches, retries,
+//! failovers, brown-out requests, injected fleet faults and the
+//! `des.events.{scheduled,dispatched}` and `des.dispatch{fidelity}`
+//! event counts) and the ledger's latency and queue-wait histograms are
+//! written once, after the report is built. The event loop itself records
+//! only the `des.queue_depth{component="fleet"}` series, counting the
+//! events of all three sources. The layer profiles record nothing, so a
+//! snapshot is the same at any worker count and either fidelity (apart
+//! from the `des.dispatch` label).
 
 use crate::admission::{Admission, AdmissionController};
 use crate::loadgen::LoadGen;
@@ -140,47 +147,86 @@ struct Instance {
 
 /// Statistics folded from every request as it leaves the system, plus
 /// the caller's sink that sees each request's record.
-struct Ledger<S> {
+struct Ledger<'a, S> {
     latency: QuantileHistogram,
     queue_wait: QuantileHistogram,
+    /// Observed once per completed batch, weighted by its size: every
+    /// request of a batch shares its service time.
     service: QuantileHistogram,
     completed: u64,
+    timed_out: u64,
+    failed: u64,
     deadline_missed: u64,
     per_class_completed: Vec<u64>,
+    /// The classes, for the `{class}` labels.
+    workloads: &'a [Workload],
     sink: S,
 }
 
-impl<S: FnMut(&RequestRecord)> Ledger<S> {
-    /// Folds one terminal request into the statistics, then hands its
-    /// record to the sink.
-    fn settle(&mut self, record: RequestRecord) {
+impl<S: FnMut(&RequestRecord)> Ledger<'_, S> {
+    /// Folds one terminal request into the statistics and the session's
+    /// outcome metrics, then hands its record to the sink. `reason`
+    /// labels `serve.rejections` for a request that was not served
+    /// (`None` for a completion).
+    // Always inlined: called once per settled request, an outlined call
+    // cost perfbench's `fleet_steady` ~12% of its wall time.
+    #[inline(always)]
+    fn settle(&mut self, record: RequestRecord, reason: Option<&'static str>) {
+        let request = record.request;
         if record.deadline_missed() {
             self.deadline_missed += 1;
         }
-        if let (Some(lat), Some(wait), Some(svc)) = (
-            record.latency_cycles(),
-            record.queue_wait_cycles(),
-            record.service_cycles(),
-        ) {
-            self.latency.observe(lat);
-            self.queue_wait.observe(wait);
-            self.service.observe(svc);
-            self.completed += 1;
-            self.per_class_completed[record.request.class] += 1;
-        }
+        // The outcome counter, and whether `{class, priority}` splits it.
+        let (outcome, by_class) = match record.disposition {
+            Disposition::Completed => {
+                self.latency.observe(record.completion - request.arrival);
+                self.queue_wait.observe(record.dispatch - request.arrival);
+                self.completed += 1;
+                self.per_class_completed[request.class] += 1;
+                ("serve.completed", true)
+            }
+            Disposition::Rejected => ("serve.rejected", true),
+            Disposition::TimedOut => {
+                self.timed_out += 1;
+                ("serve.timeouts", false)
+            }
+            Disposition::Failed => {
+                self.failed += 1;
+                ("serve.failed", false)
+            }
+        };
+        let (workloads, latency) = (self.workloads, record.latency_cycles());
+        usystolic_obs::with(|o| {
+            let class = workloads[request.class].name.as_str();
+            o.metrics.count(outcome, 1);
+            if by_class {
+                let labels = [("class", class), ("priority", request.priority.label())];
+                o.metrics.count_labeled(outcome, &labels, 1);
+            }
+            // The unlabeled latency is the ledger's own histogram, merged
+            // once after the run.
+            if let Some(latency) = latency {
+                o.metrics
+                    .observe_labeled("serve.latency_cycles", &[("class", class)], latency);
+            }
+            if let Some(reason) = reason {
+                o.metrics
+                    .count_labeled("serve.rejections", &[("reason", reason)], 1);
+            }
+        });
         (self.sink)(&record);
     }
 }
 
-/// Terminal counters the fault paths accumulate during the event loop.
+/// Fault-path totals the event loop accumulates, written to the session
+/// once after the run.
 #[derive(Debug, Default)]
 struct FaultTally {
-    timed_out: u64,
-    failed: u64,
     retries: u64,
     failovers: u64,
     brownout_requests: u64,
     shard_crashes: u64,
+    shard_slowdowns: u64,
 }
 
 /// The alive, idle instances as a bitset: bit `i % 64` of word `i / 64`
@@ -215,7 +261,7 @@ impl IdleSet {
     }
 }
 
-/// Labels of the `des.queue_depth` gauge and series.
+/// Labels of the `des.queue_depth` series.
 const FLEET: [(&str, &str); 1] = [("component", "fleet")];
 
 /// Where the fleet's next event waits.
@@ -254,7 +300,7 @@ struct Fleet<'a, S> {
     /// The instances dispatch may fill.
     idle: IdleSet,
     busy: usize,
-    ledger: Ledger<S>,
+    ledger: Ledger<'a, S>,
     offered: u64,
     tally: FaultTally,
     /// Retry attempts consumed per request id, keyed deterministically.
@@ -342,12 +388,8 @@ impl<S> Fleet<'_, S> {
             // Re-derive every layer profile from the raw GEMMs at
             // dispatch time. The integer layer sums commute, so this is
             // bit-identical to the packed totals: the reference the
-            // hoisted totals are checked against. The re-derivation runs
-            // with the obs session shelved: the profile phase already
-            // counted this traffic once, and re-counting it per dispatch
-            // would make metric snapshots depend on the fidelity tier.
+            // hoisted totals are checked against.
             Fidelity::CycleAccurate => {
-                let shelved = usystolic_obs::take();
                 let totals = self.workloads[class].layers.iter().fold(
                     LayerProfile::default(),
                     |acc, gemm| {
@@ -358,9 +400,6 @@ impl<S> Fleet<'_, S> {
                         ))
                     },
                 );
-                if let Some(session) = shelved {
-                    usystolic_obs::install(session);
-                }
                 batched_service_cycles(
                     &totals,
                     self.profiles[class].dram_bytes_per_cycle,
@@ -412,10 +451,6 @@ impl<S> Fleet<'_, S> {
             let completion = now.saturating_add(service);
             if degraded.is_some() {
                 self.tally.brownout_requests += batch.len() as u64;
-                usystolic_obs::with(|o| {
-                    o.metrics
-                        .count("serve.brownout_requests", batch.len() as u64);
-                });
             }
             let profiles = self.profiles;
             let admission = &self.admission;
@@ -496,31 +531,24 @@ impl<S> Fleet<'_, S> {
 
 impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
     /// Takes and handles events until every source drains; returns the
-    /// cycle of the last event (0 when none fired). Each event takes one
-    /// obs lookup for the loop's own metrics; every scheduled event is
-    /// dispatched, so `des.events.scheduled` is written once at the end.
-    /// The `des.*` metrics count events of all three sources alike.
-    fn run(&mut self) -> u64 {
-        let fidelity = [("fidelity", self.config.fidelity.label())];
+    /// cycle of the last event (0 when none fired) and the number of
+    /// events handled. Each event records one sample of the
+    /// `des.queue_depth{component="fleet"}` series: the events still
+    /// waiting in all three sources.
+    fn run(&mut self) -> (u64, u64) {
         let mut last = 0;
-        let mut dispatched = 0;
+        let mut handled = 0;
         while let Some((at, event)) = self.next_event() {
             last = at;
-            dispatched += 1;
+            handled += 1;
             self.handle(at, event);
             let depth = self.pending() as f64;
             usystolic_obs::with(|o| {
-                o.metrics.count("des.events.dispatched", 1);
-                o.metrics.count_labeled("des.dispatch", &fidelity, 1);
-                o.metrics.gauge_labeled("des.queue_depth", &FLEET, depth);
                 o.metrics
                     .series_record_labeled("des.queue_depth", &FLEET, at, depth);
             });
         }
-        if dispatched > 0 {
-            usystolic_obs::with(|o| o.metrics.count("des.events.scheduled", dispatched));
-        }
-        last
+        (last, handled)
     }
 
     fn handle(&mut self, now: u64, event: EventKind) {
@@ -530,9 +558,6 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                 // An open loop holds one arrival ahead: this one draws the
                 // next (closed loops draw none here).
                 self.arrival = self.load.next_arrival(self.config.duration_cycles);
-                usystolic_obs::with(|o| {
-                    o.metrics.series_record("serve.arrivals", now, 1.0);
-                });
                 // Brown-out takes the overflow path *before* `offer`
                 // would count a rejection: quality degrades instead.
                 let decision = if self.admission.depth() < self.admission.capacity()
@@ -545,58 +570,40 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                 } else {
                     self.admission.offer(request)
                 };
+                let (admission, workloads) = (&self.admission, self.workloads);
+                usystolic_obs::with(|o| {
+                    o.metrics.series_record("serve.arrivals", now, 1.0);
+                    if decision == Admission::Admitted {
+                        let depth = admission.depth() as f64;
+                        o.metrics.gauge("serve.queue_depth", depth);
+                        o.metrics.series_record("serve.queue_depth", now, depth);
+                        return;
+                    }
+                    o.metrics.series_record("serve.rejections", now, 1.0);
+                    if !o.tracer.enabled() {
+                        return;
+                    }
+                    o.request_id = Some(request.id);
+                    let args = o.correlated_args(vec![(
+                        "class".to_owned(),
+                        workloads[request.class].name.to_json(),
+                    )]);
+                    o.tracer.instant(
+                        "rejected",
+                        "serve",
+                        usystolic_obs::PID_SIM,
+                        0,
+                        now as f64,
+                        args,
+                    );
+                    o.request_id = None;
+                });
                 match decision {
-                    Admission::Admitted => {
-                        self.arm_timeout(now, request.id, 0);
-                        let admission = &self.admission;
-                        usystolic_obs::with(|o| {
-                            let depth = admission.depth() as f64;
-                            o.metrics.gauge("serve.queue_depth", depth);
-                            o.metrics.series_record("serve.queue_depth", now, depth);
-                        });
-                    }
-                    Admission::Rejected => {
-                        let workloads = self.workloads;
-                        usystolic_obs::with(|o| {
-                            o.metrics.count("serve.rejected", 1);
-                            o.metrics.count_labeled(
-                                "serve.rejected",
-                                &[
-                                    ("class", workloads[request.class].name.as_str()),
-                                    ("priority", request.priority.label()),
-                                ],
-                                1,
-                            );
-                            o.metrics.count_labeled(
-                                "serve.rejections",
-                                &[("reason", "capacity")],
-                                1,
-                            );
-                            o.metrics.series_record("serve.rejections", now, 1.0);
-                            if !o.tracer.enabled() {
-                                return;
-                            }
-                            o.request_id = Some(request.id);
-                            let args = o.correlated_args(vec![(
-                                "class".to_owned(),
-                                workloads[request.class].name.to_json(),
-                            )]);
-                            o.tracer.instant(
-                                "rejected",
-                                "serve",
-                                usystolic_obs::PID_SIM,
-                                0,
-                                now as f64,
-                                args,
-                            );
-                            o.request_id = None;
-                        });
-                        self.ledger.settle(RequestRecord::dropped(
-                            request,
-                            Disposition::Rejected,
-                            0,
-                        ));
-                    }
+                    Admission::Admitted => self.arm_timeout(now, request.id, 0),
+                    Admission::Rejected => self.ledger.settle(
+                        RequestRecord::dropped(request, Disposition::Rejected, 0),
+                        Some("capacity"),
+                    ),
                 }
             }
             EventKind::Completion { instance, epoch } => {
@@ -615,36 +622,22 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                     let size = batch.len();
                     let (dispatch, degraded) = (slot.dispatch, slot.degraded);
                     self.idle.insert(instance - 1);
+                    self.ledger.service.observe_n(now - dispatch, size as u64);
                     for request in batch.drain(..) {
                         let retries = self.take_retries(request.id);
-                        self.ledger.settle(RequestRecord {
-                            request,
-                            disposition: Disposition::Completed,
-                            dispatch,
-                            completion: now,
-                            instance,
-                            batch_size: size,
-                            retries,
-                            degraded,
-                        });
-                        let workloads = self.workloads;
-                        usystolic_obs::with(|o| {
-                            let class = workloads[request.class].name.as_str();
-                            let latency = now - request.arrival;
-                            o.metrics.count("serve.completed", 1);
-                            o.metrics.count_labeled(
-                                "serve.completed",
-                                &[("class", class), ("priority", request.priority.label())],
-                                1,
-                            );
-                            // The unlabeled totals are the ledger's own
-                            // histograms, merged once after the run.
-                            o.metrics.observe_labeled(
-                                "serve.latency_cycles",
-                                &[("class", class)],
-                                latency,
-                            );
-                        });
+                        self.ledger.settle(
+                            RequestRecord {
+                                request,
+                                disposition: Disposition::Completed,
+                                dispatch,
+                                completion: now,
+                                instance,
+                                batch_size: size,
+                                retries,
+                                degraded,
+                            },
+                            None,
+                        );
                         if let Some(client) = request.client {
                             if let Some(next) =
                                 self.load
@@ -665,8 +658,6 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                     self.idle.remove(instance - 1);
                     self.tally.shard_crashes += 1;
                     usystolic_obs::with(|o| {
-                        o.metrics
-                            .count_labeled("faults.injected", &[("kind", "shard_fail")], 1);
                         o.tracer.instant(
                             "shard_fail",
                             "faults",
@@ -692,22 +683,11 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                                     now.saturating_add(delay),
                                     EventKind::Retry(request),
                                 );
-                                usystolic_obs::with(|o| o.metrics.count("serve.retries", 1));
                             } else {
-                                self.tally.failed += 1;
-                                self.ledger.settle(RequestRecord::dropped(
-                                    request,
-                                    Disposition::Failed,
-                                    attempt,
-                                ));
-                                usystolic_obs::with(|o| {
-                                    o.metrics.count("serve.failed", 1);
-                                    o.metrics.count_labeled(
-                                        "serve.rejections",
-                                        &[("reason", "shard_down")],
-                                        1,
-                                    );
-                                });
+                                self.ledger.settle(
+                                    RequestRecord::dropped(request, Disposition::Failed, attempt),
+                                    Some("shard_down"),
+                                );
                             }
                         }
                     }
@@ -720,10 +700,7 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                 let slot = &mut self.instances[instance - 1];
                 if slot.alive {
                     slot.slow_percent = factor_percent;
-                    usystolic_obs::with(|o| {
-                        o.metrics
-                            .count_labeled("faults.injected", &[("kind", "shard_slow")], 1);
-                    });
+                    self.tally.shard_slowdowns += 1;
                 }
             }
             // A timer armed for an earlier attempt is stale: a crash has
@@ -733,17 +710,12 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                 // Only bites while the request still waits in the queue;
                 // dispatched or completed requests ignore stale timers.
                 if let Some(request) = self.admission.remove_by_id(id) {
-                    self.tally.timed_out += 1;
                     let retries = self.take_retries(id);
-                    self.ledger.settle(RequestRecord::dropped(
-                        request,
-                        Disposition::TimedOut,
-                        retries,
-                    ));
+                    self.ledger.settle(
+                        RequestRecord::dropped(request, Disposition::TimedOut, retries),
+                        Some("timeout"),
+                    );
                     usystolic_obs::with(|o| {
-                        o.metrics.count("serve.timeouts", 1);
-                        o.metrics
-                            .count_labeled("serve.rejections", &[("reason", "timeout")], 1);
                         o.metrics.series_record("serve.rejections", now, 1.0);
                     });
                 }
@@ -755,23 +727,15 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                 self.tally.failovers += 1;
                 self.admission.requeue(request);
                 self.arm_timeout(now, request.id, self.retries(request.id));
-                usystolic_obs::with(|o| o.metrics.count("serve.failovers", 1));
             }
         }
         if self.config.faults.shed_expired {
             for request in self.admission.expire_before(now) {
-                self.tally.timed_out += 1;
                 let retries = self.take_retries(request.id);
-                self.ledger.settle(RequestRecord::dropped(
-                    request,
-                    Disposition::TimedOut,
-                    retries,
-                ));
-                usystolic_obs::with(|o| {
-                    o.metrics.count("serve.timeouts", 1);
-                    o.metrics
-                        .count_labeled("serve.rejections", &[("reason", "deadline")], 1);
-                });
+                self.ledger.settle(
+                    RequestRecord::dropped(request, Disposition::TimedOut, retries),
+                    Some("deadline"),
+                );
             }
         }
         self.dispatch_free_instances(now);
@@ -918,7 +882,10 @@ pub fn serve_with(
             service: QuantileHistogram::new(),
             completed: 0,
             deadline_missed: 0,
+            timed_out: 0,
+            failed: 0,
             per_class_completed: vec![0; workloads.len()],
+            workloads,
             sink,
         },
         offered: 0,
@@ -926,23 +893,16 @@ pub fn serve_with(
         retry_counts: BTreeMap::new(),
     };
 
-    let makespan = fleet.run();
+    let (makespan, events) = fleet.run();
 
     // With the whole fleet down, queued requests have no instance left
     // to serve them: record each as failed so the ledger still closes.
     for request in fleet.admission.drain_remaining() {
-        fleet.tally.failed += 1;
         let retries = fleet.take_retries(request.id);
-        fleet.ledger.settle(RequestRecord::dropped(
-            request,
-            Disposition::Failed,
-            retries,
-        ));
-        usystolic_obs::with(|o| {
-            o.metrics.count("serve.failed", 1);
-            o.metrics
-                .count_labeled("serve.rejections", &[("reason", "shard_down")], 1);
-        });
+        fleet.ledger.settle(
+            RequestRecord::dropped(request, Disposition::Failed, retries),
+            Some("shard_down"),
+        );
     }
 
     // Every request has left the system, taking its retry entry along.
@@ -965,8 +925,8 @@ pub fn serve_with(
         admitted: fleet.admission.admitted(),
         rejected: fleet.admission.rejected(),
         completed: stats.completed,
-        timed_out: fleet.tally.timed_out,
-        failed: fleet.tally.failed,
+        timed_out: stats.timed_out,
+        failed: stats.failed,
         retries: fleet.tally.retries,
         failovers: fleet.tally.failovers,
         brownout_requests: fleet.tally.brownout_requests,
@@ -1006,6 +966,32 @@ pub fn serve_with(
         o.metrics.count("serve.batches", report.batches);
         o.metrics
             .count("serve.deadline_missed", report.deadline_missed);
+        // Totals of what a run may never do write no key while zero.
+        let mut total = |name: &str, labels: &[(&str, &str)], v: u64| {
+            if v > 0 {
+                o.metrics.count_labeled(name, labels, v);
+            }
+        };
+        total("serve.retries", &[], report.retries);
+        total("serve.failovers", &[], report.failovers);
+        total("serve.brownout_requests", &[], report.brownout_requests);
+        total(
+            "faults.injected",
+            &[("kind", "shard_fail")],
+            report.shard_crashes,
+        );
+        total(
+            "faults.injected",
+            &[("kind", "shard_slow")],
+            fleet.tally.shard_slowdowns,
+        );
+        total("des.events.scheduled", &[], events);
+        total("des.events.dispatched", &[], events);
+        total(
+            "des.dispatch",
+            &[("fidelity", config.fidelity.label())],
+            events,
+        );
         o.metrics
             .gauge("serve.max_queue_depth", report.max_queue_depth as f64);
         o.metrics

@@ -78,7 +78,9 @@ impl Simulator {
         &self.memory
     }
 
-    /// Simulates one GEMM layer.
+    /// Simulates one GEMM layer. This is the one place the layer model
+    /// records telemetry: the `sim.*` traffic and timing counters, the
+    /// stall-overhead sample and the layer span.
     #[must_use]
     pub fn simulate(&self, gemm: &GemmConfig) -> LayerReport {
         let traffic = layer_traffic(gemm, &self.config, &self.memory);
@@ -102,6 +104,20 @@ impl Simulator {
             o.metrics
                 .count_labeled("sim.layers", &[("scheme", scheme_label)], 1);
             o.metrics.count("sim.macs", report.macs);
+            let (dram, sram) = (&report.traffic.dram, &report.traffic.sram);
+            o.metrics.count("sim.dram_bytes", dram.total());
+            o.metrics.count("sim.dram_ifm_bytes", dram.ifm);
+            o.metrics.count("sim.dram_weight_bytes", dram.weight);
+            o.metrics.count("sim.dram_ofm_bytes", dram.ofm);
+            o.metrics.count("sim.sram_bytes", sram.total());
+            let timing = &report.timing;
+            o.metrics.count("sim.ideal_cycles", timing.ideal_cycles);
+            o.metrics.count("sim.stall_cycles", timing.stall_cycles);
+            o.metrics.count("sim.runtime_cycles", timing.runtime_cycles);
+            o.metrics.observe(
+                "sim.layer_overhead_permille",
+                (timing.overhead() * 1.0e3).round() as u64,
+            );
             o.metrics.count_labeled(
                 "sim.runtime_cycles_by_scheme",
                 &[("scheme", scheme_label)],

@@ -58,7 +58,9 @@ pub fn layer_timing(
 /// Computes the layer timing from pre-computed traffic (avoids recomputing
 /// traffic when both are needed): the maximum of the ideal compute
 /// cycles, the DRAM service cycles and the busiest SRAM variable's
-/// service cycles.
+/// service cycles. Pure:
+/// [`Simulator::simulate`](crate::Simulator::simulate) records the
+/// `sim.*` timing counters.
 #[must_use]
 pub fn layer_timing_from_traffic(
     gemm: &GemmConfig,
@@ -77,21 +79,11 @@ pub fn layer_timing_from_traffic(
             .unwrap_or(0)
     });
     let runtime = ideal.max(dram_cycles).max(sram_cycles);
-    let timing = LayerTiming {
+    LayerTiming {
         ideal_cycles: ideal,
         stall_cycles: runtime - ideal,
         runtime_cycles: runtime,
-    };
-    usystolic_obs::with(|o| {
-        o.metrics.count("sim.ideal_cycles", timing.ideal_cycles);
-        o.metrics.count("sim.stall_cycles", timing.stall_cycles);
-        o.metrics.count("sim.runtime_cycles", timing.runtime_cycles);
-        o.metrics.observe(
-            "sim.layer_overhead_permille",
-            (timing.overhead() * 1.0e3).round() as u64,
-        );
-    });
-    timing
+    }
 }
 
 impl usystolic_obs::ToJson for LayerTiming {
@@ -279,6 +271,28 @@ mod tests {
                 assert_eq!(base.dram, streamed.dram);
             }
         }
+    }
+
+    /// The layer model is pure: only `Simulator::simulate` records, so
+    /// traffic and timing leave an installed session empty, with SRAM
+    /// and without.
+    #[test]
+    fn layer_model_leaves_an_installed_session_empty() {
+        usystolic_obs::install(usystolic_obs::Session::new());
+        let gemm = GemmConfig::conv(27, 27, 96, 5, 5, 1, 256).unwrap();
+        let cfg = SystolicConfig::edge(ComputingScheme::BinaryParallel, 8);
+        for memory in [
+            MemoryHierarchy::no_sram(),
+            MemoryHierarchy::edge_with_sram(),
+        ] {
+            let traffic = layer_traffic(&gemm, &cfg, &memory);
+            let timing = layer_timing_from_traffic(&gemm, &cfg, &memory, &traffic);
+            assert!(timing.runtime_cycles > 0);
+        }
+        let session = usystolic_obs::take().expect("session installed");
+        assert!(session.metrics.is_empty(), "{:?}", session.metrics);
+        assert!(session.tracer.is_empty());
+        assert_eq!(session.sim_cycles, 0);
     }
 
     #[test]

@@ -70,7 +70,8 @@ pub fn output_elem_bytes(config: &SystolicConfig) -> u64 {
 }
 
 /// Computes the layer's traffic under the given array and memory
-/// configuration.
+/// configuration. Pure: [`Simulator::simulate`](crate::Simulator::simulate)
+/// records the `sim.*` byte counters.
 #[must_use]
 pub fn layer_traffic(
     gemm: &GemmConfig,
@@ -80,7 +81,7 @@ pub fn layer_traffic(
     // Array-side (streamed) volumes: the weight-stationary case of the
     // dataflow model, which without SRAM is the whole DRAM picture.
     let no_sram = layer_traffic_with(gemm, config, Dataflow::WeightStationary);
-    let traffic = match memory.sram {
+    match memory.sram {
         Some(sram) => {
             let map = TileMapping::new(gemm, config.rows(), config.cols());
             let out_bytes = output_elem_bytes(config);
@@ -118,16 +119,7 @@ pub fn layer_traffic(
             }
         }
         None => no_sram,
-    };
-    usystolic_obs::with(|o| {
-        o.metrics.count("sim.dram_bytes", traffic.dram.total());
-        o.metrics.count("sim.dram_ifm_bytes", traffic.dram.ifm);
-        o.metrics
-            .count("sim.dram_weight_bytes", traffic.dram.weight);
-        o.metrics.count("sim.dram_ofm_bytes", traffic.dram.ofm);
-        o.metrics.count("sim.sram_bytes", traffic.sram.total());
-    });
-    traffic
+    }
 }
 
 impl usystolic_obs::ToJson for VariableTraffic {

@@ -311,6 +311,24 @@ grep -q '"conserved":true' "$fa" || {
 }
 rm -f "$fa" "$fb" "$fa.norm" "$fb.norm"
 
+echo "==> serve_cli metrics snapshot across worker counts (multi-layer class)"
+# A four-layer network gives the profile phase several tasks, so past one
+# worker it runs on pool threads: the --metrics snapshot must still be
+# the same file, byte for byte.
+ma=$(mktemp /tmp/usystolic_metrics.XXXXXX.json)
+mb=$(mktemp /tmp/usystolic_metrics.XXXXXX.json)
+snapshot_at() {
+    "$serve" --network mnist --instances 4 --arrival-rate 2000 --duration 0.05 \
+        --workers "$1" --metrics "$2" > /dev/null
+}
+snapshot_at 1 "$ma"
+snapshot_at 4 "$mb"
+cmp -s "$ma" "$mb" || {
+    echo "FAIL: serve_cli --metrics differs between --workers 1 and 4" >&2
+    exit 1
+}
+rm -f "$ma" "$mb"
+
 echo "==> fidelity-tier smoke test (serve_cli cycle vs packed)"
 fc=$(mktemp /tmp/usystolic_fid_cycle.XXXXXX.json)
 fp=$(mktemp /tmp/usystolic_fid_packed.XXXXXX.json)

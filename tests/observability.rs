@@ -8,6 +8,7 @@
 use usystolic::arch::{ComputingScheme, GemmExecutor, SystolicConfig};
 use usystolic::gemm::{FeatureMap, GemmConfig, WeightSet};
 use usystolic::hw::evaluate_layer;
+use usystolic::models::zoo;
 use usystolic::obs::{self, JsonValue, ToJson};
 use usystolic::sim::{MemoryHierarchy, MultiInstanceSystem, Simulator};
 
@@ -343,13 +344,15 @@ fn serve_labeled_metrics_reconcile_with_report() {
 /// The metrics registry — labeled counters, histograms, windowed series and
 /// all — renders bit-identically for every worker count: the host pool
 /// only parallelises pure phases, so telemetry is part of the
-/// determinism contract.
+/// determinism contract. The multi-layer class gives the profile phase
+/// more than one task, so past one worker it really runs on pool threads.
 #[test]
 fn serve_metrics_bit_identical_across_worker_counts() {
     let mut renders = Vec::new();
     for workers in [1usize, 2, 4, 8] {
         obs::install(obs::Session::new());
-        let (config, workloads) = overloaded_pool(workers);
+        let (config, mut workloads) = overloaded_pool(workers);
+        workloads.push(Workload::from_network(&zoo::mnist_cnn4()));
         serve(&config, &workloads).unwrap();
         let session = obs::take().expect("session installed");
         renders.push((workers, session.metrics.to_json().render()));
