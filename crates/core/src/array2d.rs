@@ -62,6 +62,7 @@ use crate::pe::IfmSource;
 use crate::scheme::ComputingScheme;
 use crate::CoreError;
 use std::ops::Range;
+use std::time::Instant;
 use usystolic_gemm::{GemmConfig, Matrix};
 use usystolic_unary::add::{BinaryAccumulator, ACC_WIDTHS};
 use usystolic_unary::coding::Coding;
@@ -167,48 +168,6 @@ pub fn cycle_accurate_gemm(
     cycle_accurate_gemm_with(config, gemm, input, weights, KernelMode::Auto, 1)
 }
 
-/// Records one unit of the sweep (a serial tile or a closed-form row fold)
-/// on the [`usystolic_obs::PID_WALL`] lane: its wall-clock span `name`
-/// with `args`, its time in whole nanoseconds in the histogram `metric`
-/// and its `tiles` in `core.tiles{kernel}`. A no-op when no session is
-/// installed, in particular on worker threads of the parallel sweep,
-/// which carry none.
-fn record_unit(
-    kernel: &'static str,
-    metric: &'static str,
-    name: impl FnOnce() -> String,
-    args: &[(&str, usize)],
-    tiles: usize,
-    t0: f64,
-) {
-    usystolic_obs::with(|o| {
-        use usystolic_obs::ToJson;
-        let t1 = o.tracer.now_us();
-        let ns = ((t1 - t0) * 1.0e3).round() as u64;
-        o.metrics.observe(metric, ns);
-        o.metrics.observe_labeled(metric, &[("kernel", kernel)], ns);
-        o.metrics
-            .count_labeled("core.tiles", &[("kernel", kernel)], tiles as u64);
-        // `correlated_args` stamps the active request/shard ids (set by
-        // the serve engine) onto the span, closing the admission → batch
-        // → layer → tile chain in the trace.
-        let args = o.correlated_args(
-            args.iter()
-                .map(|&(key, value)| (key.to_owned(), (value as u64).to_json()))
-                .collect(),
-        );
-        o.tracer.complete(
-            name(),
-            "core",
-            usystolic_obs::PID_WALL,
-            1,
-            t0,
-            t1 - t0,
-            args,
-        );
-    });
-}
-
 /// [`cycle_accurate_gemm`] with an explicit kernel mode and worker count.
 ///
 /// The sweep is embarrassingly parallel across row folds (they share no
@@ -228,8 +187,12 @@ fn record_unit(
 /// Telemetry follows the unit of work: a closed-form fold records one
 /// wall-clock span `cycle_gemm.closed_form tiles r{rf}` and its time in
 /// `core.fold_ns`; a stepped tile records `cycle_gemm.serial tile
-/// c{cf}r{rf}` and `core.tile_ns`. `core.tiles{kernel}` counts every tile
-/// either way.
+/// c{cf}r{rf}` and `core.tile_ns`. Only the calling thread records: when
+/// it holds a session, each task times its units and hands the timings
+/// back beside its block, and the caller records them in row-fold order,
+/// so the telemetry is the same at any worker count. Each span takes the
+/// lowest lane (`tid` 1, 2, …) free at its start: one worker keeps every
+/// span on lane 1, and spans that ran at the same time never share one.
 ///
 /// # Errors
 ///
@@ -278,22 +241,23 @@ pub fn cycle_accurate_gemm_with(
     let closed = (path == KernelPath::ClosedForm)
         .then(|| ClosedFormWindow::new(scheme, config.bitwidth(), config.mul_cycles()));
 
-    let mut sweep_t0 = 0.0;
-    usystolic_obs::with(|o| sweep_t0 = o.tracer.now_us());
+    // Pool workers carry no session. Untraced, a task reads no clock and
+    // returns an empty `Vec` of unit timings.
+    let mut origin = None;
+    usystolic_obs::with(|o| origin = Some((o.tracer.now_us(), Instant::now())));
+    let traced = origin.is_some();
 
     // One task per row fold, each returning its own `M × N` block of
-    // partial sums. The spans inside the closure are recorded only on the
-    // inline (single-worker) path: worker threads carry no thread-local
-    // observability session, so the calls no-op there and the sweep-level
-    // span below covers the parallel case.
+    // partial sums. A unit is `(row fold, column fold of a stepped tile,
+    // wall-clock time)`.
     let partials = usystolic_pool::run_indexed(workers, map.row_folds(), |rf| {
         let mut block = Matrix::<i64>::zeros(m, n);
         let mut fold_stats = CycleStats::default();
+        let mut units = Vec::new();
         let (k0, rows) = (rf * config.rows(), map.rows_in_fold(rf));
-        let mut t0 = 0.0;
         match &closed {
             Some(window) => {
-                usystolic_obs::with(|o| t0 = o.tracer.now_us());
+                let t0 = traced.then(Instant::now);
                 fold_stats.saturation_events = sweep_fold(
                     window,
                     config.acc_width(),
@@ -306,52 +270,33 @@ pub fn cycle_accurate_gemm_with(
                 for cf in 0..map.col_folds() {
                     fold_stats.absorb(tile_schedule(config, rows, map.cols_in_fold(cf), m));
                 }
-                record_unit(
-                    "cycle_gemm.closed_form",
-                    "core.fold_ns",
-                    || format!("cycle_gemm.closed_form tiles r{rf}"),
-                    &[("row_fold", rf), ("rows", rows), ("tiles", map.col_folds())],
-                    map.col_folds(),
-                    t0,
-                );
+                units.extend(t0.map(|t0| (rf, None, t0..Instant::now())));
             }
             None => {
                 for cf in 0..map.col_folds() {
-                    usystolic_obs::with(|o| t0 = o.tracer.now_us());
-                    let tile = TileMachine::new(config, input, weights, &map, rf, cf);
-                    let cols = tile.cols;
-                    tile.run(&mut block, &mut fold_stats);
-                    record_unit(
-                        "cycle_gemm.serial",
-                        "core.tile_ns",
-                        || format!("cycle_gemm.serial tile c{cf}r{rf}"),
-                        &[
-                            ("col_fold", cf),
-                            ("row_fold", rf),
-                            ("rows", rows),
-                            ("cols", cols),
-                        ],
-                        1,
-                        t0,
-                    );
+                    let t0 = traced.then(Instant::now);
+                    TileMachine::new(config, input, weights, &map, rf, cf)
+                        .run(&mut block, &mut fold_stats);
+                    units.extend(t0.map(|t0| (rf, Some(cf), t0..Instant::now())));
                 }
             }
         }
-        (block, fold_stats)
+        (block, fold_stats, units)
     })
     .map_err(|e| CoreError::Config(format!("tile sweep worker pool failed: {e}")))?;
 
     // Deterministic sequential fold in row-fold order: parallelism changes
     // wall-clock time, never one output bit.
     let mut partials = partials.into_iter();
-    let (mut out, mut stats) = partials
+    let (mut out, mut stats, mut units) = partials
         .next()
-        .unwrap_or_else(|| (Matrix::zeros(m, n), CycleStats::default()));
-    for (block, fold_stats) in partials {
+        .unwrap_or_else(|| (Matrix::zeros(m, n), CycleStats::default(), Vec::new()));
+    for (block, fold_stats, fold_units) in partials {
         for (total, partial) in out.as_mut_slice().iter_mut().zip(block.as_slice()) {
             *total += partial;
         }
         stats.absorb(fold_stats);
+        units.extend(fold_units);
     }
 
     // Top-row shifters: rescale the early-terminated partial sums once,
@@ -365,7 +310,60 @@ pub fn cycle_accurate_gemm_with(
 
     usystolic_obs::with(|o| {
         use usystolic_obs::ToJson;
+        // Set whenever a session is, which never changes mid-sweep.
+        let Some((sweep_t0, origin)) = origin else {
+            return;
+        };
         let t1 = o.tracer.now_us();
+        // The end of each lane's last span: a unit takes the lowest lane
+        // that is free at its start.
+        let mut lanes: Vec<Instant> = Vec::new();
+        for (rf, cf, time) in units {
+            let lane = match lanes.iter().position(|&end| end <= time.start) {
+                Some(lane) => {
+                    lanes[lane] = time.end;
+                    lane
+                }
+                None => {
+                    lanes.push(time.end);
+                    lanes.len() - 1
+                }
+            };
+            let arg = |key: &str, value: usize| (key.to_owned(), (value as u64).to_json());
+            let rows = map.rows_in_fold(rf);
+            let (name, metric, args) = match cf {
+                None => (
+                    format!("cycle_gemm.closed_form tiles r{rf}"),
+                    "core.fold_ns",
+                    vec![
+                        arg("row_fold", rf),
+                        arg("rows", rows),
+                        arg("tiles", map.col_folds()),
+                    ],
+                ),
+                Some(cf) => (
+                    format!("cycle_gemm.serial tile c{cf}r{rf}"),
+                    "core.tile_ns",
+                    vec![
+                        arg("col_fold", cf),
+                        arg("row_fold", rf),
+                        arg("rows", rows),
+                        arg("cols", map.cols_in_fold(cf)),
+                    ],
+                ),
+            };
+            let dur = time.end - time.start;
+            o.metrics.observe(metric, dur.as_nanos() as u64);
+            o.tracer.complete(
+                name,
+                "core",
+                usystolic_obs::PID_WALL,
+                u32::try_from(lane + 1).unwrap_or(u32::MAX),
+                sweep_t0 + (time.start - origin).as_secs_f64() * 1.0e6,
+                dur.as_secs_f64() * 1.0e6,
+                args,
+            );
+        }
         o.metrics.count(
             match path {
                 KernelPath::Serial => "core.cycle.serial_pe_cycles",
@@ -378,18 +376,6 @@ pub fn cycle_accurate_gemm_with(
         o.metrics.count("core.cycle.tiles", stats.tiles);
         o.metrics
             .count_labeled("core.cycle.tiles", &[("kernel", kernel_label)], stats.tiles);
-        let args = o.correlated_args(vec![
-            (
-                "kernel".to_owned(),
-                usystolic_obs::JsonValue::Str(kernel_label.to_owned()),
-            ),
-            (
-                "packed".to_owned(),
-                u64::from(path != KernelPath::Serial).to_json(),
-            ),
-            ("workers".to_owned(), (workers.max(1) as u64).to_json()),
-            ("tiles".to_owned(), stats.tiles.to_json()),
-        ]);
         o.tracer.complete(
             format!("cycle_gemm sweep {mode}"),
             "core",
@@ -397,7 +383,18 @@ pub fn cycle_accurate_gemm_with(
             0,
             sweep_t0,
             t1 - sweep_t0,
-            args,
+            vec![
+                (
+                    "kernel".to_owned(),
+                    usystolic_obs::JsonValue::Str(kernel_label.to_owned()),
+                ),
+                (
+                    "packed".to_owned(),
+                    u64::from(path != KernelPath::Serial).to_json(),
+                ),
+                ("workers".to_owned(), (workers.max(1) as u64).to_json()),
+                ("tiles".to_owned(), stats.tiles.to_json()),
+            ],
         );
     });
     Ok((out, stats))
@@ -1149,43 +1146,96 @@ mod tests {
         // K = 9 over 4 rows and N = 5 over 3 columns: 3 row folds × 2
         // column folds. The closed form records one span and one
         // `core.fold_ns` sample per row fold, the stepped machine one of
-        // each per tile, and both count every tile in `core.tiles`.
+        // each per tile, and the calling thread records them all, in
+        // row-fold order, at every worker count.
         let gemm = GemmConfig::matmul(2, 9, 5).expect("valid test shape");
         let input = Matrix::from_fn(2, 9, |p, k| (p * 9 + k) as i64 - 8);
         let weights = Matrix::from_fn(9, 5, |k, n| (k * 5 + n) as i64 - 20);
         let cfg = SystolicConfig::new(4, 3, ComputingScheme::UnaryRate, 8).expect("valid");
-        for (mode, kernel, metric, spans) in [
+        for (mode, kernel, kernel_label, metric, spans) in [
             (
                 KernelMode::Auto,
                 "cycle_gemm.closed_form",
+                "closed-form",
                 "core.fold_ns",
-                3,
+                vec!["tiles r0", "tiles r1", "tiles r2"],
             ),
-            (KernelMode::Serial, "cycle_gemm.serial", "core.tile_ns", 6),
+            (
+                KernelMode::Serial,
+                "cycle_gemm.serial",
+                "serial",
+                "core.tile_ns",
+                vec![
+                    "tile c0r0",
+                    "tile c1r0",
+                    "tile c0r1",
+                    "tile c1r1",
+                    "tile c0r2",
+                    "tile c1r2",
+                ],
+            ),
         ] {
-            let previous = usystolic_obs::install(usystolic_obs::Session::new());
-            cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, mode, 1)
-                .expect("sweep executes");
-            let session = usystolic_obs::take().expect("session installed above");
-            if let Some(prev) = previous {
-                usystolic_obs::install(prev);
-            }
-            let m = &session.metrics;
-            assert_eq!(m.counter_labeled("core.tiles", &[("kernel", kernel)]), 6);
-            let samples = |name| m.histogram(name).map_or(0, |h| h.count());
-            assert_eq!(samples(metric), spans, "{mode}");
-            assert_eq!(samples("core.fold_ns") + samples("core.tile_ns"), spans);
-            let names: Vec<String> = session
-                .tracer
-                .events()
-                .filter(|e| e.name.starts_with(kernel))
-                .map(|e| e.name.clone())
-                .collect();
-            assert_eq!(names.len(), spans as usize, "{mode}: {names:?}");
-            if mode == KernelMode::Auto {
-                assert_eq!(names[0], "cycle_gemm.closed_form tiles r0");
-            } else {
-                assert_eq!(names[0], "cycle_gemm.serial tile c0r0");
+            let mut one_worker = None;
+            for workers in [1usize, 2, 4, 8] {
+                let case = format!("{mode} workers {workers}");
+                let previous = usystolic_obs::install(usystolic_obs::Session::new());
+                cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, mode, workers)
+                    .expect("sweep executes");
+                let session = usystolic_obs::take().expect("session installed above");
+                if let Some(prev) = previous {
+                    usystolic_obs::install(prev);
+                }
+                let m = &session.metrics;
+                assert_eq!(
+                    m.counter_labeled("core.cycle.tiles", &[("kernel", kernel_label)]),
+                    6,
+                    "{case}"
+                );
+                let samples = |name| m.histogram(name).map_or(0, |h| h.count());
+                assert_eq!(samples(metric), spans.len() as u64, "{case}");
+                assert_eq!(
+                    samples("core.fold_ns") + samples("core.tile_ns"),
+                    spans.len() as u64,
+                    "{case}"
+                );
+                // Counters and histogram keys and sample counts match one
+                // worker's; only the wall-clock values may differ.
+                let shape = (
+                    m.counters()
+                        .map(|(k, v)| (k.canonical(), v))
+                        .collect::<Vec<_>>(),
+                    m.histograms()
+                        .map(|(k, h)| (k.canonical(), h.count()))
+                        .collect::<Vec<_>>(),
+                );
+                let baseline = one_worker.get_or_insert_with(|| shape.clone());
+                assert_eq!(&shape, baseline, "{case}");
+
+                let units: Vec<_> = session
+                    .tracer
+                    .events()
+                    .filter(|e| e.name.starts_with(kernel))
+                    .collect();
+                let names: Vec<&str> = units
+                    .iter()
+                    .map(|e| e.name[kernel.len() + 1..].as_ref())
+                    .collect();
+                assert_eq!(names, spans, "{case}");
+                for (i, a) in units.iter().enumerate() {
+                    assert!(a.tid >= 1, "{case}: {} on the sweep lane", a.name);
+                    if workers == 1 {
+                        assert_eq!(a.tid, 1, "{case}: {}", a.name);
+                    }
+                    for b in units[i + 1..].iter().filter(|b| b.tid == a.tid) {
+                        // 1 ns of slack for the float timestamps.
+                        let apart = b.ts + 1.0e-3 >= a.ts + a.dur || a.ts + 1.0e-3 >= b.ts + b.dur;
+                        assert!(
+                            apart,
+                            "{case}: {} and {} overlap on lane {}",
+                            a.name, b.name, a.tid
+                        );
+                    }
+                }
             }
         }
     }

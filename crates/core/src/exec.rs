@@ -168,15 +168,6 @@ impl GemmExecutor {
                 &[("scheme", scheme_label)],
                 stats.mac_windows,
             );
-            let args = o.correlated_args(vec![
-                ("scheme".to_owned(), self.config.scheme().to_json()),
-                ("macs".to_owned(), gemm.macs().to_json()),
-                ("mac_windows".to_owned(), stats.mac_windows.to_json()),
-                (
-                    "saturation_events".to_owned(),
-                    stats.saturation_events.to_json(),
-                ),
-            ]);
             o.tracer.complete(
                 format!("gemm.execute {}", self.config.scheme().label()),
                 "core",
@@ -184,7 +175,15 @@ impl GemmExecutor {
                 0,
                 t0,
                 t1 - t0,
-                args,
+                vec![
+                    ("scheme".to_owned(), self.config.scheme().to_json()),
+                    ("macs".to_owned(), gemm.macs().to_json()),
+                    ("mac_windows".to_owned(), stats.mac_windows.to_json()),
+                    (
+                        "saturation_events".to_owned(),
+                        stats.saturation_events.to_json(),
+                    ),
+                ],
             );
         });
         Ok(GemmOutcome { output, stats })
@@ -228,7 +227,6 @@ impl GemmExecutor {
         };
         usystolic_obs::with(|o| {
             o.metrics.count("core.mac_windows", stats.mac_windows);
-            o.metrics.count("core.compute_cycles", stats.compute_cycles);
             o.metrics
                 .count("core.saturation_events", stats.saturation_events);
         });

@@ -15,8 +15,7 @@
 //!   fewer significant bits above it;
 //! * [`series`] — rings of fixed-width cycle buckets for rolling rates;
 //! * [`trace`] — a bounded-ring-buffer span/event tracer exporting Chrome
-//!   `trace_event` JSON (loadable in `chrome://tracing` / Perfetto) and
-//!   JSONL;
+//!   `trace_event` JSON (loadable in `chrome://tracing` / Perfetto);
 //! * [`export`] — Prometheus text exposition and a self-contained HTML
 //!   report with inline SVG sparklines;
 //! * [`diff`] — a snapshot differ with regression thresholds, the engine
@@ -46,21 +45,12 @@
 //! # let _ = chrome_json;
 //! ```
 //!
-//! Sessions are deliberately thread-local: the simulator is
-//! single-threaded per design point, and only the thread that installed
-//! a session records. The parallel tile sweep's pool workers carry no
-//! session, so at more than one worker their per-fold spans and samples
-//! are dropped and only the sweep-level span remains.
-//! [`Registry::absorb`] merges one registry into another (histograms and
-//! series merge rather than clobber); no harness calls it yet.
-//!
-//! ## Request correlation
-//!
-//! A session carries an optional `request_id` / `shard_id` pair. The
-//! serve engine sets them around admission and batch dispatch, and every
-//! span recorded through [`Session::correlated_args`] picks them up, so
-//! one request's admission → batch → layer → tile path reconstructs in
-//! Perfetto by filtering on `req`.
+//! Sessions are deliberately thread-local: only the thread that
+//! installed a session records. Work that runs on pool threads hands its
+//! numbers back to that thread instead: the parallel tile sweep's tasks
+//! return their fold timings with their partial sums, and the calling
+//! thread records every fold's span and sample, so the telemetry is the
+//! same at any worker count.
 
 pub mod diff;
 pub mod export;
@@ -76,15 +66,14 @@ pub use export::{html_report, prometheus_text};
 pub use histogram::QuantileHistogram;
 pub use json::{JsonError, JsonValue, ToJson};
 pub use label::{LabelSet, MetricKey};
-pub use metrics::{Registry, ABSORB_CONFLICTS};
+pub use metrics::Registry;
 pub use series::{SeriesBucket, TimeSeries};
 pub use trace::{Phase, TraceEvent, Tracer, DEFAULT_CAPACITY, PID_SIM, PID_WALL};
 
 use std::cell::RefCell;
 
-/// One observability session: a tracer, a metrics registry, the virtual
-/// cycle cursor the timing simulator advances, and the correlation
-/// fields the serve engine threads through spans.
+/// One observability session: a tracer, a metrics registry and the
+/// virtual cycle cursor the timing simulator advances.
 #[derive(Debug, Default)]
 pub struct Session {
     /// Span/event ring buffer.
@@ -95,12 +84,6 @@ pub struct Session {
     /// `Simulator::simulate` call places its layer span here and advances
     /// the cursor by the layer's runtime cycles.
     pub sim_cycles: u64,
-    /// The request currently being served, if any; spans recorded while
-    /// set carry a `req` argument.
-    pub request_id: Option<u64>,
-    /// The shard/instance currently executing, if any; spans recorded
-    /// while set carry a `shard` argument.
-    pub shard_id: Option<u64>,
 }
 
 impl Session {
@@ -121,20 +104,6 @@ impl Session {
             tracer: Tracer::new(capacity),
             ..Self::default()
         }
-    }
-
-    /// Appends the active correlation fields (`req`, `shard`) to a span
-    /// argument list and returns it — instrumentation sites pass their
-    /// own args through this so traces become request-filterable.
-    #[must_use]
-    pub fn correlated_args(&self, mut args: Vec<(String, JsonValue)>) -> Vec<(String, JsonValue)> {
-        if let Some(req) = self.request_id {
-            args.push(("req".to_owned(), JsonValue::UInt(req)));
-        }
-        if let Some(shard) = self.shard_id {
-            args.push(("shard".to_owned(), JsonValue::UInt(shard)));
-        }
-        args
     }
 }
 
@@ -231,31 +200,5 @@ mod tests {
                 .window_count(),
             1
         );
-    }
-
-    #[test]
-    fn correlation_ids_thread_into_span_args() {
-        install(Session::new());
-        with(|o| {
-            o.request_id = Some(7);
-            o.shard_id = Some(3);
-            let args = o.correlated_args(vec![("x".to_owned(), JsonValue::UInt(1))]);
-            let ts = o.tracer.now_us();
-            o.tracer
-                .complete("work", "test", PID_WALL, 0, ts, 1.0, args);
-            o.request_id = None;
-            o.shard_id = None;
-        });
-        let s = take().expect("installed");
-        let ev = s.tracer.events().next().expect("one span");
-        let args = &ev.args;
-        assert!(args
-            .iter()
-            .any(|(k, v)| k == "req" && v.as_u64() == Some(7)));
-        assert!(args
-            .iter()
-            .any(|(k, v)| k == "shard" && v.as_u64() == Some(3)));
-        assert_eq!(s.request_id, None);
-        assert_eq!(s.shard_id, None);
     }
 }

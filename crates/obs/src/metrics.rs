@@ -25,10 +25,6 @@ use crate::series::TimeSeries;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-/// Counter incremented by [`Registry::absorb`] when two series with the
-/// same key cannot be merged (mismatched bucket widths).
-pub const ABSORB_CONFLICTS: &str = "obs.absorb_conflicts";
-
 /// A named, labeled collection of counters, gauges, histograms and
 /// windowed time series.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -226,41 +222,6 @@ impl Registry {
             && self.series.is_empty()
     }
 
-    // ---- folding -----------------------------------------------------
-
-    /// Folds another registry into this one: counters add, gauges take
-    /// the other's value, histograms and series merge element-wise. When
-    /// a series collides with a different bucket width the existing entry
-    /// is kept and the [`ABSORB_CONFLICTS`] counter is bumped — samples
-    /// are never silently replaced.
-    pub fn absorb(&mut self, other: &Registry) {
-        let mut conflicts: u64 = 0;
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, v) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(v);
-        }
-        for (k, v) in &other.series {
-            match self.series.entry(k.clone()) {
-                Entry::Vacant(slot) => {
-                    slot.insert(v.clone());
-                }
-                Entry::Occupied(mut slot) => {
-                    if !slot.get_mut().merge(v) {
-                        conflicts += 1;
-                    }
-                }
-            }
-        }
-        if conflicts > 0 {
-            self.count(ABSORB_CONFLICTS, conflicts);
-        }
-    }
-
     /// Writes the snapshot to a file as pretty-enough compact JSON.
     ///
     /// # Errors
@@ -358,65 +319,6 @@ mod tests {
         let mut r = Registry::new();
         r.observe("lat", 3);
         assert_eq!(r.histogram("lat").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn absorb_merges() {
-        let mut a = Registry::new();
-        a.count("c", 1);
-        let mut b = Registry::new();
-        b.count("c", 2);
-        b.gauge("g", 9.0);
-        a.absorb(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.gauge_value("g"), Some(9.0));
-    }
-
-    #[test]
-    fn absorb_merges_histograms_instead_of_replacing() {
-        let mut a = Registry::new();
-        a.observe("lat", 1);
-        a.observe("lat", 5);
-        let mut b = Registry::new();
-        b.observe("lat", 100);
-        b.observe("lat", 0);
-        a.absorb(&b);
-        let h = a.histogram("lat").expect("merged");
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 106);
-        assert_eq!((h.min(), h.max()), (Some(0), Some(100)));
-        assert_eq!(h.percentile(50.0), Some(1));
-        assert_eq!(a.counter(ABSORB_CONFLICTS), 0);
-    }
-
-    #[test]
-    fn absorb_counts_series_width_conflicts() {
-        let mut a = Registry::new();
-        a.register_series("s", &[], 10, 4);
-        a.series_record("s", 0, 1.0);
-        let mut b = Registry::new();
-        b.register_series("s", &[], 20, 4);
-        b.series_record("s", 0, 1.0);
-        a.absorb(&b);
-        // The existing series is kept untouched and the conflict counted.
-        let s = a.series("s").unwrap();
-        assert_eq!((s.bucket_width(), s.window_count()), (10, 1));
-        assert_eq!(a.counter(ABSORB_CONFLICTS), 1);
-    }
-
-    #[test]
-    fn absorb_merges_sketches_and_series() {
-        let mut a = Registry::new();
-        a.observe("q", 1);
-        a.series_record("s", 0, 1.0);
-        let mut b = Registry::new();
-        b.observe("q", 3);
-        b.series_record("s", 0, 2.0);
-        a.absorb(&b);
-        let q = a.histogram("q").unwrap();
-        assert_eq!(q.count(), 2);
-        assert_eq!((q.min(), q.max()), (Some(1), Some(3)));
-        assert_eq!(a.series("s").unwrap().window_count(), 2);
     }
 
     #[test]

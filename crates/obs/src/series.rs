@@ -6,8 +6,8 @@
 //! most recent `capacity` buckets, so the serve engine can expose
 //! rolling arrival / rejection / queue-depth rates at O(capacity) memory
 //! regardless of run length. Buckets are addressed by absolute index
-//! (`cycle / bucket_width`), which makes two series over the same clock
-//! mergeable bucket-for-bucket.
+//! (`cycle / bucket_width`), so series of one geometry over the same
+//! clock line up bucket for bucket.
 //!
 //! Everything is integer bucket arithmetic — no wall clock, no rounding
 //! modes — so the series is a pure function of the (cycle, value) sample
@@ -78,18 +78,13 @@ impl TimeSeries {
 
     /// Records a sample at the given cycle.
     pub fn record(&mut self, cycle: u64, value: f64) {
-        self.add_bucket(cycle / self.bucket_width, 1, value);
-    }
-
-    /// Adds an aggregate directly into the bucket with the given
-    /// absolute index.
-    fn add_bucket(&mut self, idx: u64, count: u64, sum: f64) {
+        let idx = cycle / self.bucket_width;
         if self.buckets.is_empty() {
             self.start = idx;
             self.buckets.push_back(SeriesBucket::default());
         }
         if idx < self.start {
-            self.late += count;
+            self.late += 1;
             return;
         }
         // Grow the window forward to end at `idx`, evicting the oldest
@@ -106,23 +101,8 @@ impl TimeSeries {
         }
         let slot = (idx - self.start) as usize;
         let b = &mut self.buckets[slot];
-        b.count += count;
-        b.sum += sum;
-    }
-
-    /// Folds another series into this one bucket-for-bucket. Returns
-    /// `false` (and changes nothing) when the bucket widths differ.
-    pub fn merge(&mut self, other: &TimeSeries) -> bool {
-        if other.bucket_width != self.bucket_width {
-            return false;
-        }
-        self.late += other.late;
-        for (i, b) in other.buckets.iter().enumerate() {
-            if b.count > 0 {
-                self.add_bucket(other.start + i as u64, b.count, b.sum);
-            }
-        }
-        true
+        b.count += 1;
+        b.sum += value;
     }
 
     /// The bucket width in cycles.
@@ -251,7 +231,7 @@ mod tests {
         assert_eq!(counts, [1, 0, 0, 0, 1]);
     }
 
-    /// Window growth one bucket at a time: the reference `add_bucket`'s
+    /// Window growth one bucket at a time: the reference `record`'s
     /// one-step move must reproduce.
     fn record_stepwise(s: &mut TimeSeries, cycle: u64, value: f64) {
         let idx = cycle / s.bucket_width;
@@ -331,32 +311,6 @@ mod tests {
             (last + 1 - DEFAULT_CAPACITY as u64) * DEFAULT_BUCKET_WIDTH
         );
         assert_eq!(s.window_count(), 1);
-    }
-
-    #[test]
-    fn merge_adds_bucket_for_bucket() {
-        let mut a = TimeSeries::new(10, 8);
-        a.record(5, 1.0);
-        a.record(15, 2.0);
-        let mut b = TimeSeries::new(10, 8);
-        b.record(15, 3.0);
-        b.record(35, 4.0);
-        assert!(a.merge(&b));
-        let buckets: Vec<(u64, u64, f64)> = a.iter().map(|(c, x)| (c, x.count, x.sum)).collect();
-        assert_eq!(
-            buckets,
-            [(0, 1, 1.0), (10, 2, 5.0), (20, 0, 0.0), (30, 1, 4.0)]
-        );
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_widths() {
-        let mut a = TimeSeries::new(10, 8);
-        a.record(5, 1.0);
-        let mut b = TimeSeries::new(20, 8);
-        b.record(5, 1.0);
-        assert!(!a.merge(&b));
-        assert_eq!(a.window_count(), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! A span/event tracer with a bounded ring buffer and Chrome
-//! `trace_event` / JSONL exporters.
+//! A span/event tracer with a bounded ring buffer and a Chrome
+//! `trace_event` exporter.
 //!
 //! Events carry explicit timestamps so that both time bases of the
 //! workspace fit in one trace:
@@ -282,26 +282,6 @@ impl Tracer {
         .render()
     }
 
-    /// Exports the buffer as JSON Lines: a header object on the first
-    /// line (producer, buffered-event count and — crucially — how many
-    /// events the bounded ring dropped), then one event object per line,
-    /// suitable for `jq`/spreadsheet post-processing.
-    #[must_use]
-    pub fn export_jsonl(&self) -> String {
-        let mut out = JsonValue::object(vec![
-            ("producer", JsonValue::Str("usystolic-obs".to_owned())),
-            ("events", JsonValue::UInt(self.events.len() as u64)),
-            ("droppedEvents", JsonValue::UInt(self.dropped)),
-        ])
-        .render();
-        out.push('\n');
-        for ev in &self.events {
-            out.push_str(&ev.to_json_string());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Writes the Chrome trace to a file.
     ///
     /// # Errors
@@ -309,15 +289,6 @@ impl Tracer {
     /// Propagates I/O errors.
     pub fn write_chrome(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.export_chrome())
-    }
-
-    /// Writes the JSONL trace to a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.export_jsonl())
     }
 }
 
@@ -396,37 +367,16 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_export_is_header_plus_one_object_per_line() {
-        let mut t = Tracer::new(8);
-        span(&mut t, "a", 0.0);
-        span(&mut t, "b", 1.0);
-        let text = t.export_jsonl();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        let header = JsonValue::parse(lines[0]).unwrap();
-        assert_eq!(
-            header.get("producer").unwrap().as_str(),
-            Some("usystolic-obs")
-        );
-        assert_eq!(header.get("events").unwrap().as_u64(), Some(2));
-        assert_eq!(header.get("droppedEvents").unwrap().as_u64(), Some(0));
-        for line in &lines[1..] {
-            let v = JsonValue::parse(line).unwrap();
-            assert!(v.get("name").is_some());
-            assert!(v.get("ts").is_some());
-        }
-    }
-
-    #[test]
-    fn jsonl_header_carries_drop_count() {
+    fn chrome_export_carries_drop_count() {
         let mut t = Tracer::new(2);
         for i in 0..5 {
             span(&mut t, &format!("e{i}"), i as f64);
         }
-        let text = t.export_jsonl();
-        let header = JsonValue::parse(text.lines().next().unwrap()).unwrap();
-        assert_eq!(header.get("droppedEvents").unwrap().as_u64(), Some(3));
-        assert_eq!(header.get("events").unwrap().as_u64(), Some(2));
+        let parsed = JsonValue::parse(&t.export_chrome()).unwrap();
+        let other = parsed.get("otherData").unwrap();
+        assert_eq!(other.get("droppedEvents").unwrap().as_u64(), Some(3));
+        let events = parsed.get("traceEvents").unwrap().as_array().unwrap();
+        assert_eq!(events.len(), 2);
     }
 
     #[test]

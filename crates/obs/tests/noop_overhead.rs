@@ -117,15 +117,13 @@ fn disabled_labeled_and_sketch_sites_do_not_allocate() {
                 o.metrics
                     .gauge_labeled("sim.scaling_efficiency", &[("instances", "4")], 0.9);
                 o.metrics
-                    .observe_labeled("core.tile_ns", &[("kernel", "serial")], i);
+                    .observe_labeled("serve.batch_size", &[("class", "m")], i);
                 o.metrics.observe("serve.latency_cycles", i);
                 o.metrics
                     .observe_labeled("serve.latency_cycles", &[("class", "m")], 1);
                 o.metrics.series_record("serve.arrivals", i, 1.0);
                 o.metrics
                     .series_record_labeled("serve.arrivals", &[("class", "m")], i, 1.0);
-                o.request_id = Some(i);
-                o.shard_id = Some(1);
             });
         }
     });

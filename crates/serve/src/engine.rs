@@ -35,19 +35,18 @@
 //! The caller's `usystolic_obs` session (if installed) receives each
 //! metric from one site, where its value is final. The ledger's `settle`
 //! counts every request that leaves the system by outcome (and by
-//! rejection reason) and samples its per-class latency; each dispatch
+//! rejection reason, each such request also one `serve.rejections`
+//! series sample) and samples its per-class latency; each dispatch
 //! records its batch size, the queue depth and, when the session's tracer
 //! is on, one Chrome-trace span on the simulated-cycle lane (`tid` =
-//! instance); arrivals, rejections and queue depth also feed windowed
-//! series. The run totals (offered, admitted, batches, retries,
-//! failovers, brown-out requests, injected fleet faults and the
-//! `des.events.{scheduled,dispatched}` and `des.dispatch{fidelity}`
-//! event counts) and the ledger's latency and queue-wait histograms are
-//! written once, after the report is built. The event loop itself records
-//! only the `des.queue_depth{component="fleet"}` series, counting the
-//! events of all three sources. The layer profiles record nothing, so a
-//! snapshot is the same at any worker count and either fidelity (apart
-//! from the `des.dispatch` label).
+//! instance); arrivals and queue depth also feed windowed series. The run
+//! totals (offered, admitted, batches, retries, failovers, brown-out
+//! requests, injected fleet faults and the `des.events.dispatched` event
+//! count) and the ledger's latency and queue-wait histograms are written
+//! once, after the report is built. The event loop itself records only
+//! the `des.queue_depth{component="fleet"}` series, counting the events
+//! of all three sources. The layer profiles record nothing, so a snapshot
+//! is the same at any worker count and either fidelity.
 
 use crate::admission::{Admission, AdmissionController};
 use crate::loadgen::LoadGen;
@@ -167,11 +166,12 @@ impl<S: FnMut(&RequestRecord)> Ledger<'_, S> {
     /// Folds one terminal request into the statistics and the session's
     /// outcome metrics, then hands its record to the sink. `reason`
     /// labels `serve.rejections` for a request that was not served
-    /// (`None` for a completion).
+    /// (`None` for a completion), which also samples the
+    /// `serve.rejections` series at cycle `now`.
     // Always inlined: called once per settled request, an outlined call
     // cost perfbench's `fleet_steady` ~12% of its wall time.
     #[inline(always)]
-    fn settle(&mut self, record: RequestRecord, reason: Option<&'static str>) {
+    fn settle(&mut self, now: u64, record: RequestRecord, reason: Option<&'static str>) {
         let request = record.request;
         if record.deadline_missed() {
             self.deadline_missed += 1;
@@ -212,6 +212,7 @@ impl<S: FnMut(&RequestRecord)> Ledger<'_, S> {
             if let Some(reason) = reason {
                 o.metrics
                     .count_labeled("serve.rejections", &[("reason", reason)], 1);
+                o.metrics.series_record("serve.rejections", now, 1.0);
             }
         });
         (self.sink)(&record);
@@ -476,28 +477,9 @@ impl<S> Fleet<'_, S> {
                 if !o.tracer.enabled() {
                     return;
                 }
-                // Correlate the batch span with the shard executing it and
-                // the requests it carries, so one request's admission →
-                // batch path reconstructs in Perfetto.
-                o.shard_id = Some(free_idx as u64 + 1);
-                o.request_id = batch.first().map(|r| r.id);
-                let args = o.correlated_args(vec![
-                    ("class".to_owned(), profiles[class].name.to_json()),
-                    ("batch".to_owned(), (batch.len() as u64).to_json()),
-                    ("concurrency".to_owned(), (concurrency as u64).to_json()),
-                    (
-                        "dram_limited".to_owned(),
-                        profiles[class]
-                            .dram_limited(batch.len(), concurrency)
-                            .to_json(),
-                    ),
-                    (
-                        "req_ids".to_owned(),
-                        usystolic_obs::JsonValue::Array(
-                            batch.iter().map(|r| r.id.to_json()).collect(),
-                        ),
-                    ),
-                ]);
+                // The span carries the requests it serves (`req` is the
+                // lead one) and the shard running them, so one request's
+                // admission → batch path reconstructs in Perfetto.
                 o.tracer.complete(
                     format!("batch {}", profiles[class].name),
                     "serve",
@@ -505,10 +487,26 @@ impl<S> Fleet<'_, S> {
                     free_idx as u32 + 1,
                     now as f64,
                     service as f64,
-                    args,
+                    vec![
+                        ("class".to_owned(), profiles[class].name.to_json()),
+                        ("batch".to_owned(), (batch.len() as u64).to_json()),
+                        ("concurrency".to_owned(), (concurrency as u64).to_json()),
+                        (
+                            "dram_limited".to_owned(),
+                            profiles[class]
+                                .dram_limited(batch.len(), concurrency)
+                                .to_json(),
+                        ),
+                        (
+                            "req_ids".to_owned(),
+                            usystolic_obs::JsonValue::Array(
+                                batch.iter().map(|r| r.id.to_json()).collect(),
+                            ),
+                        ),
+                        ("req".to_owned(), batch[0].id.to_json()),
+                        ("shard".to_owned(), (free_idx as u64 + 1).to_json()),
+                    ],
                 );
-                o.request_id = None;
-                o.shard_id = None;
             });
             let slot = &mut self.instances[free_idx];
             slot.dispatch = now;
@@ -579,28 +577,25 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                         o.metrics.series_record("serve.queue_depth", now, depth);
                         return;
                     }
-                    o.metrics.series_record("serve.rejections", now, 1.0);
                     if !o.tracer.enabled() {
                         return;
                     }
-                    o.request_id = Some(request.id);
-                    let args = o.correlated_args(vec![(
-                        "class".to_owned(),
-                        workloads[request.class].name.to_json(),
-                    )]);
                     o.tracer.instant(
                         "rejected",
                         "serve",
                         usystolic_obs::PID_SIM,
                         0,
                         now as f64,
-                        args,
+                        vec![
+                            ("class".to_owned(), workloads[request.class].name.to_json()),
+                            ("req".to_owned(), request.id.to_json()),
+                        ],
                     );
-                    o.request_id = None;
                 });
                 match decision {
                     Admission::Admitted => self.arm_timeout(now, request.id, 0),
                     Admission::Rejected => self.ledger.settle(
+                        now,
                         RequestRecord::dropped(request, Disposition::Rejected, 0),
                         Some("capacity"),
                     ),
@@ -626,6 +621,7 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                     for request in batch.drain(..) {
                         let retries = self.take_retries(request.id);
                         self.ledger.settle(
+                            now,
                             RequestRecord {
                                 request,
                                 disposition: Disposition::Completed,
@@ -685,6 +681,7 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                                 );
                             } else {
                                 self.ledger.settle(
+                                    now,
                                     RequestRecord::dropped(request, Disposition::Failed, attempt),
                                     Some("shard_down"),
                                 );
@@ -712,12 +709,10 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
                 if let Some(request) = self.admission.remove_by_id(id) {
                     let retries = self.take_retries(id);
                     self.ledger.settle(
+                        now,
                         RequestRecord::dropped(request, Disposition::TimedOut, retries),
                         Some("timeout"),
                     );
-                    usystolic_obs::with(|o| {
-                        o.metrics.series_record("serve.rejections", now, 1.0);
-                    });
                 }
             }
             EventKind::Retry(request) => {
@@ -733,6 +728,7 @@ impl<S: FnMut(&RequestRecord)> Fleet<'_, S> {
             for request in self.admission.expire_before(now) {
                 let retries = self.take_retries(request.id);
                 self.ledger.settle(
+                    now,
                     RequestRecord::dropped(request, Disposition::TimedOut, retries),
                     Some("deadline"),
                 );
@@ -896,10 +892,12 @@ pub fn serve_with(
     let (makespan, events) = fleet.run();
 
     // With the whole fleet down, queued requests have no instance left
-    // to serve them: record each as failed so the ledger still closes.
+    // to serve them: record each as failed, at the last event's cycle, so
+    // the ledger still closes.
     for request in fleet.admission.drain_remaining() {
         let retries = fleet.take_retries(request.id);
         fleet.ledger.settle(
+            makespan,
             RequestRecord::dropped(request, Disposition::Failed, retries),
             Some("shard_down"),
         );
@@ -985,13 +983,7 @@ pub fn serve_with(
             &[("kind", "shard_slow")],
             fleet.tally.shard_slowdowns,
         );
-        total("des.events.scheduled", &[], events);
         total("des.events.dispatched", &[], events);
-        total(
-            "des.dispatch",
-            &[("fidelity", config.fidelity.label())],
-            events,
-        );
         o.metrics
             .gauge("serve.max_queue_depth", report.max_queue_depth as f64);
         o.metrics

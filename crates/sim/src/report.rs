@@ -130,23 +130,6 @@ impl Simulator {
             // PID_SIM lane; layers abut on a virtual cursor the session
             // advances because the timing model is analytic.
             let ts = o.sim_cycles as f64;
-            let args = o.correlated_args(vec![
-                ("scheme".to_owned(), self.config.scheme().to_json()),
-                ("macs".to_owned(), report.macs.to_json()),
-                (
-                    "ideal_cycles".to_owned(),
-                    report.timing.ideal_cycles.to_json(),
-                ),
-                (
-                    "stall_cycles".to_owned(),
-                    report.timing.stall_cycles.to_json(),
-                ),
-                (
-                    "dram_bytes".to_owned(),
-                    report.traffic.dram.total().to_json(),
-                ),
-                ("utilization".to_owned(), report.utilization.to_json()),
-            ]);
             o.tracer.complete(
                 format!("layer {}", self.config.scheme().label()),
                 "sim",
@@ -154,7 +137,23 @@ impl Simulator {
                 0,
                 ts,
                 report.timing.runtime_cycles as f64,
-                args,
+                vec![
+                    ("scheme".to_owned(), self.config.scheme().to_json()),
+                    ("macs".to_owned(), report.macs.to_json()),
+                    (
+                        "ideal_cycles".to_owned(),
+                        report.timing.ideal_cycles.to_json(),
+                    ),
+                    (
+                        "stall_cycles".to_owned(),
+                        report.timing.stall_cycles.to_json(),
+                    ),
+                    (
+                        "dram_bytes".to_owned(),
+                        report.traffic.dram.total().to_json(),
+                    ),
+                    ("utilization".to_owned(), report.utilization.to_json()),
+                ],
             );
             o.tracer.counter(
                 "sim.dram_bandwidth_gbps",

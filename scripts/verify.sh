@@ -333,12 +333,10 @@ echo "==> fidelity-tier smoke test (serve_cli cycle vs packed)"
 fc=$(mktemp /tmp/usystolic_fid_cycle.XXXXXX.json)
 fp=$(mktemp /tmp/usystolic_fid_packed.XXXXXX.json)
 # Re-deriving every layer profile per dispatch and reading the hoisted
-# totals must print the same report; only the des.dispatch key names
-# the tier, so it is removed before comparing.
+# totals must print the same --json, byte for byte.
 serve_at() {
     "$serve" --seed 7 --instances 4 --arrival-rate 2000000 --duration 0.002 \
-        --queue-depth 16 --deadline 1.0 --fidelity "$1" --json \
-        | sed 's/"des\.dispatch{fidelity=\\"[a-z]*\\"}":[0-9]*,//'
+        --queue-depth 16 --deadline 1.0 --fidelity "$1" --json
 }
 serve_at cycle > "$fc"
 serve_at packed > "$fp"

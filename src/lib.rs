@@ -23,8 +23,10 @@
 //! * [`models`] — DNN workload zoo (AlexNet, ResNet18, MNIST CNN,
 //!   MLPerf-like suite) and a pure-Rust CNN trainer.
 //! * [`obs`] — zero-dependency observability: cycle-level tracing with
-//!   Chrome `trace_event`/JSONL export, a metrics registry and the
-//!   [`obs::ToJson`] structured-JSON trait.
+//!   Chrome `trace_event` export, a metrics registry and the
+//!   [`obs::ToJson`] structured-JSON trait. Only the thread that
+//!   installed a session records; the tile sweeps of [`arch`] hand their
+//!   fold timings back to it from the [`pool`].
 //! * [`analyze`] — static invariant checker: validates raw (possibly
 //!   illegal) configurations against the paper's invariants without
 //!   simulation, reporting stable `USYxxx` diagnostics.

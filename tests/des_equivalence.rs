@@ -244,16 +244,10 @@ fn assert_serve_golden(name: &str, build: Build) {
                 .map(|(_, v)| v)
                 .expect("counters section");
             if let JsonValue::Object(entries) = counters {
-                for key in [
-                    "des.events.scheduled",
-                    "des.events.dispatched",
-                    "des.dispatch{fidelity=\"cycle\"}",
-                ] {
-                    assert!(
-                        entries.iter().any(|(k, _)| k == key),
-                        "{name}: missing {key} at workers={workers}"
-                    );
-                }
+                assert!(
+                    entries.iter().any(|(k, _)| k == "des.events.dispatched"),
+                    "{name}: missing des.events.dispatched at workers={workers}"
+                );
             }
         }
         unfiltered.push(normalize_workers(&record.render(), workers));
@@ -316,20 +310,8 @@ fn serve_packed_tier_matches_cycle_accurate_bit_for_bit() {
         let mut packed_cfg = config.clone();
         packed_cfg.fidelity = Fidelity::Packed;
         let (packed, _) = serve_record(&packed_cfg, &workloads);
-        // Reports must be identical; only the fidelity label on
-        // des.dispatch may differ, so compare des-stripped renders.
-        let strip = |v: JsonValue| match v {
-            JsonValue::Object(mut pairs) => {
-                for (k, section) in pairs.iter_mut() {
-                    if k == "metrics" {
-                        *section = strip_des_metrics(section.clone());
-                    }
-                }
-                JsonValue::Object(pairs)
-            }
-            other => other,
-        };
-        assert_eq!(strip(cycle).render(), strip(packed).render());
+        // Reports and metrics, des.* included, must be identical.
+        assert_eq!(cycle.render(), packed.render());
     }
 }
 

@@ -196,7 +196,7 @@ fn functional_execution_traces_wall_clock_spans() {
         outcome.stats.mac_windows
     );
     assert_eq!(
-        session.metrics.counter("core.compute_cycles"),
+        session.metrics.counter("core.cycle.packed_pe_cycles"),
         outcome.stats.compute_cycles
     );
 
@@ -339,6 +339,40 @@ fn serve_labeled_metrics_reconcile_with_report() {
         .sum();
     assert_eq!(by_class, report.batches, "batch-size classes partition");
     assert_eq!(samples("serve.latency_cycles", &[]), report.completed);
+}
+
+/// The `serve.rejections` series samples every request that leaves
+/// unserved, whatever the reason, so its samples add up to the
+/// `serve.rejections{reason}` counters: on a run that sheds by deadline
+/// and loses both shards, those sheds and shard-down failures included.
+#[test]
+fn rejection_series_counts_every_unserved_request() {
+    let args = usystolic_bench::cli::ServeArgs::parse(
+        "--network mnist --instances 2 --duration 0.02 --arrival-rate 40000 \
+         --shard-fail 4,1 --shard-fail 6,2 --retry-max 0 --deadline 1 --shed-expired"
+            .split_whitespace()
+            .map(str::to_owned),
+    )
+    .expect("valid argv");
+    obs::install(obs::Session::new());
+    serve(&args.config, &args.workloads).unwrap();
+    let session = obs::take().expect("session installed");
+    let m = &session.metrics;
+
+    let by_reason = |reason| m.counter_labeled("serve.rejections", &[("reason", reason)]);
+    assert!(by_reason("deadline") > 0, "the run must shed by deadline");
+    assert!(by_reason("shard_down") > 0, "the run must lose shards");
+    let rejections: u64 = m
+        .counters()
+        .filter(|(key, _)| key.name() == "serve.rejections")
+        .map(|(_, v)| v)
+        .sum();
+    let series = m.series("serve.rejections").expect("rejection series");
+    assert_eq!(
+        series.window_count() + series.late_samples(),
+        rejections,
+        "one series sample per unserved request"
+    );
 }
 
 /// The metrics registry — labeled counters, histograms, windowed series and
