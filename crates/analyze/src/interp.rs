@@ -54,6 +54,13 @@ use usystolic_unary::MAX_BITWIDTH;
 /// contribute the full product. uGEMM-H's bipolar windows add ±1 every
 /// multiply cycle, so `mul_cycles` is a sound (but not
 /// achievability-proving) bound.
+///
+/// # Panics
+///
+/// Panics if a rate- or temporal-coded `bitwidth` exceeds
+/// `MAX_BITWIDTH + 1`: its Sobol generators are wider than any prefix
+/// splits ([`usystolic_unary::packed::SobolPrefix`]). [`analyze_network`]
+/// rejects a spec past [`MAX_BITWIDTH`] before it gets here.
 #[must_use]
 pub fn window_bound(
     scheme: ComputingScheme,

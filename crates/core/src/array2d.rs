@@ -25,17 +25,20 @@
 //! one shot and then replays the M-end cascade with the same registers.
 //! One `kernel::ClosedFormWindow`, built once per GEMM with no per-tile
 //! state, serves all five schemes. It reuses work the way Fig. 7 reuses
-//! bitstreams: each input element's half of its windows (the IFM enable
-//! count and the weight RNG's Sobol prefix for rate and temporal coding,
+//! bitstreams: each input element's half of its windows (the weight RNG's
+//! Sobol prefix over the IFM enable count for rate and temporal coding,
 //! both phase prefixes for uGEMM-H, the level itself for binary schemes)
-//! is built once per row fold and shared by all `N` PEs of its weight row,
-//! across every column fold. Column folds share no partial sums and every
-//! number source restarts per window, so sweeping the full contiguous
-//! weight row (`weights.row(k)[..N]`) computes exactly what the fold's
-//! tiles compute one by one, and its [`CycleStats`] are the per-tile
-//! closed-form schedule summed over the fold's tiles. Each row counts its
-//! weights eight at a time, class by class
-//! ([`usystolic_unary::packed::SobolPrefix::count_lanes`]). The cascade
+//! depends only on the element's level, so the window builds it once per
+//! level and GEMM where the inputs repeat levels (and per element
+//! otherwise), and shares it with all `N` PEs of its weight row, across
+//! every column fold. Each fold converts its weights to lane thresholds
+//! once. Column folds share no partial sums and every number source
+//! restarts per window, so sweeping the full contiguous weight row
+//! (`weights.row(k)[..N]`) computes exactly what the fold's tiles compute
+//! one by one, and its [`CycleStats`] are the per-tile closed-form
+//! schedule summed over the fold's tiles. Each row counts its weights
+//! eight at a time, class by class
+//! ([`usystolic_unary::packed::PrefixClasses::count_lanes`]). The cascade
 //! runs vector by vector, each vector's rows bottom-up and each row's
 //! columns left to right, keeping one partial sum per column.
 //!
@@ -56,7 +59,7 @@
 //! ideal-cycle formula.
 
 use crate::config::SystolicConfig;
-use crate::kernel::{ClosedFormWindow, KernelMode, KernelPath, WindowRow};
+use crate::kernel::{ClosedFormWindow, KernelMode, KernelPath, UnaryWindow, WindowRow};
 use crate::mapping::TileMapping;
 use crate::pe::IfmSource;
 use crate::scheme::ComputingScheme;
@@ -66,12 +69,15 @@ use std::time::Instant;
 use usystolic_gemm::{GemmConfig, Matrix};
 use usystolic_unary::add::{BinaryAccumulator, ACC_WIDTHS};
 use usystolic_unary::coding::Coding;
+use usystolic_unary::packed::LANES;
 use usystolic_unary::rng::{NumberSource, SobolSource};
 use usystolic_unary::sign::SignMagnitude;
 
 /// Weights the closed-form cascade counts per [`WindowRow::count`] call:
-/// the length of a row fold's stack buffer of window counts.
+/// the length of a row fold's stack buffer of window counts, a whole
+/// number of lane groups.
 const BATCH: usize = 64;
+const _: () = assert!(BATCH.is_multiple_of(LANES));
 
 /// Statistics of a cycle-accurate run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -236,16 +242,17 @@ pub fn cycle_accurate_gemm_with(
         KernelPath::ClosedForm => "closed-form",
         KernelPath::Serial => "serial",
     };
-    // A window depends on the GEMM, not the tile: it is built once here
-    // and shared by every row fold.
-    let closed = (path == KernelPath::ClosedForm)
-        .then(|| ClosedFormWindow::new(scheme, config.bitwidth(), config.mul_cycles()));
-
     // Pool workers carry no session. Untraced, a task reads no clock and
     // returns an empty `Vec` of unit timings.
     let mut origin = None;
     usystolic_obs::with(|o| origin = Some((o.tracer.now_us(), Instant::now())));
     let traced = origin.is_some();
+
+    // A window depends on the GEMM, not the tile: it is built once here
+    // (with its level table, where the inputs repeat levels), inside the
+    // sweep's span, and shared by every row fold.
+    let closed = (path == KernelPath::ClosedForm)
+        .then(|| ClosedFormWindow::new(scheme, config.bitwidth(), config.mul_cycles(), m * k));
 
     // One task per row fold, each returning its own `M × N` block of
     // partial sums. A unit is `(row fold, column fold of a stepped tile,
@@ -660,8 +667,11 @@ fn tile_schedule(config: &SystolicConfig, rows: usize, cols: usize, m: usize) ->
 /// lands one cycle before row `r`'s, so its drained partial sum
 /// (`below[c]`, one per column) is what row `r` folds in. `below` is the
 /// vector's own row of `block`: it starts zeroed, as the bottom row folds
-/// in nothing, and ends holding the top row's totals. Each input element's
-/// half of its windows ([`WindowRow`]) is built once for all `N` columns.
+/// in nothing, and ends holding the top row's totals. Both operand halves
+/// of a unary window are ready before the vectors: each input element's
+/// row ([`UnaryWindow::row`], a lookup in the window's level table or
+/// built for all `N` columns at once) and the fold's weights as lane
+/// thresholds ([`UnaryWindow::lanes`], converted once per fold).
 ///
 /// Bit-exact against [`TileMachine::run`]: a window's lump add clamps
 /// exactly like its per-cycle adds whenever every increment of the window
@@ -685,7 +695,7 @@ fn sweep_fold(
     match window {
         // The exact product, fused into the M-end: a buffered pass of
         // products is slower.
-        ClosedFormWindow::Binary => sweep_rows(fold, block, |level, weights, below| {
+        ClosedFormWindow::Binary => sweep_rows(fold, block, |level, _, weights, below| {
             let mut oreg = BinaryAccumulator::new(acc_width);
             let mut saturations = 0;
             for (partial, &weight) in below.iter_mut().zip(weights) {
@@ -695,28 +705,48 @@ fn sweep_fold(
             }
             saturations
         }),
-        ClosedFormWindow::SignMagnitude(w) => {
-            let mut counts = [0; BATCH];
-            sweep_rows(fold, block, |level, weights, below| {
-                cascade(&w.row(level), acc_width, weights, below, &mut counts)
-            })
-        }
-        ClosedFormWindow::Bipolar(w) => {
-            let mut counts = [0; BATCH];
-            sweep_rows(fold, block, |level, weights, below| {
-                cascade(&w.row(level), acc_width, weights, below, &mut counts)
-            })
-        }
+        ClosedFormWindow::SignMagnitude(w) => sweep_unary(w, acc_width, fold, block),
+        ClosedFormWindow::Bipolar(w) => sweep_unary(w, acc_width, fold, block),
     }
 }
 
+/// [`sweep_fold`] of a unary window: converts the fold's weights to lane
+/// thresholds once, into a buffer of the fold (`groups` lane groups per
+/// weight row), and runs each input element's row against them.
+fn sweep_unary(
+    window: &impl UnaryWindow,
+    acc_width: u32,
+    fold: (&Matrix<i64>, &Matrix<i64>, Range<usize>),
+    block: &mut Matrix<i64>,
+) -> u64 {
+    let (_, weights, ks) = &fold;
+    let groups = weights.cols().div_ceil(LANES);
+    let mut lanes = vec![[0; LANES]; ks.len() * groups];
+    for (k, row_lanes) in ks.clone().zip(lanes.chunks_exact_mut(groups)) {
+        window.lanes(weights.row(k), row_lanes);
+    }
+    let mut counts = [0; BATCH];
+    sweep_rows(fold, block, |level, r, weights, below| {
+        let lanes = &lanes[r * groups..][..groups];
+        cascade(
+            &window.row(level),
+            acc_width,
+            lanes,
+            weights,
+            below,
+            &mut counts,
+        )
+    })
+}
+
 /// The vector and row loops of [`sweep_fold`] over reduction rows `ks`:
-/// `step(level, weight_row, below)` runs the M-end of one input element's
-/// row against its whole weight row and returns the saturation events.
+/// `step(level, r, weight_row, below)` runs the M-end of one input
+/// element's row (the fold's `r`-th) against its whole weight row and
+/// returns the saturation events.
 fn sweep_rows(
     (input, weights, ks): (&Matrix<i64>, &Matrix<i64>, Range<usize>),
     block: &mut Matrix<i64>,
-    mut step: impl FnMut(i64, &[i64], &mut [i64]) -> u64,
+    mut step: impl FnMut(i64, usize, &[i64], &mut [i64]) -> u64,
 ) -> u64 {
     let mut saturations = 0;
     for (p, below) in block
@@ -724,20 +754,22 @@ fn sweep_rows(
         .chunks_exact_mut(weights.cols())
         .enumerate()
     {
-        for (k, &level) in ks.clone().zip(&input.row(p)[ks.clone()]).rev() {
-            saturations += step(level, weights.row(k), below);
+        for (r, (k, &level)) in ks.clone().zip(&input.row(p)[ks.clone()]).enumerate().rev() {
+            saturations += step(level, r, weights.row(k), below);
         }
     }
     saturations
 }
 
 /// One row's M-end over a whole weight row: the row counts [`BATCH`]
-/// weights at a time into `counts` (a buffer of the whole fold, so no row
-/// clears one), and each PE's count then folds into the `acc_width`-bit
-/// OREG with the partial sum from below. Returns the saturation events.
+/// weights at a time (their lane thresholds `lanes`) into `counts` (a
+/// buffer of the whole fold, so no row clears one), and each PE's count
+/// then folds into the `acc_width`-bit OREG with the partial sum from
+/// below. Returns the saturation events.
 fn cascade(
     row: &impl WindowRow,
     acc_width: u32,
+    lanes: &[[u32; LANES]],
     weights: &[i64],
     below: &mut [i64],
     counts: &mut [i64; BATCH],
@@ -745,9 +777,13 @@ fn cascade(
     // A local OREG: every M-end drains it, so no state outlives the row.
     let mut oreg = BinaryAccumulator::new(acc_width);
     let mut saturations = 0;
-    for (weights, below) in weights.chunks(BATCH).zip(below.chunks_mut(BATCH)) {
+    for ((lanes, weights), below) in lanes
+        .chunks(BATCH / LANES)
+        .zip(weights.chunks(BATCH))
+        .zip(below.chunks_mut(BATCH))
+    {
         let counts = &mut counts[..weights.len()];
-        row.count(weights, counts);
+        row.count(lanes, weights, counts);
         for (partial, &count) in below.iter_mut().zip(&*counts) {
             if m_end(&mut oreg, count, partial) {
                 saturations += 1;

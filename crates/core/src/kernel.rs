@@ -12,15 +12,25 @@
 //! threshold, over number sources that restart from the same seed every
 //! window (Fig. 4/7). Each count is a closed-form Sobol prefix count
 //! ([`usystolic_unary::packed::SobolPrefix`]), split the way the array
-//! splits the work. The input element's half, `row(input)`, is built once
-//! per input element and row fold in `O(bitwidth)` and shared by all `N`
-//! PEs of its weight row, across every column fold, as Fig. 7's leftmost
-//! PE generates the (IFM bit, random number) pair once for the whole row.
-//! The row then counts its whole weight row ([`WindowRow::count`]), eight
-//! weights at a time: per prefix class one add and one shift across eight
-//! `u32` lanes ([`usystolic_unary::packed::SobolPrefix::count_lanes`]), no
-//! branch on the data. `ClosedFormWindow` is built once per GEMM and holds
-//! no per-fold state:
+//! splits the work, and both halves are built ahead of the windows. The
+//! input element's half, `row(input)`, depends only on its level, and a
+//! GEMM's inputs take at most `2^(N−1)+1` magnitude levels (`2^N+1`
+//! bipolar thresholds), so the window builds every level's row once per
+//! GEMM ([`usystolic_unary::packed::PrefixTable`]) and `row(input)` looks
+//! it up; the row is shared by all `N` PEs of its weight row, across every
+//! column fold, as Fig. 7's leftmost PE generates the (IFM bit, random
+//! number) pair once for the whole row. A window tabulates only when the
+//! table cannot cost more than it saves: at most as many levels as the
+//! GEMM has input elements (`M·K`) and at most `2^12 + 1` levels, so
+//! memory stays bounded up to `MAX_BITWIDTH`. Otherwise `row(input)`
+//! splits the element's prefix in `O(bitwidth)`, on the stack. The
+//! weight's half is its lane threshold ([`UnaryWindow::lane`]), converted
+//! once per row fold. The row then counts its whole weight row
+//! ([`WindowRow::count`]), eight weights at a time: per prefix class one
+//! add and one shift across eight `u32` lanes
+//! ([`usystolic_unary::packed::PrefixClasses::count_lanes`]), no branch on
+//! the data. `ClosedFormWindow` is built once per GEMM and holds no
+//! per-fold state:
 //!
 //! * a binary window is the exact product `I·W`;
 //! * a rate- or temporal-coded window is `sign · count₀(enabled(|I|), |W|)`.
@@ -28,7 +38,7 @@
 //!   so a window sees only *how many* enable bits its IFM produced: the
 //!   IFM source's own prefix count below `|I|` ([`IfmSource::prefix`]:
 //!   Sobol dimension 1 at `mul_cycles` for rate coding, a counter for
-//!   temporal coding). The row builds the weight RNG's prefix over that
+//!   temporal coding). The row is the weight RNG's prefix over that
 //!   count. Every increment of one window carries the same sign
 //!   (`ISIGN ⊕ WSIGN`), and the downstream
 //!   [`usystolic_unary::add::BinaryAccumulator`] clamps monotonically, so
@@ -37,7 +47,7 @@
 //!   which of two RNGs advances (ones phase: Sobol dimension 0, zeros
 //!   phase: dimension 2), and the input RNG runs one full period, a
 //!   permutation, so `n1 = min(T_in, 2^N)` cycles are input-high and
-//!   `n0 = 2^N − n1` input-low. The row builds both phase prefixes, and
+//!   `n0 = 2^N − n1` input-low. The row holds both phase prefixes, and
 //!   the window sums to `2·(count₀(n1, T_w) + n0 − count₂(n0, T_w)) − 2^N`.
 //!   The lump add is bit-exact only when the OREG cannot clamp mid-window
 //!   (`acc_width ≥ bitwidth + 2`), which [`KernelMode::resolve`] enforces.
@@ -52,7 +62,7 @@ use crate::pe::{IfmPrefix, IfmSource};
 use crate::scheme::ComputingScheme;
 use std::sync::atomic::{AtomicBool, Ordering};
 use usystolic_unary::coding::Coding;
-use usystolic_unary::packed::{SobolPrefix, LANES};
+use usystolic_unary::packed::{PrefixClasses, PrefixTable, SobolPrefix, LANES};
 use usystolic_unary::rng::SobolSource;
 
 /// Selects how the tile sweep evaluates MAC windows.
@@ -70,9 +80,9 @@ pub enum KernelMode {
 /// [`KernelMode::resolve`] decides it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelPath {
-    /// Closed-form window arithmetic, `O(bitwidth)` per input element and
-    /// row fold and branch-free per window, with no stream of any kind
-    /// (see the module docs).
+    /// Closed-form window arithmetic: a table lookup (or `O(bitwidth)`)
+    /// per input element and branch-free per window, with no stream of
+    /// any kind (see the module docs).
     ClosedForm,
     /// Cycle-by-cycle bit-serial reference machine.
     Serial,
@@ -148,11 +158,24 @@ impl core::fmt::Display for KernelMode {
     }
 }
 
+/// Most input levels a window tabulates: `2^12 + 1`, the levels of a
+/// 12-bit uGEMM-H or a 13-bit rate- or temporal-coded window. Wider data
+/// builds each row on its own, so the table stays bounded (a few hundred
+/// KB) up to [`usystolic_unary::MAX_BITWIDTH`].
+const MAX_TABLE_LEVELS: u64 = (1 << 12) + 1;
+
+/// Whether a window over `levels` input levels tabulates its rows for a
+/// GEMM of `elements` input elements: only where the table cannot cost
+/// more rows than it saves (every level could recur) and stays bounded.
+fn tabulate(levels: u64, elements: usize) -> bool {
+    levels <= MAX_TABLE_LEVELS && levels <= elements as u64
+}
+
 /// The closed-form MAC window of one GEMM's scheme: built once per GEMM,
-/// shared by every row fold. Each kind splits a window into the input
-/// element's half (`row(input)`, a [`WindowRow`]) and the per-weight
-/// count, so the tile sweep stays monomorphised per kind (see the module
-/// docs).
+/// shared by every row fold. Each unary kind splits a window into the
+/// input element's half (`row(input)`, a [`WindowRow`]) and the weight's
+/// lane threshold ([`UnaryWindow::lane`]), so the tile sweep stays
+/// monomorphised per kind (see the module docs).
 pub(crate) enum ClosedFormWindow {
     /// Binary schemes: the exact product, which the tile sweep fuses into
     /// its M-end cascade.
@@ -166,7 +189,10 @@ pub(crate) enum ClosedFormWindow {
 impl ClosedFormWindow {
     /// The window of `scheme` at `bitwidth`-bit data, `mul_cycles`
     /// multiply cycles per window (a uGEMM-H window is always its full
-    /// `2^bitwidth`-cycle period).
+    /// `2^bitwidth`-cycle period), for a GEMM of `elements` input
+    /// elements (`M·K`): a window tabulates the rows of every input level
+    /// when the GEMM has at least as many elements as levels and at most
+    /// `2^12 + 1` levels, and builds each row on its own otherwise.
     ///
     /// # Panics
     ///
@@ -174,42 +200,81 @@ impl ClosedFormWindow {
     /// period `2^(bitwidth−1)`: the Sobol prefix count has no closed form
     /// past one period. Rate windows (`2^(EBT−1)` cycles) and temporal
     /// windows are at most one period by construction.
-    pub(crate) fn new(scheme: ComputingScheme, bitwidth: u32, mul_cycles: u64) -> Self {
+    pub(crate) fn new(
+        scheme: ComputingScheme,
+        bitwidth: u32,
+        mul_cycles: u64,
+        elements: usize,
+    ) -> Self {
         let coding = match scheme {
             ComputingScheme::BinaryParallel | ComputingScheme::BinarySerial => return Self::Binary,
             ComputingScheme::UGemmHybrid => {
-                return Self::Bipolar(BipolarWindow {
-                    half: 1i64 << (bitwidth - 1),
-                    ones_rng: SobolSource::dimension(0, bitwidth).directions().to_vec(),
-                    zeros_rng: SobolSource::dimension(2, bitwidth).directions().to_vec(),
-                })
+                return Self::Bipolar(BipolarWindow::new(bitwidth, elements))
             }
             ComputingScheme::UnaryRate => Coding::Rate,
             ComputingScheme::UnaryTemporal => Coding::Temporal,
         };
-        let period = 1u64 << (bitwidth - 1);
-        assert!(
-            mul_cycles <= period,
-            "window of {mul_cycles} cycles exceeds the RNG period {period}"
-        );
-        Self::SignMagnitude(SignMagnitudeWindow {
-            ifm: IfmSource::for_coding(coding, bitwidth).prefix(mul_cycles),
-            weight_rng: SobolSource::dimension(0, bitwidth - 1)
-                .directions()
-                .to_vec(),
-        })
+        Self::SignMagnitude(SignMagnitudeWindow::new(
+            coding, bitwidth, mul_cycles, elements,
+        ))
+    }
+}
+
+/// A unary window kind of [`ClosedFormWindow`]: the two operand halves
+/// the tile sweep builds ahead of its windows.
+pub(crate) trait UnaryWindow {
+    /// One input element's half of its windows.
+    type Row<'a>: WindowRow
+    where
+        Self: 'a;
+
+    /// The row of input level `input`: a lookup when the window
+    /// tabulates its levels, built in `O(bitwidth)` otherwise.
+    fn row(&self, input: i64) -> Self::Row<'_>;
+
+    /// The lane threshold a PE holding weight level `weight` counts
+    /// against.
+    fn lane(&self, weight: i64) -> u32;
+
+    /// Writes the lane thresholds of `weights` to `lanes`, [`LANES`] per
+    /// group; the spare lanes of a ragged last group keep their value.
+    fn lanes(&self, weights: &[i64], lanes: &mut [[u32; LANES]]) {
+        for (lane, &weight) in lanes.as_flattened_mut().iter_mut().zip(weights) {
+            *lane = self.lane(weight);
+        }
     }
 }
 
 /// One input element's half of a closed-form MAC window: everything that
-/// depends on the input alone, built once per input element and counted
-/// against its whole row of the weight matrix.
+/// depends on the input alone, counted against its whole row of the
+/// weight matrix.
 pub(crate) trait WindowRow {
     /// Writes to `counts[j]` the signed count a PE holding weight level
     /// `weights[j]` accumulates over one MAC window on this row's input,
-    /// identical to what the stepped machine accumulates. The slices have
-    /// the same length; the weights are counted [`LANES`] at a time.
-    fn count(&self, weights: &[i64], counts: &mut [i64]);
+    /// identical to what the stepped machine accumulates. `lanes` holds
+    /// the weights' lane thresholds ([`UnaryWindow::lanes`]), so `counts`
+    /// and `weights` have the same length and `lanes` one group per
+    /// [`LANES`] of it.
+    fn count(&self, lanes: &[[u32; LANES]], weights: &[i64], counts: &mut [i64]);
+}
+
+/// One Sobol prefix of a row: a row of its window's level table, or split
+/// for this row alone.
+enum Prefix<'a> {
+    /// A row of the level table.
+    Table(PrefixClasses<'a>),
+    /// Split for this row.
+    Own(SobolPrefix),
+}
+
+impl Prefix<'_> {
+    #[inline]
+    fn classes(&self) -> PrefixClasses<'_> {
+        match self {
+            Prefix::Table(classes) => *classes,
+            Prefix::Own(prefix) => prefix.classes(),
+        }
+    }
 }
 
 /// A rate- or temporal-coded window (see the module docs).
@@ -218,44 +283,91 @@ pub(crate) struct SignMagnitudeWindow {
     ifm: IfmPrefix,
     /// Direction numbers of the weight RNG (Sobol dimension 0).
     weight_rng: Vec<u64>,
+    /// `2^(bitwidth−1)`: the largest magnitude.
+    period: u64,
+    /// Row `l`: the weight RNG's prefix over the enable count of input
+    /// magnitude `l`, for every magnitude `0..=period`, when the window
+    /// tabulates its levels.
+    levels: Option<PrefixTable>,
 }
 
 impl SignMagnitudeWindow {
-    /// The row of input level `input`: the weight RNG's prefix over the
-    /// window's enable count, and the input's sign.
-    #[inline]
-    pub(crate) fn row(&self, input: i64) -> SignMagnitudeRow {
-        // Sign-magnitude operands clamp their magnitude to the period
-        // 2^(bitwidth−1), like `SignMagnitude::from_signed` (clamping
-        // keeps the sign). The IFM source and the weight RNG both have
-        // that period, and both prefix counts clamp their threshold to it.
-        let enabled = self.ifm.enable_count(input.unsigned_abs());
-        SignMagnitudeRow {
-            weight: SobolPrefix::new(&self.weight_rng, enabled),
-            negative: input < 0,
+    fn new(coding: Coding, bitwidth: u32, mul_cycles: u64, elements: usize) -> Self {
+        let period = 1u64 << (bitwidth - 1);
+        assert!(
+            mul_cycles <= period,
+            "window of {mul_cycles} cycles exceeds the RNG period {period}"
+        );
+        let ifm = IfmSource::for_coding(coding, bitwidth).prefix(mul_cycles);
+        let weight_rng = SobolSource::dimension(0, bitwidth - 1)
+            .directions()
+            .to_vec();
+        let levels = tabulate(period + 1, elements).then(|| {
+            PrefixTable::new(
+                &weight_rng,
+                (0..=period).map(|magnitude| ifm.enable_count(magnitude)),
+            )
+        });
+        Self {
+            ifm,
+            weight_rng,
+            period,
+            levels,
         }
     }
 }
 
+impl UnaryWindow for SignMagnitudeWindow {
+    type Row<'a> = SignMagnitudeRow<'a>;
+
+    /// The weight RNG's prefix over the window's enable count, and the
+    /// input's sign.
+    #[inline]
+    fn row(&self, input: i64) -> SignMagnitudeRow<'_> {
+        // Sign-magnitude operands clamp their magnitude to the period
+        // 2^(bitwidth−1), like `SignMagnitude::from_signed` (clamping
+        // keeps the sign). The IFM source and the weight RNG both have
+        // that period, and both prefix counts clamp their threshold to it.
+        let magnitude = input.unsigned_abs().min(self.period);
+        let weight = match &self.levels {
+            Some(table) => Prefix::Table(table.row(magnitude as usize)),
+            None => Prefix::Own(SobolPrefix::new(
+                &self.weight_rng,
+                self.ifm.enable_count(magnitude),
+            )),
+        };
+        SignMagnitudeRow {
+            weight,
+            negative: input < 0,
+        }
+    }
+
+    /// `|W|`; any magnitude past the period clamps to it in the count.
+    #[inline]
+    fn lane(&self, weight: i64) -> u32 {
+        u32::try_from(weight.unsigned_abs()).unwrap_or(u32::MAX)
+    }
+}
+
 /// A rate- or temporal-coded window's row.
-pub(crate) struct SignMagnitudeRow {
+pub(crate) struct SignMagnitudeRow<'a> {
     /// The weight RNG's prefix over the window's enabled cycles.
-    weight: SobolPrefix,
+    weight: Prefix<'a>,
     /// `ISIGN`.
     negative: bool,
 }
 
-impl WindowRow for SignMagnitudeRow {
-    fn count(&self, weights: &[i64], counts: &mut [i64]) {
+impl WindowRow for SignMagnitudeRow<'_> {
+    fn count(&self, lanes: &[[u32; LANES]], weights: &[i64], counts: &mut [i64]) {
+        let weight = self.weight.classes();
         // All ones for a negative input: `ISIGN` as a mask.
         let isign = -i64::from(self.negative);
-        for (weights, counts) in weights.chunks(LANES).zip(counts.chunks_mut(LANES)) {
-            let mut magnitudes = [0u32; LANES];
-            for (magnitude, &weight) in magnitudes.iter_mut().zip(weights) {
-                // Any magnitude past the period clamps to it in the count.
-                *magnitude = u32::try_from(weight.unsigned_abs()).unwrap_or(u32::MAX);
-            }
-            let ones = self.weight.count_lanes(magnitudes);
+        for ((&lanes, weights), counts) in lanes
+            .iter()
+            .zip(weights.chunks(LANES))
+            .zip(counts.chunks_mut(LANES))
+        {
+            let ones = weight.count_lanes(lanes);
             for ((count, &ones), &weight) in counts.iter_mut().zip(&ones).zip(weights) {
                 // All ones for `ISIGN ⊕ WSIGN`: `(x ^ sign) − sign` negates
                 // the count without a branch on the data.
@@ -274,6 +386,9 @@ pub(crate) struct BipolarWindow {
     ones_rng: Vec<u64>,
     /// Direction numbers of the zeros-phase RNG (Sobol dimension 2).
     zeros_rng: Vec<u64>,
+    /// Row `n` of each: the phase RNG's prefix over `n` cycles, for every
+    /// `n` in `0..=2^bitwidth`, when the window tabulates its levels.
+    levels: Option<[PrefixTable; 2]>,
 }
 
 /// The bipolar threshold `clamp(level) + half` of a level, with
@@ -283,43 +398,74 @@ fn bipolar_threshold(level: i64, half: i64) -> u64 {
 }
 
 impl BipolarWindow {
-    /// The row of input level `input`: `n1` input-high cycles on the ones
-    /// RNG, `n0` input-low cycles on the zeros RNG.
-    #[inline]
-    pub(crate) fn row(&self, input: i64) -> BipolarRow {
-        let n1 = bipolar_threshold(input, self.half);
-        let n0 = 2 * self.half as u64 - n1;
-        BipolarRow {
-            ones: SobolPrefix::new(&self.ones_rng, n1),
-            zeros: SobolPrefix::new(&self.zeros_rng, n0),
-            n0,
-            half: self.half,
+    fn new(bitwidth: u32, elements: usize) -> Self {
+        let ones_rng = SobolSource::dimension(0, bitwidth).directions().to_vec();
+        let zeros_rng = SobolSource::dimension(2, bitwidth).directions().to_vec();
+        let period = 1u64 << bitwidth;
+        let levels = tabulate(period + 1, elements)
+            .then(|| [&ones_rng, &zeros_rng].map(|rng| PrefixTable::new(rng, 0..=period)));
+        Self {
+            half: 1i64 << (bitwidth - 1),
+            ones_rng,
+            zeros_rng,
+            levels,
         }
     }
 }
 
+impl UnaryWindow for BipolarWindow {
+    type Row<'a> = BipolarRow<'a>;
+
+    /// `n1` input-high cycles on the ones RNG, `n0` input-low cycles on
+    /// the zeros RNG.
+    #[inline]
+    fn row(&self, input: i64) -> BipolarRow<'_> {
+        let n1 = bipolar_threshold(input, self.half);
+        let n0 = 2 * self.half as u64 - n1;
+        let (ones, zeros) = match &self.levels {
+            Some([ones, zeros]) => (
+                Prefix::Table(ones.row(n1 as usize)),
+                Prefix::Table(zeros.row(n0 as usize)),
+            ),
+            None => (
+                Prefix::Own(SobolPrefix::new(&self.ones_rng, n1)),
+                Prefix::Own(SobolPrefix::new(&self.zeros_rng, n0)),
+            ),
+        };
+        BipolarRow {
+            ones,
+            zeros,
+            n0,
+            half: self.half,
+        }
+    }
+
+    /// The bipolar threshold of the weight.
+    #[inline]
+    fn lane(&self, weight: i64) -> u32 {
+        // At most 2^bitwidth ≤ 2^24: lint: allow(narrowing)
+        bipolar_threshold(weight, self.half) as u32
+    }
+}
+
 /// A uGEMM-H window's row.
-pub(crate) struct BipolarRow {
+pub(crate) struct BipolarRow<'a> {
     /// The ones-phase RNG's prefix over the input-high cycles.
-    ones: SobolPrefix,
+    ones: Prefix<'a>,
     /// The zeros-phase RNG's prefix over the input-low cycles.
-    zeros: SobolPrefix,
+    zeros: Prefix<'a>,
     /// Input-low cycles.
     n0: u64,
     /// `2^(bitwidth−1)`.
     half: i64,
 }
 
-impl WindowRow for BipolarRow {
-    fn count(&self, weights: &[i64], counts: &mut [i64]) {
-        for (weights, counts) in weights.chunks(LANES).zip(counts.chunks_mut(LANES)) {
-            let mut thresholds = [0u32; LANES];
-            for (threshold, &weight) in thresholds.iter_mut().zip(weights) {
-                // At most 2^bitwidth ≤ 2^24: lint: allow(narrowing)
-                *threshold = bipolar_threshold(weight, self.half) as u32;
-            }
-            let ones = self.ones.count_lanes(thresholds);
-            let zeros = self.zeros.count_lanes(thresholds);
+impl WindowRow for BipolarRow<'_> {
+    fn count(&self, lanes: &[[u32; LANES]], _weights: &[i64], counts: &mut [i64]) {
+        let (ones, zeros) = (self.ones.classes(), self.zeros.classes());
+        for (&lanes, counts) in lanes.iter().zip(counts.chunks_mut(LANES)) {
+            let ones = ones.count_lanes(lanes);
+            let zeros = zeros.count_lanes(lanes);
             for ((count, &ones), &zeros) in counts.iter_mut().zip(&ones).zip(&zeros) {
                 let plus = u64::from(ones) + self.n0 - u64::from(zeros);
                 *count = 2 * (plus as i64 - self.half);
@@ -338,16 +484,19 @@ mod tests {
     /// The counts of one input element against a row of weights, through
     /// one shared row the way the tile sweep evaluates them.
     fn row_counts(window: &ClosedFormWindow, input: i64, weights: &[i64]) -> Vec<i64> {
-        fn counts(row: &impl WindowRow, weights: &[i64]) -> Vec<i64> {
-            let mut counts = vec![0; weights.len()];
-            row.count(weights, &mut counts);
-            counts
-        }
         match window {
             ClosedFormWindow::Binary => weights.iter().map(|&w| input * w).collect(),
-            ClosedFormWindow::SignMagnitude(w) => counts(&w.row(input), weights),
-            ClosedFormWindow::Bipolar(w) => counts(&w.row(input), weights),
+            ClosedFormWindow::SignMagnitude(w) => unary_counts(w, input, weights),
+            ClosedFormWindow::Bipolar(w) => unary_counts(w, input, weights),
         }
+    }
+
+    fn unary_counts(window: &impl UnaryWindow, input: i64, weights: &[i64]) -> Vec<i64> {
+        let mut lanes = vec![[0; LANES]; weights.len().div_ceil(LANES)];
+        window.lanes(weights, &mut lanes);
+        let mut counts = vec![0; weights.len()];
+        window.row(input).count(&lanes, weights, &mut counts);
+        counts
     }
 
     #[test]
@@ -449,15 +598,19 @@ mod tests {
                 let period = 1u64 << (bitwidth - 1);
                 let half = period as i64;
                 let row_w = [half, -3, 0, 1 - half, 1, half / 2];
-                for mul in [1u64, period - 1, period] {
-                    let window = ClosedFormWindow::new(scheme, bitwidth, mul);
+                for (mul, elements) in [1u64, period - 1, period]
+                    .into_iter()
+                    .flat_map(|mul| [(mul, 0), (mul, usize::MAX)])
+                {
+                    let window = ClosedFormWindow::new(scheme, bitwidth, mul, elements);
                     for level in [0i64, 1, -1, half / 3, -half / 2, half, -half] {
                         let weights = row_w.iter().map(|&w| sm(w, bitwidth)).collect();
                         let mut row = UnaryRow::new(bitwidth, sm(level, bitwidth), weights, coding);
                         assert_eq!(
                             row_counts(&window, level, &row_w),
                             row.run(mul).to_vec(),
-                            "{coding:?} bitwidth {bitwidth} mul {mul} level {level}"
+                            "{coding:?} bitwidth {bitwidth} mul {mul} level {level} \
+                             elements {elements}"
                         );
                     }
                 }
@@ -487,10 +640,14 @@ mod tests {
             sum
         }
 
-        for bitwidth in [2u32, 4, 6, 8, 12] {
+        for (bitwidth, elements) in [2u32, 4, 6, 8, 12]
+            .into_iter()
+            .flat_map(|bitwidth| [(bitwidth, 0), (bitwidth, usize::MAX)])
+        {
             let len = 1u64 << bitwidth;
             let half = len as i64 / 2;
-            let window = ClosedFormWindow::new(ComputingScheme::UGemmHybrid, bitwidth, len);
+            let window =
+                ClosedFormWindow::new(ComputingScheme::UGemmHybrid, bitwidth, len, elements);
             let w_thrs = [0u64, 1, len / 3, len / 2, len - 1, len];
             let weights: Vec<i64> = w_thrs.iter().map(|&t| t as i64 - half).collect();
             for in_thr in [0u64, 1, len / 2 - 1, len / 2, len / 2 + 1, len - 1, len] {
@@ -499,7 +656,7 @@ mod tests {
                     assert_eq!(
                         count,
                         serial_window_sum(bitwidth, in_thr, w_thr),
-                        "bitwidth {bitwidth} in_thr {in_thr} w_thr {w_thr}"
+                        "bitwidth {bitwidth} in_thr {in_thr} w_thr {w_thr} elements {elements}"
                     );
                 }
             }
@@ -514,16 +671,153 @@ mod tests {
             (ComputingScheme::UnaryRate, Coding::Rate),
             (ComputingScheme::UnaryTemporal, Coding::Temporal),
         ] {
-            for mul in [16u64, 128] {
-                let window = ClosedFormWindow::new(scheme, 8, mul);
+            for (mul, elements) in [(16u64, 0), (16, usize::MAX), (128, 0), (128, usize::MAX)] {
+                let window = ClosedFormWindow::new(scheme, 8, mul, elements);
                 for ifm_level in [0i64, 1, -77, 111, 128, -128] {
                     let weights = row_w.iter().map(|&w| sm(w)).collect();
                     let mut row = UnaryRow::new(8, sm(ifm_level), weights, coding);
                     assert_eq!(
                         row_counts(&window, ifm_level, &row_w),
                         row.run_packed(mul).to_vec(),
-                        "{coding:?} mul {mul} ifm {ifm_level}"
+                        "{coding:?} mul {mul} ifm {ifm_level} elements {elements}"
                     );
+                }
+            }
+        }
+    }
+
+    /// Whether `window` tabulates its input levels.
+    fn tabulated(window: &ClosedFormWindow) -> bool {
+        match window {
+            ClosedFormWindow::Binary => false,
+            ClosedFormWindow::SignMagnitude(w) => w.levels.is_some(),
+            ClosedFormWindow::Bipolar(w) => w.levels.is_some(),
+        }
+    }
+
+    #[test]
+    fn windows_tabulate_only_levels_that_can_recur() {
+        // 8 bits: 129 rate/temporal levels, 257 uGEMM-H levels; a table
+        // needs at least as many input elements, and at most 2^12 + 1
+        // levels whatever the GEMM (a 13-bit rate and a 12-bit uGEMM-H
+        // window tabulate, a 14-bit rate and a 13-bit uGEMM-H do not).
+        let ur = ComputingScheme::UnaryRate;
+        let ut = ComputingScheme::UnaryTemporal;
+        let ug = ComputingScheme::UGemmHybrid;
+        for (scheme, bitwidth, levels) in [
+            (ur, 8u32, 129usize),
+            (ut, 8, 129),
+            (ug, 8, 257),
+            (ur, 13, 4097),
+            (ug, 12, 4097),
+        ] {
+            let mul = if scheme == ug {
+                1 << bitwidth
+            } else {
+                1 << (bitwidth - 1)
+            };
+            for (elements, tabled) in [(levels - 1, false), (levels, true), (usize::MAX, true)] {
+                assert_eq!(
+                    tabulated(&ClosedFormWindow::new(scheme, bitwidth, mul, elements)),
+                    tabled,
+                    "{scheme} N {bitwidth} elements {elements}"
+                );
+            }
+        }
+        for (scheme, bitwidth, mul) in [(ur, 14u32, 1 << 13), (ug, 13, 1 << 13), (ur, 24, 1 << 23)]
+        {
+            let window = ClosedFormWindow::new(scheme, bitwidth, mul, usize::MAX);
+            assert!(!tabulated(&window), "{scheme} N {bitwidth}");
+        }
+        let bp = ComputingScheme::BinaryParallel;
+        assert!(!tabulated(&ClosedFormWindow::new(bp, 8, 1, usize::MAX)));
+    }
+
+    #[test]
+    fn level_tables_count_what_rows_built_per_element_count() {
+        // Every input level, including magnitudes past the period, counts
+        // the same through the table as through a row built on its own:
+        // rate and temporal coding at 2..=13 bits (short, odd and full
+        // windows) and uGEMM-H at 2..=12 bits, against weights at every
+        // edge of the range.
+        let mut cases = Vec::new();
+        for bitwidth in 2u32..=13 {
+            let period = 1u64 << (bitwidth - 1);
+            for scheme in [ComputingScheme::UnaryRate, ComputingScheme::UnaryTemporal] {
+                for mul in [1, (period / 2).max(1) + 1, period] {
+                    cases.push((scheme, bitwidth, mul.min(period)));
+                }
+            }
+            if bitwidth <= 12 {
+                cases.push((ComputingScheme::UGemmHybrid, bitwidth, 2 * period));
+            }
+        }
+        for (scheme, bitwidth, mul) in cases {
+            let top = 1i64 << (bitwidth - 1);
+            let range = if scheme == ComputingScheme::UGemmHybrid {
+                top
+            } else {
+                2 * top
+            };
+            let weights: Vec<i64> = [0, 1, -1, top / 3, -top / 2, top - 1, top, -top]
+                .into_iter()
+                .chain([range + 5, -range - 5, 17 % (top + 1), -(29 % (top + 1))])
+                .collect();
+            let table = ClosedFormWindow::new(scheme, bitwidth, mul, usize::MAX);
+            let own = ClosedFormWindow::new(scheme, bitwidth, mul, 0);
+            assert!(tabulated(&table) && !tabulated(&own));
+            for level in -range - 3..=range + 3 {
+                assert_eq!(
+                    row_counts(&table, level, &weights),
+                    row_counts(&own, level, &weights),
+                    "{scheme} N {bitwidth} mul {mul} level {level}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gemms_on_both_sides_of_the_table_rule_match_the_stepped_machine() {
+        // 8-bit rate (129 levels) and uGEMM-H (257 levels): one GEMM with
+        // exactly as many input elements as levels takes the table, one
+        // with one element fewer builds its rows per element, and both
+        // reproduce the stepped machine, outputs and statistics, at 1 and
+        // 4 workers. Inputs sweep every level of the scheme.
+        let mut rng = usystolic_unary::rng::SplitMix64::new(0x7AB1E);
+        for (scheme, levels) in [
+            (ComputingScheme::UnaryRate, 129usize),
+            (ComputingScheme::UGemmHybrid, 257),
+        ] {
+            for (m, k) in [(1usize, levels), (1, levels - 1)] {
+                let gemm = usystolic_gemm::GemmConfig::matmul(m, k, 5).expect("valid test shape");
+                let input = usystolic_gemm::Matrix::from_fn(m, k, |_, j| (j % 257) as i64 - 128);
+                let weights =
+                    usystolic_gemm::Matrix::from_fn(k, 5, |_, _| rng.below(257) as i64 - 128);
+                let cfg = SystolicConfig::new(16, 3, scheme, 8).expect("valid test configuration");
+                let case = format!("{scheme} {m}x{k}");
+                let window = ClosedFormWindow::new(scheme, 8, cfg.mul_cycles(), m * k);
+                assert_eq!(tabulated(&window), m * k >= levels, "{case}");
+                let (serial, serial_stats) = crate::cycle_accurate_gemm_with(
+                    &cfg,
+                    &gemm,
+                    &input,
+                    &weights,
+                    KernelMode::Serial,
+                    1,
+                )
+                .expect("serial path executes");
+                for workers in [1usize, 4] {
+                    let (fast, fast_stats) = crate::cycle_accurate_gemm_with(
+                        &cfg,
+                        &gemm,
+                        &input,
+                        &weights,
+                        KernelMode::Auto,
+                        workers,
+                    )
+                    .expect("closed form executes");
+                    assert_eq!(fast, serial, "{case} workers {workers}");
+                    assert_eq!(fast_stats, serial_stats, "{case} workers {workers}");
                 }
             }
         }

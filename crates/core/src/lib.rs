@@ -16,10 +16,11 @@
 //!   fold.
 //! * [`kernel`] — the closed-form MAC window that lets the sweep skip
 //!   the stepping for every scheme (Sobol prefix counts for the unary
-//!   windows, the product for the binary ones): each input element's
-//!   half is built once per row fold and counted against its whole
-//!   weight row. Bit-exact against the stepped machine; [`KernelMode`]
-//!   picks between the two.
+//!   windows, the product for the binary ones): each input level's half
+//!   is built once per GEMM (a lookup table, where the inputs repeat
+//!   levels) and counted against the element's whole weight row, whose
+//!   lane thresholds each row fold converts once. Bit-exact against the
+//!   stepped machine; [`KernelMode`] picks between the two.
 //! * [`fifo`] — the synchronising skew FIFOs surrounding the array.
 //! * [`fsu`] — the fully-streaming unary (uGEMM-style) reference
 //!   architecture used to quantify Table I.

@@ -63,9 +63,7 @@ impl IfmSource {
     #[must_use]
     pub fn prefix(&self, cycles: u64) -> IfmPrefix {
         match self {
-            IfmSource::Rate(s) => {
-                IfmPrefix::Rate(Box::new(SobolPrefix::new(s.directions(), cycles)))
-            }
+            IfmSource::Rate(s) => IfmPrefix::Rate(SobolPrefix::new(s.directions(), cycles)),
             IfmSource::Temporal(c) => IfmPrefix::Temporal {
                 width: c.width(),
                 cycles,
@@ -81,7 +79,7 @@ impl IfmSource {
 #[derive(Debug, Clone)]
 pub enum IfmPrefix {
     /// Rate coding: the Sobol prefix, split into its classes.
-    Rate(Box<SobolPrefix>),
+    Rate(SobolPrefix),
     /// Temporal coding: a wrapping counter (periodic, so any length).
     Temporal {
         /// Counter width, `bitwidth − 1`.

@@ -26,7 +26,7 @@
 
 use crate::config::{DeviceFaults, FaultError};
 use crate::mask::{window_mask, WindowMask};
-use usystolic_core::IfmSource;
+use usystolic_core::{IfmPrefix, IfmSource};
 use usystolic_obs::{JsonValue, ToJson};
 use usystolic_sim::{Variable, WordCorruption};
 use usystolic_unary::bsg::ConditionalBsg;
@@ -312,6 +312,9 @@ pub fn faulty_unary_gemm(
 struct Wiring {
     /// The IFM source (its closed-form enable count gives `rank`).
     ifm: IfmSource,
+    /// The IFM source's prefix over a whole window: the enabled cycles of
+    /// a fault-free window on any IFM magnitude.
+    window: IfmPrefix,
     /// The weight RNG.
     w_rng: SobolSource,
     /// The IFM source's window sequence.
@@ -328,6 +331,7 @@ impl Wiring {
         let ifm_seq = sequence(&mut ifm.clone(), len);
         let w_seq = sequence(&mut w_rng.clone(), len);
         Self {
+            window: ifm.prefix(len),
             ifm,
             w_rng,
             ifm_seq,
@@ -382,7 +386,7 @@ impl Wiring {
             // Forced product wire: flips invert the constant.
             return if v { len - mask.flips() } else { mask.flips() };
         }
-        let enabled = self.rank(len, x.magnitude);
+        let enabled = self.window.enable_count(x.magnitude);
         let mut ones = sobol_prefix_count(self.w_rng.directions(), enabled, w.magnitude);
         for cycle in mask.cycles() {
             // product[j] = enable[j] && w_seq[rank(j)]: the C-BSG has

@@ -9,11 +9,13 @@
 //! the sources of this crate that count has a closed form in `O(width)`:
 //! [`sobol_prefix_count`] for any Sobol dimension and
 //! [`counter_prefix_count`] for a counter (the tuGEMM-style shortcut).
-//! The Sobol count splits into a per-prefix half, [`SobolPrefix::new`],
-//! and a branch-free per-threshold half, [`SobolPrefix::count`], so one
+//! The Sobol count splits into a per-prefix half, the prefix's classes,
+//! and a branch-free per-threshold half ([`PrefixClasses::count`]), so one
 //! prefix is counted against many thresholds for the price of one split;
-//! [`SobolPrefix::count_lanes`] counts eight thresholds at once, class by
-//! class.
+//! [`PrefixClasses::count_lanes`] counts eight thresholds at once, class
+//! by class. [`SobolPrefix::new`] splits one prefix; a [`PrefixTable`]
+//! splits many prefixes of one generator once and stores their classes
+//! compactly, so a caller that meets the same prefix again looks it up.
 //!
 //! The conditional generator (C-BSG, Fig. 4 of the paper) reduces to the
 //! same count: its RNG advances **only on enabled cycles**, so after `k`
@@ -36,25 +38,143 @@
 use crate::bitstream::Bitstream;
 use crate::rng::NumberSource;
 
-/// Most classes a [`SobolPrefix`] holds: one per bit of a width below 64.
-const MAX_CLASSES: usize = 64;
+/// Widest generator a prefix splits, and so most classes it holds (one per
+/// bit): the widest the workspace builds, uGEMM-H's RNGs at
+/// [`crate::MAX_BITWIDTH`]-bit data. A class then packs into one `u32`
+/// ([`SHIFT_BITS`]), and a lane of [`PrefixClasses::count_lanes`] holds a
+/// clamped threshold plus an offset, below `2^(width+1) ≤ 2^25`.
+const MAX_WIDTH: usize = crate::MAX_BITWIDTH as usize;
 
-/// Thresholds one [`SobolPrefix::count_lanes`] call counts at once.
+/// Low bits of a packed class that hold its shift `s ≤ MAX_WIDTH`; the
+/// offset `mask − low < 2^s` sits above them, so a class fits a `u32`.
+/// One word per class also keeps the lane count's class loop scalar, with
+/// its eight lanes in SIMD registers: compiled from separate offset and
+/// shift arrays, it vectorised across classes instead, with per-lane
+/// shifts that SSE2 lacks.
+const SHIFT_BITS: u32 = 5;
+const _: () = assert!(MAX_WIDTH < 1 << SHIFT_BITS && MAX_WIDTH + (SHIFT_BITS as usize) <= 32);
+
+/// The shift field of a packed class.
+const SHIFT_MASK: u32 = (1 << SHIFT_BITS) - 1;
+
+/// Thresholds one [`PrefixClasses::count_lanes`] call counts at once.
 pub const LANES: usize = 8;
 
-/// Widest generator [`SobolPrefix::count_lanes`] counts in `u32` lanes: a
-/// clamped threshold plus an offset stays below `2^(width+1) ≤ 2^32`.
-const MAX_LANE_WIDTH: usize = 31;
+/// The period `2^width` of a Sobol generator with these direction numbers.
+///
+/// # Panics
+///
+/// Panics if `directions` is empty or has more than [`MAX_WIDTH`] entries.
+fn period(directions: &[u64]) -> u64 {
+    let width = directions.len();
+    assert!(
+        width > 0 && width <= MAX_WIDTH,
+        "unsupported Sobol width {width} (prefix counts split at most {MAX_WIDTH} bits)"
+    );
+    1 << width
+}
+
+/// Splits the first `prefix` outputs of the Sobol sequence with these
+/// `directions` into classes (see [`SobolPrefix`]), in `O(width)` and with
+/// no branch on the prefix's bits: writes each class, packed
+/// ([`SHIFT_BITS`]), to `classes` (at least `width` long) and returns the
+/// number of classes.
+///
+/// # Panics
+///
+/// Panics if `prefix` exceeds the `period` (the Gray-code generator is not
+/// periodic past one period, so a longer prefix has no closed form).
+fn split(directions: &[u64], period: u64, prefix: u64, classes: &mut [u32]) -> u8 {
+    assert!(
+        prefix <= period,
+        "prefix {prefix} exceeds the Sobol period {period}"
+    );
+    if prefix == period {
+        // Full period: the sequence is a permutation of 0..2^width, one
+        // class `(0, 0)` with no fixed bits.
+        classes[0] = 0;
+        return 1;
+    }
+    let width = directions.len();
+    let gray = prefix ^ (prefix >> 1);
+    // XOR of the direction numbers selected by the Gray bits of `prefix`
+    // above the current bit.
+    let mut fixed = 0u64;
+    let mut len = 0;
+    for b in (0..width).rev() {
+        let v = directions[b];
+        // All ones when Gray bit b of `prefix` is set.
+        let gbit = ((gray >> b) & 1).wrapping_neg();
+        // Class `i_b = 0`: its Gray bit b is flipped relative to `gray`,
+        // its low `width − b` output bits are fixed, and its `b` free index
+        // bits sweep the high bits. Every bit writes its class, and only a
+        // set bit of `prefix` keeps it (`len` grows by the bit), so the
+        // split does not branch on the prefix.
+        let class = fixed ^ (v & !gbit);
+        let shift = width - b;
+        let mask = (1u64 << shift) - 1;
+        // `mask − low < 2^shift` and `shift = width − b ≤ MAX_WIDTH`, so
+        // the packed class fits 32 bits: lint: allow(narrowing)
+        classes[len] = (((mask - (class & mask)) << SHIFT_BITS) | shift as u64) as u32;
+        len += usize::from((prefix >> b) & 1 == 1);
+        fixed ^= v & gbit;
+    }
+    // At most `width ≤ MAX_WIDTH` classes: lint: allow(narrowing)
+    len as u8
+}
+
+/// The classes of one Sobol prefix, borrowed from a [`SobolPrefix`] or a
+/// row of a [`PrefixTable`]: the half of the comparator count that
+/// depends on the threshold.
+#[derive(Debug, Clone, Copy)]
+pub struct PrefixClasses<'a> {
+    /// `(mask − low) << SHIFT_BITS | s` per class.
+    classes: &'a [u32],
+    /// `2^width`: thresholds clamp to it.
+    period: u32,
+}
+
+impl PrefixClasses<'_> {
+    /// The number of the prefix's outputs below `threshold`: one add and
+    /// one shift per class, no branch.
+    #[must_use]
+    #[inline]
+    pub fn count(&self, threshold: u64) -> u64 {
+        let threshold = threshold.min(u64::from(self.period));
+        self.classes
+            .iter()
+            .map(|&class| (threshold + u64::from(class >> SHIFT_BITS)) >> (class & SHIFT_MASK))
+            .sum()
+    }
+
+    /// [`count`](Self::count) of [`LANES`] thresholds at once, class by
+    /// class: the class loop runs outside and the thresholds inside, so
+    /// each class is one add and one shift by the same amount across every
+    /// `u32` lane, with no branch. The tile sweep counts a whole weight row
+    /// this way, eight weights per call.
+    #[must_use]
+    #[inline]
+    pub fn count_lanes(&self, thresholds: [u32; LANES]) -> [u32; LANES] {
+        let thresholds = thresholds.map(|threshold| threshold.min(self.period));
+        let mut counts = [0u32; LANES];
+        for &class in self.classes {
+            let (offset, shift) = (class >> SHIFT_BITS, class & SHIFT_MASK);
+            for (count, &threshold) in counts.iter_mut().zip(&thresholds) {
+                *count += (threshold + offset) >> shift;
+            }
+        }
+        counts
+    }
+}
 
 /// One prefix of a Gray-code Sobol sequence of any dimension, split into
 /// the classes its comparator count sums over: [`SobolPrefix::new`] is
 /// the `O(width)` half of the digit DP that depends on the prefix alone,
-/// and [`SobolPrefix::count`] the branch-free half that depends on the
-/// threshold. One prefix serves any number of thresholds; the tile sweep
-/// builds one per input element and row fold and counts it against the
-/// element's whole weight row ([`SobolPrefix::count_lanes`]), the way the
+/// and [`PrefixClasses::count`] the branch-free half that depends on the
+/// threshold. One prefix serves any number of thresholds, the way the
 /// leftmost PE of Fig. 7 generates the (IFM bit, random number) pair once
-/// for its whole row.
+/// for its whole row. A [`PrefixTable`] holds the same classes for many
+/// prefixes at once.
 ///
 /// The sequence is `seq[i] = XOR { directions[b] : bit b of gray(i) }`,
 /// with `width = directions.len()` and the generator's direction numbers
@@ -81,14 +201,12 @@ const MAX_LANE_WIDTH: usize = 31;
 /// (`tests::sobol_prefix_count_matches_every_dimension`).
 #[derive(Debug, Clone)]
 pub struct SobolPrefix {
-    /// `mask − low` per class.
-    offsets: [u64; MAX_CLASSES],
-    /// `s = width − b` per class.
-    shifts: [u8; MAX_CLASSES],
+    /// `(mask − low) << SHIFT_BITS | s` per class.
+    classes: [u32; MAX_WIDTH],
     /// Classes in use.
-    len: usize,
-    /// `2^width`: thresholds clamp to it.
-    period: u64,
+    len: u8,
+    /// `2^width`.
+    period: u32,
 }
 
 impl SobolPrefix {
@@ -98,102 +216,105 @@ impl SobolPrefix {
     ///
     /// # Panics
     ///
-    /// Panics if `directions` is empty or has 64 or more entries, or if
-    /// `prefix` exceeds the period `2^width` (the Gray-code generator is
-    /// not periodic past one period, so a longer prefix has no closed
-    /// form).
+    /// Panics if `directions` is empty or has more entries than the
+    /// widest generator the workspace builds ([`crate::MAX_BITWIDTH`]),
+    /// or if `prefix` exceeds the period `2^width` (the Gray-code
+    /// generator is not periodic past one period, so a longer prefix has
+    /// no closed form).
     #[must_use]
     pub fn new(directions: &[u64], prefix: u64) -> Self {
-        let width = directions.len();
-        assert!(width > 0 && width < 64, "unsupported Sobol width {width}");
-        let period = 1u64 << width;
-        assert!(
-            prefix <= period,
-            "prefix {prefix} exceeds the Sobol period {period}"
-        );
-        let mut split = Self {
-            offsets: [0; MAX_CLASSES],
-            shifts: [0; MAX_CLASSES],
-            len: 0,
-            period,
-        };
-        if prefix == period {
-            // Full period: the sequence is a permutation of 0..2^width,
-            // one class `(0, 0)` with no fixed bits.
-            split.len = 1;
-            return split;
+        let period = period(directions);
+        let mut classes = [0; MAX_WIDTH];
+        let len = split(directions, period, prefix, &mut classes);
+        Self {
+            classes,
+            len,
+            // At most 2^MAX_WIDTH: lint: allow(narrowing)
+            period: period as u32,
         }
-        let gray = prefix ^ (prefix >> 1);
-        // XOR of the direction numbers selected by the Gray bits of
-        // `prefix` above the current bit.
-        let mut fixed = 0u64;
-        for b in (0..width).rev() {
-            let v = directions[b];
-            // All ones when Gray bit b of `prefix` is set.
-            let gbit = ((gray >> b) & 1).wrapping_neg();
-            // Class `i_b = 0`: its Gray bit b is flipped relative to
-            // `gray`, its low `width − b` output bits are fixed, and its
-            // `b` free index bits sweep the high bits. Every bit writes its
-            // class, and only a set bit of `prefix` keeps it (`len` grows
-            // by the bit), so the split does not branch on the prefix.
-            let class = fixed ^ (v & !gbit);
-            let shift = width - b;
-            let mask = (1u64 << shift) - 1;
-            split.offsets[split.len] = mask - (class & mask);
-            // `shift = width − b` is below 64: lint: allow(narrowing)
-            split.shifts[split.len] = shift as u8;
-            split.len += usize::from((prefix >> b) & 1 == 1);
-            fixed ^= v & gbit;
-        }
-        split
     }
 
-    /// The number of the prefix's outputs below `threshold`: one add and
-    /// one shift per class, no branch.
+    /// The prefix's classes, to count against thresholds.
+    #[must_use]
+    #[inline]
+    pub fn classes(&self) -> PrefixClasses<'_> {
+        PrefixClasses {
+            classes: &self.classes[..usize::from(self.len)],
+            period: self.period,
+        }
+    }
+
+    /// The number of the prefix's outputs below `threshold`
+    /// ([`PrefixClasses::count`]).
     #[must_use]
     #[inline]
     pub fn count(&self, threshold: u64) -> u64 {
-        let threshold = threshold.min(self.period);
-        self.offsets[..self.len]
-            .iter()
-            .zip(&self.shifts[..self.len])
-            .map(|(&offset, &shift)| (threshold + offset) >> shift)
-            .sum()
+        self.classes().count(threshold)
     }
+}
 
-    /// [`count`](Self::count) of [`LANES`] thresholds at once, class by
-    /// class: the class loop runs outside and the thresholds inside, so
-    /// each class is one add and one shift by the same amount across every
-    /// `u32` lane, with no branch. The tile sweep counts a whole weight row
-    /// this way, eight weights per call.
+/// Many prefixes of one Sobol generator, each split into its classes once
+/// ([`SobolPrefix`]) and looked up by row: the classes sit at a fixed
+/// stride of `width` (one packed `u32` each, plus one `u8` class count per
+/// row), so `r` rows take `r · (4 · width + 1)` bytes, about 3.7 KB for
+/// the 129 input levels of an 8-bit rate-coded window and 92 KB for the
+/// 2,049 of a 12-bit one.
+#[derive(Debug, Clone)]
+pub struct PrefixTable {
+    /// Classes per row slot: the generator width.
+    width: usize,
+    /// `2^width`.
+    period: u32,
+    /// `(mask − low) << SHIFT_BITS | s` per class, `width` slots per row.
+    classes: Vec<u32>,
+    /// Classes in use per row.
+    lens: Vec<u8>,
+}
+
+impl PrefixTable {
+    /// Splits each of `prefixes` of the Sobol sequence with these
+    /// `directions`, in order: row `i` holds the `i`-th prefix.
     ///
     /// # Panics
     ///
-    /// Panics if the generator is wider than 31 bits: a lane holds a
-    /// clamped threshold plus an offset, below `2^(width+1)` (data of at
-    /// most [`crate::MAX_BITWIDTH`] bits stays below `2^25`).
+    /// Panics like [`SobolPrefix::new`] on an unsupported width or a
+    /// prefix past the period.
+    #[must_use]
+    pub fn new(directions: &[u64], prefixes: impl IntoIterator<Item = u64>) -> Self {
+        let width = directions.len();
+        let period = period(directions);
+        let prefixes = prefixes.into_iter();
+        let rows = prefixes.size_hint().0;
+        let mut table = Self {
+            width,
+            // At most 2^MAX_WIDTH: lint: allow(narrowing)
+            period: period as u32,
+            classes: Vec::with_capacity(rows * width),
+            lens: Vec::with_capacity(rows),
+        };
+        for prefix in prefixes {
+            let start = table.classes.len();
+            table.classes.resize(start + width, 0);
+            let len = split(directions, period, prefix, &mut table.classes[start..]);
+            table.lens.push(len);
+        }
+        table
+    }
+
+    /// The classes of row `row`, the `row`-th prefix given to
+    /// [`new`](Self::new).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has no row `row`.
     #[must_use]
     #[inline]
-    pub fn count_lanes(&self, thresholds: [u32; LANES]) -> [u32; LANES] {
-        assert!(
-            self.period <= 1 << MAX_LANE_WIDTH,
-            "u32 lanes hold generators of at most {MAX_LANE_WIDTH} bits"
-        );
-        // At most 2^31 after the assert: lint: allow(narrowing)
-        let period = self.period as u32;
-        let thresholds = thresholds.map(|threshold| threshold.min(period));
-        let mut counts = [0u32; LANES];
-        for (&offset, &shift) in self.offsets[..self.len]
-            .iter()
-            .zip(&self.shifts[..self.len])
-        {
-            // `mask − low < 2^shift ≤ 2^31`: lint: allow(narrowing)
-            let offset = offset as u32;
-            for (count, &threshold) in counts.iter_mut().zip(&thresholds) {
-                *count += (threshold + offset) >> shift;
-            }
+    pub fn row(&self, row: usize) -> PrefixClasses<'_> {
+        let start = row * self.width;
+        PrefixClasses {
+            classes: &self.classes[start..start + usize::from(self.lens[row])],
+            period: self.period,
         }
-        counts
     }
 }
 
@@ -207,8 +328,9 @@ impl SobolPrefix {
 ///
 /// # Panics
 ///
-/// Panics if `directions` is empty or has 64 or more entries, or if
-/// `prefix` exceeds the period `2^width`.
+/// Panics like [`SobolPrefix::new`]: if `directions` is empty or wider
+/// than [`crate::MAX_BITWIDTH`], or if `prefix` exceeds the period
+/// `2^width`.
 #[must_use]
 pub fn sobol_prefix_count(directions: &[u64], prefix: u64, threshold: u64) -> u64 {
     SobolPrefix::new(directions, prefix).count(threshold)
@@ -300,7 +422,7 @@ mod tests {
                         for (lane, threshold) in lanes.iter_mut().zip(call * LANES..) {
                             *lane = threshold as u32;
                         }
-                        let counts = split.count_lanes(lanes);
+                        let counts = split.classes().count_lanes(lanes);
                         for ((&count, &expect), threshold) in
                             counts.iter().zip(expect).zip(call * LANES..)
                         {
@@ -385,23 +507,25 @@ mod tests {
 
     #[test]
     fn count_lanes_take_thresholds_up_to_the_widest_lane() {
-        // A 31-bit generator is the widest whose lanes cannot overflow:
+        // On the widest generator a prefix splits (MAX_BITWIDTH bits),
         // thresholds up to u32::MAX clamp to the period, and every lane
         // agrees with the scalar count.
-        let directions = SobolSource::dimension(3, 31).directions().to_vec();
+        let width = crate::MAX_BITWIDTH;
+        let period = 1u32 << width;
+        let directions = SobolSource::dimension(3, width).directions().to_vec();
         let thresholds = [
             0u32,
             1,
-            1 << 30,
-            (1 << 31) - 1,
-            1 << 31,
-            (1 << 31) + 1,
+            period / 2,
+            period - 1,
+            period,
+            period + 1,
             u32::MAX,
             12_345,
         ];
-        for prefix in [0u64, 1, 12_345, (1 << 31) - 1, 1 << 31] {
+        for prefix in [0u64, 1, 12_345, u64::from(period) - 1, u64::from(period)] {
             let split = SobolPrefix::new(&directions, prefix);
-            let counts = split.count_lanes(thresholds);
+            let counts = split.classes().count_lanes(thresholds);
             for (&count, &threshold) in counts.iter().zip(&thresholds) {
                 assert_eq!(
                     u64::from(count),
@@ -413,10 +537,60 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "u32 lanes hold generators of at most 31 bits")]
-    fn count_lanes_reject_generators_wider_than_a_lane() {
-        let directions = SobolSource::dimension(0, 32).directions().to_vec();
-        let _ = SobolPrefix::new(&directions, 7).count_lanes([1; LANES]);
+    #[should_panic(expected = "unsupported Sobol width 25")]
+    fn prefixes_reject_generators_wider_than_max_bitwidth() {
+        // A prefix holds one class per generator bit, up to the widest
+        // generator the workspace builds; a table splits the same way.
+        let directions = SobolSource::dimension(0, crate::MAX_BITWIDTH + 1)
+            .directions()
+            .to_vec();
+        let _ = SobolPrefix::new(&directions, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported Sobol width 25")]
+    fn tables_reject_generators_wider_than_max_bitwidth() {
+        let directions = SobolSource::dimension(2, crate::MAX_BITWIDTH + 1)
+            .directions()
+            .to_vec();
+        let _ = PrefixTable::new(&directions, [7]);
+    }
+
+    #[test]
+    fn table_rows_match_their_prefixes_at_every_threshold() {
+        // Row by row, a table counts exactly what `SobolPrefix::new` of
+        // the same prefix counts, at every threshold 0..=2^width (eight
+        // per lane call): every prefix of widths 1..=10, sampled prefixes
+        // (every 97th, both ends) of widths 11..=13, on the weight RNG
+        // (dimension 0) and uGEMM-H's zeros-phase RNG (dimension 2).
+        for dim in [0usize, 2] {
+            for width in 1u32..=13 {
+                let period = 1u64 << width;
+                let directions = SobolSource::dimension(dim, width).directions().to_vec();
+                let prefixes: Vec<u64> = (0..=period)
+                    .filter(|&p| width <= 10 || p % 97 == 0 || p + 1 >= period)
+                    .collect();
+                let table = PrefixTable::new(&directions, prefixes.iter().copied());
+                let thresholds: Vec<u32> = (0..=period as u32).collect();
+                for (row, &prefix) in prefixes.iter().enumerate() {
+                    let own = SobolPrefix::new(&directions, prefix);
+                    for chunk in thresholds.chunks(LANES) {
+                        let mut lanes = [0u32; LANES];
+                        lanes[..chunk.len()].copy_from_slice(chunk);
+                        assert_eq!(
+                            table.row(row).count_lanes(lanes),
+                            own.classes().count_lanes(lanes),
+                            "dim {dim}, width {width}, prefix {prefix}, thresholds {chunk:?}"
+                        );
+                    }
+                    assert_eq!(
+                        table.row(row).count(period),
+                        prefix,
+                        "dim {dim}, width {width}, prefix {prefix}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
