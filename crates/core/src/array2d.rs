@@ -22,7 +22,8 @@
 //!   the finished OFM through the early-termination shifters.
 //!
 //! The closed form ([`KernelMode::resolve`]) evaluates each MAC window in
-//! one shot and then replays the M-end cascade with the same registers.
+//! one shot and then sums the M-end cascade: plainly where the fold
+//! provably cannot clamp, through the same registers otherwise.
 //! One `kernel::ClosedFormWindow`, built once per GEMM with no per-tile
 //! state, serves all five schemes. It reuses work the way Fig. 7 reuses
 //! bitstreams: each input element's half of its windows (the weight RNG's
@@ -50,13 +51,23 @@
 //! * partial sums of different row folds meet unclamped in the output
 //!   buffer.
 //!
-//! At the default widths (binary: `2N + ⌈log2 R⌉ + 2` bits) nothing
-//! clamps. `tests::matches_fast_executor_*` pin the closed form and
+//! Section III-A sizes the OREG to hold any one fold's partial sum, and
+//! the sweep proves that per row fold before the fold's windows run
+//! (`fold_is_exact`): `rows · bound ≤ 2^(acc_width−1) − 1`, with `bound`
+//! the most one window moves an OREG (`ClosedFormWindow::bound`; the
+//! argument is in [`crate::kernel`]). A proven fold cannot clamp, in the
+//! stepped machine or here, so its cascade is a plain sum with no
+//! saturation event: each row adds its counts straight into the fold's
+//! partial sums. At every default width (binary: `2N + ⌈log2 R⌉ + 2`
+//! bits, unary: `N + ⌈log2 R⌉ + 2`) every fold is proven. On narrower
+//! OREGs the folds it cannot prove replay the clamping cascade, and the
+//! caller counts them in `core.cycle.saturable_folds`.
+//! `tests::matches_fast_executor_*` pin the closed form and
 //! `execute_lowered` against the stepped machine for every scheme,
-//! `acc_width` 4..=32, `K > R`, `N` wider than one count batch and
-//! 1/2/4/8 workers, and `tests::cycle_count_matches_timing_model`
-//! cross-validates the measured cycle count against the `usystolic-sim`
-//! ideal-cycle formula.
+//! `acc_width` 4..=32, `K > R`, `N` wider than one count batch, proven
+//! and saturable folds in one GEMM, and 1/2/4/8 workers, and
+//! `tests::cycle_count_matches_timing_model` cross-validates the
+//! measured cycle count against the `usystolic-sim` ideal-cycle formula.
 
 use crate::config::SystolicConfig;
 use crate::kernel::{ClosedFormWindow, KernelMode, KernelPath, UnaryWindow, WindowRow};
@@ -190,6 +201,12 @@ pub fn cycle_accurate_gemm(
 /// `bitwidth + 2` fall back to the stepped machine, tile by tile, where
 /// mid-window clamping is real behaviour the lump add cannot reproduce.
 ///
+/// Before a closed-form fold runs, the caller proves its OREG bound
+/// (`fold_is_exact`): a proven fold sums its M-end cascade plainly, and
+/// the others, which only narrow OREGs have, replay the clamping cascade
+/// and are counted once per GEMM in `core.cycle.saturable_folds` (only
+/// when nonzero).
+///
 /// Telemetry follows the unit of work: a closed-form fold records one
 /// wall-clock span `cycle_gemm.closed_form tiles r{rf}` and its time in
 /// `core.fold_ns`; a stepped tile records `cycle_gemm.serial tile
@@ -253,6 +270,13 @@ pub fn cycle_accurate_gemm_with(
     // sweep's span, and shared by every row fold.
     let closed = (path == KernelPath::ClosedForm)
         .then(|| ClosedFormWindow::new(scheme, config.bitwidth(), config.mul_cycles(), m * k));
+    // The OREG bound, proved once per row fold before its windows run: a
+    // fold it covers cannot clamp, so it skips the clamping M-end.
+    let bound = closed.as_ref().map(|window| window.bound(input, weights));
+    let exact = |rows| bound.is_some_and(|bound| fold_is_exact(rows, bound, config.acc_width()));
+    let saturable_folds = (0..map.row_folds())
+        .filter(|&rf| bound.is_some() && !exact(map.rows_in_fold(rf)))
+        .count();
 
     // One task per row fold, each returning its own `M × N` block of
     // partial sums. A unit is `(row fold, column fold of a stepped tile,
@@ -267,7 +291,7 @@ pub fn cycle_accurate_gemm_with(
                 let t0 = traced.then(Instant::now);
                 fold_stats.saturation_events = sweep_fold(
                     window,
-                    config.acc_width(),
+                    (!exact(rows)).then_some(config.acc_width()),
                     input,
                     weights,
                     k0,
@@ -383,6 +407,10 @@ pub fn cycle_accurate_gemm_with(
         o.metrics.count("core.cycle.tiles", stats.tiles);
         o.metrics
             .count_labeled("core.cycle.tiles", &[("kernel", kernel_label)], stats.tiles);
+        if saturable_folds > 0 {
+            o.metrics
+                .count("core.cycle.saturable_folds", saturable_folds as u64);
+        }
         o.tracer.complete(
             format!("cycle_gemm sweep {mode}"),
             "core",
@@ -656,6 +684,18 @@ fn tile_schedule(config: &SystolicConfig, rows: usize, cols: usize, m: usize) ->
     }
 }
 
+/// Whether an `acc_width`-bit OREG provably holds a row fold of `rows`
+/// windows, each moving it by at most `bound`
+/// ([`ClosedFormWindow::bound`]): `rows · bound` within the positive
+/// capacity `2^(acc_width−1) − 1`, the smaller side of the register's
+/// range. Nothing such a fold adds can clamp (see [`crate::kernel`]).
+fn fold_is_exact(rows: usize, bound: u128, acc_width: u32) -> bool {
+    let capacity = (1u128 << (acc_width - 1)) - 1;
+    (rows as u128)
+        .checked_mul(bound)
+        .is_some_and(|sum| sum <= capacity)
+}
+
 /// Closed-form evaluation of one row fold (reduction rows `k0..k0 +
 /// rows`) across every column fold at once, into the fold's zeroed `M ×
 /// N` `block`; returns the OREG saturation events.
@@ -663,15 +703,21 @@ fn tile_schedule(config: &SystolicConfig, rows: usize, cols: usize, m: usize) ->
 /// Column folds share no partial sums and every number source restarts
 /// per window, so one pass over each full weight row
 /// (`weights.row(k)[..N]`) computes exactly what the fold's tiles compute
-/// one by one. Per vector the cascade runs bottom-up: row `r+1`'s M-end
-/// lands one cycle before row `r`'s, so its drained partial sum
-/// (`below[c]`, one per column) is what row `r` folds in. `below` is the
-/// vector's own row of `block`: it starts zeroed, as the bottom row folds
-/// in nothing, and ends holding the top row's totals. Both operand halves
-/// of a unary window are ready before the vectors: each input element's
-/// row ([`UnaryWindow::row`], a lookup in the window's level table or
-/// built for all `N` columns at once) and the fold's weights as lane
-/// thresholds ([`UnaryWindow::lanes`], converted once per fold).
+/// one by one. Both operand halves of a unary window are ready before the
+/// vectors: each input element's row ([`UnaryWindow::row`], a lookup in
+/// the window's level table or built for all `N` columns at once) and the
+/// fold's weights as lane thresholds ([`UnaryWindow::lanes`], converted
+/// once per fold).
+///
+/// A fold the OREG bound covers ([`fold_is_exact`], `clamp` is `None`)
+/// cannot clamp, so its M-end cascade is a plain sum: each window's count
+/// goes straight into the vector's row of `block` and the fold saturates
+/// nowhere. Any other fold (`clamp` is `Some(acc_width)`) replays the
+/// cascade through the `acc_width`-bit OREGs, per vector bottom-up: row
+/// `r+1`'s M-end lands one cycle before row `r`'s, so its drained partial
+/// sum (`below[c]`, one per column) is what row `r` folds in. `below` is
+/// the vector's own row of `block`: it starts zeroed, as the bottom row
+/// folds in nothing, and ends holding the top row's totals.
 ///
 /// Bit-exact against [`TileMachine::run`]: a window's lump add clamps
 /// exactly like its per-cycle adds whenever every increment of the window
@@ -682,7 +728,7 @@ fn tile_schedule(config: &SystolicConfig, rows: usize, cols: usize, m: usize) ->
 /// like the per-PE OREGs, so the saturation count matches too.
 fn sweep_fold(
     window: &ClosedFormWindow,
-    acc_width: u32,
+    clamp: Option<u32>,
     input: &Matrix<i64>,
     weights: &Matrix<i64>,
     k0: usize,
@@ -692,21 +738,29 @@ fn sweep_fold(
     // One monomorphised sweep per window kind keeps every row's count
     // free of the other kinds' arms.
     let fold = (input, weights, k0..k0 + rows);
-    match window {
+    match (window, clamp) {
+        (ClosedFormWindow::Binary, None) => sweep_rows(fold, block, |level, _, weights, below| {
+            for (partial, &weight) in below.iter_mut().zip(weights) {
+                *partial += level * weight;
+            }
+            0
+        }),
         // The exact product, fused into the M-end: a buffered pass of
         // products is slower.
-        ClosedFormWindow::Binary => sweep_rows(fold, block, |level, _, weights, below| {
-            let mut oreg = BinaryAccumulator::new(acc_width);
-            let mut saturations = 0;
-            for (partial, &weight) in below.iter_mut().zip(weights) {
-                if m_end(&mut oreg, level * weight, partial) {
-                    saturations += 1;
+        (ClosedFormWindow::Binary, Some(acc_width)) => {
+            sweep_rows(fold, block, |level, _, weights, below| {
+                let mut oreg = BinaryAccumulator::new(acc_width);
+                let mut saturations = 0;
+                for (partial, &weight) in below.iter_mut().zip(weights) {
+                    if m_end(&mut oreg, level * weight, partial) {
+                        saturations += 1;
+                    }
                 }
-            }
-            saturations
-        }),
-        ClosedFormWindow::SignMagnitude(w) => sweep_unary(w, acc_width, fold, block),
-        ClosedFormWindow::Bipolar(w) => sweep_unary(w, acc_width, fold, block),
+                saturations
+            })
+        }
+        (ClosedFormWindow::SignMagnitude(w), clamp) => sweep_unary(w, clamp, fold, block),
+        (ClosedFormWindow::Bipolar(w), clamp) => sweep_unary(w, clamp, fold, block),
     }
 }
 
@@ -715,7 +769,7 @@ fn sweep_fold(
 /// weight row), and runs each input element's row against them.
 fn sweep_unary(
     window: &impl UnaryWindow,
-    acc_width: u32,
+    clamp: Option<u32>,
     fold: (&Matrix<i64>, &Matrix<i64>, Range<usize>),
     block: &mut Matrix<i64>,
 ) -> u64 {
@@ -725,18 +779,26 @@ fn sweep_unary(
     for (k, row_lanes) in ks.clone().zip(lanes.chunks_exact_mut(groups)) {
         window.lanes(weights.row(k), row_lanes);
     }
-    let mut counts = [0; BATCH];
-    sweep_rows(fold, block, |level, r, weights, below| {
-        let lanes = &lanes[r * groups..][..groups];
-        cascade(
-            &window.row(level),
-            acc_width,
-            lanes,
-            weights,
-            below,
-            &mut counts,
-        )
-    })
+    let lanes = |r: usize| &lanes[r * groups..][..groups];
+    match clamp {
+        None => sweep_rows(fold, block, |level, r, weights, below| {
+            window.row(level).count(lanes(r), weights, below);
+            0
+        }),
+        Some(acc_width) => {
+            let mut counts = [0; BATCH];
+            sweep_rows(fold, block, |level, r, weights, below| {
+                cascade(
+                    &window.row(level),
+                    acc_width,
+                    lanes(r),
+                    weights,
+                    below,
+                    &mut counts,
+                )
+            })
+        }
+    }
 }
 
 /// The vector and row loops of [`sweep_fold`] over reduction rows `ks`:
@@ -761,11 +823,11 @@ fn sweep_rows(
     saturations
 }
 
-/// One row's M-end over a whole weight row: the row counts [`BATCH`]
-/// weights at a time (their lane thresholds `lanes`) into `counts` (a
-/// buffer of the whole fold, so no row clears one), and each PE's count
-/// then folds into the `acc_width`-bit OREG with the partial sum from
-/// below. Returns the saturation events.
+/// One row's clamping M-end over a whole weight row: the row counts
+/// [`BATCH`] weights at a time (their lane thresholds `lanes`) into
+/// `counts` (a buffer of the whole fold, zeroed per batch), and each PE's
+/// count then folds into the `acc_width`-bit OREG with the partial sum
+/// from below. Returns the saturation events.
 fn cascade(
     row: &impl WindowRow,
     acc_width: u32,
@@ -783,6 +845,7 @@ fn cascade(
         .zip(below.chunks_mut(BATCH))
     {
         let counts = &mut counts[..weights.len()];
+        counts.fill(0);
         row.count(lanes, weights, counts);
         for (partial, &count) in below.iter_mut().zip(&*counts) {
             if m_end(&mut oreg, count, partial) {
@@ -793,11 +856,9 @@ fn cascade(
     saturations
 }
 
-/// One PE's M-end: its window `count` and the lower neighbour's
+/// One PE's clamping M-end: its window `count` and the lower neighbour's
 /// `partial` sum fold into the OREG, which drains into `partial`.
-/// Returns whether the OREG saturated. (Its callers count saturations
-/// with a branch, which is never taken at the default widths; summing
-/// the flag instead measured slower.)
+/// Returns whether the OREG saturated.
 #[inline]
 fn m_end(oreg: &mut BinaryAccumulator, count: i64, partial: &mut i64) -> bool {
     oreg.add(count);
@@ -915,6 +976,42 @@ mod tests {
         assert_differential(ComputingScheme::UGemmHybrid, 8);
     }
 
+    /// Runs `Auto` at 1/2/4/8 workers against the stepped machine, each
+    /// under its own obs session: outputs and statistics must match, and
+    /// every `Auto` run must count `saturable` closed-form row folds in
+    /// `core.cycle.saturable_folds` (the stepped machine counts none).
+    /// Returns the stepped machine's outputs and statistics.
+    fn assert_auto_matches_serial(
+        cfg: &SystolicConfig,
+        gemm: &GemmConfig,
+        input: &Matrix<i64>,
+        weights: &Matrix<i64>,
+        saturable: u64,
+        case: &str,
+    ) -> (Matrix<i64>, CycleStats) {
+        let run = |mode, workers| {
+            let previous = usystolic_obs::install(usystolic_obs::Session::new());
+            let result = cycle_accurate_gemm_with(cfg, gemm, input, weights, mode, workers)
+                .expect("sweep executes");
+            let session = usystolic_obs::take().expect("session installed above");
+            if let Some(prev) = previous {
+                usystolic_obs::install(prev);
+            }
+            (
+                result,
+                session.metrics.counter("core.cycle.saturable_folds"),
+            )
+        };
+        let (serial, serial_saturable) = run(KernelMode::Serial, 1);
+        assert_eq!(serial_saturable, 0, "{case} serial");
+        for workers in [1usize, 2, 4, 8] {
+            let (auto, auto_saturable) = run(KernelMode::Auto, workers);
+            assert_eq!(auto, serial, "{case} workers {workers}");
+            assert_eq!(auto_saturable, saturable, "{case} workers {workers}");
+        }
+        serial
+    }
+
     #[test]
     fn matches_fast_executor_under_narrow_accumulator_folding() {
         // The documented OREG semantics, for every scheme: a register
@@ -922,11 +1019,26 @@ mod tests {
         // folds meet unclamped in the output buffer. Full-scale operands
         // give every window the same count `w`, so with 2 rows and K = 6
         // a fold sums to 2w and the output to 6w. The narrowest width
-        // that holds 2w must not saturate although 6w exceeds it; one bit
-        // less must saturate.
-        let gemm = GemmConfig::matmul(2, 6, 3).expect("valid test shape");
-        let input = Matrix::from_fn(2, 6, |_, _| 128);
-        let weights = Matrix::from_fn(6, 3, |_, _| 128);
+        // that holds 2w must not saturate although 6w exceeds it, and the
+        // sweep proves its 3 folds clamp-free; one bit less must saturate,
+        // and no fold is proven.
+        //
+        // Negative full-scale operands sum to −2w, which the one-bit
+        // narrower OREG still holds (its range reaches −2^(acc_width−1)):
+        // nothing saturates, yet the proof must use the positive capacity,
+        // so all 3 folds run the clamping M-end.
+        //
+        // A ragged fold: K = 7 over 3 rows folds as 3 + 3 + 1 rows. At the
+        // narrowest width that holds one window but not three, the two
+        // 3-row folds saturate (each ends at the capacity) and the 1-row
+        // fold is proven, in one GEMM.
+        let capacity = |w: u32| (1i64 << (w - 1)) - 1;
+        let full = |m: usize, k: usize, n: usize, level: i64| {
+            let gemm = GemmConfig::matmul(m, k, n).expect("valid test shape");
+            let input = Matrix::from_fn(m, k, |_, _| level);
+            let weights = Matrix::from_fn(k, n, |_, _| 128);
+            (gemm, input, weights)
+        };
         for (scheme, window) in [
             (ComputingScheme::BinaryParallel, 128 * 128),
             (ComputingScheme::BinarySerial, 128 * 128),
@@ -934,7 +1046,6 @@ mod tests {
             (ComputingScheme::UnaryRate, 128),
             (ComputingScheme::UnaryTemporal, 128),
         ] {
-            let capacity = |w: u32| (1i64 << (w - 1)) - 1;
             let fits = (4..=32)
                 .find(|&w| capacity(w) >= 2 * window)
                 .expect("some width holds one fold");
@@ -942,20 +1053,47 @@ mod tests {
                 let cfg = SystolicConfig::new(2, 2, scheme, 8)
                     .expect("valid")
                     .with_acc_width(acc_width);
+                let case = format!("{scheme} acc {acc_width}");
+                let saturable = if saturates { 3 } else { 0 };
+                let (gemm, input, weights) = full(2, 6, 3, 128);
+                let (serial, serial_stats) =
+                    assert_auto_matches_serial(&cfg, &gemm, &input, &weights, saturable, &case);
                 let (exec, exec_stats) = GemmExecutor::new(cfg)
                     .execute_lowered(&gemm, &input, &weights)
                     .expect("executor runs");
-                let (serial, serial_stats) =
-                    cycle_accurate_gemm_with(&cfg, &gemm, &input, &weights, KernelMode::Serial, 1)
-                        .expect("serial path executes");
-                assert_eq!(exec, serial, "{scheme} acc {acc_width}");
+                assert_eq!(exec, serial, "{case}");
                 assert_eq!(exec_stats.saturation_events, serial_stats.saturation_events);
-                assert_eq!(serial_stats.saturation_events > 0, saturates, "{scheme}");
+                assert_eq!(serial_stats.saturation_events > 0, saturates, "{case}");
                 if !saturates {
                     assert!(exec.as_slice().iter().all(|&v| v == 6 * window));
-                    assert!(6 * window > capacity(acc_width), "{scheme}");
+                    assert!(6 * window > capacity(acc_width), "{case}");
                 }
+
+                let case = format!("{case} negative");
+                let (gemm, input, weights) = full(2, 6, 3, -128);
+                let (serial, serial_stats) =
+                    assert_auto_matches_serial(&cfg, &gemm, &input, &weights, saturable, &case);
+                assert_eq!(serial_stats.saturation_events, 0, "{case}");
+                assert!(
+                    serial.as_slice().iter().all(|&v| v == -6 * window),
+                    "{case}"
+                );
             }
+
+            let one = (4..=32)
+                .find(|&w| capacity(w) >= window)
+                .expect("some width holds one window");
+            assert!(capacity(one) < 3 * window, "{scheme}");
+            let cfg = SystolicConfig::new(3, 2, scheme, 8)
+                .expect("valid")
+                .with_acc_width(one);
+            let case = format!("{scheme} acc {one} ragged");
+            let (gemm, input, weights) = full(2, 7, 3, 128);
+            let (serial, serial_stats) =
+                assert_auto_matches_serial(&cfg, &gemm, &input, &weights, 2, &case);
+            assert!(serial_stats.saturation_events > 0, "{case}");
+            let total = 2 * capacity(one) + window;
+            assert!(serial.as_slice().iter().all(|&v| v == total), "{case}");
         }
     }
 

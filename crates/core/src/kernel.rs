@@ -56,11 +56,28 @@
 //! sign-magnitude windows, `2^N` for uGEMM-H's `N`-bit RNGs), which is
 //! where the prefix counts are exact. `crate::array2d::tests` pin every
 //! scheme against the stepped machine.
+//!
+//! Every window also bounds how far it can move an OREG
+//! (`ClosedFormWindow::bound`): a rate or temporal window counts at most
+//! its `mul_cycles` enabled cycles, a uGEMM-H window walks `2^N` steps of
+//! ±1, and a binary window adds one product, at most `max|I|·max|W|` over
+//! the GEMM's operands. An OREG sums at most one row fold's windows
+//! between two drains, one per row, and every partial value it holds on
+//! the way (mid-window or at an M-end) is a sum of whole windows plus at
+//! most one window's prefix. So where `rows · bound ≤ 2^(acc_width−1) − 1`,
+//! the positive capacity (the range `−2^(acc_width−1) ..= 2^(acc_width−1)
+//! − 1` is asymmetric, so the smaller side bounds both), no add of the
+//! fold can clamp, in the stepped machine or in the closed form: the
+//! fold's M-end cascade is a plain `i64` sum with no saturation event.
+//! The tile sweep then adds each window's count straight into the fold's
+//! partial sums (`WindowRow::count` adds into its output) and runs the
+//! clamping cascade only on folds the bound does not cover.
 
 use crate::config::SystolicConfig;
 use crate::pe::{IfmPrefix, IfmSource};
 use crate::scheme::ComputingScheme;
 use std::sync::atomic::{AtomicBool, Ordering};
+use usystolic_gemm::Matrix;
 use usystolic_unary::coding::Coding;
 use usystolic_unary::packed::{PrefixClasses, PrefixTable, SobolPrefix, LANES};
 use usystolic_unary::rng::SobolSource;
@@ -218,6 +235,22 @@ impl ClosedFormWindow {
             coding, bitwidth, mul_cycles, elements,
         ))
     }
+
+    /// The most one window of the GEMM `input · weights` moves an OREG, in
+    /// magnitude, on its way or at its end: `mul_cycles` for rate and
+    /// temporal coding, `2^bitwidth` for uGEMM-H and `max|I|·max|W|` for a
+    /// binary product (see the module docs).
+    pub(crate) fn bound(&self, input: &Matrix<i64>, weights: &Matrix<i64>) -> u128 {
+        let max_abs = |m: &Matrix<i64>| {
+            let max = m.as_slice().iter().map(|v| v.unsigned_abs()).max();
+            u128::from(max.unwrap_or(0))
+        };
+        match self {
+            Self::Binary => max_abs(input) * max_abs(weights),
+            Self::SignMagnitude(window) => u128::from(window.cycles),
+            Self::Bipolar(window) => 2 * u128::from(window.half.unsigned_abs()),
+        }
+    }
 }
 
 /// A unary window kind of [`ClosedFormWindow`]: the two operand halves
@@ -249,12 +282,14 @@ pub(crate) trait UnaryWindow {
 /// depends on the input alone, counted against its whole row of the
 /// weight matrix.
 pub(crate) trait WindowRow {
-    /// Writes to `counts[j]` the signed count a PE holding weight level
+    /// Adds to `counts[j]` the signed count a PE holding weight level
     /// `weights[j]` accumulates over one MAC window on this row's input,
     /// identical to what the stepped machine accumulates. `lanes` holds
     /// the weights' lane thresholds ([`UnaryWindow::lanes`]), so `counts`
     /// and `weights` have the same length and `lanes` one group per
-    /// [`LANES`] of it.
+    /// [`LANES`] of it. Adding serves both of the sweep's M-ends: a fold
+    /// the OREG bound covers sums its rows' counts straight into its
+    /// partial sums, and the clamping cascade counts into a zeroed buffer.
     fn count(&self, lanes: &[[u32; LANES]], weights: &[i64], counts: &mut [i64]);
 }
 
@@ -285,6 +320,8 @@ pub(crate) struct SignMagnitudeWindow {
     weight_rng: Vec<u64>,
     /// `2^(bitwidth−1)`: the largest magnitude.
     period: u64,
+    /// `mul_cycles`: the window's length, so the most it counts.
+    cycles: u64,
     /// Row `l`: the weight RNG's prefix over the enable count of input
     /// magnitude `l`, for every magnitude `0..=period`, when the window
     /// tabulates its levels.
@@ -312,6 +349,7 @@ impl SignMagnitudeWindow {
             ifm,
             weight_rng,
             period,
+            cycles: mul_cycles,
             levels,
         }
     }
@@ -372,7 +410,7 @@ impl WindowRow for SignMagnitudeRow<'_> {
                 // All ones for `ISIGN ⊕ WSIGN`: `(x ^ sign) − sign` negates
                 // the count without a branch on the data.
                 let sign = (weight >> 63) ^ isign;
-                *count = (i64::from(ones) ^ sign) - sign;
+                *count += (i64::from(ones) ^ sign) - sign;
             }
         }
     }
@@ -468,7 +506,7 @@ impl WindowRow for BipolarRow<'_> {
             let zeros = zeros.count_lanes(lanes);
             for ((count, &ones), &zeros) in counts.iter_mut().zip(&ones).zip(&zeros) {
                 let plus = u64::from(ones) + self.n0 - u64::from(zeros);
-                *count = 2 * (plus as i64 - self.half);
+                *count += 2 * (plus as i64 - self.half);
             }
         }
     }

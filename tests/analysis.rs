@@ -101,6 +101,57 @@ fn acc_width_follows_reduced_resolution_rule() {
 }
 
 #[test]
+fn required_widths_keep_every_fold_clamp_free() {
+    // The width the analyzer accepts without USY020 must also let the
+    // tile sweep prove every row fold of a full-scale GEMM clamp-free (no
+    // `core.cycle.saturable_folds`), or default configurations would lose
+    // the sweep's plain-sum M-end. Every scheme at 4/8/12 bits, on the
+    // edge array and a 4-row array, with K = 2R + 1 (folds of R, R and 1
+    // rows) and inputs of both signs. At bitwidth + 2 bits (uGEMM-H's
+    // narrowest closed-form OREG) the R-row folds are not provable, so
+    // the counter is live.
+    use usystolic::arch::{cycle_accurate_gemm, SystolicConfig};
+    use usystolic::gemm::Matrix;
+    for scheme in ComputingScheme::ALL {
+        for bitwidth in [4u32, 8, 12] {
+            for (rows, cols) in [(12usize, 14usize), (4, 3)] {
+                let case = format!("{scheme:?} {bitwidth}-bit {rows}x{cols}");
+                let k = 2 * rows + 1;
+                let gemm = GemmConfig::matmul(2, k, cols + 1).unwrap();
+                let width = required_acc_width(scheme, bitwidth, rows);
+                let spec = RawSpec::new(rows, cols, scheme, bitwidth).with_acc_width(width);
+                let report = analyze(&spec, Some(&gemm), None);
+                assert!(!report.has("USY020"), "{case}: {report}");
+
+                let top = 1i64 << (bitwidth - 1);
+                let input = Matrix::from_fn(2, k, |p, _| if p == 0 { top } else { -top });
+                let weights = Matrix::from_fn(k, cols + 1, |_, _| top);
+                let config = SystolicConfig::new(rows, cols, scheme, bitwidth).unwrap();
+                let saturable = |acc_width| {
+                    let previous = usystolic::obs::install(usystolic::obs::Session::new());
+                    let (_, stats) = cycle_accurate_gemm(
+                        &config.with_acc_width(acc_width),
+                        &gemm,
+                        &input,
+                        &weights,
+                    )
+                    .unwrap();
+                    let session = usystolic::obs::take().unwrap();
+                    if let Some(prev) = previous {
+                        usystolic::obs::install(prev);
+                    }
+                    let folds = session.metrics.counter("core.cycle.saturable_folds");
+                    (folds, stats.saturation_events)
+                };
+                assert_eq!(saturable(width), (0, 0), "{case} at {width} bits");
+                let (narrow, _) = saturable(bitwidth + 2);
+                assert!(narrow >= 2, "{case}: {narrow} saturable folds");
+            }
+        }
+    }
+}
+
+#[test]
 fn analyzer_agrees_with_simulator_on_bandwidth() {
     // USY050 fires exactly when the timing model reports stalls for the
     // SRAM-free hierarchy.
