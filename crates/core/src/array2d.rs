@@ -39,9 +39,10 @@
 //! one by one, and its [`CycleStats`] are the per-tile closed-form
 //! schedule summed over the fold's tiles. Each row counts its weights
 //! eight at a time, class by class
-//! ([`usystolic_unary::packed::PrefixClasses::count_lanes`]). The cascade
-//! runs vector by vector, each vector's rows bottom-up and each row's
-//! columns left to right, keeping one partial sum per column.
+//! ([`usystolic_unary::packed::PrefixClasses::count_lanes`]), into `i32`
+//! lane groups. The cascade runs vector by vector, each vector's rows
+//! bottom-up and each row's columns left to right, keeping one partial
+//! sum per column.
 //!
 //! All five schemes share one OREG semantics, the stepped machine's
 //! (the reduced-resolution OREG of Section III-A):
@@ -57,20 +58,25 @@
 //! the most one window moves an OREG (`ClosedFormWindow::bound`; the
 //! argument is in [`crate::kernel`]). A proven fold cannot clamp, in the
 //! stepped machine or here, so its cascade is a plain sum with no
-//! saturation event: each row adds its counts straight into the fold's
-//! partial sums. At every default width (binary: `2N + ⌈log2 R⌉ + 2`
+//! saturation event: a unary fold sums each vector's windows over its
+//! rows in `i32` lanes and widens them into the fold's partial sums once
+//! (flushing every `⌊(2^31 − 1) / bound⌋` rows, which no edge fold
+//! reaches), and a binary fold adds each product into them. At every
+//! default width (binary: `2N + ⌈log2 R⌉ + 2`
 //! bits, unary: `N + ⌈log2 R⌉ + 2`) every fold is proven. On narrower
 //! OREGs the folds it cannot prove replay the clamping cascade, and the
 //! caller counts them in `core.cycle.saturable_folds`.
 //! `tests::matches_fast_executor_*` pin the closed form and
 //! `execute_lowered` against the stepped machine for every scheme,
-//! `acc_width` 4..=32, `K > R`, `N` wider than one count batch, proven
-//! and saturable folds in one GEMM, and 1/2/4/8 workers, and
+//! `acc_width` 4..=32, `K > R`, `N` ragged in its last lane group and
+//! wider than 64 columns, proven and saturable folds in one GEMM, and
+//! 1/2/4/8 workers, `tests::proven_folds_flush_their_lanes_before_an_i32_overflows`
+//! pins the lane flush at 24 bits, and
 //! `tests::cycle_count_matches_timing_model` cross-validates the
 //! measured cycle count against the `usystolic-sim` ideal-cycle formula.
 
 use crate::config::SystolicConfig;
-use crate::kernel::{ClosedFormWindow, KernelMode, KernelPath, UnaryWindow, WindowRow};
+use crate::kernel::{ClosedFormWindow, KernelMode, KernelPath, LaneGroup, UnaryWindow, WindowRow};
 use crate::mapping::TileMapping;
 use crate::pe::IfmSource;
 use crate::scheme::ComputingScheme;
@@ -83,12 +89,6 @@ use usystolic_unary::coding::Coding;
 use usystolic_unary::packed::LANES;
 use usystolic_unary::rng::{NumberSource, SobolSource};
 use usystolic_unary::sign::SignMagnitude;
-
-/// Weights the closed-form cascade counts per [`WindowRow::count`] call:
-/// the length of a row fold's stack buffer of window counts, a whole
-/// number of lane groups.
-const BATCH: usize = 64;
-const _: () = assert!(BATCH.is_multiple_of(LANES));
 
 /// Statistics of a cycle-accurate run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -706,18 +706,20 @@ fn fold_is_exact(rows: usize, bound: u128, acc_width: u32) -> bool {
 /// one by one. Both operand halves of a unary window are ready before the
 /// vectors: each input element's row ([`UnaryWindow::row`], a lookup in
 /// the window's level table or built for all `N` columns at once) and the
-/// fold's weights as lane thresholds ([`UnaryWindow::lanes`], converted
-/// once per fold).
+/// fold's weights as lane groups ([`UnaryWindow::lanes`], converted once
+/// per fold).
 ///
 /// A fold the OREG bound covers ([`fold_is_exact`], `clamp` is `None`)
-/// cannot clamp, so its M-end cascade is a plain sum: each window's count
-/// goes straight into the vector's row of `block` and the fold saturates
-/// nowhere. Any other fold (`clamp` is `Some(acc_width)`) replays the
-/// cascade through the `acc_width`-bit OREGs, per vector bottom-up: row
-/// `r+1`'s M-end lands one cycle before row `r`'s, so its drained partial
-/// sum (`below[c]`, one per column) is what row `r` folds in. `below` is
-/// the vector's own row of `block`: it starts zeroed, as the bottom row
-/// folds in nothing, and ends holding the top row's totals.
+/// cannot clamp, so its M-end cascade is a plain sum: a unary fold sums
+/// each vector's windows over its rows in `i32` lanes
+/// ([`WindowRow::accumulate`]) and widens them into the vector's row of
+/// `block` once, a binary fold adds each product into that row, and the
+/// fold saturates nowhere. Any other fold (`clamp` is `Some(acc_width)`)
+/// replays the cascade through the `acc_width`-bit OREGs, per vector
+/// bottom-up: row `r+1`'s M-end lands one cycle before row `r`'s, so its
+/// drained partial sum (`below[c]`, one per column) is what row `r` folds
+/// in. `below` is the vector's own row of `block`: it starts zeroed, as
+/// the bottom row folds in nothing, and ends holding the top row's totals.
 ///
 /// Bit-exact against [`TileMachine::run`]: a window's lump add clamps
 /// exactly like its per-cycle adds whenever every increment of the window
@@ -765,40 +767,66 @@ fn sweep_fold(
 }
 
 /// [`sweep_fold`] of a unary window: converts the fold's weights to lane
-/// thresholds once, into a buffer of the fold (`groups` lane groups per
-/// weight row), and runs each input element's row against them.
+/// groups once, into a buffer of the fold (`groups` per weight row), and
+/// runs each input element's row against them, once per vector and row.
+/// One vector's window counts live in `sums`, a lane group per eight
+/// columns.
+///
+/// A proven fold sums each vector's windows over its rows in the `i32`
+/// lanes and widens them into the vector's row of `block` once. A window
+/// moves a lane by at most [`UnaryWindow::bound`], so the lanes flush into
+/// `block` every `⌊(2^31 − 1) / bound⌋` rows: never within an 8- or
+/// 12-bit edge fold, every 255 rows at 24-bit rate coding. The clamping
+/// cascade zeroes the lanes per row and drains them through [`m_end`],
+/// row by row bottom-up.
 fn sweep_unary(
     window: &impl UnaryWindow,
     clamp: Option<u32>,
     fold: (&Matrix<i64>, &Matrix<i64>, Range<usize>),
     block: &mut Matrix<i64>,
 ) -> u64 {
-    let (_, weights, ks) = &fold;
+    let (input, weights, ks) = &fold;
     let groups = weights.cols().div_ceil(LANES);
-    let mut lanes = vec![[0; LANES]; ks.len() * groups];
+    let mut lanes = vec![LaneGroup::default(); ks.len() * groups];
     for (k, row_lanes) in ks.clone().zip(lanes.chunks_exact_mut(groups)) {
         window.lanes(weights.row(k), row_lanes);
     }
-    let lanes = |r: usize| &lanes[r * groups..][..groups];
-    match clamp {
-        None => sweep_rows(fold, block, |level, r, weights, below| {
-            window.row(level).count(lanes(r), weights, below);
-            0
-        }),
-        Some(acc_width) => {
-            let mut counts = [0; BATCH];
-            sweep_rows(fold, block, |level, r, weights, below| {
-                cascade(
-                    &window.row(level),
-                    acc_width,
-                    lanes(r),
-                    weights,
-                    below,
-                    &mut counts,
-                )
-            })
+    let mut sums = vec![[0i32; LANES]; groups];
+    let Some(acc_width) = clamp else {
+        // Rows whose windows an `i32` lane holds: at least 127, as a
+        // window moves it by at most 2^MAX_BITWIDTH.
+        let flush = (i32::MAX as u64 / window.bound()) as usize;
+        for (p, out) in block
+            .as_mut_slice()
+            .chunks_exact_mut(weights.cols())
+            .enumerate()
+        {
+            let levels = &input.row(p)[ks.clone()];
+            for (levels, lanes) in levels.chunks(flush).zip(lanes.chunks(flush * groups)) {
+                sums.fill([0; LANES]);
+                for (&level, row_lanes) in levels.iter().zip(lanes.chunks_exact(groups)) {
+                    window.row(level).accumulate(row_lanes, &mut sums);
+                }
+                for (total, &sum) in out.iter_mut().zip(sums.as_flattened()) {
+                    *total += i64::from(sum);
+                }
+            }
         }
-    }
+        return 0;
+    };
+    sweep_rows(fold, block, |level, r, _, below| {
+        sums.fill([0; LANES]);
+        window
+            .row(level)
+            .accumulate(&lanes[r * groups..][..groups], &mut sums);
+        // A local OREG: every M-end drains it, so no state outlives the row.
+        let mut oreg = BinaryAccumulator::new(acc_width);
+        let mut saturations = 0;
+        for (partial, &count) in below.iter_mut().zip(sums.as_flattened()) {
+            saturations += u64::from(m_end(&mut oreg, i64::from(count), partial));
+        }
+        saturations
+    })
 }
 
 /// The vector and row loops of [`sweep_fold`] over reduction rows `ks`:
@@ -818,39 +846,6 @@ fn sweep_rows(
     {
         for (r, (k, &level)) in ks.clone().zip(&input.row(p)[ks.clone()]).enumerate().rev() {
             saturations += step(level, r, weights.row(k), below);
-        }
-    }
-    saturations
-}
-
-/// One row's clamping M-end over a whole weight row: the row counts
-/// [`BATCH`] weights at a time (their lane thresholds `lanes`) into
-/// `counts` (a buffer of the whole fold, zeroed per batch), and each PE's
-/// count then folds into the `acc_width`-bit OREG with the partial sum
-/// from below. Returns the saturation events.
-fn cascade(
-    row: &impl WindowRow,
-    acc_width: u32,
-    lanes: &[[u32; LANES]],
-    weights: &[i64],
-    below: &mut [i64],
-    counts: &mut [i64; BATCH],
-) -> u64 {
-    // A local OREG: every M-end drains it, so no state outlives the row.
-    let mut oreg = BinaryAccumulator::new(acc_width);
-    let mut saturations = 0;
-    for ((lanes, weights), below) in lanes
-        .chunks(BATCH / LANES)
-        .zip(weights.chunks(BATCH))
-        .zip(below.chunks_mut(BATCH))
-    {
-        let counts = &mut counts[..weights.len()];
-        counts.fill(0);
-        row.count(lanes, weights, counts);
-        for (partial, &count) in below.iter_mut().zip(&*counts) {
-            if m_end(&mut oreg, count, partial) {
-                saturations += 1;
-            }
         }
     }
     saturations
@@ -892,9 +887,10 @@ mod tests {
     /// Differential check of `execute_lowered` and the `Auto` tile paths
     /// against the stepped machine for one scheme at effective bitwidth
     /// `ebt`: every `acc_width` in 4..=32, four SplitMix64 GEMMs with
-    /// `K > R` (`K mod R ≠ 0`) and `N > C` (`N mod C ≠ 0`), one of them
-    /// wider than a count batch (`N = 70 > BATCH`, ragged in the last
-    /// column fold and the last batch), and 1/2/4/8 workers.
+    /// `K > R` (`K mod R ≠ 0`) and `N > C` (`N mod C ≠ 0`), every `N`
+    /// ragged in its last lane group and one wider than 64 columns
+    /// (`N = 70`, ragged in the last column fold too), and 1/2/4/8
+    /// workers.
     fn assert_differential(scheme: ComputingScheme, ebt: u32) {
         let mut rng = SplitMix64::new(0xD1FF);
         let mut saturating = 0;
@@ -1094,6 +1090,49 @@ mod tests {
             assert!(serial_stats.saturation_events > 0, "{case}");
             let total = 2 * capacity(one) + window;
             assert!(serial.as_slice().iter().all(|&v| v == total), "{case}");
+        }
+    }
+
+    #[test]
+    fn proven_folds_flush_their_lanes_before_an_i32_overflows() {
+        // A proven unary fold sums each vector's windows in `i32` lanes and
+        // flushes them into its block every ⌊(2^31 − 1) / bound⌋ rows.
+        // Full-scale operands move every window by exactly its bound, so
+        // one 256-row fold of 24-bit rate or temporal windows (bound 2^23,
+        // a flush every 255 rows) and one 128-row fold of 24-bit uGEMM-H
+        // windows (bound 2^24, every 127 rows) each sum to exactly 2^31,
+        // one past `i32::MAX`. N = 11 leaves a ragged lane group.
+        let top = 1i64 << 23;
+        for (scheme, rows) in [
+            (ComputingScheme::UnaryRate, 256usize),
+            (ComputingScheme::UnaryTemporal, 256),
+            (ComputingScheme::UGemmHybrid, 128),
+        ] {
+            let gemm = GemmConfig::matmul(2, rows, 11).expect("valid test shape");
+            let input = Matrix::from_fn(2, rows, |_, _| top);
+            let weights = Matrix::from_fn(rows, 11, |_, _| top);
+            let cfg = SystolicConfig::new(rows, 4, scheme, 24).expect("valid test configuration");
+            let window = ClosedFormWindow::new(scheme, 24, cfg.mul_cycles(), 2 * rows);
+            let bound = window.bound(&input, &weights);
+            assert_eq!(rows as u128 * bound, 1 << 31, "{scheme}");
+            assert!(fold_is_exact(rows, bound, cfg.acc_width()), "{scheme}");
+            for workers in [1usize, 2, 4, 8] {
+                let (out, stats) = cycle_accurate_gemm_with(
+                    &cfg,
+                    &gemm,
+                    &input,
+                    &weights,
+                    KernelMode::Auto,
+                    workers,
+                )
+                .expect("closed form executes");
+                assert!(
+                    out.as_slice().iter().all(|&v| v == 1 << 31),
+                    "{scheme} workers {workers}: {:?}",
+                    &out.as_slice()[..3]
+                );
+                assert_eq!(stats.saturation_events, 0, "{scheme} workers {workers}");
+            }
         }
     }
 

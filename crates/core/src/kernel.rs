@@ -24,13 +24,14 @@
 //! GEMM has input elements (`M·K`) and at most `2^12 + 1` levels, so
 //! memory stays bounded up to `MAX_BITWIDTH`. Otherwise `row(input)`
 //! splits the element's prefix in `O(bitwidth)`, on the stack. The
-//! weight's half is its lane threshold ([`UnaryWindow::lane`]), converted
+//! weight's half is its lane threshold ([`UnaryWindow::lane`]) beside its
+//! sign as an `i32` mask (a [`LaneGroup`] per eight weights), converted
 //! once per row fold. The row then counts its whole weight row
-//! ([`WindowRow::count`]), eight weights at a time: per prefix class one
-//! add and one shift across eight `u32` lanes
-//! ([`usystolic_unary::packed::PrefixClasses::count_lanes`]), no branch on
-//! the data. `ClosedFormWindow` is built once per GEMM and holds no
-//! per-fold state:
+//! ([`WindowRow::accumulate`]), eight weights at a time: per prefix class
+//! one add and one shift across eight `u32` lanes
+//! ([`usystolic_unary::packed::PrefixClasses::count_lanes`]), then an
+//! xor, a subtract and an add in `i32` lanes, no branch on the data.
+//! `ClosedFormWindow` is built once per GEMM and holds no per-fold state:
 //!
 //! * a binary window is the exact product `I·W`;
 //! * a rate- or temporal-coded window is `sign · count₀(enabled(|I|), |W|)`.
@@ -68,9 +69,12 @@
 //! the positive capacity (the range `−2^(acc_width−1) ..= 2^(acc_width−1)
 //! − 1` is asymmetric, so the smaller side bounds both), no add of the
 //! fold can clamp, in the stepped machine or in the closed form: the
-//! fold's M-end cascade is a plain `i64` sum with no saturation event.
-//! The tile sweep then adds each window's count straight into the fold's
-//! partial sums (`WindowRow::count` adds into its output) and runs the
+//! fold's M-end cascade is a plain sum with no saturation event. The tile
+//! sweep then sums each vector's windows over the fold's rows in `i32`
+//! lanes ([`WindowRow::accumulate`] adds into them) and widens them into
+//! the fold's `i64` partial sums once, flushing every `⌊(2^31 − 1) /
+//! bound⌋` rows so no lane overflows (`bound ≤ 2^MAX_BITWIDTH`, so at
+//! least every 127 rows; never within an edge fold). It runs the
 //! clamping cascade only on folds the bound does not cover.
 
 use crate::config::SystolicConfig;
@@ -247,8 +251,8 @@ impl ClosedFormWindow {
         };
         match self {
             Self::Binary => max_abs(input) * max_abs(weights),
-            Self::SignMagnitude(window) => u128::from(window.cycles),
-            Self::Bipolar(window) => 2 * u128::from(window.half.unsigned_abs()),
+            Self::SignMagnitude(window) => u128::from(window.bound()),
+            Self::Bipolar(window) => u128::from(window.bound()),
         }
     }
 }
@@ -269,28 +273,49 @@ pub(crate) trait UnaryWindow {
     /// against.
     fn lane(&self, weight: i64) -> u32;
 
-    /// Writes the lane thresholds of `weights` to `lanes`, [`LANES`] per
-    /// group; the spare lanes of a ragged last group keep their value.
-    fn lanes(&self, weights: &[i64], lanes: &mut [[u32; LANES]]) {
-        for (lane, &weight) in lanes.as_flattened_mut().iter_mut().zip(weights) {
-            *lane = self.lane(weight);
+    /// The most one window moves an OREG, in magnitude: at most
+    /// `2^MAX_BITWIDTH`, so one window's count fits an `i32` lane.
+    fn bound(&self) -> u64;
+
+    /// Writes the lane groups of `weights` to `groups`, [`LANES`] weights
+    /// per group; the spare lanes of a ragged last group keep their value.
+    fn lanes(&self, weights: &[i64], groups: &mut [LaneGroup]) {
+        for (group, weights) in groups.iter_mut().zip(weights.chunks(LANES)) {
+            let lanes = group.thresholds.iter_mut().zip(&mut group.signs);
+            for ((threshold, sign), &weight) in lanes.zip(weights) {
+                *threshold = self.lane(weight);
+                *sign = -i32::from(weight < 0);
+            }
         }
     }
+}
+
+/// [`LANES`] weights of a row fold as its PEs hold them, converted once
+/// per fold: each weight's lane threshold ([`UnaryWindow::lane`]) and its
+/// sign `WSIGN` as an `i32` mask.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LaneGroup {
+    /// The weights' lane thresholds.
+    thresholds: [u32; LANES],
+    /// All ones for a negative weight, zero otherwise. A uGEMM-H window's
+    /// threshold carries its weight's sign, so it ignores these.
+    signs: [i32; LANES],
 }
 
 /// One input element's half of a closed-form MAC window: everything that
 /// depends on the input alone, counted against its whole row of the
 /// weight matrix.
 pub(crate) trait WindowRow {
-    /// Adds to `counts[j]` the signed count a PE holding weight level
-    /// `weights[j]` accumulates over one MAC window on this row's input,
-    /// identical to what the stepped machine accumulates. `lanes` holds
-    /// the weights' lane thresholds ([`UnaryWindow::lanes`]), so `counts`
-    /// and `weights` have the same length and `lanes` one group per
-    /// [`LANES`] of it. Adding serves both of the sweep's M-ends: a fold
-    /// the OREG bound covers sums its rows' counts straight into its
-    /// partial sums, and the clamping cascade counts into a zeroed buffer.
-    fn count(&self, lanes: &[[u32; LANES]], weights: &[i64], counts: &mut [i64]);
+    /// Adds to lane `l` of `sums[g]` the signed count a PE holding lane
+    /// `l` of `groups[g]` accumulates over one MAC window on this row's
+    /// input, identical to what the stepped machine accumulates: the
+    /// lane-group kernel of the sweep, branch-free in `i32` lanes. One
+    /// count moves a lane by at most [`UnaryWindow::bound`]; keeping the
+    /// sums within `i32` across rows is the caller's part. Adding serves
+    /// both of the sweep's M-ends: a fold the OREG bound covers sums a
+    /// vector's windows over its rows, and the clamping cascade counts one
+    /// row into zeroed groups.
+    fn accumulate(&self, groups: &[LaneGroup], sums: &mut [[i32; LANES]]);
 }
 
 /// One Sobol prefix of a row: a row of its window's level table, or split
@@ -376,7 +401,7 @@ impl UnaryWindow for SignMagnitudeWindow {
         };
         SignMagnitudeRow {
             weight,
-            negative: input < 0,
+            sign: -i32::from(input < 0),
         }
     }
 
@@ -385,32 +410,32 @@ impl UnaryWindow for SignMagnitudeWindow {
     fn lane(&self, weight: i64) -> u32 {
         u32::try_from(weight.unsigned_abs()).unwrap_or(u32::MAX)
     }
+
+    /// `mul_cycles`: a window counts at most its enabled cycles.
+    fn bound(&self) -> u64 {
+        self.cycles
+    }
 }
 
 /// A rate- or temporal-coded window's row.
 pub(crate) struct SignMagnitudeRow<'a> {
     /// The weight RNG's prefix over the window's enabled cycles.
     weight: Prefix<'a>,
-    /// `ISIGN`.
-    negative: bool,
+    /// `ISIGN` as a mask: all ones for a negative input.
+    sign: i32,
 }
 
 impl WindowRow for SignMagnitudeRow<'_> {
-    fn count(&self, lanes: &[[u32; LANES]], weights: &[i64], counts: &mut [i64]) {
+    fn accumulate(&self, groups: &[LaneGroup], sums: &mut [[i32; LANES]]) {
         let weight = self.weight.classes();
-        // All ones for a negative input: `ISIGN` as a mask.
-        let isign = -i64::from(self.negative);
-        for ((&lanes, weights), counts) in lanes
-            .iter()
-            .zip(weights.chunks(LANES))
-            .zip(counts.chunks_mut(LANES))
-        {
-            let ones = weight.count_lanes(lanes);
-            for ((count, &ones), &weight) in counts.iter_mut().zip(&ones).zip(weights) {
+        for (group, sums) in groups.iter().zip(sums) {
+            let ones = weight.count_lanes(group.thresholds);
+            for ((sum, &ones), &wsign) in sums.iter_mut().zip(&ones).zip(&group.signs) {
                 // All ones for `ISIGN ⊕ WSIGN`: `(x ^ sign) − sign` negates
-                // the count without a branch on the data.
-                let sign = (weight >> 63) ^ isign;
-                *count += (i64::from(ones) ^ sign) - sign;
+                // the count without a branch on the data. At most
+                // `mul_cycles ≤ 2^23` ones: lint: allow(narrowing)
+                let (ones, sign) = (ones as i32, wsign ^ self.sign);
+                *sum += (ones ^ sign) - sign;
             }
         }
     }
@@ -473,8 +498,8 @@ impl UnaryWindow for BipolarWindow {
         BipolarRow {
             ones,
             zeros,
-            n0,
-            half: self.half,
+            // |n0 − half| ≤ 2^(bitwidth−1) ≤ 2^23: lint: allow(narrowing)
+            base: 2 * (n0 as i64 - self.half) as i32,
         }
     }
 
@@ -484,6 +509,11 @@ impl UnaryWindow for BipolarWindow {
         // At most 2^bitwidth ≤ 2^24: lint: allow(narrowing)
         bipolar_threshold(weight, self.half) as u32
     }
+
+    /// `2^bitwidth`: a window walks that many steps of ±1.
+    fn bound(&self) -> u64 {
+        2 * self.half.unsigned_abs()
+    }
 }
 
 /// A uGEMM-H window's row.
@@ -492,21 +522,21 @@ pub(crate) struct BipolarRow<'a> {
     ones: Prefix<'a>,
     /// The zeros-phase RNG's prefix over the input-low cycles.
     zeros: Prefix<'a>,
-    /// Input-low cycles.
-    n0: u64,
-    /// `2^(bitwidth−1)`.
-    half: i64,
+    /// `2·(n0 − 2^(bitwidth−1))`: the window's sum against threshold 0,
+    /// where neither phase counts a random number below it.
+    base: i32,
 }
 
 impl WindowRow for BipolarRow<'_> {
-    fn count(&self, lanes: &[[u32; LANES]], _weights: &[i64], counts: &mut [i64]) {
+    fn accumulate(&self, groups: &[LaneGroup], sums: &mut [[i32; LANES]]) {
         let (ones, zeros) = (self.ones.classes(), self.zeros.classes());
-        for (&lanes, counts) in lanes.iter().zip(counts.chunks_mut(LANES)) {
-            let ones = ones.count_lanes(lanes);
-            let zeros = zeros.count_lanes(lanes);
-            for ((count, &ones), &zeros) in counts.iter_mut().zip(&ones).zip(&zeros) {
-                let plus = u64::from(ones) + self.n0 - u64::from(zeros);
-                *count += 2 * (plus as i64 - self.half);
+        for (group, sums) in groups.iter().zip(sums) {
+            let ones = ones.count_lanes(group.thresholds);
+            let zeros = zeros.count_lanes(group.thresholds);
+            for ((sum, &ones), &zeros) in sums.iter_mut().zip(&ones).zip(&zeros) {
+                // `2·(ones + n0 − zeros) − 2^bitwidth`, with both counts at
+                // most 2^bitwidth ≤ 2^24: lint: allow(narrowing)
+                *sum += 2 * (ones as i32 - zeros as i32) + self.base;
             }
         }
     }
@@ -530,11 +560,12 @@ mod tests {
     }
 
     fn unary_counts(window: &impl UnaryWindow, input: i64, weights: &[i64]) -> Vec<i64> {
-        let mut lanes = vec![[0; LANES]; weights.len().div_ceil(LANES)];
-        window.lanes(weights, &mut lanes);
-        let mut counts = vec![0; weights.len()];
-        window.row(input).count(&lanes, weights, &mut counts);
-        counts
+        let mut groups = vec![LaneGroup::default(); weights.len().div_ceil(LANES)];
+        window.lanes(weights, &mut groups);
+        let mut sums = vec![[0; LANES]; groups.len()];
+        window.row(input).accumulate(&groups, &mut sums);
+        let counts = &sums.as_flattened()[..weights.len()];
+        counts.iter().map(|&count| i64::from(count)).collect()
     }
 
     #[test]

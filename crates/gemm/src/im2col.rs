@@ -40,24 +40,25 @@ pub fn lower_input<T: Clone + Default>(
             found: format!("{}x{}x{}", input.height(), input.width(), input.channels()),
         });
     }
-    let (ow_max, s) = (config.output_width(), config.stride());
-    let k = config.reduction_len();
-    let mut out = Matrix::<T>::zeros(config.output_pixels(), k);
+    // For one output pixel and kernel row, the receptive field's `WW·IC`
+    // elements are contiguous in the `(h, w, c)` storage: one slice each.
+    let (iw, ic, s) = (
+        config.input_width(),
+        config.input_channels(),
+        config.stride(),
+    );
+    let span = config.weight_width() * ic;
+    let data = input.as_slice();
+    let mut out = Vec::with_capacity(config.output_pixels() * config.reduction_len());
     for oh in 0..config.output_height() {
-        for ow in 0..ow_max {
-            let p = oh * ow_max + ow;
-            let mut col = 0;
+        for ow in 0..config.output_width() {
             for wh in 0..config.weight_height() {
-                for ww in 0..config.weight_width() {
-                    for ic in 0..config.input_channels() {
-                        out[(p, col)] = input[(wh + oh * s, ww + ow * s, ic)].clone();
-                        col += 1;
-                    }
-                }
+                let start = ((oh * s + wh) * iw + ow * s) * ic;
+                out.extend_from_slice(&data[start..start + span]);
             }
         }
     }
-    Ok(out)
+    Matrix::from_vec(config.output_pixels(), config.reduction_len(), out)
 }
 
 /// Lowers the weights into the `(WH·WW·IC) × OC` stationary matrix: column
@@ -87,19 +88,15 @@ pub fn lower_weights<T: Clone + Default>(
             found: "different shape".into(),
         });
     }
-    let mut out = Matrix::<T>::zeros(config.reduction_len(), config.output_channels());
-    for oc in 0..config.output_channels() {
-        let mut row = 0;
-        for wh in 0..config.weight_height() {
-            for ww in 0..config.weight_width() {
-                for ic in 0..config.input_channels() {
-                    out[(row, oc)] = weights[(oc, wh, ww, ic)].clone();
-                    row += 1;
-                }
-            }
-        }
+    // The weights are the contiguous `OC × K` matrix of unrolled filters;
+    // the result is its transpose, written row by row.
+    let k = config.reduction_len();
+    let data = weights.as_slice();
+    let mut out = Vec::with_capacity(data.len());
+    for row in 0..k {
+        out.extend(data[row..].iter().step_by(k).cloned());
     }
-    Ok(out)
+    Matrix::from_vec(k, config.output_channels(), out)
 }
 
 /// Folds a lowered `(OH·OW) × OC` output matrix back into the output
@@ -119,20 +116,14 @@ pub fn fold_output<T: Clone + Default>(
             found: format!("{}x{}", lowered.rows(), lowered.cols()),
         });
     }
-    let ow_max = config.output_width();
-    let mut out = FeatureMap::<T>::zeros(
+    // Row `oh·OW + ow` of the lowered output is pixel `(oh, ow)`: the
+    // `(OH·OW) × OC` storage already has the `(OH, OW, OC)` layout.
+    FeatureMap::from_vec(
         config.output_height(),
         config.output_width(),
         config.output_channels(),
-    );
-    for oh in 0..config.output_height() {
-        for ow in 0..ow_max {
-            for oc in 0..config.output_channels() {
-                out[(oh, ow, oc)] = lowered[(oh * ow_max + ow, oc)].clone();
-            }
-        }
-    }
-    Ok(out)
+        lowered.as_slice().to_vec(),
+    )
 }
 
 /// Plain dense matrix product `a · b` for `f64` matrices (the lowered GEMM
@@ -189,6 +180,116 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `lower_input` by its definition: element `(p, col)` is input
+    /// `(oh·S + wh, ow·S + ww, ic)`, with `p = oh·OW + ow` and `col` running
+    /// over `(wh, ww, ic)`.
+    fn lower_input_by_index<T: Clone + Default>(
+        config: &GemmConfig,
+        input: &FeatureMap<T>,
+    ) -> Matrix<T> {
+        let (ow_max, s) = (config.output_width(), config.stride());
+        let mut out = Matrix::<T>::zeros(config.output_pixels(), config.reduction_len());
+        for oh in 0..config.output_height() {
+            for ow in 0..ow_max {
+                let mut col = 0;
+                for wh in 0..config.weight_height() {
+                    for ww in 0..config.weight_width() {
+                        for ic in 0..config.input_channels() {
+                            out[(oh * ow_max + ow, col)] =
+                                input[(wh + oh * s, ww + ow * s, ic)].clone();
+                            col += 1;
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// `lower_weights` by its definition: column `oc` is filter `oc`
+    /// unrolled in `(wh, ww, ic)` order.
+    fn lower_weights_by_index<T: Clone + Default>(
+        config: &GemmConfig,
+        weights: &WeightSet<T>,
+    ) -> Matrix<T> {
+        let mut out = Matrix::<T>::zeros(config.reduction_len(), config.output_channels());
+        for oc in 0..config.output_channels() {
+            let mut row = 0;
+            for wh in 0..config.weight_height() {
+                for ww in 0..config.weight_width() {
+                    for ic in 0..config.input_channels() {
+                        out[(row, oc)] = weights[(oc, wh, ww, ic)].clone();
+                        row += 1;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// `fold_output` by its definition: pixel `(oh, ow, oc)` is element
+    /// `(oh·OW + ow, oc)`.
+    fn fold_output_by_index<T: Clone + Default>(
+        config: &GemmConfig,
+        lowered: &Matrix<T>,
+    ) -> FeatureMap<T> {
+        let ow_max = config.output_width();
+        FeatureMap::from_fn(
+            config.output_height(),
+            ow_max,
+            config.output_channels(),
+            |oh, ow, oc| lowered[(oh * ow_max + ow, oc)].clone(),
+        )
+    }
+
+    fn assert_lowering_matches_definition<T>(make: impl Fn(usize) -> T)
+    where
+        T: Clone + Default + PartialEq + core::fmt::Debug,
+    {
+        // Strides 1–3 (with and without a ragged last window), square,
+        // rectangular and 1 × 1 kernels, one and several input channels.
+        for stride in 1..=3 {
+            for (wh, ww) in [(1, 1), (2, 3), (3, 2), (3, 3)] {
+                for ic in [1, 3] {
+                    for extra in [0, 1] {
+                        let (ih, iw) = (wh + 2 * stride + extra, ww + 3 * stride + extra);
+                        let cfg = GemmConfig::conv(ih, iw, ic, wh, ww, stride, 4).unwrap();
+                        let case = format!("{ih}x{iw}x{ic} kernel {wh}x{ww} stride {stride}");
+                        let mut next = 0;
+                        let mut value = || {
+                            next += 1;
+                            make(next)
+                        };
+                        let input = FeatureMap::from_fn(ih, iw, ic, |_, _, _| value());
+                        let weights = WeightSet::from_fn(4, wh, ww, ic, |_, _, _, _| value());
+                        assert_eq!(
+                            lower_input(&cfg, &input).unwrap(),
+                            lower_input_by_index(&cfg, &input),
+                            "{case}"
+                        );
+                        assert_eq!(
+                            lower_weights(&cfg, &weights).unwrap(),
+                            lower_weights_by_index(&cfg, &weights),
+                            "{case}"
+                        );
+                        let lowered = Matrix::from_fn(cfg.output_pixels(), 4, |_, _| value());
+                        assert_eq!(
+                            fold_output(&cfg, &lowered).unwrap(),
+                            fold_output_by_index(&cfg, &lowered),
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lowering_matches_its_index_definition() {
+        assert_lowering_matches_definition(|i| i as f64 * 0.5 - 7.0);
+        assert_lowering_matches_definition(|i| i as i64 * 3 - 50);
     }
 
     #[test]

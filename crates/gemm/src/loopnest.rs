@@ -101,30 +101,38 @@ where
     A: Clone + Default,
 {
     check_shapes(config, input, weights)?;
-    let (oh_max, ow_max) = (config.output_height(), config.output_width());
-    let oc_max = config.output_channels();
-    let s = config.stride();
-    let mut out = FeatureMap::<A>::zeros(oh_max, ow_max, oc_max);
-    for oh in 0..oh_max {
-        for ow in 0..ow_max {
-            for oc in 0..oc_max {
+    // Filter `oc` is `K` contiguous weights, and for one output pixel and
+    // kernel row both the filter's and the receptive field's `WW·IC`
+    // elements are contiguous: the MACs run over slices, in the loop
+    // nest's `(wh, ww, ic)` order.
+    let (iw, ic, s) = (
+        config.input_width(),
+        config.input_channels(),
+        config.stride(),
+    );
+    let span = config.weight_width() * ic;
+    let data = input.as_slice();
+    let mut out = Vec::with_capacity(config.output_pixels() * config.output_channels());
+    for oh in 0..config.output_height() {
+        for ow in 0..config.output_width() {
+            for filter in weights.as_slice().chunks_exact(config.reduction_len()) {
                 let mut acc = init.clone();
-                for wh in 0..config.weight_height() {
-                    for ww in 0..config.weight_width() {
-                        for ic in 0..config.input_channels() {
-                            acc = mac(
-                                acc,
-                                &weights[(oc, wh, ww, ic)],
-                                &input[(wh + oh * s, ww + ow * s, ic)],
-                            );
-                        }
+                for (wh, taps) in filter.chunks_exact(span).enumerate() {
+                    let start = ((oh * s + wh) * iw + ow * s) * ic;
+                    for (w, i) in taps.iter().zip(&data[start..start + span]) {
+                        acc = mac(acc, w, i);
                     }
                 }
-                out[(oh, ow, oc)] = acc;
+                out.push(acc);
             }
         }
     }
-    Ok(out)
+    FeatureMap::from_vec(
+        config.output_height(),
+        config.output_width(),
+        config.output_channels(),
+        out,
+    )
 }
 
 #[cfg(test)]
@@ -190,6 +198,57 @@ mod tests {
         let weights = WeightSet::from_fn(1, 1, 1, 4, |_, _, _, _| 2i64);
         let out = gemm_with_mac(&cfg, &input, &weights, 0i64, |acc, &w, &i| acc + w * i).unwrap();
         assert_eq!(out[(0, 0, 0)], 2 * (1 + 2 + 3 + 4));
+    }
+
+    #[test]
+    fn macs_follow_the_loop_nest_in_order() {
+        // Every output element folds exactly Algorithm 1's (weight, input)
+        // pairs, in its `(wh, ww, ic)` order, so a float sum keeps every
+        // bit: strides 1–3 (with and without a ragged last window),
+        // square, rectangular and 1 × 1 kernels, one and several input
+        // channels.
+        for stride in 1..=3 {
+            for (wh, ww) in [(1, 1), (2, 3), (3, 2), (3, 3)] {
+                for ic in [1, 3] {
+                    for extra in [0, 1] {
+                        let (ih, iw) = (wh + 2 * stride + extra, ww + 3 * stride + extra);
+                        let cfg = GemmConfig::conv(ih, iw, ic, wh, ww, stride, 4).unwrap();
+                        let input = FeatureMap::from_fn(ih, iw, ic, |h, w, c| {
+                            ((h * iw + w) * ic + c) as i64
+                        });
+                        let weights = WeightSet::from_fn(4, wh, ww, ic, |o, h, w, c| {
+                            -((((o * wh + h) * ww + w) * ic + c) as i64)
+                        });
+                        let out =
+                            gemm_with_mac(&cfg, &input, &weights, Vec::new(), |mut acc, &w, &i| {
+                                acc.push((w, i));
+                                acc
+                            })
+                            .unwrap();
+                        for (oh, ow, oc) in (0..out.height()).flat_map(|oh| {
+                            (0..out.width()).flat_map(move |ow| (0..4).map(move |oc| (oh, ow, oc)))
+                        }) {
+                            let mut pairs = Vec::new();
+                            for kh in 0..wh {
+                                for kw in 0..ww {
+                                    for c in 0..ic {
+                                        pairs.push((
+                                            weights[(oc, kh, kw, c)],
+                                            input[(kh + oh * stride, kw + ow * stride, c)],
+                                        ));
+                                    }
+                                }
+                            }
+                            assert_eq!(
+                                out[(oh, ow, oc)],
+                                pairs,
+                                "{ih}x{iw}x{ic} kernel {wh}x{ww} stride {stride} at ({oh},{ow},{oc})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,16 +41,25 @@ pub struct Quantizer {
     scale: f64,
 }
 
+/// `2^62`: past the widest quantiser's largest level `2^62 − 1`, and
+/// within the range where a truncating `f64 → i64` cast is exact.
+const LIMIT: f64 = 4_611_686_018_427_387_904.0;
+
+/// Maxima [`Quantizer::calibrated`] keeps at once.
+const MAXIMA: usize = 8;
+
 impl Quantizer {
     /// Creates a quantiser for `bits`-bit signed data spanning
     /// `[-max_abs, max_abs]`.
     ///
     /// # Panics
     ///
-    /// Panics if `bits < 2` or `max_abs` is not a positive finite number.
+    /// Panics if `bits` is outside `2..=63` (an `i64` level holds at most
+    /// 63 bits of signed data) or `max_abs` is not a positive finite
+    /// number.
     #[must_use]
     pub fn from_max(bits: u32, max_abs: f64) -> Self {
-        assert!(bits >= 2, "need at least 2 bits");
+        assert!((2..=63).contains(&bits), "need 2 to 63 bits, got {bits}");
         assert!(
             max_abs.is_finite() && max_abs > 0.0,
             "max_abs must be positive and finite"
@@ -64,23 +73,50 @@ impl Quantizer {
     /// Creates a quantiser covering the maximum absolute value of `data`
     /// (per-tensor calibration). Non-finite samples (NaN, ±∞) are ignored;
     /// falls back to 1.0 when no finite non-zero sample exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is outside `2..=63`, like [`Quantizer::from_max`].
     #[must_use]
     pub fn calibrated(bits: u32, data: &[f64]) -> Self {
-        let max = data
-            .iter()
-            .map(|x| x.abs())
-            .filter(|a| a.is_finite())
-            .fold(0.0f64, f64::max);
+        // Independent running maxima, so the comparisons pipeline instead
+        // of waiting on one serial chain. A NaN or infinite |x| fails
+        // `< ∞` and is skipped.
+        let mut maxima = [0.0f64; MAXIMA];
+        let keep = |max: &mut f64, x: f64| {
+            let a = x.abs();
+            if a > *max && a < f64::INFINITY {
+                *max = a;
+            }
+        };
+        let chunks = data.chunks_exact(MAXIMA);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            for (max, &x) in maxima.iter_mut().zip(chunk) {
+                keep(max, x);
+            }
+        }
+        for (max, &x) in maxima.iter_mut().zip(tail) {
+            keep(max, x);
+        }
+        let max = maxima.into_iter().fold(0.0f64, f64::max);
         Self::from_max(bits, if max > 0.0 { max } else { 1.0 })
     }
 
-    /// Quantises a value to its integer level, rounding to nearest and
-    /// clamping the magnitude to the representable range
-    /// `±(2^(bits-1) - 1)`. NaN maps to level 0.
+    /// Quantises a value to its integer level, rounding to nearest (half
+    /// away from zero, like [`f64::round`]) and clamping the magnitude to
+    /// the representable range `±(2^(bits-1) - 1)`. NaN maps to level 0.
     #[must_use]
+    #[inline]
     pub fn quantize(&self, x: f64) -> i64 {
         let max = (1i64 << (self.bits - 1)) - 1;
-        ((x * self.scale).round() as i64).clamp(-max, max)
+        // Within ±2^62 the cast truncates exactly and `y − trunc(y)` is
+        // exact too, so stepping by that fraction rounds without a libm
+        // call. The clamp keeps NaN, which the cast maps to 0.
+        let y = (x * self.scale).clamp(-LIMIT, LIMIT);
+        let trunc = y as i64;
+        let frac = y - trunc as f64;
+        (trunc + i64::from(frac >= 0.5) - i64::from(frac <= -0.5)).clamp(-max, max)
     }
 
     /// Recovers the real value of an integer level.
@@ -170,24 +206,14 @@ impl core::fmt::Display for FxpFormat {
 #[must_use]
 pub fn quantize_feature_map(fm: &FeatureMap<f64>, bits: u32) -> (FeatureMap<i64>, Quantizer) {
     let q = Quantizer::calibrated(bits, fm.as_slice());
-    let int = FeatureMap::from_fn(fm.height(), fm.width(), fm.channels(), |h, w, c| {
-        q.quantize(fm[(h, w, c)])
-    });
-    (int, q)
+    (fm.map(|&x| q.quantize(x)), q)
 }
 
 /// Quantises a whole weight set with a calibrated quantiser.
 #[must_use]
 pub fn quantize_weight_set(ws: &WeightSet<f64>, bits: u32) -> (WeightSet<i64>, Quantizer) {
     let q = Quantizer::calibrated(bits, ws.as_slice());
-    let int = WeightSet::from_fn(
-        ws.out_channels(),
-        ws.height(),
-        ws.width(),
-        ws.in_channels(),
-        |oc, wh, www, ic| q.quantize(ws[(oc, wh, www, ic)]),
-    );
-    (int, q)
+    (ws.map(|&x| q.quantize(x)), q)
 }
 
 /// Executes a GEMM under fixed-point quantisation and returns the
@@ -218,24 +244,9 @@ pub fn fxp_gemm(
 
     // Dequantise, then clamp precision to the format's output resolution by
     // re-quantising the output tensor.
-    let real: Vec<f64> = int_out
-        .as_slice()
-        .iter()
-        .map(|&v| v as f64 / (qw.scale() * qi.scale()))
-        .collect();
-    let qo = Quantizer::calibrated(format.output_bits(), &real);
-    let mut idx = 0;
-    let out = FeatureMap::from_fn(
-        int_out.height(),
-        int_out.width(),
-        int_out.channels(),
-        |_, _, _| {
-            let v = qo.dequantize(qo.quantize(real[idx]));
-            idx += 1;
-            v
-        },
-    );
-    Ok(out)
+    let real = int_out.map(|&v| v as f64 / (qw.scale() * qi.scale()));
+    let qo = Quantizer::calibrated(format.output_bits(), real.as_slice());
+    Ok(real.map(|&v| qo.dequantize(qo.quantize(v))))
 }
 
 #[cfg(test)]
@@ -305,6 +316,150 @@ mod tests {
         let q1 = Quantizer::calibrated(8, &[f64::NAN, f64::INFINITY]);
         assert_eq!(q1.quantize(0.5), 64);
         assert_eq!(q1.quantize(1.0), 127);
+    }
+
+    /// The quantiser's rounding before slice-speed rounding: libm
+    /// `round`, then the saturating cast and the clamp.
+    fn round_reference(bits: u32, y: f64) -> i64 {
+        let max = (1i64 << (bits - 1)) - 1;
+        (y.round() as i64).clamp(-max, max)
+    }
+
+    /// SplitMix64, for random bit patterns.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn quantize_rounds_like_the_round_reference_at_every_width() {
+        // Unit scale, so `quantize(y)` rounds `y` itself: halves and their
+        // neighbours, the largest double below one half, the ±max edges,
+        // powers of two up to and past 2^63, NaN, ±∞, ±0, subnormals and
+        // random bit patterns, at every width from 2 to 63 bits.
+        let mut state = 0x5EED;
+        let mut fixed = vec![
+            0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::MAX,
+        ];
+        for e in 0..=70 {
+            let p = 2f64.powi(e);
+            fixed.extend([
+                p,
+                p + 0.5,
+                p - 0.5,
+                (p + 0.5).next_up(),
+                (p + 0.5).next_down(),
+            ]);
+        }
+        for k in 0..200 {
+            fixed.push(f64::from(k) + 0.5);
+        }
+        for bits in 2u32..=63 {
+            let q = Quantizer { bits, scale: 1.0 };
+            let max = ((1u64 << (bits - 1)) - 1) as f64;
+            let mut cases = fixed.clone();
+            for edge in [max, max + 1.0, max - 1.0] {
+                cases.extend([
+                    edge,
+                    edge + 0.5,
+                    edge - 0.5,
+                    edge.next_up(),
+                    edge.next_down(),
+                ]);
+            }
+            for _ in 0..2_000 {
+                let r = splitmix(&mut state);
+                let level = (r % (1 << (bits - 1))) as f64;
+                cases.extend([f64::from_bits(r), level + 0.5, (level + 0.5).next_down()]);
+                cases.push((r >> 11) as f64 / (1u64 << 53) as f64 * 2.0 * max);
+            }
+            for y in cases.into_iter().flat_map(|y| [y, -y]) {
+                assert_eq!(
+                    q.quantize(y),
+                    round_reference(bits, y),
+                    "bits {bits} y {y:e} ({:#018x})",
+                    y.to_bits()
+                );
+            }
+        }
+        // The same through a calibrated scale.
+        let q = Quantizer::from_max(8, 3.0);
+        for x in [-3.5, -1.5, -0.01171875, 0.01171875, 0.5, 1.0, 2.9, 3.0] {
+            assert_eq!(q.quantize(x), round_reference(8, x * q.scale()), "x {x}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "need 2 to 63 bits")]
+    fn quantizers_reject_64_bits() {
+        let _ = Quantizer::from_max(64, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need 2 to 63 bits")]
+    fn quantizers_reject_65_bits() {
+        let _ = Quantizer::calibrated(65, &[1.0]);
+    }
+
+    #[test]
+    fn calibration_keeps_the_serial_maximum() {
+        // The serial fold calibration took before its maxima ran in
+        // parallel lanes.
+        let serial = |data: &[f64]| {
+            let max = data
+                .iter()
+                .map(|x| x.abs())
+                .filter(|a| a.is_finite())
+                .fold(0.0f64, f64::max);
+            Quantizer::from_max(8, if max > 0.0 { max } else { 1.0 })
+        };
+        let mut state = 0xCA1;
+        let mut sets: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![0.0; 11],
+            vec![-0.0; 17],
+            vec![f64::NAN; 9],
+            vec![f64::INFINITY, f64::NEG_INFINITY, f64::NAN],
+            vec![-0.0, 0.0, f64::NAN, -2.0, f64::INFINITY, 1.0],
+            vec![f64::MAX, -f64::MAX, f64::NEG_INFINITY],
+            vec![f64::from_bits(1), -0.0],
+        ];
+        for len in 1..=40 {
+            // The largest magnitude in every lane and in the tail, among
+            // non-finite samples.
+            for at in 0..len {
+                let mut data: Vec<f64> = (0..len)
+                    .map(|i| match i % 4 {
+                        0 => f64::NAN,
+                        1 => f64::NEG_INFINITY,
+                        _ => (i as f64) * 0.25 - 3.0,
+                    })
+                    .collect();
+                data[at] = -100.0;
+                sets.push(data);
+            }
+            sets.push(
+                (0..len)
+                    .map(|_| f64::from_bits(splitmix(&mut state)))
+                    .collect(),
+            );
+        }
+        for data in sets {
+            assert_eq!(Quantizer::calibrated(8, &data), serial(&data), "{data:?}");
+        }
     }
 
     #[test]

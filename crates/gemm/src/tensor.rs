@@ -186,6 +186,35 @@ impl<T: Clone + Default> FeatureMap<T> {
         }
     }
 
+    /// Creates a feature map from a row-major `(h, w, c)` data vector.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GemmError::ShapeMismatch`] if `data.len() != height *
+    /// width * channels`.
+    pub(crate) fn from_vec(
+        height: usize,
+        width: usize,
+        channels: usize,
+        data: Vec<T>,
+    ) -> Result<Self, GemmError> {
+        if data.len() != height * width * channels {
+            return Err(GemmError::ShapeMismatch {
+                expected: format!(
+                    "{height}x{width}x{channels} = {} elements",
+                    height * width * channels
+                ),
+                found: format!("{} elements", data.len()),
+            });
+        }
+        Ok(Self {
+            height,
+            width,
+            channels,
+            data,
+        })
+    }
+
     /// Builds a feature map by evaluating `f(h, w, c)` everywhere.
     #[must_use]
     pub fn from_fn(
@@ -251,6 +280,17 @@ impl<T> FeatureMap<T> {
     /// Mutable storage view.
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
+    }
+
+    /// Applies `f` to every element, producing a new feature map.
+    #[must_use]
+    pub(crate) fn map<U>(&self, f: impl Fn(&T) -> U) -> FeatureMap<U> {
+        FeatureMap {
+            height: self.height,
+            width: self.width,
+            channels: self.channels,
+            data: self.data.iter().map(f).collect(),
+        }
     }
 
     fn offset(&self, h: usize, w: usize, c: usize) -> usize {
@@ -397,6 +437,18 @@ impl<T> WeightSet<T> {
         &mut self.data
     }
 
+    /// Applies `f` to every element, producing a new weight set.
+    #[must_use]
+    pub(crate) fn map<U>(&self, f: impl Fn(&T) -> U) -> WeightSet<U> {
+        WeightSet {
+            out_channels: self.out_channels,
+            height: self.height,
+            width: self.width,
+            in_channels: self.in_channels,
+            data: self.data.iter().map(f).collect(),
+        }
+    }
+
     fn offset(&self, oc: usize, wh: usize, ww: usize, ic: usize) -> usize {
         ((oc * self.height + wh) * self.width + ww) * self.in_channels + ic
     }
@@ -484,6 +536,23 @@ mod tests {
         assert_eq!(ws.len(), 2 * 3 * 3 * 4);
         assert_eq!(ws.out_channels(), 2);
         assert_eq!(ws.in_channels(), 4);
+    }
+
+    #[test]
+    fn feature_map_from_vec_checks_shape_and_map_keeps_it() {
+        let fm = FeatureMap::from_vec(1, 2, 3, (0..6).collect()).expect("6 elements");
+        assert_eq!(fm[(0, 1, 2)], 5);
+        assert!(FeatureMap::from_vec(1, 2, 3, vec![0; 5]).is_err());
+        let halves = fm.map(|&v| v as f64 / 2.0);
+        assert_eq!(
+            (halves.height(), halves.width(), halves.channels()),
+            (1, 2, 3)
+        );
+        assert_eq!(halves[(0, 1, 0)], 1.5);
+        let ws = WeightSet::from_fn(2, 1, 2, 3, |oc, _, ww, ic| (oc * 6 + ww * 3 + ic) as i64);
+        let negated = ws.map(|&v| -v);
+        assert_eq!(negated.as_slice(), (0..12).map(|v| -v).collect::<Vec<_>>());
+        assert_eq!(negated.in_channels(), 3);
     }
 
     #[test]

@@ -151,7 +151,8 @@ impl PrefixClasses<'_> {
     /// class: the class loop runs outside and the thresholds inside, so
     /// each class is one add and one shift by the same amount across every
     /// `u32` lane, with no branch. The tile sweep counts a whole weight row
-    /// this way, eight weights per call.
+    /// this way, eight weights per call, and sums each vector's counts
+    /// over a row fold in `i32` lanes before they reach its partial sums.
     #[must_use]
     #[inline]
     pub fn count_lanes(&self, thresholds: [u32; LANES]) -> [u32; LANES] {
